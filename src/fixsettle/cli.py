@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Subcommands: simulate | check | bound | attract | sweep | table1.
+Subcommands: simulate | check | bound | attract | sweep | table1, each with
+``--out DIR`` and, except table1, ``--config PATH``.  ``--seed N`` (simulate,
+check, attract: the ones that draw perturbations) overrides the perturbation
+seed; ``--format csv|json`` picks one of table1's outputs.  ``branch: auto``
+resolves from V(x0) in both bound and attract.
 Outputs are CSV (17 significant digits, '.' decimal) and JSON (sorted
 keys), both byte-stable across runs for a fixed config and seed.  Exit
 codes: 0 success, 2 config or parameter error, 3 numerical divergence.
-``FIXSETTLE_THREADS`` caps worker threads for sweeps.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -21,12 +23,19 @@ import numpy as np
 
 from .config import ScenarioConfig, load_config
 from .errors import FixsettleError, SimulationDivergedError
-from .lyapunov import abs_candidate, scan_conditions, scan_trajectory
+from .lyapunov import (
+    abs_candidate,
+    estimate_lipschitz,
+    scan_conditions,
+    scan_trajectory,
+)
 from .oracle import sweep_settling, table1_reproduce
 from .perturbation import (
     AttractivenessConfig,
     analyze_attractiveness,
     choose_branch,
+    perturbed_settling_bound,
+    remark_tradeoff_table,
 )
 from .settling import phase1_bound, phase2_bound, settling_bound, example_bound
 from .systems import simulate, simulate_perturbed
@@ -57,13 +66,6 @@ def _write_json(path: Path, obj):
         fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("FIXSETTLE_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _out_path(args, default_name: str, cfg: Optional[ScenarioConfig] = None) -> Path:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -77,6 +79,29 @@ def _require_cfg(args) -> ScenarioConfig:
     if not args.config:
         raise FixsettleError("this command requires --config")
     return load_config(args.config, seed_override=args.seed)
+
+
+def _attractiveness_config(
+    cfg: ScenarioConfig, lv: float, lv_source: str = "user"
+) -> AttractivenessConfig:
+    """The scenario's attractiveness inputs, ``branch: auto`` resolved from V(x0)."""
+    branch = cfg.analysis.branch
+    if branch == "auto":
+        if cfg.analysis.x0 is None:
+            raise FixsettleError(
+                "branch 'auto' is chosen from V(x0): set analysis.x0 or an "
+                "explicit analysis.branch"
+            )
+        branch = choose_branch(cfg.lyapunov(cfg.analysis.x0))
+    return AttractivenessConfig(
+        gains=cfg.gains,
+        lipschitz_lv=lv,
+        delta0=cfg.perturbation.delta0,
+        m1=cfg.m1,
+        m2=cfg.m2,
+        branch=branch,
+        lv_source=lv_source,
+    )
 
 
 DEFAULT_K_MAX = 200
@@ -113,28 +138,20 @@ def cmd_check(args) -> int:
         raise FixsettleError("check requires lyapunov and gains sections")
     g_norm = cfg.perturbation.delta0 if cfg.perturbation is not None else None
     if cfg.analysis.grid is not None:
-        report = scan_conditions(
-            cfg.system,
-            cfg.lyapunov,
-            cfg.gains,
-            cfg.analysis.grid.materialize(),
-            v_rhs=cfg.lyapunov_rhs,
-            g_norm=g_norm,
-            tolerance=cfg.analysis.tolerance,
-        )
+        scan, domain = scan_conditions, cfg.analysis.grid.materialize()
     elif cfg.analysis.x0 is not None:
-        traj = _run_orbit(cfg, cfg.analysis.x0)
-        report = scan_trajectory(
-            cfg.system,
-            cfg.lyapunov,
-            cfg.gains,
-            traj,
-            v_rhs=cfg.lyapunov_rhs,
-            g_norm=g_norm,
-            tolerance=cfg.analysis.tolerance,
-        )
+        scan, domain = scan_trajectory, _run_orbit(cfg, cfg.analysis.x0)
     else:
         raise FixsettleError("check requires analysis.grid or analysis.x0")
+    report = scan(
+        cfg.system,
+        cfg.lyapunov,
+        cfg.gains,
+        domain,
+        v_rhs=cfg.lyapunov_rhs,
+        g_norm=g_norm,
+        tolerance=cfg.analysis.tolerance,
+    )
     path = _out_path(args, "check.json", cfg)
     _write_json(path, report.to_dict())
     print(
@@ -156,20 +173,9 @@ def cmd_bound(args) -> int:
     if cfg.perturbation is not None and cfg.gains is not None:
         lv = cfg.lyapunov.lipschitz_LV if cfg.lyapunov is not None else None
         if lv is not None:
-            branch = cfg.analysis.branch
-            if branch == "auto":
-                branch = "V0_GT_1"
-            acfg = AttractivenessConfig(
-                gains=cfg.gains,
-                lipschitz_lv=lv,
-                delta0=cfg.perturbation.delta0,
-                m1=cfg.m1,
-                m2=cfg.m2,
-                branch=branch,
+            out["perturbed_K_star"] = perturbed_settling_bound(
+                _attractiveness_config(cfg, lv)
             )
-            from .perturbation import perturbed_settling_bound
-
-            out["perturbed_K_star"] = perturbed_settling_bound(acfg)
     if not out:
         raise FixsettleError(
             "bound requires gains, an example system, or a perturbed setup"
@@ -189,8 +195,6 @@ def cmd_attract(args) -> int:
     if lv is None and cfg.analysis.grid is not None:
         # Grid estimate of the candidate's slope; a lower bound on the true
         # constant, recorded as such in the report.
-        from .lyapunov import estimate_lipschitz
-
         lv = estimate_lipschitz(cfg.lyapunov.value, cfg.analysis.grid.materialize())
         lv_source = "estimated"
     if lv is None:
@@ -200,25 +204,12 @@ def cmd_attract(args) -> int:
         )
     if cfg.analysis.x0 is None:
         raise FixsettleError("attract requires analysis.x0")
-    branch = cfg.analysis.branch
-    if branch == "auto":
-        branch = choose_branch(cfg.lyapunov(cfg.analysis.x0))
-    acfg = AttractivenessConfig(
-        gains=cfg.gains,
-        lipschitz_lv=lv,
-        delta0=cfg.perturbation.delta0,
-        m1=cfg.m1,
-        m2=cfg.m2,
-        branch=branch,
-        lv_source=lv_source,
-    )
+    acfg = _attractiveness_config(cfg, lv, lv_source)
     traj = _run_orbit(cfg, cfg.analysis.x0)
     report = analyze_attractiveness(acfg, traj, cfg.lyapunov)
     path = _out_path(args, "attract.json", cfg)
     _write_json(path, report.to_dict())
     if cfg.analysis.m_values:
-        from .perturbation import remark_tradeoff_table
-
         rows = remark_tradeoff_table(acfg, cfg.analysis.m_values)
         tradeoff_path = Path(args.out) / "tradeoff.json"
         _write_json(
@@ -251,7 +242,6 @@ def cmd_sweep(args) -> int:
         k_max=cfg.analysis.k_max,
         epsilons=cfg.analysis.epsilon_list,
         case_id=cfg.analysis.case_id or cfg.system.name,
-        threads=_threads(),
         **kwargs,
     )
     path = _out_path(args, "sweep.json", cfg)
@@ -308,21 +298,23 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
-        ("simulate", cmd_simulate, True),
-        ("check", cmd_check, True),
-        ("bound", cmd_bound, True),
-        ("attract", cmd_attract, True),
-        ("sweep", cmd_sweep, True),
-        ("table1", cmd_table1, False),
+    for name, fn in (
+        ("simulate", cmd_simulate),
+        ("check", cmd_check),
+        ("bound", cmd_bound),
+        ("attract", cmd_attract),
+        ("sweep", cmd_sweep),
+        ("table1", cmd_table1),
     ):
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
-        if needs_config:
+        p.set_defaults(fn=fn, seed=None)
+        if name != "table1":
             p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="perturbation seed override")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
+        if name in ("simulate", "check", "attract"):
+            p.add_argument("--seed", type=int, default=None, help="perturbation seed override")
+        if name == "table1":
+            p.add_argument("--format", choices=("csv", "json"), default=None)
     return parser
 
 

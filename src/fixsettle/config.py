@@ -16,13 +16,14 @@ import numpy as np
 
 from .errors import ConfigurationError, FixsettleError
 from .lyapunov import (
+    DEFAULT_TOLERANCE,
     FixedTimeGains,
     LyapunovCandidate,
     abs_candidate,
     polynomial_candidate,
     square_candidate,
 )
-from .oracle import TABLE1_CASES
+from .oracle import DEFAULT_EPSILONS, TABLE1_CASES
 from .systems import (
     PerturbationSpec,
     SystemMap,
@@ -60,9 +61,9 @@ class AnalysisParams:
     k_max: Optional[int] = None
     stop_epsilon: Optional[float] = None
     epsilon: float = 1.0
-    epsilon_list: Sequence[float] = (10.0, 1.0, 0.5, 0.25, 0.1)
+    epsilon_list: Sequence[float] = DEFAULT_EPSILONS
     grid: Optional[GridSpec] = None
-    tolerance: float = 1e-12
+    tolerance: float = DEFAULT_TOLERANCE
     m_values: Sequence[float] = ()
     branch: str = "auto"
     case_id: str = ""
@@ -98,20 +99,14 @@ def _build_system(d: dict) -> tuple:
                 raise ConfigurationError(
                     f"system.case must be 1..{len(TABLE1_CASES)}, got {d['case']!r}"
                 )
-            case = TABLE1_CASES[idx]
-            params = dict(
-                aprime=case.aprime,
-                bprime=case.bprime,
-                r1prime=case.r1prime,
-                r2prime=case.r2prime,
-            )
+            params = TABLE1_CASES[idx].params()
         else:
             p = _require(d, "params", "system")
-            params = {
-                k: float(_require(p, k, "system.params"))
+            params = tuple(
+                float(_require(p, k, "system.params"))
                 for k in ("aprime", "bprime", "r1prime", "r2prime")
-            }
-        return example_system(**params), tuple(params.values())
+            )
+        return example_system(*params), params
     if "affine" in d:
         a = d["affine"]
         return (
@@ -216,9 +211,9 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
                 None if a.get("stop_epsilon") is None else float(a["stop_epsilon"])
             ),
             epsilon=float(a.get("epsilon", 1.0)),
-            epsilon_list=tuple(float(e) for e in a.get("epsilon_list", (10.0, 1.0, 0.5, 0.25, 0.1))),
+            epsilon_list=tuple(float(e) for e in a.get("epsilon_list", DEFAULT_EPSILONS)),
             grid=_build_grid(a["grid"]) if "grid" in a else None,
-            tolerance=float(a.get("tolerance", 1e-12)),
+            tolerance=float(a.get("tolerance", DEFAULT_TOLERANCE)),
             m_values=tuple(float(m) for m in a.get("m_values", ())),
             branch=branch,
             case_id=str(a.get("case_id", "")),

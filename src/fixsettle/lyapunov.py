@@ -3,11 +3,12 @@
 The central object is the residual of a one-step decrement inequality: for
 a candidate V, gains (alpha, beta, r1, r2) and a state x != 0,
 
-    r(x) = [V(F(x)) - V(x)] + max(alpha * V(x)^r1, beta * V(x)^r2)
+    r(x) = [V(F(x)) - V(x)] + max(alpha * V(x)^r1, beta * V(x)^r2) - slack
 
-The inequality holds at x exactly when r(x) <= 0.  A mixed variant uses one
+The inequality holds at x exactly when r(x) <= 0.  The mixed form uses one
 function for the left-hand difference and another inside the max, which is
-how the benchmark map's quadratic difference is bounded by powers of |x|.
+how the benchmark map's quadratic difference is bounded by powers of |x|;
+the perturbed form sets the slack to L_V * delta0.
 Grid scans report every violating point, so they double as a falsification
 harness for candidate certificates.
 """
@@ -28,6 +29,7 @@ from .errors import (
     OriginError,
     ParameterDomainError,
 )
+from .record import Record
 from .systems import SystemMap, Trajectory, as_state, as_state_grid
 
 DEFAULT_TOLERANCE = 1e-12
@@ -149,25 +151,14 @@ Where = Union[int, Tuple[float, ...]]
 
 
 @dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     where: Where
     residual: float
     check: str = "decrement"
 
-    def to_dict(self) -> dict:
-        where = self.where if isinstance(self.where, int) else list(self.where)
-        return {"where": where, "residual": self.residual, "check": self.check}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Violation":
-        where = d["where"]
-        if isinstance(where, list):
-            where = tuple(float(v) for v in where)
-        return Violation(where=where, residual=float(d["residual"]), check=d["check"])
-
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Record):
     """Outcome of a pointwise condition check over a grid or trajectory.
 
     ``holds_everywhere`` is true exactly when ``violations`` is empty; every
@@ -193,45 +184,6 @@ class ConditionReport:
                 "holds_everywhere must mirror emptiness of the violation list"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "condition_id": self.condition_id.value,
-            "checked_points": self.checked_points,
-            "violations": [v.to_dict() for v in self.violations],
-            "max_residual": self.max_residual,
-            "holds_everywhere": self.holds_everywhere,
-            "tolerance": self.tolerance,
-            "violation_intervals": (
-                None
-                if self.violation_intervals is None
-                else [list(iv) for iv in self.violation_intervals]
-            ),
-            "value_zero_points": [
-                w if isinstance(w, int) else list(w) for w in self.value_zero_points
-            ],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ConditionReport":
-        intervals = d.get("violation_intervals")
-        return ConditionReport(
-            condition_id=ConditionId(d["condition_id"]),
-            checked_points=int(d["checked_points"]),
-            violations=tuple(Violation.from_dict(v) for v in d["violations"]),
-            max_residual=float(d["max_residual"]),
-            holds_everywhere=bool(d["holds_everywhere"]),
-            tolerance=float(d["tolerance"]),
-            violation_intervals=(
-                None
-                if intervals is None
-                else tuple((float(a), float(b)) for a, b in intervals)
-            ),
-            value_zero_points=tuple(
-                w if isinstance(w, int) else tuple(float(v) for v in w)
-                for w in d.get("value_zero_points", [])
-            ),
-        )
-
 
 def decrement_max(v: float, gains: FixedTimeGains) -> float:
     """max(alpha * v^r1, beta * v^r2) for a nonnegative level v.
@@ -251,54 +203,26 @@ def _require_nonzero(x: np.ndarray):
 
 
 def decrement_residual(
-    system: SystemMap, V: LyapunovCandidate, gains: FixedTimeGains, x
+    system: SystemMap,
+    V: LyapunovCandidate,
+    gains: FixedTimeGains,
+    x,
+    V_rhs: Optional[LyapunovCandidate] = None,
+    slack: float = 0.0,
 ) -> float:
-    """Residual of the single-candidate decrement inequality at x != 0."""
+    """Residual of the fixed-time decrement inequality at x != 0.
+
+    The difference is taken in ``V`` and the max in ``V_rhs`` (default
+    ``V``), which is the mixed form when they differ.  The perturbed form
+    subtracts the slack ``lipschitz_LV * g_norm``; the difference term is
+    still computed along the nominal step.
+    """
     state = as_state(x, system.dimension)
     _require_nonzero(state)
     vx = float(V.value(state))
     vfx = float(V.value(system.apply(state)))
-    return (vfx - vx) + decrement_max(vx, gains)
-
-
-def mixed_decrement_residual(
-    system: SystemMap,
-    V_lhs: LyapunovCandidate,
-    V_rhs: LyapunovCandidate,
-    gains: FixedTimeGains,
-    x,
-) -> float:
-    """Residual with the difference taken in ``V_lhs`` and the max in ``V_rhs``.
-
-    With V_lhs = V_rhs this reduces exactly to ``decrement_residual``.
-    """
-    state = as_state(x, system.dimension)
-    _require_nonzero(state)
-    v_l = float(V_lhs.value(state))
-    v_l_next = float(V_lhs.value(system.apply(state)))
-    v_r = float(V_rhs.value(state))
-    return (v_l_next - v_l) + decrement_max(v_r, gains)
-
-
-def perturbed_decrement_residual(
-    system: SystemMap,
-    g_norm: float,
-    V: LyapunovCandidate,
-    gains: FixedTimeGains,
-    x,
-) -> float:
-    """Residual of the perturbation-slackened decrement at x != 0.
-
-    The difference term is computed along the nominal (unperturbed) step;
-    the perturbation enters only through the slack ``lipschitz_LV * g_norm``.
-    """
-    if V.lipschitz_LV is None:
-        raise ConfigurationError(
-            "perturbed decrement needs a candidate with lipschitz_LV set"
-        )
-    if g_norm < 0.0:
-        raise ParameterDomainError("g_norm must be nonnegative")
-    return decrement_residual(system, V, gains, x) - V.lipschitz_LV * g_norm
+    v_max = vx if V_rhs is None else float(V_rhs.value(state))
+    return ((vfx - vx) + decrement_max(v_max, gains)) - slack
 
 
 def check_basic_lyapunov(
@@ -349,32 +273,25 @@ def check_basic_lyapunov(
     )
 
 
-def _residual_kernel(
-    system: SystemMap,
+def _condition(
     V: LyapunovCandidate,
-    gains: FixedTimeGains,
     v_rhs: Optional[LyapunovCandidate],
     g_norm: Optional[float],
-):
-    """Select the pointwise residual shared by grid and trajectory scans."""
-    if g_norm is not None:
-        if v_rhs is not None:
-            raise ConfigurationError(
-                "perturbed scans use a single candidate; drop v_rhs or g_norm"
-            )
-        return (
-            lambda x: perturbed_decrement_residual(system, g_norm, V, gains, x),
-            ConditionId.PERTURBED_DECREMENT,
-        )
+) -> Tuple[ConditionId, float]:
+    """The condition a scan checks, and the slack of its residual."""
+    if g_norm is None:
+        return (ConditionId.FT_DECREMENT if v_rhs is None else ConditionId.FT_MIXED), 0.0
     if v_rhs is not None:
-        return (
-            lambda x: mixed_decrement_residual(system, V, v_rhs, gains, x),
-            ConditionId.FT_MIXED,
+        raise ConfigurationError(
+            "perturbed scans use a single candidate; drop v_rhs or g_norm"
         )
-    return (
-        lambda x: decrement_residual(system, V, gains, x),
-        ConditionId.FT_DECREMENT,
-    )
+    if V.lipschitz_LV is None:
+        raise ConfigurationError(
+            "perturbed decrement needs a candidate with lipschitz_LV set"
+        )
+    if g_norm < 0.0:
+        raise ParameterDomainError("g_norm must be nonnegative")
+    return ConditionId.PERTURBED_DECREMENT, V.lipschitz_LV * g_norm
 
 
 def _violation_intervals(grid: np.ndarray, violating: Sequence[bool]):
@@ -415,17 +332,16 @@ def scan_conditions(
     pts = as_state_grid(grid, system.dimension)
     if len(pts) == 0:
         raise EmptyDomainError("scan grid is empty")
-    kernel, condition_id = _residual_kernel(system, V, gains, v_rhs, g_norm)
+    condition_id, slack = _condition(V, v_rhs, g_norm)
 
     violations = []
     violating_flags = []
     zero_points = []
     max_residual = -math.inf
     for point in pts:
-        _require_nonzero(point)
         if float(V.value(point)) == 0.0:
             zero_points.append(tuple(point))
-        residual = kernel(point)
+        residual = decrement_residual(system, V, gains, point, v_rhs, slack)
         max_residual = max(max_residual, residual)
         bad = residual > tolerance
         violating_flags.append(bad)
@@ -464,7 +380,7 @@ def scan_trajectory(
     """
     if len(traj) < 2:
         raise EmptyDomainError("trajectory scan needs at least one transition")
-    kernel, condition_id = _residual_kernel(system, V, gains, v_rhs, g_norm)
+    condition_id, slack = _condition(V, v_rhs, g_norm)
 
     violations = []
     zero_points = []
@@ -476,7 +392,7 @@ def scan_trajectory(
             zero_points.append(k)
             continue
         checked += 1
-        residual = kernel(state)
+        residual = decrement_residual(system, V, gains, state, v_rhs, slack)
         max_residual = max(max_residual, residual)
         if residual > tolerance:
             violations.append(Violation(k, residual))

@@ -10,7 +10,6 @@ results are reproducible bit for bit.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -18,6 +17,7 @@ import numpy as np
 
 from .errors import EmptyDomainError, ParameterDomainError, SimulationDivergedError
 from .lyapunov import FixedTimeGains
+from .record import Record
 from .settling import (
     example_bound,
     measure_settling,
@@ -91,15 +91,8 @@ def sweep_grid(case: Table1Case, points: int = 101, low: float = 2.0,
     return np.logspace(np.log10(low), np.log10(cap), points)
 
 
-def _ordered_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Worst-case settling over a grid of initial conditions vs the bound."""
 
     case_id: str
@@ -111,34 +104,6 @@ class SweepResult:
     all_within_bound: bool
     settling_vs_epsilon: Tuple[Tuple[float, Optional[int], Optional[int]], ...]
 
-    def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "grid_description": self.grid_description,
-            "epsilon": self.epsilon,
-            "bound": self.bound,
-            "worst_settling": self.worst_settling,
-            "worst_x0": self.worst_x0,
-            "all_within_bound": self.all_within_bound,
-            "settling_vs_epsilon": [list(row) for row in self.settling_vs_epsilon],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SweepResult":
-        return SweepResult(
-            case_id=d["case_id"],
-            grid_description=d["grid_description"],
-            epsilon=float(d["epsilon"]),
-            bound=int(d["bound"]),
-            worst_settling=None if d["worst_settling"] is None else int(d["worst_settling"]),
-            worst_x0=None if d["worst_x0"] is None else float(d["worst_x0"]),
-            all_within_bound=bool(d["all_within_bound"]),
-            settling_vs_epsilon=tuple(
-                (float(e), None if s is None else int(s), None if f is None else int(f))
-                for e, s, f in d["settling_vs_epsilon"]
-            ),
-        )
-
 
 def sweep_settling(
     system: SystemMap,
@@ -149,15 +114,20 @@ def sweep_settling(
     k_max: Optional[int] = None,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
     case_id: str = "",
-    threads: int = 1,
 ) -> SweepResult:
     """Simulate every initial condition and compare settling to the bound.
 
     Exactly one of ``gains`` / ``example_params`` selects the bound.  The
     settling-vs-epsilon curve is reported for the worst-settling orbit
     (ties broken by grid order).  Divergence is propagated with the
-    offending initial condition attached.
+    offending initial condition attached.  Initial conditions are scalars,
+    so the system must be one-dimensional.
     """
+    if system.dimension != 1:
+        raise ParameterDomainError(
+            f"sweeps take scalar initial conditions, but system '{system.name}' "
+            f"has dimension {system.dimension}"
+        )
     x0s = [float(x) for x in np.atleast_1d(np.asarray(x0_grid, dtype=float))]
     if not x0s:
         raise EmptyDomainError("x0 grid is empty")
@@ -166,7 +136,9 @@ def sweep_settling(
     bound = settling_bound(gains) if gains is not None else example_bound(*example_params)
     steps = bound + 50 if k_max is None else k_max
 
-    def run(x0: float):
+    worst_key = -1
+    all_within = True
+    for x0 in x0s:
         try:
             traj = simulate(system, x0, steps)
         except SimulationDivergedError as err:
@@ -175,26 +147,14 @@ def sweep_settling(
                 last_finite_index=err.last_finite_index,
                 x0=x0,
             ) from err
-        return traj, measure_settling(traj, epsilon)
-
-    results = _ordered_map(run, x0s, threads)
-
-    worst_idx = None
-    worst_key = -1
-    all_within = True
-    for i, (_, settle) in enumerate(results):
-        if settle is None:
+        settle = measure_settling(traj, epsilon)
+        if settle is None or settle > bound:
             all_within = False
-            key = np.inf
-        else:
-            if settle > bound:
-                all_within = False
-            key = settle
-        if key > worst_key:
+        key = np.inf if settle is None else settle
+        if key > worst_key:  # strict, so ties keep the earliest x0
             worst_key = key
-            worst_idx = i
+            worst_x0, worst_traj, worst_settle = x0, traj, settle
 
-    worst_traj, worst_settle = results[worst_idx]
     return SweepResult(
         case_id=case_id,
         grid_description=(
@@ -204,14 +164,14 @@ def sweep_settling(
         epsilon=float(epsilon),
         bound=bound,
         worst_settling=worst_settle,
-        worst_x0=x0s[worst_idx],
+        worst_x0=worst_x0,
         all_within_bound=all_within,
         settling_vs_epsilon=settling_vs_epsilon(worst_traj, epsilons),
     )
 
 
 @dataclass(frozen=True)
-class Table1Row:
+class Table1Row(Record):
     """One recomputed benchmark row plus measured settling curves."""
 
     case_id: str
@@ -225,40 +185,6 @@ class Table1Row:
     atc_published: int
     x0: float
     settling: Tuple[Tuple[float, Optional[int], Optional[int]], ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "case_id": self.case_id,
-            "aprime": self.aprime,
-            "bprime": self.bprime,
-            "r1prime": self.r1prime,
-            "r2prime": self.r2prime,
-            "k_star_recomputed": self.k_star_recomputed,
-            "k_star_published": self.k_star_published,
-            "discrepancy": self.discrepancy,
-            "atc_published": self.atc_published,
-            "x0": self.x0,
-            "settling": [list(row) for row in self.settling],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "Table1Row":
-        return Table1Row(
-            case_id=d["case_id"],
-            aprime=float(d["aprime"]),
-            bprime=float(d["bprime"]),
-            r1prime=float(d["r1prime"]),
-            r2prime=float(d["r2prime"]),
-            k_star_recomputed=int(d["k_star_recomputed"]),
-            k_star_published=int(d["k_star_published"]),
-            discrepancy=bool(d["discrepancy"]),
-            atc_published=int(d["atc_published"]),
-            x0=float(d["x0"]),
-            settling=tuple(
-                (float(e), None if s is None else int(s), None if f is None else int(f))
-                for e, s, f in d["settling"]
-            ),
-        )
 
 
 def table1_reproduce(
@@ -298,7 +224,7 @@ def table1_reproduce(
 
 
 @dataclass(frozen=True)
-class Lemma1TrialSummary:
+class Lemma1TrialSummary(Record):
     """Outcome of the randomized q-sequence bound trials."""
 
     n_trials: int
@@ -312,14 +238,7 @@ class Lemma1TrialSummary:
         return len(self.failures) == 0
 
     def to_dict(self) -> dict:
-        return {
-            "n_trials": self.n_trials,
-            "failures": [list(f) for f in self.failures],
-            "invalid_inputs": self.invalid_inputs,
-            "max_sequence_length": self.max_sequence_length,
-            "seed": self.seed,
-            "passed": self.passed,
-        }
+        return {**super().to_dict(), "passed": self.passed}
 
 
 def generate_level_run(

@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import EmptyDomainError, ParameterDomainError
 from .lyapunov import FixedTimeGains, LyapunovCandidate
-from .settling import FLOOR_GUARD, phase1_bound, phase2_bound
+from .record import Record
+from .settling import FLOOR_GUARD, entry_and_stay, phase1_bound, phase2_bound
 from .systems import Trajectory
 
 BRANCH_HIGH = "V0_GT_1"
@@ -139,18 +138,12 @@ def verify_attractiveness(
     and stays), and ``remained`` is True exactly when the orbit never left
     the set again after first reaching it.
     """
-    if B < 0.0:
-        raise ParameterDomainError("B must be nonnegative")
-    values = traj.values(V.value)
-    outside = np.nonzero(values > B)[0]
-    if len(outside) == 0:
-        return 0, True
-    last_out = int(outside[-1])
-    entry = last_out + 1 if last_out + 1 < len(values) else None
-    inside = np.nonzero(values <= B)[0]
-    first_entry = int(inside[0]) if len(inside) else None
-    remained = first_entry is not None and entry == first_entry
-    return entry, remained
+    return _entry_and_remained(traj.values(V.value), B)
+
+
+def _entry_and_remained(values, B: float) -> Tuple[Optional[int], bool]:
+    entry, first = entry_and_stay(values, B)
+    return entry, first is not None and entry == first
 
 
 def remark_tradeoff_table(
@@ -173,7 +166,7 @@ def remark_tradeoff_table(
 
 
 @dataclass(frozen=True)
-class AttractivenessReport:
+class AttractivenessReport(Record):
     """Outcome of one attractiveness analysis.
 
     ``feasibility_residual`` is evaluated at the computed level B (zero by
@@ -191,35 +184,6 @@ class AttractivenessReport:
     empirical_entry: Optional[int] = None
     remained_inside: bool = False
     v_crossing_index: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "branch": self.branch,
-            "B": self.B,
-            "K_star": self.K_star,
-            "gain_d": self.gain_d,
-            "feasibility_residual": self.feasibility_residual,
-            "lv_source": self.lv_source,
-            "empirical_entry": self.empirical_entry,
-            "remained_inside": self.remained_inside,
-            "v_crossing_index": self.v_crossing_index,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "AttractivenessReport":
-        entry = d["empirical_entry"]
-        crossing = d["v_crossing_index"]
-        return AttractivenessReport(
-            branch=d["branch"],
-            B=float(d["B"]),
-            K_star=int(d["K_star"]),
-            gain_d=float(d["gain_d"]),
-            feasibility_residual=float(d["feasibility_residual"]),
-            lv_source=d["lv_source"],
-            empirical_entry=None if entry is None else int(entry),
-            remained_inside=bool(d["remained_inside"]),
-            v_crossing_index=None if crossing is None else int(crossing),
-        )
 
 
 def analyze_attractiveness(
@@ -245,11 +209,10 @@ def analyze_attractiveness(
     if traj is not None:
         if V is None:
             raise ParameterDomainError("orbit verification needs a candidate V")
-        entry, remained = verify_attractiveness(traj, V, b_level)
         values = traj.values(V.value)
-        if len(values) and values[0] > 1.0:
-            below = np.nonzero(values <= 1.0)[0]
-            crossing = int(below[0]) if len(below) else None
+        entry, remained = _entry_and_remained(values, b_level)
+        if values[0] > 1.0:
+            crossing = entry_and_stay(values, 1.0)[1]
     return AttractivenessReport(
         branch=cfg.branch,
         B=b_level,

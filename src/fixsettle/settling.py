@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import LemmaPreconditionError, ParameterDomainError
 from .lyapunov import FixedTimeGains
+from .record import Record
 from .systems import Trajectory, validate_example_params
 
 # Floor arguments that are exact integers in real arithmetic (for instance
@@ -112,47 +113,46 @@ def example_bound(
     )
 
 
-def measure_settling(traj: Trajectory, epsilon: float) -> Optional[int]:
-    """Entry-and-stay settling index of a recorded orbit.
+def entry_and_stay(values, level: float) -> Tuple[Optional[int], Optional[int]]:
+    """Entry of a recorded value sequence into the sublevel set {v <= level}.
 
-    Returns the smallest k such that every recorded state from k on has
-    norm <= epsilon, or None when no such k exists within the recording.
-    Entry-and-stay (rather than first entry) matches equilibria that must
-    be reached and kept; oscillating tails would otherwise report
-    spuriously early settling.
+    Returns ``(stay, first)``: ``stay`` is the smallest k such that every
+    value from k on is <= level (None when the last value is outside), and
+    ``first`` is the first k with a value <= level (None if there is none).
+    Entry-and-stay matches equilibria that must be reached and kept;
+    oscillating tails would make first entry report spuriously early
+    settling.
     """
-    if epsilon < 0.0:
-        raise ParameterDomainError("epsilon must be nonnegative")
-    norms = traj.norms()
-    outside = np.nonzero(norms > epsilon)[0]
-    if len(outside) == 0:
-        return 0
-    last_out = int(outside[-1])
-    if last_out + 1 >= len(norms):
-        return None
-    return last_out + 1
+    if level < 0.0:
+        raise ParameterDomainError(f"level must be nonnegative, got {level!r}")
+    outside = np.nonzero(values > level)[0]
+    inside = np.nonzero(values <= level)[0]
+    stay = int(outside[-1]) + 1 if len(outside) else 0
+    if stay == len(values):
+        stay = None  # the last recorded value is outside
+    return stay, int(inside[0]) if len(inside) else None
+
+
+def measure_settling(traj: Trajectory, epsilon: float) -> Optional[int]:
+    """Entry-and-stay settling index of a recorded orbit into ||x|| <= epsilon."""
+    return entry_and_stay(traj.norms(), epsilon)[0]
 
 
 def measure_first_entry(traj: Trajectory, epsilon: float) -> Optional[int]:
     """First index whose state norm is <= epsilon, or None."""
-    if epsilon < 0.0:
-        raise ParameterDomainError("epsilon must be nonnegative")
-    inside = np.nonzero(traj.norms() <= epsilon)[0]
-    return int(inside[0]) if len(inside) else None
+    return entry_and_stay(traj.norms(), epsilon)[1]
 
 
 def settling_vs_epsilon(
     traj: Trajectory, epsilons: Sequence[float]
 ) -> Tuple[Tuple[float, Optional[int], Optional[int]], ...]:
     """(epsilon, entry-and-stay index, first-entry index) for each epsilon."""
-    return tuple(
-        (float(eps), measure_settling(traj, eps), measure_first_entry(traj, eps))
-        for eps in epsilons
-    )
+    norms = traj.norms()
+    return tuple((float(eps), *entry_and_stay(norms, eps)) for eps in epsilons)
 
 
 @dataclass(frozen=True)
-class SettlingReport:
+class SettlingReport(Record):
     """Bounds and (optionally) measured settling for one scenario."""
 
     bound_K_star: int
@@ -167,28 +167,6 @@ class SettlingReport:
             raise ParameterDomainError(
                 "combined bound must equal the sum of the phase bounds"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "bound_K_star": self.bound_K_star,
-            "bound_K1": self.bound_K1,
-            "bound_K2_gap": self.bound_K2_gap,
-            "epsilon_used": self.epsilon_used,
-            "empirical_settling": self.empirical_settling,
-            "satisfied": self.satisfied,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SettlingReport":
-        emp = d["empirical_settling"]
-        return SettlingReport(
-            bound_K_star=int(d["bound_K_star"]),
-            bound_K1=int(d["bound_K1"]),
-            bound_K2_gap=int(d["bound_K2_gap"]),
-            epsilon_used=float(d["epsilon_used"]),
-            empirical_settling=None if emp is None else int(emp),
-            satisfied=bool(d["satisfied"]),
-        )
 
 
 def analyze_settling(

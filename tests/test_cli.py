@@ -178,6 +178,32 @@ class TestCheckCommand:
         assert parsed == direct
 
 
+    def test_auto_branch_agrees_with_attract_below_level_one(self, tmp_path):
+        # V(x0) = 0.5 <= 1 picks the low branch in both commands.
+        payload = case1_config(
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 7},
+            analysis={"x0": 0.5, "k_max": 50, "branch": "auto"},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 0
+        bound = json.loads((tmp_path / "bound.json").read_text())
+        attract = json.loads((tmp_path / "attract.json").read_text())
+        assert attract["branch"] == "V0_LE_1"
+        assert bound["perturbed_K_star"] == attract["K_star"] == 299
+
+    def test_auto_branch_needs_x0(self, tmp_path, capsys):
+        payload = case1_config(
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 7},
+            analysis={"k_max": 50},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "analysis.x0" in capsys.readouterr().err
+
+
 class TestAttractCommand:
     def test_zero_delta_collapses_level(self, tmp_path):
         payload = case1_config(
@@ -228,17 +254,17 @@ class TestSweepCommand:
         assert result.all_within_bound
         assert result.worst_settling <= 19
 
-    def test_threads_env_does_not_change_output(self, tmp_path, monkeypatch):
-        payload = case1_config(
-            analysis={"grid": {"scale": "log", "low": 2.0, "high": 1e4, "points": 11}},
-        )
+
+    def test_multidimensional_system_is_config_error(self, tmp_path, capsys):
+        payload = {
+            "schema": 1,
+            "system": {"affine": {"matrix": [[0.5, 0.0], [0.0, 0.5]]}},
+            "gains": {"alpha": 0.5, "beta": 0.5, "r1": 0.5, "r2": 2.0},
+            "analysis": {"grid": {"scale": "log", "low": 1.0, "high": 10.0, "points": 3}},
+        }
         cfg = write_config(tmp_path, payload)
-        out_a = tmp_path / "a"
-        out_b = tmp_path / "b"
-        assert main(["sweep", "--config", cfg, "--out", str(out_a)]) == 0
-        monkeypatch.setenv("FIXSETTLE_THREADS", "4")
-        assert main(["sweep", "--config", cfg, "--out", str(out_b)]) == 0
-        assert (out_a / "sweep.json").read_bytes() == (out_b / "sweep.json").read_bytes()
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "dimension 2" in capsys.readouterr().err
 
 
 class TestTable1Command:
@@ -258,6 +284,20 @@ class TestTable1Command:
         assert main(["table1", "--out", str(tmp_path), "--format", "csv"]) == 0
         assert (tmp_path / "table1.csv").exists()
         assert not (tmp_path / "table1.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--config", "x.json", "--format", "csv"],
+            ["bound", "--config", "x.json", "--seed", "3"],
+            ["sweep", "--config", "x.json", "--seed", "3"],
+        ],
+    )
+    def test_flags_only_where_they_apply(self, argv, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_discrepancy_note_printed(self, tmp_path, capsys):
         assert main(["table1", "--out", str(tmp_path)]) == 0

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from fixsettle import (
     ConditionId,
+    ConditionReport,
     ConfigurationError,
     DegenerateDomainError,
     EmptyDomainError,
@@ -17,8 +19,6 @@ from fixsettle import (
     check_basic_lyapunov,
     decrement_residual,
     estimate_lipschitz,
-    mixed_decrement_residual,
-    perturbed_decrement_residual,
     polynomial_candidate,
     scan_conditions,
     scan_trajectory,
@@ -127,8 +127,8 @@ class TestDecrementResidual:
 class TestMixedResidual:
     def test_case1_mixed_holds_at_two(self, case1_system):
         gains = FixedTimeGains(*MAPPED_GAINS)
-        r = mixed_decrement_residual(
-            case1_system, square_candidate(), abs_candidate(), gains, 2.0
+        r = decrement_residual(
+            case1_system, square_candidate(), gains, 2.0, V_rhs=abs_candidate()
         )
         assert r == pytest.approx(mp_residual_case1_mixed(2.0, MAPPED_GAINS), rel=1e-10)
         assert r == pytest.approx(-1.99, abs=0.005)
@@ -137,8 +137,8 @@ class TestMixedResidual:
         gains = FixedTimeGains(*MAPPED_GAINS)
         v = square_candidate()
         for x in (0.3, 2.0, 100.0):
-            assert mixed_decrement_residual(
-                case1_system, v, v, gains, x
+            assert decrement_residual(
+                case1_system, v, gains, x, V_rhs=v
             ) == decrement_residual(case1_system, v, gains, x)
 
     def test_inner_region_fails(self, case1_system):
@@ -146,12 +146,12 @@ class TestMixedResidual:
         gains = FixedTimeGains(*MAPPED_GAINS)
         inner = CASE1[0] ** (1.0 / (1.0 - CASE1[2]))
         assert inner == pytest.approx(0.6894, abs=5e-5)
-        r_in = mixed_decrement_residual(
-            case1_system, square_candidate(), abs_candidate(), gains, 0.5
+        r_in = decrement_residual(
+            case1_system, square_candidate(), gains, 0.5, V_rhs=abs_candidate()
         )
         assert r_in > 0
-        r_out = mixed_decrement_residual(
-            case1_system, square_candidate(), abs_candidate(), gains, inner * 1.01
+        r_out = decrement_residual(
+            case1_system, square_candidate(), gains, inner * 1.01, V_rhs=abs_candidate()
         )
         assert r_out <= 0
 
@@ -160,8 +160,8 @@ class TestPerturbedResidual:
     def test_zero_norm_equals_nominal(self, case1_system):
         gains = FixedTimeGains(*MAPPED_GAINS)
         v = abs_candidate(lipschitz=1.0)
-        assert perturbed_decrement_residual(
-            case1_system, 0.0, v, gains, 2.0
+        assert decrement_residual(
+            case1_system, v, gains, 2.0, slack=v.lipschitz_LV * 0.0
         ) == decrement_residual(case1_system, v, gains, 2.0)
 
     def test_slack_absorbs_violation(self, identity_system):
@@ -171,8 +171,8 @@ class TestPerturbedResidual:
         x = 1.0  # V = 1, max(0.5, 0.5) = 0.5, identity gives dV = 0
         nominal = decrement_residual(identity_system, v, gains, x)
         assert nominal == pytest.approx(0.5)
-        assert perturbed_decrement_residual(
-            identity_system, 1.0, v, gains, x
+        assert decrement_residual(
+            identity_system, v, gains, x, slack=v.lipschitz_LV * 1.0
         ) == pytest.approx(-1.5)
 
     def test_nonnegative_slack_only_helps(self, halving_system):
@@ -181,25 +181,80 @@ class TestPerturbedResidual:
         nominal = decrement_residual(halving_system, v, gains, 1.0)
         assert nominal < 0
         for g in (0.0, 0.2, 5.0):
-            assert perturbed_decrement_residual(
-                halving_system, g, v, gains, 1.0
+            assert decrement_residual(
+                halving_system, v, gains, 1.0, slack=v.lipschitz_LV * g
             ) <= nominal
 
     def test_missing_lipschitz_rejected(self, halving_system):
+        # The slack L_V * g_norm is derived where a scan picks its condition.
         with pytest.raises(ConfigurationError):
-            perturbed_decrement_residual(
-                halving_system, 0.1, square_candidate(), FixedTimeGains(0.1, 0.1, 0.5, 2.0), 1.0
+            scan_conditions(
+                halving_system, square_candidate(), FixedTimeGains(0.1, 0.1, 0.5, 2.0),
+                [1.0], g_norm=0.1,
             )
 
     def test_negative_norm_rejected(self, halving_system):
         with pytest.raises(ParameterDomainError):
-            perturbed_decrement_residual(
+            scan_trajectory(
                 halving_system,
-                -1.0,
                 square_candidate(lipschitz=1.0),
                 FixedTimeGains(0.1, 0.1, 0.5, 2.0),
-                1.0,
+                simulate(halving_system, 1.0, 3),
+                g_norm=-1.0,
             )
+
+
+    def test_mixed_and_perturbed_together_rejected(self, halving_system):
+        with pytest.raises(ConfigurationError):
+            scan_conditions(
+                halving_system,
+                square_candidate(lipschitz=1.0),
+                FixedTimeGains(0.1, 0.1, 0.5, 2.0),
+                [1.0],
+                v_rhs=abs_candidate(),
+                g_norm=0.1,
+            )
+
+
+class TestReportCodec:
+    def roundtrip(self, report):
+        d = json.loads(json.dumps(report.to_dict()))
+        assert ConditionReport.from_dict(d) == report
+        return d
+
+    def test_grid_report(self, doubling_system):
+        # V = x^2 (x - 1)^2 vanishes at x = 1, a nonzero grid point.
+        v = LyapunovCandidate("dip", lambda s: float(s[0] ** 2 * (s[0] - 1.0) ** 2))
+        gains = FixedTimeGains(0.5, 0.5, 0.5, 2.0)
+        report = scan_conditions(doubling_system, v, gains, [-2.0, 0.5, 1.0, 2.0])
+        assert report.value_zero_points == ((1.0,),)
+        assert report.violation_intervals == ((-2.0, 2.0),)
+        assert report.violations[0].where == (-2.0,)
+        d = self.roundtrip(report)
+        assert d["condition_id"] == "FT_DECREMENT"
+        assert d["violations"][0] == {
+            "where": [-2.0], "residual": report.violations[0].residual, "check": "decrement"
+        }
+        assert d["violation_intervals"] == [[-2.0, 2.0]]
+        assert d["value_zero_points"] == [[1.0]]
+
+    def test_orbit_report(self, doubling_system):
+        gains = FixedTimeGains(0.5, 0.5, 0.5, 2.0)
+        traj = simulate(doubling_system, 1.0, 3)
+        report = scan_trajectory(doubling_system, square_candidate(), gains, traj)
+        assert report.violation_intervals is None
+        d = self.roundtrip(report)
+        assert [w["where"] for w in d["violations"]] == [0, 1, 2]
+        assert d["violation_intervals"] is None
+        assert d["value_zero_points"] == []
+
+    def test_decode_runs_post_init_checks(self):
+        d = {
+            "condition_id": "FT_MIXED", "checked_points": 1, "violations": [],
+            "max_residual": 1.0, "holds_everywhere": False, "tolerance": 0.0,
+        }
+        with pytest.raises(ParameterDomainError):
+            ConditionReport.from_dict(d)
 
 
 class TestBasicLyapunov:
@@ -304,8 +359,8 @@ class TestScanConditions:
         )
         flagged = {v.where[0] for v in report.violations}
         for x in grid:
-            r = mixed_decrement_residual(
-                case1_system, square_candidate(), abs_candidate(), gains, x
+            r = decrement_residual(
+                case1_system, square_candidate(), gains, x, V_rhs=abs_candidate()
             )
             assert (r > tol) == (float(x) in flagged)
 

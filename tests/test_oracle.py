@@ -5,6 +5,7 @@ from fixsettle import (
     LemmaPreconditionError,
     ParameterDomainError,
     SimulationDivergedError,
+    affine_system,
     SweepResult,
     Table1Row,
     TABLE1_CASES,
@@ -14,6 +15,7 @@ from fixsettle import (
     sweep_settling,
     table1_reproduce,
 )
+import fixsettle.oracle
 from fixsettle.oracle import generate_level_run
 from fixsettle.settling import q_sequence
 
@@ -95,16 +97,16 @@ class TestSweep:
         with pytest.raises(EmptyDomainError):
             sweep_settling(case.system(), [], example_params=case.params())
 
-    def test_threaded_matches_serial(self):
-        case = TABLE1_CASES[0]
-        grid = sweep_grid(case, points=21)
-        serial = sweep_settling(
-            case.system(), grid, example_params=case.params(), threads=1
-        )
-        threaded = sweep_settling(
-            case.system(), grid, example_params=case.params(), threads=4
-        )
-        assert serial == threaded
+    def test_multidimensional_system_rejected_before_simulating(self, monkeypatch):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated before checking the dimension")
+
+        monkeypatch.setattr(fixsettle.oracle, "simulate", no_simulation)
+        system = affine_system([[0.5, 0.0], [0.0, 0.5]])
+        with pytest.raises(ParameterDomainError, match="dimension 2"):
+            sweep_settling(
+                system, [[1.0, 2.0], [3.0, 4.0]], example_params=TABLE1_CASES[0].params()
+            )
 
     def test_roundtrip(self):
         case = TABLE1_CASES[0]

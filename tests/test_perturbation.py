@@ -8,6 +8,7 @@ from fixsettle import (
     AttractivenessReport,
     EmptyDomainError,
     FixedTimeGains,
+    LyapunovCandidate,
     ParameterDomainError,
     Trajectory,
     abs_candidate,
@@ -240,6 +241,19 @@ class TestAnalyzeAttractiveness:
             report = analyze_attractiveness(cfg, traj, abs_candidate())
             assert report.B == 0.0
             assert report.empirical_entry == measure_settling(traj, 0.0)
+
+    def test_candidate_evaluated_once_per_state(self, case1_system):
+        calls = []
+        base = abs_candidate()
+        v = LyapunovCandidate("counted", lambda s: calls.append(1) or base.value(s))
+        cfg = AttractivenessConfig(
+            gains=gains_from_example(*CASE1), lipschitz_lv=1.0, delta0=0.05
+        )
+        traj = simulate(case1_system, 1500.0, 40)
+        calls.clear()  # the constructor's origin check evaluates V once
+        report = analyze_attractiveness(cfg, traj, v)
+        assert len(calls) == len(traj)
+        assert report == analyze_attractiveness(cfg, traj, base)
 
     def test_orbit_requires_candidate(self, case1_system):
         cfg = AttractivenessConfig(
