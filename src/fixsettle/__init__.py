@@ -21,8 +21,6 @@ from .lyapunov import (
     check_basic_lyapunov,
     decrement_residual,
     estimate_lipschitz,
-    mixed_decrement_residual,
-    perturbed_decrement_residual,
     polynomial_candidate,
     scan_conditions,
     scan_trajectory,

@@ -308,13 +308,13 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name)
         p.set_defaults(fn=fn, seed=None)
-        if name != "table1":
+        if name == "table1":
+            p.add_argument("--format", choices=("csv", "json"), default=None)
+        else:
             p.add_argument("--config", required=True, help="scenario JSON path")
         p.add_argument("--out", default=".", help="output directory")
         if name in ("simulate", "check", "attract"):
             p.add_argument("--seed", type=int, default=None, help="perturbation seed override")
-        if name == "table1":
-            p.add_argument("--format", choices=("csv", "json"), default=None)
     return parser
 
 

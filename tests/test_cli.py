@@ -285,6 +285,14 @@ class TestTable1Command:
         assert (tmp_path / "table1.csv").exists()
         assert not (tmp_path / "table1.json").exists()
 
+    def test_discrepancy_note_printed(self, tmp_path, capsys):
+        assert main(["table1", "--out", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "case4: K*=7815 (published 7814)" in out
+        assert "differs by one" in out
+
+
+class TestSubcommandFlags:
     @pytest.mark.parametrize(
         "argv",
         [
@@ -298,12 +306,6 @@ class TestTable1Command:
             main(argv)
         assert err.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
-
-    def test_discrepancy_note_printed(self, tmp_path, capsys):
-        assert main(["table1", "--out", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "case4: K*=7815 (published 7814)" in out
-        assert "differs by one" in out
 
 
 class TestDeterminism:
