@@ -119,6 +119,31 @@ class TestBoundCommand:
         out = json.loads((tmp_path / "bound.json").read_text())
         assert out["perturbed_K_star"] == 57
 
+    def test_auto_branch_agrees_with_attract_below_level_one(self, tmp_path):
+        # V(x0) = 0.5 <= 1 picks the low branch in both commands.
+        payload = case1_config(
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 7},
+            analysis={"x0": 0.5, "k_max": 50, "branch": "auto"},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 0
+        bound = json.loads((tmp_path / "bound.json").read_text())
+        attract = json.loads((tmp_path / "attract.json").read_text())
+        assert attract["branch"] == "V0_LE_1"
+        assert bound["perturbed_K_star"] == attract["K_star"] == 299
+
+    def test_auto_branch_needs_x0(self, tmp_path, capsys):
+        payload = case1_config(
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 7},
+            analysis={"k_max": 50},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "analysis.x0" in capsys.readouterr().err
+
 
 class TestCheckCommand:
     def test_mixed_scan_brackets_boundaries(self, tmp_path):
@@ -176,32 +201,6 @@ class TestCheckCommand:
         )
         parsed = ConditionReport.from_dict(json.loads((tmp_path / "check.json").read_text()))
         assert parsed == direct
-
-
-    def test_auto_branch_agrees_with_attract_below_level_one(self, tmp_path):
-        # V(x0) = 0.5 <= 1 picks the low branch in both commands.
-        payload = case1_config(
-            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
-            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 7},
-            analysis={"x0": 0.5, "k_max": 50, "branch": "auto"},
-        )
-        cfg = write_config(tmp_path, payload)
-        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 0
-        bound = json.loads((tmp_path / "bound.json").read_text())
-        attract = json.loads((tmp_path / "attract.json").read_text())
-        assert attract["branch"] == "V0_LE_1"
-        assert bound["perturbed_K_star"] == attract["K_star"] == 299
-
-    def test_auto_branch_needs_x0(self, tmp_path, capsys):
-        payload = case1_config(
-            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
-            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 7},
-            analysis={"k_max": 50},
-        )
-        cfg = write_config(tmp_path, payload)
-        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert "analysis.x0" in capsys.readouterr().err
 
 
 class TestAttractCommand:

@@ -163,6 +163,9 @@ class TestPerturbedResidual:
         assert decrement_residual(
             case1_system, v, gains, 2.0, slack=v.lipschitz_LV * 0.0
         ) == decrement_residual(case1_system, v, gains, 2.0)
+        perturbed = scan_conditions(case1_system, v, gains, [2.0], g_norm=0.0)
+        assert perturbed.condition_id is ConditionId.PERTURBED_DECREMENT
+        assert perturbed.max_residual == decrement_residual(case1_system, v, gains, 2.0)
 
     def test_slack_absorbs_violation(self, identity_system):
         # Nominal residual +0.5; slack L_V * g = 2 * 1 flips it to -1.5.
@@ -174,16 +177,31 @@ class TestPerturbedResidual:
         assert decrement_residual(
             identity_system, v, gains, x, slack=v.lipschitz_LV * 1.0
         ) == pytest.approx(-1.5)
+        # The scan derives the slack itself: g alone would give -0.5, the
+        # wrong sign +2.5.
+        report = scan_conditions(identity_system, v, gains, [x], g_norm=1.0)
+        assert report.condition_id is ConditionId.PERTURBED_DECREMENT
+        assert report.max_residual == pytest.approx(-1.5)
+        assert report.holds_everywhere
 
     def test_nonnegative_slack_only_helps(self, halving_system):
         gains = FixedTimeGains(0.1, 0.1, 0.5, 2.0)
         v = square_candidate(lipschitz=3.0)
         nominal = decrement_residual(halving_system, v, gains, 1.0)
         assert nominal < 0
+        traj = simulate(halving_system, 1.0, 6)
         for g in (0.0, 0.2, 5.0):
             assert decrement_residual(
                 halving_system, v, gains, 1.0, slack=v.lipschitz_LV * g
             ) <= nominal
+            report = scan_trajectory(halving_system, v, gains, traj, g_norm=g)
+            assert report.condition_id is ConditionId.PERTURBED_DECREMENT
+            assert report.max_residual == max(
+                decrement_residual(
+                    halving_system, v, gains, traj.states[k], slack=v.lipschitz_LV * g
+                )
+                for k in range(len(traj) - 1)
+            )
 
     def test_missing_lipschitz_rejected(self, halving_system):
         # The slack L_V * g_norm is derived where a scan picks its condition.
@@ -202,7 +220,6 @@ class TestPerturbedResidual:
                 simulate(halving_system, 1.0, 3),
                 g_norm=-1.0,
             )
-
 
     def test_mixed_and_perturbed_together_rejected(self, halving_system):
         with pytest.raises(ConfigurationError):
