@@ -421,17 +421,31 @@ def estimate_lipschitz(f, domain_grid) -> float:
         pts = pts.reshape(-1, 1)
     if len(pts) < 2:
         raise EmptyDomainError("lipschitz estimation needs at least two grid points")
-    images = [np.atleast_1d(np.asarray(f(p), dtype=float)) for p in pts]
+    images = np.array([np.atleast_1d(np.asarray(f(p), dtype=float)) for p in pts])
     best = 0.0
     seen_distinct = False
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            dx = float(np.linalg.norm(pts[i] - pts[j]))
-            if dx == 0.0:
-                continue
-            seen_distinct = True
-            df = float(np.linalg.norm(images[i] - images[j]))
-            best = max(best, df / dx)
+    for i in range(len(pts) - 1):
+        dx = _distances(pts[i + 1:], pts[i])
+        distinct = dx != 0.0
+        if not distinct.any():
+            continue
+        seen_distinct = True
+        slopes = _distances(images[i + 1:][distinct], images[i]) / dx[distinct]
+        steeper = slopes[slopes > best]  # skips NaN slopes, as max() did
+        if len(steeper):
+            best = float(steeper.max())
     if not seen_distinct:
         raise DegenerateDomainError("all grid points coincide; slopes are undefined")
     return best
+
+
+def _distances(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
+    """Euclidean distance of every row from ``point``.
+
+    Each row's squared length is a vector dot product, the sum
+    ``np.linalg.norm`` takes for a single vector, so every distance equals
+    ``np.linalg.norm(row - point)`` bit for bit; a plain sum of squares
+    differs in the last bit on some rows of two or more components.
+    """
+    d = rows - point
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])

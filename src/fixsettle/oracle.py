@@ -19,13 +19,20 @@ from .errors import EmptyDomainError, ParameterDomainError, SimulationDivergedEr
 from .lyapunov import FixedTimeGains
 from .record import Record
 from .settling import (
+    check_level,
     example_bound,
-    measure_settling,
     q_sequence,
     settling_bound,
     settling_vs_epsilon,
 )
-from .systems import SystemMap, example_system, simulate
+from .systems import (
+    DIVERGENCE_LIMIT,
+    SystemMap,
+    as_state_grid,
+    divergence_error,
+    example_system,
+    simulate,
+)
 
 DEFAULT_EPSILONS = (10.0, 1.0, 0.5, 0.25, 0.1)
 
@@ -117,10 +124,13 @@ def sweep_settling(
 ) -> SweepResult:
     """Simulate every initial condition and compare settling to the bound.
 
-    Exactly one of ``gains`` / ``example_params`` selects the bound.  The
-    settling-vs-epsilon curve is reported for the worst-settling orbit
-    (ties broken by grid order).  Divergence is propagated with the
-    offending initial condition attached.  Initial conditions are scalars,
+    Exactly one of ``gains`` / ``example_params`` selects the bound.  All
+    initial conditions advance together, one ``system.apply_batch`` call
+    per step, and each keeps only its last-outside and first-inside index
+    for ``epsilon`` and every entry of ``epsilons``.  The settling-vs-epsilon
+    curve is reported for the worst-settling orbit (ties broken by grid
+    order).  A diverged orbit stops; the first one in grid order is raised
+    with its initial condition attached.  Initial conditions are scalars,
     so the system must be one-dimensional.
     """
     if system.dimension != 1:
@@ -128,33 +138,55 @@ def sweep_settling(
             f"sweeps take scalar initial conditions, but system '{system.name}' "
             f"has dimension {system.dimension}"
         )
-    x0s = [float(x) for x in np.atleast_1d(np.asarray(x0_grid, dtype=float))]
+    x = as_state_grid(np.atleast_1d(x0_grid), 1)
+    x0s = x[:, 0].tolist()
     if not x0s:
         raise EmptyDomainError("x0 grid is empty")
     if (gains is None) == (example_params is None):
         raise ParameterDomainError("pass exactly one of gains or example_params")
     bound = settling_bound(gains) if gains is not None else example_bound(*example_params)
     steps = bound + 50 if k_max is None else k_max
+    if steps < 1:
+        raise ParameterDomainError("k_max must be at least 1")
+    epsilons = tuple(epsilons)
+    levels = np.array([check_level(level) for level in (epsilon, *epsilons)], dtype=float)
 
-    worst_key = -1
-    all_within = True
-    for x0 in x0s:
-        try:
-            traj = simulate(system, x0, steps)
-        except SimulationDivergedError as err:
-            raise SimulationDivergedError(
-                f"sweep orbit from x0={x0!r} diverged: {err}",
-                last_finite_index=err.last_finite_index,
-                x0=x0,
-            ) from err
-        settle = measure_settling(traj, epsilon)
-        if settle is None or settle > bound:
-            all_within = False
-        key = np.inf if settle is None else settle
-        if key > worst_key:  # strict, so ties keep the earliest x0
-            worst_key = key
-            worst_x0, worst_traj, worst_settle = x0, traj, settle
+    # Per orbit and level: last index outside {||x|| <= level}, first inside.
+    norms = np.linalg.norm(x, axis=1)[:, None]
+    last_out = np.where(norms > levels, 0, -1)
+    first_in = np.where(norms <= levels, 0, -1)
+    lanes = np.arange(len(x0s))  # grid index of every orbit still running
+    diverged = None  # (grid index, last finite index) of the first diverged orbit
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, steps + 1):
+            x = system.apply_batch(x)
+            guarded = np.abs(x) <= DIVERGENCE_LIMIT  # False for inf and NaN too
+            if not guarded.all():
+                # Every running orbit sits earlier in the grid than the one
+                # diverged so far, so only they can still change the outcome.
+                diverged = (int(lanes[~guarded.all(axis=1)][0]), k - 1)
+                keep = lanes < diverged[0]
+                lanes, x = lanes[keep], x[keep]
+                if not len(lanes):
+                    break
+            if diverged is None:
+                norms = np.linalg.norm(x, axis=1)[:, None]
+                last_out[norms > levels] = k
+                first_in[(norms <= levels) & (first_in < 0)] = k
+    if diverged is not None:
+        i, k = diverged
+        err = divergence_error(system, k, [x0s[i]])
+        raise SimulationDivergedError(
+            f"sweep orbit from x0={x0s[i]!r} diverged: {err}",
+            last_finite_index=k,
+            x0=x0s[i],
+        ) from err
 
+    # Entry-and-stay index, or None (-1 here) when the last state is outside.
+    stay = np.where(last_out < steps, last_out + 1, -1)
+    settle = stay[:, 0]
+    # argmax keeps the earliest x0 among equally slow ones.
+    worst = int(np.argmax(np.where(settle < 0, np.inf, settle)))
     return SweepResult(
         case_id=case_id,
         grid_description=(
@@ -163,11 +195,18 @@ def sweep_settling(
         ),
         epsilon=float(epsilon),
         bound=bound,
-        worst_settling=worst_settle,
-        worst_x0=worst_x0,
-        all_within_bound=all_within,
-        settling_vs_epsilon=settling_vs_epsilon(worst_traj, epsilons),
+        worst_settling=_index(settle[worst]),
+        worst_x0=x0s[worst],
+        all_within_bound=bool(np.all((settle >= 0) & (settle <= bound))),
+        settling_vs_epsilon=tuple(
+            (float(eps), _index(stay[worst, j]), _index(first_in[worst, j]))
+            for j, eps in enumerate(epsilons, start=1)
+        ),
     )
+
+
+def _index(k) -> Optional[int]:
+    return None if k < 0 else int(k)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,13 @@ def example_bound(
     )
 
 
+def check_level(level: float) -> float:
+    """``level`` itself, or ParameterDomainError when it is negative."""
+    if level < 0.0:
+        raise ParameterDomainError(f"level must be nonnegative, got {level!r}")
+    return level
+
+
 def entry_and_stay(values, level: float) -> Tuple[Optional[int], Optional[int]]:
     """Entry of a recorded value sequence into the sublevel set {v <= level}.
 
@@ -123,8 +130,7 @@ def entry_and_stay(values, level: float) -> Tuple[Optional[int], Optional[int]]:
     oscillating tails would make first entry report spuriously early
     settling.
     """
-    if level < 0.0:
-        raise ParameterDomainError(f"level must be nonnegative, got {level!r}")
+    check_level(level)
     outside = np.nonzero(values > level)[0]
     inside = np.nonzero(values <= level)[0]
     stay = int(outside[-1]) + 1 if len(outside) else 0

@@ -60,13 +60,16 @@ class SystemMap:
 
     ``step`` must be a pure function from a state vector of length
     ``dimension`` to a state vector of the same length.  ``params`` records
-    the constants the map was built from, for reporting.
+    the constants the map was built from, for reporting.  ``step_batch``,
+    when given, maps an (m, dimension) array of states row by row in one
+    call and must agree with ``step`` bit for bit on every row.
     """
 
     name: str
     dimension: int
     step: Callable[[np.ndarray], np.ndarray]
     params: Mapping[str, float] = field(default_factory=dict)
+    step_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -76,11 +79,40 @@ class SystemMap:
         """One application of the map, with dimension checking."""
         state = as_state(x, self.dimension)
         out = np.atleast_1d(np.asarray(self.step(state), dtype=float))
-        if out.shape != state.shape:
-            raise ParameterDomainError(
-                f"map '{self.name}' returned shape {out.shape}, expected {state.shape}"
-            )
+        _check_shape(self, out, state.shape)
         return out
+
+    def apply_batch(self, states: np.ndarray) -> np.ndarray:
+        """One application of the map to every row of an (m, dimension) array.
+
+        Uses ``step_batch`` when the map has one, and ``apply`` row by row
+        otherwise.
+        """
+        if self.step_batch is None:
+            out = np.empty_like(states, dtype=float)
+            for i, state in enumerate(states):
+                out[i] = self.apply(state)
+            return out
+        out = np.asarray(self.step_batch(states), dtype=float)
+        _check_shape(self, out, states.shape)
+        return out
+
+
+def _check_shape(system: SystemMap, out: np.ndarray, shape) -> None:
+    if out.shape != shape:
+        raise ParameterDomainError(
+            f"map '{system.name}' returned shape {out.shape}, expected {shape}"
+        )
+
+
+def divergence_error(system: SystemMap, k: int, x0) -> SimulationDivergedError:
+    """The error for an orbit whose state at step k + 1 left the guard."""
+    return SimulationDivergedError(
+        f"state diverged at step {k + 1} of '{system.name}' "
+        f"(last finite index {k})",
+        last_finite_index=k,
+        x0=np.array(x0),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,19 +260,11 @@ def _run(
         return Trajectory(np.array(states), states[0], truncated=False)
     for k in range(k_max):
         nxt = np.atleast_1d(np.asarray(step(x), dtype=float))
-        if nxt.shape != shape:
-            raise ParameterDomainError(
-                f"map '{system.name}' returned shape {nxt.shape}, expected {shape}"
-            )
+        _check_shape(system, nxt, shape)
         if pert is not None:
             nxt = nxt + pert.sample(k, x)
         if not np.all(np.isfinite(nxt)) or np.any(np.abs(nxt) > DIVERGENCE_LIMIT):
-            raise SimulationDivergedError(
-                f"state diverged at step {k + 1} of '{system.name}' "
-                f"(last finite index {k})",
-                last_finite_index=k,
-                x0=np.array(states[0]),
-            )
+            raise divergence_error(system, k, states[0])
         states.append(nxt)
         x = nxt
         if stop_epsilon is not None and float(np.linalg.norm(x)) <= stop_epsilon:
@@ -323,6 +347,15 @@ def example_system(
         # Parameters were validated at construction; skip the per-step check.
         return np.array([_example_step_raw(state[0], aprime, bprime, r1prime, r2prime)])
 
+    def step_batch(states: np.ndarray) -> np.ndarray:
+        # np.float_power calls libm pow like Python's **, so every row
+        # matches ``step`` bit for bit; np.power does not on some inputs.
+        mag = np.abs(states)
+        low = aprime * np.float_power(mag, r1prime)
+        high = bprime * np.float_power(mag, r2prime)
+        m = np.copysign(np.maximum(low, high), states)
+        return np.where(states == 0.0, 0.0, states - m)
+
     return SystemMap(
         name=name,
         dimension=1,
@@ -333,6 +366,7 @@ def example_system(
             "r1prime": r1prime,
             "r2prime": r2prime,
         },
+        step_batch=step_batch,
     )
 
 

@@ -265,6 +265,25 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "dimension 2" in capsys.readouterr().err
 
+    def test_divergence_reports_first_x0_in_grid_order(self, tmp_path, capsys):
+        # Every x0 of this case-2 grid lies above the divergence threshold
+        # 1e5; the later ones leave the guard sooner, the first is reported.
+        payload = {
+            "schema": 1,
+            "system": {"builtin": "example", "case": 2},
+            "analysis": {
+                "grid": {"scale": "log", "low": 2e5, "high": 1e6, "points": 5},
+                "k_max": 400,
+            },
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: sweep orbit from x0=200000.00000000003 diverged: state diverged "
+            "at step 31 of 'example' (last finite index 30)\n"
+        )
+        assert not (tmp_path / "sweep.json").exists()
+
 
 class TestTable1Command:
     def test_writes_csv_and_json(self, tmp_path):

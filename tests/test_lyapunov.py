@@ -425,6 +425,43 @@ class TestEstimateLipschitz:
         with pytest.raises(DegenerateDomainError):
             estimate_lipschitz(lambda x: x, [1.0, 1.0, 1.0])
 
+    @staticmethod
+    def _pairwise(f, grid):
+        """The definition: the largest slope over all pairs of distinct points."""
+        pts = np.asarray(grid, dtype=float).reshape(len(grid), -1)
+        images = [np.atleast_1d(np.asarray(f(p), dtype=float)) for p in pts]
+        best = 0.0
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                dx = float(np.linalg.norm(pts[i] - pts[j]))
+                if dx != 0.0:
+                    best = max(best, float(np.linalg.norm(images[i] - images[j])) / dx)
+        return best
+
+    def test_matches_pairwise_definition_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        candidates = (abs_candidate().value, square_candidate().value, lambda x: np.sin(3.0 * x))
+        for trial in range(60):
+            n = int(rng.integers(4, 40))
+            if trial % 2:
+                grid = rng.uniform(-5.0, 5.0, n)
+            else:
+                grid = np.logspace(-3.0, 3.0, n)
+            grid[rng.integers(0, n, 3)] = grid[int(rng.integers(0, n))]  # duplicates
+            for f in candidates:
+                assert estimate_lipschitz(f, grid) == self._pairwise(f, grid)
+
+    def test_matches_pairwise_definition_in_higher_dimensions(self):
+        # A plain sum of squares differs from the norm's dot product in the
+        # last bit on some distances; many small grids expose that.
+        rng = np.random.default_rng(31)
+        for trial in range(100):
+            n = 2 + trial % 3
+            grid = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
+            grid[-1] = grid[0]
+            for f in (square_candidate(dimension=n).value, lambda x: x[::-1] * x[0]):
+                assert estimate_lipschitz(f, grid) == self._pairwise(f, grid)
+
     def test_too_few_points(self):
         with pytest.raises(EmptyDomainError):
             estimate_lipschitz(lambda x: x, [1.0])

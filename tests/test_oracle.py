@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from fixsettle import (
@@ -5,18 +6,22 @@ from fixsettle import (
     LemmaPreconditionError,
     ParameterDomainError,
     SimulationDivergedError,
+    SystemMap,
     affine_system,
     SweepResult,
     Table1Row,
     TABLE1_CASES,
     divergence_threshold,
+    example_bound,
     lemma1_randomized_trial,
+    settling_vs_epsilon,
+    simulate,
     sweep_grid,
     sweep_settling,
     table1_reproduce,
 )
 import fixsettle.oracle
-from fixsettle.oracle import generate_level_run
+from fixsettle.oracle import DEFAULT_EPSILONS, generate_level_run
 from fixsettle.settling import q_sequence
 
 
@@ -102,6 +107,7 @@ class TestSweep:
             raise AssertionError("simulated before checking the dimension")
 
         monkeypatch.setattr(fixsettle.oracle, "simulate", no_simulation)
+        monkeypatch.setattr(SystemMap, "apply_batch", no_simulation)
         system = affine_system([[0.5, 0.0], [0.0, 0.5]])
         with pytest.raises(ParameterDomainError, match="dimension 2"):
             sweep_settling(
@@ -114,6 +120,136 @@ class TestSweep:
             case.system(), [10.0, 1500.0], example_params=case.params()
         )
         assert SweepResult.from_dict(result.to_dict()) == result
+
+    def test_first_diverged_x0_in_grid_order_is_raised(self):
+        # Case 2 diverges above |x0| = 1e5; the orbit from far above it
+        # leaves the guard sooner than the one from just above it.
+        case = TABLE1_CASES[1]
+        system = case.system()
+        near, far = 1.01e5, 1e7
+        last_finite = {}
+        for x0 in (near, far):
+            with pytest.raises(SimulationDivergedError) as err, np.errstate(over="ignore"):
+                simulate(system, x0, 400)
+            last_finite[x0] = err.value.last_finite_index
+        assert last_finite[far] < last_finite[near]
+        with pytest.raises(SimulationDivergedError) as err:
+            sweep_settling(
+                system, [10.0, near, far], example_params=case.params(), k_max=400
+            )
+        k = last_finite[near]
+        assert err.value.x0 == near
+        assert err.value.last_finite_index == k
+        assert str(err.value) == (
+            f"sweep orbit from x0={near!r} diverged: state diverged at step "
+            f"{k + 1} of '{system.name}' (last finite index {k})"
+        )
+
+    def test_non_finite_initial_condition_diverges_at_first_step(self):
+        case = TABLE1_CASES[0]
+        for x0 in (float("nan"), float("inf")):
+            with pytest.raises(SimulationDivergedError) as err:
+                sweep_settling(
+                    case.system(), [2.0, x0], example_params=case.params(), k_max=30
+                )
+            assert err.value.last_finite_index == 0
+            assert repr(err.value.x0) == repr(x0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"k_max": 0}, {"epsilon": -1.0}, {"epsilons": (1.0, -0.5)}],
+        ids=["k_max", "epsilon", "epsilons"],
+    )
+    def test_parameters_checked(self, kwargs):
+        case = TABLE1_CASES[0]
+        with pytest.raises(ParameterDomainError):
+            sweep_settling(case.system(), [10.0], example_params=case.params(), **kwargs)
+
+    def test_batch_shape_checked(self):
+        case = TABLE1_CASES[0]
+        system = SystemMap("flat", 1, lambda s: s, step_batch=lambda states: states[:, 0])
+        with pytest.raises(ParameterDomainError, match=r"returned shape \(2,\), expected \(2, 1\)"):
+            sweep_settling(system, [1.0, 2.0], example_params=case.params())
+
+
+SWEEP_EPSILONS = (10.0, 1.0, 0.5, 0.25, 0.1, 1e-3, 0.0)
+
+
+def _lane_rows(system, x0s, steps, epsilon=1.0, epsilons=SWEEP_EPSILONS):
+    """settling_vs_epsilon of one scalar ``simulate`` per initial condition."""
+    return [settling_vs_epsilon(simulate(system, x0, steps), (epsilon, *epsilons))
+            for x0 in x0s]
+
+
+def _expected(rows, x0s, bound):
+    """The sweep result over these lanes, from their own settling rows."""
+    settle = [row[0][1] for row in rows]
+    keys = [np.inf if s is None else s for s in settle]
+    worst = keys.index(max(keys))
+    return {
+        "worst_settling": settle[worst],
+        "worst_x0": float(x0s[worst]),
+        "all_within_bound": all(s is not None and s <= bound for s in settle),
+        "settling_vs_epsilon": rows[worst][1:],
+    }
+
+
+def _got(result, want):
+    return {key: getattr(result, key) for key in want}
+
+
+class TestLockstepSweep:
+    """Every orbit of a lockstep sweep agrees with its own scalar simulation."""
+
+    STEPS = 80
+
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
+    def test_every_lane_matches_simulate_for_every_batch_size(self, case):
+        system = case.system()
+        grid = sweep_grid(case)
+        bound = example_bound(*case.params())
+        rows = _lane_rows(system, grid, self.STEPS)
+        for size in (1, 7, 101):
+            for start in range(0, len(grid), size):
+                x0s = grid[start:start + size]
+                result = sweep_settling(
+                    system, x0s, example_params=case.params(), k_max=self.STEPS,
+                    epsilons=SWEEP_EPSILONS,
+                )
+                want = _expected(rows[start:start + size], x0s, bound)
+                assert _got(result, want) == want, (size, start)
+
+    def test_full_sweep_matches_simulate(self):
+        case = TABLE1_CASES[1]
+        system = case.system()
+        grid = sweep_grid(case, points=41)
+        bound = example_bound(*case.params())
+        result = sweep_settling(system, grid, example_params=case.params())
+        rows = _lane_rows(system, grid, bound + 50, epsilons=DEFAULT_EPSILONS)
+        want = _expected(rows, grid, bound)
+        assert _got(result, want) == want
+
+    def test_map_without_batch_body(self, halving_system):
+        assert halving_system.step_batch is None
+        x0s = [-8.0, 0.0, 3.0, 1e6, 0.75]
+        result = sweep_settling(
+            halving_system, x0s, example_params=TABLE1_CASES[0].params(),
+            k_max=40, epsilons=SWEEP_EPSILONS,
+        )
+        assert result.worst_x0 == 1e6
+        assert result.worst_settling == 20  # 1e6 / 2^20 < 1 <= 1e6 / 2^19
+        want = _expected(_lane_rows(halving_system, x0s, 40), x0s, result.bound)
+        assert _got(result, want) == want
+
+    def test_orbit_that_never_settles_is_worst(self, identity_system):
+        result = sweep_settling(
+            identity_system, [0.5, 2.0, 3.0], example_params=TABLE1_CASES[0].params(),
+            k_max=10, epsilons=(1.0,),
+        )
+        assert result.worst_settling is None
+        assert result.worst_x0 == 2.0
+        assert not result.all_within_bound
+        assert result.settling_vs_epsilon == ((1.0, None, None),)
 
 
 class TestTable1:

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from fixsettle import (
+    TABLE1_CASES,
     ParameterDomainError,
     PerturbationBoundError,
     SimulationDivergedError,
     Trajectory,
     affine_system,
     constant_perturbation,
+    divergence_threshold,
     example_step,
     radial_perturbation,
     simulate,
@@ -210,6 +212,78 @@ class TestSystemMap:
     def test_params_recorded(self, case1_system):
         assert case1_system.params["aprime"] == 0.8
         assert case1_system.params["r2prime"] == 1.1
+
+
+def _batch_inputs(case, count=100_000):
+    """Inputs over the float range whose powers stay finite, plus the map's
+    delicate regions: zeros, subnormals, values near 1 and near the
+    divergence threshold."""
+    rng = np.random.default_rng(17)
+    threshold = divergence_threshold(case.bprime, case.r2prime)
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+               1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+               threshold, -threshold]
+    n = (count - len(special)) // 4
+    spread = 10.0 ** rng.uniform(-323, 200, 2 * n) * rng.choice([-1.0, 1.0], 2 * n)
+    near_one = 1.0 + rng.uniform(-1e-6, 1e-6, n)
+    near_threshold = threshold * (1.0 + rng.uniform(-1e-3, 1e-3, n))
+    return np.concatenate([special, spread, near_one, -near_threshold])
+
+
+class TestBatchedStep:
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
+    def test_matches_example_step_bit_for_bit(self, case):
+        xs = _batch_inputs(case)
+        got = case.system().apply_batch(xs.reshape(-1, 1))[:, 0]
+        want = np.array([example_step(x, *case.params()) for x in xs])
+        # Compare the bit patterns, so -0.0 against 0.0 counts too.
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
+    def test_matches_scalar_step_where_powers_overflow(self, case):
+        system = case.system()
+        xs = np.array([1e250, -1e300, 1e305, 1.7e308, np.inf, -np.inf, np.nan])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = system.apply_batch(xs.reshape(-1, 1))[:, 0]
+            want = np.array([system.step(np.array([x]))[0] for x in xs])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_every_batch_size_gives_the_same_rows(self, case1_system):
+        xs = _batch_inputs(TABLE1_CASES[0], count=1001).reshape(-1, 1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            whole = case1_system.apply_batch(xs)
+            for size in (1, 7, 101):
+                for start in range(0, len(xs), size):
+                    part = case1_system.apply_batch(xs[start:start + size])
+                    assert np.array_equal(part, whole[start:start + size], equal_nan=True)
+
+    def test_map_without_batch_body_steps_row_by_row(self):
+        from fixsettle import SystemMap
+
+        calls = []
+
+        def step(state):
+            calls.append(state.copy())
+            return state * 0.5
+
+        system = SystemMap("halving", 1, step)
+        states = np.array([[4.0], [-1.0], [0.0]])
+        assert np.array_equal(system.apply_batch(states), [[2.0], [-0.5], [0.0]])
+        assert len(calls) == 3
+
+    def test_batch_shape_checked(self):
+        from fixsettle import SystemMap
+
+        system = SystemMap("flat", 1, lambda s: s, step_batch=lambda states: states[:, 0])
+        with pytest.raises(ParameterDomainError, match=r"returned shape \(3,\), expected \(3, 1\)"):
+            system.apply_batch(np.ones((3, 1)))
+
+    def test_row_shape_checked_without_batch_body(self):
+        from fixsettle import SystemMap
+
+        system = SystemMap("widening", 1, lambda s: np.array([s[0], s[0]]))
+        with pytest.raises(ParameterDomainError, match=r"returned shape \(2,\), expected \(1,\)"):
+            system.apply_batch(np.ones((3, 1)))
 
 
 class TestSeedValidation:
