@@ -123,9 +123,8 @@ def cmd_simulate(args) -> int:
     traj = _run_orbit(cfg, cfg.analysis.x0)
     v = cfg.lyapunov if cfg.lyapunov is not None else abs_candidate(cfg.system.dimension)
     header = ["k"] + [f"x_{i + 1}" for i in range(cfg.system.dimension)] + ["V"]
-    rows = [
-        [k, *state, v.value(state)] for k, state in enumerate(traj.states)
-    ]
+    values = v.values(traj.states)
+    rows = [[k, *state, values[k]] for k, state in enumerate(traj.states)]
     path = _out_path(args, "simulate.csv", cfg)
     _write_csv(path, header, rows)
     print(f"wrote {path} ({len(rows)} rows, truncated={traj.truncated})")

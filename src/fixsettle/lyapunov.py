@@ -74,13 +74,16 @@ class LyapunovCandidate:
 
     ``value`` maps a state vector to a nonnegative real and must vanish at
     the origin (checked at construction).  ``lipschitz_LV`` is required only
-    by the perturbed decrement check.
+    by the perturbed decrement check.  ``value_batch``, when given, maps an
+    (m, dimension) array of states to the m values in one call and must
+    agree with ``value`` bit for bit on every row.
     """
 
     name: str
     value: Callable[[np.ndarray], float]
     lipschitz_LV: Optional[float] = None
     dimension: int = 1
+    value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.lipschitz_LV is not None and not self.lipschitz_LV > 0.0:
@@ -95,6 +98,16 @@ class LyapunovCandidate:
     def __call__(self, x) -> float:
         return float(self.value(as_state(x, self.dimension)))
 
+    def values(self, states: np.ndarray) -> np.ndarray:
+        """V of every row of an (m, dimension) state array.
+
+        Uses ``value_batch`` when the candidate has one, and ``value`` row
+        by row otherwise.
+        """
+        if self.value_batch is None:
+            return np.array([float(self.value(s)) for s in states], dtype=float)
+        return np.asarray(self.value_batch(states), dtype=float)
+
 
 def abs_candidate(dimension: int = 1, lipschitz: Optional[float] = 1.0) -> LyapunovCandidate:
     """V(x) = ||x||.  Its exact Lipschitz constant is 1."""
@@ -103,6 +116,7 @@ def abs_candidate(dimension: int = 1, lipschitz: Optional[float] = 1.0) -> Lyapu
         value=lambda s: float(np.linalg.norm(s)),
         lipschitz_LV=lipschitz,
         dimension=dimension,
+        value_batch=_row_norms,
     )
 
 
@@ -113,6 +127,7 @@ def square_candidate(dimension: int = 1, lipschitz: Optional[float] = None) -> L
         value=lambda s: float(np.dot(s, s)),
         lipschitz_LV=lipschitz,
         dimension=dimension,
+        value_batch=_row_dots,
     )
 
 
@@ -123,18 +138,29 @@ def polynomial_candidate(
 ) -> LyapunovCandidate:
     """V(x) = sum_i c_i * ||x||^i with powers starting at 1.
 
-    The missing constant term makes V(0) = 0 by construction.
+    The missing constant term makes V(0) = 0 by construction.  The terms
+    are added in order from 0.0; a single state is a batch of one.
     """
     coeffs = [float(c) for c in coefficients]
     if not coeffs:
         raise ParameterDomainError("polynomial candidate needs at least one coefficient")
 
-    def value(s: np.ndarray) -> float:
-        m = float(np.linalg.norm(s))
-        return sum(c * m ** (i + 1) for i, c in enumerate(coeffs))
+    def value_batch(states: np.ndarray) -> np.ndarray:
+        m = _row_norms(states)
+        total = 0.0
+        for i, c in enumerate(coeffs):
+            total = total + c * np.float_power(m, i + 1)
+        return total
+
+    def value(s) -> float:
+        return float(value_batch(np.asarray(s, dtype=float).reshape(1, -1))[0])
 
     return LyapunovCandidate(
-        name="poly", value=value, lipschitz_LV=lipschitz, dimension=dimension
+        name="poly",
+        value=value,
+        lipschitz_LV=lipschitz,
+        dimension=dimension,
+        value_batch=value_batch,
     )
 
 
@@ -185,21 +211,47 @@ class ConditionReport(Record):
             )
 
 
-def decrement_max(v: float, gains: FixedTimeGains) -> float:
-    """max(alpha * v^r1, beta * v^r2) for a nonnegative level v.
+def _residuals(
+    system: SystemMap,
+    V: LyapunovCandidate,
+    gains: FixedTimeGains,
+    states: np.ndarray,
+    V_rhs: Optional[LyapunovCandidate],
+    slack: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """V(x) and the decrement residual of every row of an (m, n) state array.
 
     The max is evaluated directly rather than through the v <> 1 branch
     split used in convergence proofs; the two agree only when alpha = beta,
-    and the direct form is the actual pointwise condition.
+    and the direct form is the actual pointwise condition.  It picks the
+    low branch unless the high one is larger, as Python's ``max`` does, and
+    ``np.float_power`` matches ``**`` bit for bit, so a batch of one gives
+    the scalar residual.  The first row in order that is the origin or has
+    a negative level raises.  Overflow yields inf and NaN, not warnings.
     """
-    if v < 0.0:
-        raise ParameterDomainError("candidate values must be nonnegative")
-    return max(gains.alpha * v ** gains.r1, gains.beta * v ** gains.r2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vx = V.values(states)
+        v_max = vx if V_rhs is None else V_rhs.values(states)
+        origin = _row_dots(states) == 0.0
+        bad = np.flatnonzero(origin | (v_max < 0.0))
+        if len(bad):
+            if origin[bad[0]]:
+                raise OriginError("the decrement condition excludes the origin")
+            raise ParameterDomainError("candidate values must be nonnegative")
+        vfx = V.values(system.apply_batch(states))
+        low = gains.alpha * np.float_power(v_max, gains.r1)
+        high = gains.beta * np.float_power(v_max, gains.r2)
+        return vx, ((vfx - vx) + np.where(high > low, high, low)) - slack
 
 
-def _require_nonzero(x: np.ndarray):
-    if float(np.linalg.norm(x)) == 0.0:
-        raise OriginError("the decrement condition excludes the origin")
+def _first_max(residuals: np.ndarray) -> float:
+    """The first largest non-NaN residual in order, -inf if there is none.
+
+    This is what a running ``max`` from -inf keeps, down to the sign of a
+    zero that ties with the other one.
+    """
+    numbers = residuals[~np.isnan(residuals)]
+    return float(numbers[np.argmax(numbers)]) if len(numbers) else -math.inf
 
 
 def decrement_residual(
@@ -215,14 +267,11 @@ def decrement_residual(
     The difference is taken in ``V`` and the max in ``V_rhs`` (default
     ``V``), which is the mixed form when they differ.  The perturbed form
     subtracts the slack ``lipschitz_LV * g_norm``; the difference term is
-    still computed along the nominal step.
+    still computed along the nominal step.  A batch of one through the
+    scans' kernel.
     """
     state = as_state(x, system.dimension)
-    _require_nonzero(state)
-    vx = float(V.value(state))
-    vfx = float(V.value(system.apply(state)))
-    v_max = vx if V_rhs is None else float(V_rhs.value(state))
-    return ((vfx - vx) + decrement_max(v_max, gains)) - slack
+    return float(_residuals(system, V, gains, state[None, :], V_rhs, slack)[1][0])
 
 
 def check_basic_lyapunov(
@@ -234,40 +283,35 @@ def check_basic_lyapunov(
     """Plain Lyapunov stability conditions on a grid.
 
     Checks V = 0 at the origin, V > 0 at each (nonzero) grid point, and the
-    nonstrict decrement V(F(x)) - V(x) <= 0 at each grid point.
+    nonstrict decrement V(F(x)) - V(x) <= 0 at each grid point.  Each
+    point's positivity violation is listed before its decrement violation.
     """
     grid = as_state_grid(domain_grid, system.dimension)
     if len(grid) == 0:
         raise EmptyDomainError("domain grid is empty")
     violations = []
-    max_residual = -math.inf
-
     origin = np.zeros(system.dimension)
     origin_residual = abs(float(V.value(origin)))
-    max_residual = max(max_residual, origin_residual)
     if origin_residual > tolerance:
-        violations.append(
-            Violation(tuple(origin), origin_residual, check="origin")
-        )
+        violations.append(Violation(tuple(origin), origin_residual, check="origin"))
 
-    for point in grid:
-        if float(np.linalg.norm(point)) == 0.0:
-            continue  # positivity and decrement are posed away from the origin
-        vx = float(V.value(point))
-        pos_residual = -vx
-        max_residual = max(max_residual, pos_residual)
-        if pos_residual > tolerance:
-            violations.append(Violation(tuple(point), pos_residual, check="positivity"))
-        dec_residual = float(V.value(system.apply(point))) - vx
-        max_residual = max(max_residual, dec_residual)
-        if dec_residual > tolerance:
-            violations.append(Violation(tuple(point), dec_residual, check="decrement"))
+    # Positivity and decrement are posed away from the origin.
+    points = grid[_row_dots(grid) != 0.0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        vx = V.values(points)
+        # Row i holds point i's positivity and decrement residuals.
+        residuals = np.stack([-vx, V.values(system.apply_batch(points)) - vx], axis=1)
+    checks = ("positivity", "decrement")
+    for i, j in zip(*np.nonzero(residuals > tolerance)):
+        violations.append(
+            Violation(tuple(points[i].tolist()), float(residuals[i, j]), check=checks[j])
+        )
 
     return ConditionReport(
         condition_id=ConditionId.LYAP_BASIC,
         checked_points=len(grid),
         violations=tuple(violations),
-        max_residual=max_residual,
+        max_residual=_first_max(np.concatenate([[origin_residual], residuals.ravel()])),
         holds_everywhere=not violations,
         tolerance=tolerance,
     )
@@ -294,23 +338,24 @@ def _condition(
     return ConditionId.PERTURBED_DECREMENT, V.lipschitz_LV * g_norm
 
 
-def _violation_intervals(grid: np.ndarray, violating: Sequence[bool]):
+def _violation_intervals(grid: np.ndarray, violating: np.ndarray):
     """Contiguous violating runs of a 1-D grid, as (lo, hi) value pairs."""
     order = np.argsort(grid[:, 0], kind="stable")
     xs = grid[order, 0]
-    flags = np.asarray(violating)[order]
-    intervals = []
-    start = None
-    for x, bad in zip(xs, flags):
-        if bad and start is None:
-            start = x
-        elif not bad and start is not None:
-            intervals.append((float(start), float(prev)))
-            start = None
-        prev = x
-    if start is not None:
-        intervals.append((float(start), float(xs[-1])))
-    return tuple(intervals)
+    edges = np.diff(np.concatenate([[0], violating[order].astype(np.int8), [0]]))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    return tuple(zip(xs[starts].tolist(), xs[ends].tolist()))
+
+
+def _violations(where, residuals: np.ndarray) -> Tuple[Violation, ...]:
+    """Decrement violations at the given places, in order.
+
+    Points and residuals stay numpy floats, which encode to the same JSON
+    as Python floats; converting whole arrays with ``tolist`` first costs
+    about 1 MiB of peak memory on a report of 9000 violations.
+    """
+    return tuple(Violation(w, r) for w, r in zip(where, residuals))
 
 
 def scan_conditions(
@@ -333,33 +378,21 @@ def scan_conditions(
     if len(pts) == 0:
         raise EmptyDomainError("scan grid is empty")
     condition_id, slack = _condition(V, v_rhs, g_norm)
-
-    violations = []
-    violating_flags = []
-    zero_points = []
-    max_residual = -math.inf
-    for point in pts:
-        if float(V.value(point)) == 0.0:
-            zero_points.append(tuple(point))
-        residual = decrement_residual(system, V, gains, point, v_rhs, slack)
-        max_residual = max(max_residual, residual)
-        bad = residual > tolerance
-        violating_flags.append(bad)
-        if bad:
-            violations.append(Violation(tuple(point), residual))
+    vx, residuals = _residuals(system, V, gains, pts, v_rhs, slack)
+    violating = residuals > tolerance
 
     intervals = (
-        _violation_intervals(pts, violating_flags) if system.dimension == 1 else None
+        _violation_intervals(pts, violating) if system.dimension == 1 else None
     )
     return ConditionReport(
         condition_id=condition_id,
         checked_points=len(pts),
-        violations=tuple(violations),
-        max_residual=max_residual,
-        holds_everywhere=not violations,
+        violations=_violations(map(tuple, pts[violating]), residuals[violating]),
+        max_residual=_first_max(residuals),
+        holds_everywhere=not violating.any(),
         tolerance=tolerance,
         violation_intervals=intervals,
-        value_zero_points=tuple(zero_points),
+        value_zero_points=tuple(map(tuple, pts[vx == 0.0].tolist())),
     )
 
 
@@ -381,31 +414,21 @@ def scan_trajectory(
     if len(traj) < 2:
         raise EmptyDomainError("trajectory scan needs at least one transition")
     condition_id, slack = _condition(V, v_rhs, g_norm)
-
-    violations = []
-    zero_points = []
-    max_residual = -math.inf
-    checked = 0
-    for k in range(len(traj) - 1):
-        state = traj.states[k]
-        if float(np.linalg.norm(state)) == 0.0:
-            zero_points.append(k)
-            continue
-        checked += 1
-        residual = decrement_residual(system, V, gains, state, v_rhs, slack)
-        max_residual = max(max_residual, residual)
-        if residual > tolerance:
-            violations.append(Violation(k, residual))
+    states = traj.states[:-1]
+    nonzero = _row_dots(states) != 0.0
+    steps = np.flatnonzero(nonzero)
+    residuals = _residuals(system, V, gains, states[nonzero], v_rhs, slack)[1]
+    violating = residuals > tolerance
 
     return ConditionReport(
         condition_id=condition_id,
-        checked_points=checked,
-        violations=tuple(violations),
+        checked_points=len(steps),
+        violations=_violations(steps[violating].tolist(), residuals[violating]),
         # An orbit pinned at the origin checks nothing; report a neutral 0.
-        max_residual=max_residual if checked else 0.0,
-        holds_everywhere=not violations,
+        max_residual=_first_max(residuals) if len(steps) else 0.0,
+        holds_everywhere=not violating.any(),
         tolerance=tolerance,
-        value_zero_points=tuple(zero_points),
+        value_zero_points=tuple(np.flatnonzero(~nonzero).tolist()),
     )
 
 
@@ -425,12 +448,12 @@ def estimate_lipschitz(f, domain_grid) -> float:
     best = 0.0
     seen_distinct = False
     for i in range(len(pts) - 1):
-        dx = _distances(pts[i + 1:], pts[i])
+        dx = _row_norms(pts[i + 1:] - pts[i])
         distinct = dx != 0.0
         if not distinct.any():
             continue
         seen_distinct = True
-        slopes = _distances(images[i + 1:][distinct], images[i]) / dx[distinct]
+        slopes = _row_norms(images[i + 1:][distinct] - images[i]) / dx[distinct]
         steeper = slopes[slopes > best]  # skips NaN slopes, as max() did
         if len(steeper):
             best = float(steeper.max())
@@ -439,13 +462,17 @@ def estimate_lipschitz(f, domain_grid) -> float:
     return best
 
 
-def _distances(rows: np.ndarray, point: np.ndarray) -> np.ndarray:
-    """Euclidean distance of every row from ``point``.
+def _row_dots(rows: np.ndarray) -> np.ndarray:
+    """Every row's dot product with itself, as ``np.dot`` takes it.
 
-    Each row's squared length is a vector dot product, the sum
-    ``np.linalg.norm`` takes for a single vector, so every distance equals
-    ``np.linalg.norm(row - point)`` bit for bit; a plain sum of squares
-    differs in the last bit on some rows of two or more components.
+    Each row goes through the vector dot product that ``np.dot`` and
+    ``np.linalg.norm`` use for a single vector, so the result equals
+    ``np.dot(row, row)`` bit for bit; a plain sum of squares differs in the
+    last bit on some rows of two or more components.
     """
-    d = rows - point
-    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row, equal to ``np.linalg.norm(row)`` bit for bit."""
+    return np.sqrt(_row_dots(rows))

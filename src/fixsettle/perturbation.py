@@ -138,7 +138,7 @@ def verify_attractiveness(
     and stays), and ``remained`` is True exactly when the orbit never left
     the set again after first reaching it.
     """
-    return _entry_and_remained(traj.values(V.value), B)
+    return _entry_and_remained(V.values(traj.states), B)
 
 
 def _entry_and_remained(values, B: float) -> Tuple[Optional[int], bool]:
@@ -209,7 +209,7 @@ def analyze_attractiveness(
     if traj is not None:
         if V is None:
             raise ParameterDomainError("orbit verification needs a candidate V")
-        values = traj.values(V.value)
+        values = V.values(traj.states)
         entry, remained = _entry_and_remained(values, b_level)
         if values[0] > 1.0:
             crossing = entry_and_stay(values, 1.0)[1]

@@ -144,10 +144,6 @@ class Trajectory:
         """Euclidean norm of every recorded state."""
         return np.linalg.norm(self.states, axis=1)
 
-    def values(self, fn) -> np.ndarray:
-        """Evaluate a scalar state function along the orbit."""
-        return np.array([float(fn(s)) for s in self.states])
-
 
 @dataclass(frozen=True)
 class PerturbationSpec:
@@ -258,18 +254,21 @@ def _run(
     truncated = True
     if stop_epsilon is not None and float(np.linalg.norm(x)) <= stop_epsilon:
         return Trajectory(np.array(states), states[0], truncated=False)
-    for k in range(k_max):
-        nxt = np.atleast_1d(np.asarray(step(x), dtype=float))
-        _check_shape(system, nxt, shape)
-        if pert is not None:
-            nxt = nxt + pert.sample(k, x)
-        if not np.all(np.isfinite(nxt)) or np.any(np.abs(nxt) > DIVERGENCE_LIMIT):
-            raise divergence_error(system, k, states[0])
-        states.append(nxt)
-        x = nxt
-        if stop_epsilon is not None and float(np.linalg.norm(x)) <= stop_epsilon:
-            truncated = False
-            break
+    # A diverging orbit overflows to inf, which the guard reports; numpy's
+    # overflow warnings would only repeat that on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(k_max):
+            nxt = np.atleast_1d(np.asarray(step(x), dtype=float))
+            _check_shape(system, nxt, shape)
+            if pert is not None:
+                nxt = nxt + pert.sample(k, x)
+            if not np.all(np.isfinite(nxt)) or np.any(np.abs(nxt) > DIVERGENCE_LIMIT):
+                raise divergence_error(system, k, states[0])
+            states.append(nxt)
+            x = nxt
+            if stop_epsilon is not None and float(np.linalg.norm(x)) <= stop_epsilon:
+                truncated = False
+                break
     return Trajectory(np.array(states), states[0], truncated=truncated)
 
 
@@ -331,10 +330,13 @@ def _example_step_raw(x: float, aprime: float, bprime: float, r1prime: float, r2
 def example_step(x: float, aprime: float, bprime: float, r1prime: float, r2prime: float) -> float:
     """One step of the scalar benchmark map.
 
-    sign(0) is taken as 0, making the origin an exact fixed point.
+    sign(0) is taken as 0, making the origin an exact fixed point.  The
+    step is taken in numpy scalars, as ``example_system`` takes it, so a
+    power that overflows gives inf rather than raising.
     """
     validate_example_params(aprime, bprime, r1prime, r2prime)
-    return _example_step_raw(float(x), aprime, bprime, r1prime, r2prime)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(_example_step_raw(np.float64(x), aprime, bprime, r1prime, r2prime))
 
 
 def example_system(

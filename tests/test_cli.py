@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from pathlib import Path
 
@@ -63,6 +64,19 @@ class TestSimulateCommand:
     def test_missing_x0_is_config_error(self, tmp_path):
         cfg = write_config(tmp_path, case1_config(analysis={"k_max": 5}))
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_by_overflow_prints_only_the_error(self, tmp_path, capsys):
+        # Case 1 from 2e6 overflows |x|^r2' at step 57; numpy's overflow
+        # warning must not reach stderr ahead of the error line.
+        cfg = write_config(
+            tmp_path,
+            {"schema": 1, "system": {"builtin": "example", "case": 1}, "analysis": {"x0": 2e6}},
+        )
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: state diverged at step 57 of 'example' (last finite index 56)\n"
+        )
 
 
 class TestConfigValidation:
@@ -341,6 +355,36 @@ class TestDeterminism:
             assert main(["attract", "--config", cfg, "--out", str(d)]) == 0
         for name in ("table1.csv", "table1.json", "simulate.csv", "attract.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    # sha256 of check.json as written before the grid scans were batched.
+    # Run-to-run comparisons cannot see a last-bit change that every run
+    # makes alike; a pinned digest can.
+    PINNED_CHECK_DIGESTS = {
+        "mixed": "2ff6ec68f1b26a0e9ace5b421d9096abdeb88d473477596cd69c69c1ff4ca618",
+        "perturbed": "542aff69a84054f3564ca9f545fe8a5b9445bf98f8eb03132096f4f0b2ae1267",
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(PINNED_CHECK_DIGESTS))
+    def test_check_report_digest_is_pinned(self, tmp_path, scenario):
+        if scenario == "mixed":
+            cfg = str(Path(__file__).resolve().parents[1] / "configs" / "case1_check_mixed.json")
+        else:
+            cfg = write_config(tmp_path, {
+                "schema": 1,
+                "system": {"builtin": "example", "case": 1},
+                "lyapunov": {"form": "abs"},
+                "gains": {"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+                "perturbation": {"delta0": 0.05, "generator": "radial"},
+                "analysis": {
+                    "grid": {"scale": "log", "low": 0.001, "high": 10000,
+                             "points": 2001, "signed": True},
+                    "tolerance": 1e-12,
+                },
+            })
+        out = tmp_path / "out"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / "check.json").read_bytes()).hexdigest()
+        assert digest == self.PINNED_CHECK_DIGESTS[scenario]
 
     def test_seed_override_changes_orbit(self, tmp_path):
         payload = case1_config(

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixsettle import (
+    TABLE1_CASES,
     ConditionId,
     ConditionReport,
     ConfigurationError,
@@ -14,6 +16,8 @@ from fixsettle import (
     LyapunovCandidate,
     OriginError,
     ParameterDomainError,
+    Trajectory,
+    Violation,
     abs_candidate,
     affine_system,
     check_basic_lyapunov,
@@ -502,3 +506,315 @@ class TestTwoDimensionalSystems:
         operator_norm = np.linalg.norm([[0.5, 0.1], [0.0, 0.4]], ord=2)
         assert est <= operator_norm + 1e-12
         assert est > 0.4
+
+
+# -- batched scans against the per-point loop they replace ---------------------------
+
+
+def _pow(v, r):
+    """``v ** r``, with +inf where the power overflows (Python raises there)."""
+    try:
+        return v ** r
+    except OverflowError:
+        return math.inf
+
+
+def _poly_reference(coefficients):
+    def value(s):
+        m = float(np.linalg.norm(s))
+        total = 0.0
+        for i, c in enumerate(coefficients):
+            total += c * _pow(m, i + 1)
+        return total
+
+    return value
+
+
+def _reference_residual(system, V, gains, x, V_rhs, slack):
+    """One point of the per-point loop: V and V_rhs are reference functions."""
+    if float(np.linalg.norm(x)) == 0.0:
+        raise OriginError("the decrement condition excludes the origin")
+    vx = V(x)
+    vfx = V(system.apply(x))
+    v = vx if V_rhs is None else V_rhs(x)
+    if v < 0.0:
+        raise ParameterDomainError("candidate values must be nonnegative")
+    dmax = max(gains.alpha * _pow(v, gains.r1), gains.beta * _pow(v, gains.r2))
+    return ((vfx - vx) + dmax) - slack
+
+
+def _reference_intervals(xs_unsorted, flags_unsorted):
+    order = np.argsort(xs_unsorted, kind="stable")
+    xs, flags = xs_unsorted[order], np.asarray(flags_unsorted)[order]
+    intervals, start, prev = [], None, None
+    for x, bad in zip(xs, flags):
+        if bad and start is None:
+            start = x
+        elif not bad and start is not None:
+            intervals.append((float(start), float(prev)))
+            start = None
+        prev = x
+    if start is not None:
+        intervals.append((float(start), float(xs[-1])))
+    return tuple(intervals)
+
+
+def _reference_scan(system, V, gains, pts, V_rhs, slack, tolerance, condition_id):
+    violations, flags, zeros, best = [], [], [], -math.inf
+    for p in pts:
+        if V(p) == 0.0:
+            zeros.append(tuple(p))
+        r = _reference_residual(system, V, gains, p, V_rhs, slack)
+        best = max(best, r)
+        flags.append(r > tolerance)
+        if r > tolerance:
+            violations.append(Violation(tuple(p), r))
+    return ConditionReport(
+        condition_id=condition_id,
+        checked_points=len(pts),
+        violations=tuple(violations),
+        max_residual=best,
+        holds_everywhere=not violations,
+        tolerance=tolerance,
+        violation_intervals=(
+            _reference_intervals(pts[:, 0], flags) if system.dimension == 1 else None
+        ),
+        value_zero_points=tuple(zeros),
+    )
+
+
+def _reference_orbit_scan(system, V, gains, states, V_rhs, slack, tolerance, condition_id):
+    violations, zeros, best, checked = [], [], -math.inf, 0
+    for k in range(len(states) - 1):
+        if float(np.linalg.norm(states[k])) == 0.0:
+            zeros.append(k)
+            continue
+        checked += 1
+        r = _reference_residual(system, V, gains, states[k], V_rhs, slack)
+        best = max(best, r)
+        if r > tolerance:
+            violations.append(Violation(k, r))
+    return ConditionReport(
+        condition_id=condition_id,
+        checked_points=checked,
+        violations=tuple(violations),
+        max_residual=best if checked else 0.0,
+        holds_everywhere=not violations,
+        tolerance=tolerance,
+        value_zero_points=tuple(zeros),
+    )
+
+
+def _reference_basic(system, V, grid, tolerance):
+    violations, best = [], -math.inf
+    origin_residual = abs(V(np.zeros(system.dimension)))
+    best = max(best, origin_residual)
+    if origin_residual > tolerance:
+        violations.append(Violation(tuple(np.zeros(system.dimension)), origin_residual, "origin"))
+    for p in grid:
+        if float(np.linalg.norm(p)) == 0.0:
+            continue
+        vx = V(p)
+        for check, r in (("positivity", -vx), ("decrement", V(system.apply(p)) - vx)):
+            best = max(best, r)
+            if r > tolerance:
+                violations.append(Violation(tuple(p), r, check))
+    return ConditionReport(
+        condition_id=ConditionId.LYAP_BASIC,
+        checked_points=len(grid),
+        violations=tuple(violations),
+        max_residual=best,
+        holds_everywhere=not violations,
+        tolerance=tolerance,
+    )
+
+
+def _bits(obj):
+    """JSON-ready data with every float as its hex form: -0.0 and NaN count."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, (list, tuple)):
+        return [_bits(x) for x in obj]
+    if isinstance(obj, dict):
+        return {k: _bits(v) for k, v in obj.items()}
+    return obj
+
+
+def _outcome(fn):
+    """A result bit for bit (a report by its fields), or the error it raised."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            result = fn()
+        except (OriginError, ParameterDomainError) as err:
+            return type(err).__name__, str(err)
+    return _bits(result.to_dict() if isinstance(result, ConditionReport) else result)
+
+
+# Hypothesis picks the structure: dimension, system, candidates, form,
+# sizes and where an origin sits.  The numbers come from a numpy generator
+# it seeds, because the last-bit differences these tests look for show on
+# a few percent of arbitrary doubles and hardly ever on the simple values
+# Hypothesis prefers (powers of ten, small integers).
+
+
+@st.composite
+def _rng(draw):
+    return np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@st.composite
+def _candidate(draw, dimension, rng):
+    """A candidate with its per-point reference value function."""
+    kind = draw(st.sampled_from(("abs", "square", "poly", "dip") if dimension == 1
+                                else ("abs", "square", "poly")))
+    if kind == "abs":
+        return abs_candidate(dimension), lambda s: float(np.linalg.norm(s))
+    if kind == "square":
+        return square_candidate(dimension, 2.0), lambda s: float(np.dot(s, s))
+    if kind == "poly":
+        # Negative coefficients make V negative somewhere.
+        coeffs = rng.uniform(-2.0, 2.0, draw(st.integers(1, 3))).tolist()
+        return polynomial_candidate(coeffs, dimension, 1.5), _poly_reference(coeffs)
+    # A custom candidate, evaluated row by row; it vanishes at x = 1.
+    dip = lambda s: float(s[0] ** 2 * (s[0] - 1.0) ** 2)
+    return LyapunovCandidate("dip", dip, lipschitz_LV=3.0), dip
+
+
+@st.composite
+def _system(draw, dimension, rng):
+    if dimension == 1 and draw(st.booleans()):
+        return draw(st.sampled_from(TABLE1_CASES)).system()
+    return affine_system(rng.uniform(-1.2, 1.2, (dimension, dimension)))
+
+
+@st.composite
+def _states(draw, dimension, min_size, rng):
+    """States in order: mostly moderate magnitudes, some whose squares or
+    powers overflow, and now and then an origin or unit point mid-way."""
+    m = draw(st.integers(min_size, 30))
+    exponents = np.where(rng.random((m, 1)) < 0.15, rng.uniform(5.0, 300.0, (m, 1)),
+                         rng.uniform(-4.0, 5.0, (m, 1)))
+    rows = list(rng.standard_normal((m, dimension)) * 10.0 ** exponents)
+    if draw(st.integers(0, 5)) == 3:
+        rows.insert(draw(st.integers(0, m)), np.full(dimension, draw(st.sampled_from((0.0, -0.0)))))
+    if draw(st.integers(0, 2)) == 1:
+        rows.insert(draw(st.integers(0, len(rows))), np.eye(dimension)[0])
+    return np.array(rows, dtype=float).reshape(-1, dimension)
+
+
+@st.composite
+def _scan_case(draw, min_size=1):
+    """System, candidates (plain, mixed or perturbed form), states, tolerance."""
+    rng = draw(_rng())
+    dimension = draw(st.sampled_from((1, 1, 2, 3)))
+    system = draw(_system(dimension, rng))
+    V, V_ref = draw(_candidate(dimension, rng))
+    form = draw(st.sampled_from(("plain", "mixed", "perturbed")))
+    rhs, rhs_ref, g_norm = None, None, None
+    if form == "mixed":
+        rhs, rhs_ref = draw(_candidate(dimension, rng))
+    elif form == "perturbed":
+        g_norm = float(rng.uniform(0.0, 1.0))
+    tolerance = draw(st.sampled_from((-math.inf, 0.0, 1e-12, 1.0)))
+    states = draw(_states(dimension, min_size, rng))
+    return system, (V, V_ref), (rhs, rhs_ref), g_norm, tolerance, states
+
+
+def _form(V, rhs, g_norm):
+    if g_norm is not None:
+        return ConditionId.PERTURBED_DECREMENT, V.lipschitz_LV * g_norm
+    return (ConditionId.FT_DECREMENT if rhs is None else ConditionId.FT_MIXED), 0.0
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
+
+
+class TestBatchedScansMatchPerPointLoop:
+    """The batched kernel against the per-point loop it replaced.
+
+    Compared bit for bit: every residual (a tolerance of -inf lists them
+    all), ``max_residual`` down to the sign of zero, the order of the
+    violations, ``value_zero_points``, the intervals, and the first error.
+    """
+
+    @PROPERTY_SETTINGS
+    @given(_scan_case())
+    def test_grid_scan(self, case):
+        system, (V, V_ref), (rhs, rhs_ref), g_norm, tolerance, pts = case
+        condition_id, slack = _form(V, rhs, g_norm)
+        for tol in (tolerance, -math.inf):
+            got = _outcome(lambda: scan_conditions(
+                system, V, FixedTimeGains(*MAPPED_GAINS), pts, v_rhs=rhs,
+                g_norm=g_norm, tolerance=tol))
+            want = _outcome(lambda: _reference_scan(
+                system, V_ref, FixedTimeGains(*MAPPED_GAINS), pts, rhs_ref, slack,
+                tol, condition_id))
+            assert got == want
+
+    @PROPERTY_SETTINGS
+    @given(_scan_case(min_size=2))
+    def test_orbit_scan(self, case):
+        system, (V, V_ref), (rhs, rhs_ref), g_norm, tolerance, states = case
+        condition_id, slack = _form(V, rhs, g_norm)
+        traj = Trajectory(states, states[0], truncated=False)
+        gains = FixedTimeGains(0.01, 0.001, 0.5, 2.0)
+        for tol in (tolerance, -math.inf):
+            got = _outcome(lambda: scan_trajectory(
+                system, V, gains, traj, v_rhs=rhs, g_norm=g_norm, tolerance=tol))
+            want = _outcome(lambda: _reference_orbit_scan(
+                system, V_ref, gains, states, rhs_ref, slack, tol, condition_id))
+            assert got == want
+
+    @PROPERTY_SETTINGS
+    @given(_scan_case())
+    def test_single_point_residual(self, case):
+        system, (V, V_ref), (rhs, rhs_ref), g_norm, _, pts = case
+        slack = _form(V, rhs, g_norm)[1]
+        gains = FixedTimeGains(*MAPPED_GAINS)
+        for p in pts:
+            got = _outcome(lambda: decrement_residual(system, V, gains, p, rhs, slack))
+            want = _outcome(lambda: _reference_residual(system, V_ref, gains, p, rhs_ref, slack))
+            assert got == want
+
+    @PROPERTY_SETTINGS
+    @given(_scan_case())
+    def test_basic_lyapunov(self, case):
+        system, (V, V_ref), _, _, tolerance, pts = case
+        for tol in (tolerance, -math.inf):
+            got = _outcome(lambda: check_basic_lyapunov(system, V, pts, tolerance=tol))
+            want = _outcome(lambda: _reference_basic(system, V_ref, pts, tol))
+            assert got == want
+
+    def test_first_offending_point_in_grid_order_raises(self, case1_system):
+        gains = FixedTimeGains(*MAPPED_GAINS)
+        negative_rhs = polynomial_candidate([1.0, -2.0])  # V < 0 above |x| = 0.5
+        with pytest.raises(OriginError):
+            scan_conditions(case1_system, abs_candidate(), gains, [0.1, 0.0, 3.0], v_rhs=negative_rhs)
+        with pytest.raises(ParameterDomainError, match="nonnegative"):
+            scan_conditions(case1_system, abs_candidate(), gains, [0.1, 3.0, 0.0], v_rhs=negative_rhs)
+
+
+class TestBatchedValues:
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 7])
+    def test_matches_value_bit_for_bit(self, dimension):
+        rng = np.random.default_rng(41)
+        states = rng.standard_normal((500, dimension)) * 10.0 ** rng.uniform(-200, 200, (500, 1))
+        states[:3] = np.array([0.0, np.inf, np.nan])[:, None]
+        for V in (abs_candidate(dimension), square_candidate(dimension),
+                  polynomial_candidate([0.5, -1.0, 2.0], dimension)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = V.values(states)
+                want = np.array([V.value(s) for s in states])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), V.name
+
+    def test_candidate_without_batch_body_evaluates_row_by_row(self):
+        calls = []
+
+        def value(s):
+            calls.append(s.copy())
+            return float(abs(s[0]))
+
+        V = LyapunovCandidate("custom", value)
+        calls.clear()
+        assert np.array_equal(V.values(np.array([[2.0], [-3.0]])), [2.0, 3.0])
+        assert len(calls) == 2

@@ -11,6 +11,7 @@ from fixsettle import (
     constant_perturbation,
     divergence_threshold,
     example_step,
+    example_system,
     radial_perturbation,
     simulate,
     simulate_perturbed,
@@ -56,6 +57,17 @@ class TestExampleStep:
         params.update(bad)
         with pytest.raises(ParameterDomainError):
             example_step(2.0, **params)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_gives_what_the_map_step_gives(self):
+        # |1e300|^1.1 overflows: the step is -inf, with no error or warning.
+        system = example_system(*CASE1)
+        with np.errstate(over="ignore"):
+            want = system.step(np.array([1e300]))[0]
+        assert want == -np.inf
+        assert example_step(1e300, *CASE1) == want
+        assert example_step(-1e300, *CASE1) == np.inf
+        assert type(example_step(1e300, *CASE1)) is float
 
     def test_max_branch_switches_exactly_once(self):
         # The two branches cross at (a'/b')^(1/(r2'-r1')); a scan around it
