@@ -109,26 +109,29 @@ class LyapunovCandidate:
         return np.asarray(self.value_batch(states), dtype=float)
 
 
-def abs_candidate(dimension: int = 1, lipschitz: Optional[float] = 1.0) -> LyapunovCandidate:
-    """V(x) = ||x||.  Its exact Lipschitz constant is 1."""
+def _builtin_candidate(name, value_batch, lipschitz, dimension) -> LyapunovCandidate:
+    """A candidate with one body: ``value`` is a batch of one through ``value_batch``."""
+
+    def value(s) -> float:
+        return float(value_batch(np.asarray(s, dtype=float).reshape(1, -1))[0])
+
     return LyapunovCandidate(
-        name="abs",
-        value=lambda s: float(np.linalg.norm(s)),
+        name=name,
+        value=value,
         lipschitz_LV=lipschitz,
         dimension=dimension,
-        value_batch=_row_norms,
+        value_batch=value_batch,
     )
+
+
+def abs_candidate(dimension: int = 1, lipschitz: Optional[float] = 1.0) -> LyapunovCandidate:
+    """V(x) = ||x||.  Its exact Lipschitz constant is 1."""
+    return _builtin_candidate("abs", _row_norms, lipschitz, dimension)
 
 
 def square_candidate(dimension: int = 1, lipschitz: Optional[float] = None) -> LyapunovCandidate:
     """V(x) = ||x||^2.  Lipschitz only on bounded domains, so none by default."""
-    return LyapunovCandidate(
-        name="square",
-        value=lambda s: float(np.dot(s, s)),
-        lipschitz_LV=lipschitz,
-        dimension=dimension,
-        value_batch=_row_dots,
-    )
+    return _builtin_candidate("square", _row_dots, lipschitz, dimension)
 
 
 def polynomial_candidate(
@@ -139,7 +142,7 @@ def polynomial_candidate(
     """V(x) = sum_i c_i * ||x||^i with powers starting at 1.
 
     The missing constant term makes V(0) = 0 by construction.  The terms
-    are added in order from 0.0; a single state is a batch of one.
+    are added in order from 0.0; a power that overflows gives inf.
     """
     coeffs = [float(c) for c in coefficients]
     if not coeffs:
@@ -152,16 +155,7 @@ def polynomial_candidate(
             total = total + c * np.float_power(m, i + 1)
         return total
 
-    def value(s) -> float:
-        return float(value_batch(np.asarray(s, dtype=float).reshape(1, -1))[0])
-
-    return LyapunovCandidate(
-        name="poly",
-        value=value,
-        lipschitz_LV=lipschitz,
-        dimension=dimension,
-        value_batch=value_batch,
-    )
+    return _builtin_candidate("poly", value_batch, lipschitz, dimension)
 
 
 class ConditionId(str, Enum):
@@ -188,7 +182,9 @@ class ConditionReport(Record):
     """Outcome of a pointwise condition check over a grid or trajectory.
 
     ``holds_everywhere`` is true exactly when ``violations`` is empty; every
-    listed violation has residual above the tolerance.  For 1-D grids,
+    listed violation has residual above the tolerance, or NaN where the
+    residual cannot be evaluated (inf - inf once V overflows, say), and
+    ``max_residual`` is then NaN too.  For 1-D grids,
     ``violation_intervals`` groups contiguous violating grid points.
     ``value_zero_points`` lists nonzero grid points where V vanished, which
     breaks strict positivity even though the residual arithmetic stays
@@ -211,6 +207,21 @@ class ConditionReport(Record):
             )
 
 
+_AT_ORIGIN = "the decrement condition excludes the origin"
+
+
+def _step_values(
+    system: SystemMap, V: LyapunovCandidate, states: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """V(x) and the one-step difference V(F(x)) - V(x) of every row.
+
+    Overflow yields inf and NaN, not warnings.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vx = V.values(states)
+        return vx, V.values(system.apply_batch(states)) - vx
+
+
 def _residuals(
     system: SystemMap,
     V: LyapunovCandidate,
@@ -219,39 +230,39 @@ def _residuals(
     V_rhs: Optional[LyapunovCandidate],
     slack: float,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """V(x) and the decrement residual of every row of an (m, n) state array.
+    """V(x) and the decrement residual of every row of an (m, n) array of
+    nonzero states; the caller decides what an origin row means.
 
     The max is evaluated directly rather than through the v <> 1 branch
     split used in convergence proofs; the two agree only when alpha = beta,
     and the direct form is the actual pointwise condition.  It picks the
     low branch unless the high one is larger, as Python's ``max`` does, and
     ``np.float_power`` matches ``**`` bit for bit, so a batch of one gives
-    the scalar residual.  The first row in order that is the origin or has
-    a negative level raises.  Overflow yields inf and NaN, not warnings.
+    the scalar residual.  A negative level raises.  Overflow yields inf and
+    NaN, not warnings.
     """
+    vx, difference = _step_values(system, V, states)
     with np.errstate(over="ignore", invalid="ignore"):
-        vx = V.values(states)
         v_max = vx if V_rhs is None else V_rhs.values(states)
-        origin = _row_dots(states) == 0.0
-        bad = np.flatnonzero(origin | (v_max < 0.0))
-        if len(bad):
-            if origin[bad[0]]:
-                raise OriginError("the decrement condition excludes the origin")
+        if (v_max < 0.0).any():
             raise ParameterDomainError("candidate values must be nonnegative")
-        vfx = V.values(system.apply_batch(states))
         low = gains.alpha * np.float_power(v_max, gains.r1)
         high = gains.beta * np.float_power(v_max, gains.r2)
-        return vx, ((vfx - vx) + np.where(high > low, high, low)) - slack
+        return vx, (difference + np.where(high > low, high, low)) - slack
+
+
+def _violating(residuals: np.ndarray, tolerance: float) -> np.ndarray:
+    """Residuals above the tolerance, and NaN ones, which cannot be shown to hold."""
+    return ~(residuals <= tolerance)
 
 
 def _first_max(residuals: np.ndarray) -> float:
-    """The first largest non-NaN residual in order, -inf if there is none.
+    """The first largest residual in order: NaN if any is NaN, -inf for none.
 
-    This is what a running ``max`` from -inf keeps, down to the sign of a
-    zero that ties with the other one.
+    Apart from NaN this is what a running ``max`` from -inf keeps, down to
+    the sign of a zero that ties with the other one.
     """
-    numbers = residuals[~np.isnan(residuals)]
-    return float(numbers[np.argmax(numbers)]) if len(numbers) else -math.inf
+    return float(residuals[np.argmax(residuals)]) if len(residuals) else -math.inf
 
 
 def decrement_residual(
@@ -270,8 +281,10 @@ def decrement_residual(
     still computed along the nominal step.  A batch of one through the
     scans' kernel.
     """
-    state = as_state(x, system.dimension)
-    return float(_residuals(system, V, gains, state[None, :], V_rhs, slack)[1][0])
+    state = as_state(x, system.dimension)[None, :]
+    if _at_origin(state)[0]:
+        raise OriginError(_AT_ORIGIN)
+    return float(_residuals(system, V, gains, state, V_rhs, slack)[1][0])
 
 
 def check_basic_lyapunov(
@@ -284,7 +297,8 @@ def check_basic_lyapunov(
 
     Checks V = 0 at the origin, V > 0 at each (nonzero) grid point, and the
     nonstrict decrement V(F(x)) - V(x) <= 0 at each grid point.  Each
-    point's positivity violation is listed before its decrement violation.
+    point's positivity violation is listed before its decrement violation;
+    a NaN residual counts as a violation, as in the scans.
     """
     grid = as_state_grid(domain_grid, system.dimension)
     if len(grid) == 0:
@@ -296,13 +310,12 @@ def check_basic_lyapunov(
         violations.append(Violation(tuple(origin), origin_residual, check="origin"))
 
     # Positivity and decrement are posed away from the origin.
-    points = grid[_row_dots(grid) != 0.0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        vx = V.values(points)
-        # Row i holds point i's positivity and decrement residuals.
-        residuals = np.stack([-vx, V.values(system.apply_batch(points)) - vx], axis=1)
+    points = grid[~_at_origin(grid)]
+    vx, difference = _step_values(system, V, points)
+    # Row i holds point i's positivity and decrement residuals.
+    residuals = np.stack([-vx, difference], axis=1)
     checks = ("positivity", "decrement")
-    for i, j in zip(*np.nonzero(residuals > tolerance)):
+    for i, j in zip(*np.nonzero(_violating(residuals, tolerance))):
         violations.append(
             Violation(tuple(points[i].tolist()), float(residuals[i, j]), check=checks[j])
         )
@@ -378,8 +391,13 @@ def scan_conditions(
     if len(pts) == 0:
         raise EmptyDomainError("scan grid is empty")
     condition_id, slack = _condition(V, v_rhs, g_norm)
+    origin = np.flatnonzero(_at_origin(pts))
+    if len(origin):
+        # The first offending point raises: a negative level before it wins.
+        _residuals(system, V, gains, pts[: origin[0]], v_rhs, slack)
+        raise OriginError(_AT_ORIGIN)
     vx, residuals = _residuals(system, V, gains, pts, v_rhs, slack)
-    violating = residuals > tolerance
+    violating = _violating(residuals, tolerance)
 
     intervals = (
         _violation_intervals(pts, violating) if system.dimension == 1 else None
@@ -415,10 +433,10 @@ def scan_trajectory(
         raise EmptyDomainError("trajectory scan needs at least one transition")
     condition_id, slack = _condition(V, v_rhs, g_norm)
     states = traj.states[:-1]
-    nonzero = _row_dots(states) != 0.0
+    nonzero = ~_at_origin(states)
     steps = np.flatnonzero(nonzero)
     residuals = _residuals(system, V, gains, states[nonzero], v_rhs, slack)[1]
-    violating = residuals > tolerance
+    violating = _violating(residuals, tolerance)
 
     return ConditionReport(
         condition_id=condition_id,
@@ -471,6 +489,15 @@ def _row_dots(rows: np.ndarray) -> np.ndarray:
     last bit on some rows of two or more components.
     """
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def _at_origin(states: np.ndarray) -> np.ndarray:
+    """Which rows are the origin: their dot product is zero.
+
+    A dot product that overflows is inf, without a warning.
+    """
+    with np.errstate(over="ignore"):
+        return _row_dots(states) == 0.0
 
 
 def _row_norms(rows: np.ndarray) -> np.ndarray:

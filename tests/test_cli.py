@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,19 @@ class TestCheckCommand:
         assert low_iv[1] <= inner <= high_iv[0]
         assert low_iv[1] == pytest.approx(inner, rel=0.01)
         assert high_iv[0] == pytest.approx(outer, rel=0.01)
+
+    def test_overflowing_candidate_is_reported_not_certified(self, tmp_path):
+        payload = case1_config(
+            lyapunov={"form": "poly", "coefficients": [1.0, 1.0, 1.0]},
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            analysis={"grid": {"scale": "log", "low": 1e120, "high": 1e150, "points": 4}},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        data = json.loads((tmp_path / "check.json").read_text())
+        assert data["holds_everywhere"] is False
+        assert len(data["violations"]) == 4
+        assert math.isnan(data["max_residual"])
 
     def test_trajectory_mode(self, tmp_path):
         payload = case1_config(

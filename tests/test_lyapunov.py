@@ -370,6 +370,19 @@ class TestScanConditions:
         report = scan_conditions(system, v, gains, [[0.0, 1.0], [1.0, 1.0]], v_rhs=None)
         assert (0.0, 1.0) in report.value_zero_points
 
+    def test_overflowing_candidate_is_not_certified(self, case1_system):
+        # ||x||^3 overflows at 1e120 and 1e150, so V(x) = V(F(x)) = inf there
+        # and the residual is inf - inf: those points cannot be shown to hold.
+        V = polynomial_candidate([1.0, 1.0, 1.0])
+        report = scan_conditions(
+            case1_system, V, FixedTimeGains(*MAPPED_GAINS), [0.5, 1e120, 1e150, 0.25],
+            tolerance=math.inf,
+        )
+        assert [v.where for v in report.violations] == [(1e120,), (1e150,)]
+        assert all(math.isnan(v.residual) for v in report.violations)
+        assert math.isnan(report.max_residual)
+        assert report.violation_intervals == ((1e120, 1e150),)
+
     def test_residual_sign_matches_violation_membership(self, case1_system):
         gains = FixedTimeGains(*MAPPED_GAINS)
         grid = np.logspace(-2, 3, 300)
@@ -393,6 +406,16 @@ class TestScanTrajectory:
         report = scan_trajectory(doubling_system, square_candidate(), gains, traj)
         assert report.checked_points == 5
         assert [v.where for v in report.violations] == [0, 1, 2, 3, 4]
+
+    def test_overflowing_orbit_is_not_certified(self, doubling_system):
+        # Beyond |x| ~ 1.3e154 both V(x) = x^2 and V(2x) are inf.
+        gains = FixedTimeGains(0.5, 0.5, 0.5, 2.0)
+        traj = simulate(doubling_system, 1e160, 3)
+        report = scan_trajectory(
+            doubling_system, square_candidate(), gains, traj, tolerance=math.inf
+        )
+        assert [v.where for v in report.violations] == [0, 1, 2]
+        assert math.isnan(report.max_residual)
 
     def test_origin_states_skipped(self, case1_system):
         gains = FixedTimeGains(*MAPPED_GAINS)
@@ -511,8 +534,14 @@ class TestTwoDimensionalSystems:
 # -- batched scans against the per-point loop they replace ---------------------------
 
 
+# The reference loop models two choices that depart from a plain Python
+# loop: a power that overflows gives inf (Python's ``**`` raises
+# OverflowError there), and a NaN residual, which cannot be shown to hold,
+# is a violation and makes ``max_residual`` NaN.
+
+
 def _pow(v, r):
-    """``v ** r``, with +inf where the power overflows (Python raises there)."""
+    """``v ** r``, with +inf where the power overflows."""
     try:
         return v ** r
     except OverflowError:
@@ -543,6 +572,17 @@ def _reference_residual(system, V, gains, x, V_rhs, slack):
     return ((vfx - vx) + dmax) - slack
 
 
+def _is_violation(r, tolerance):
+    return not r <= tolerance
+
+
+def _keep_max(best, r):
+    """A running ``max`` in which a NaN, once seen, stays."""
+    if math.isnan(best) or math.isnan(r):
+        return math.nan
+    return max(best, r)
+
+
 def _reference_intervals(xs_unsorted, flags_unsorted):
     order = np.argsort(xs_unsorted, kind="stable")
     xs, flags = xs_unsorted[order], np.asarray(flags_unsorted)[order]
@@ -565,9 +605,9 @@ def _reference_scan(system, V, gains, pts, V_rhs, slack, tolerance, condition_id
         if V(p) == 0.0:
             zeros.append(tuple(p))
         r = _reference_residual(system, V, gains, p, V_rhs, slack)
-        best = max(best, r)
-        flags.append(r > tolerance)
-        if r > tolerance:
+        best = _keep_max(best, r)
+        flags.append(_is_violation(r, tolerance))
+        if _is_violation(r, tolerance):
             violations.append(Violation(tuple(p), r))
     return ConditionReport(
         condition_id=condition_id,
@@ -591,8 +631,8 @@ def _reference_orbit_scan(system, V, gains, states, V_rhs, slack, tolerance, con
             continue
         checked += 1
         r = _reference_residual(system, V, gains, states[k], V_rhs, slack)
-        best = max(best, r)
-        if r > tolerance:
+        best = _keep_max(best, r)
+        if _is_violation(r, tolerance):
             violations.append(Violation(k, r))
     return ConditionReport(
         condition_id=condition_id,
@@ -608,7 +648,7 @@ def _reference_orbit_scan(system, V, gains, states, V_rhs, slack, tolerance, con
 def _reference_basic(system, V, grid, tolerance):
     violations, best = [], -math.inf
     origin_residual = abs(V(np.zeros(system.dimension)))
-    best = max(best, origin_residual)
+    best = _keep_max(best, origin_residual)
     if origin_residual > tolerance:
         violations.append(Violation(tuple(np.zeros(system.dimension)), origin_residual, "origin"))
     for p in grid:
@@ -616,8 +656,8 @@ def _reference_basic(system, V, grid, tolerance):
             continue
         vx = V(p)
         for check, r in (("positivity", -vx), ("decrement", V(system.apply(p)) - vx)):
-            best = max(best, r)
-            if r > tolerance:
+            best = _keep_max(best, r)
+            if _is_violation(r, tolerance):
                 violations.append(Violation(tuple(p), r, check))
     return ConditionReport(
         condition_id=ConditionId.LYAP_BASIC,
