@@ -57,7 +57,6 @@ from .settling import (
     analyze_settling,
     example_bound,
     gains_from_example,
-    guarded_floor,
     measure_first_entry,
     measure_settling,
     phase1_bound,

@@ -10,6 +10,7 @@ results are reproducible bit for bit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -78,7 +79,10 @@ def divergence_threshold(bprime: float, r2prime: float) -> float:
     """
     if not 0.0 < bprime < 1.0 or not r2prime > 1.0:
         raise ParameterDomainError("benchmark parameters outside their ranges")
-    return (2.0 / bprime) ** (1.0 / (r2prime - 1.0))
+    try:
+        return (2.0 / bprime) ** (1.0 / (r2prime - 1.0))
+    except OverflowError:  # beyond float64: no finite magnitude diverges
+        return math.inf
 
 
 def sweep_grid(case: Table1Case, points: int = 101, low: float = 2.0,

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import EmptyDomainError, ParameterDomainError
 from .lyapunov import FixedTimeGains, LyapunovCandidate
 from .record import Record
-from .settling import FLOOR_GUARD, entry_and_stay, phase1_bound, phase2_bound
+from .settling import entry_and_stay, phase1_bound, phase2_bound, shortest_decimal
 from .systems import Trajectory
 
 BRANCH_HIGH = "V0_GT_1"
@@ -84,9 +84,14 @@ def attractive_level(cfg: AttractivenessConfig) -> float:
     Collapses to 0 in the unperturbed limit delta0 = 0.
     """
     lv_delta = cfg.lipschitz_lv * cfg.delta0
-    if cfg.branch == BRANCH_HIGH:
-        return (cfg.m1 * lv_delta / cfg.gains.beta) ** (1.0 / cfg.gains.r2)
-    return (cfg.m2 * lv_delta / cfg.gains.alpha) ** (1.0 / cfg.gains.r1)
+    try:
+        if cfg.branch == BRANCH_HIGH:
+            return (cfg.m1 * lv_delta / cfg.gains.beta) ** (1.0 / cfg.gains.r2)
+        return (cfg.m2 * lv_delta / cfg.gains.alpha) ** (1.0 / cfg.gains.r1)
+    except OverflowError:  # float ** raises where * and / return inf
+        raise ParameterDomainError(
+            f"attractive level B overflows float64 on branch {cfg.branch}"
+        ) from None
 
 
 def feasibility_residual(cfg: AttractivenessConfig, b_target: float) -> float:
@@ -111,12 +116,14 @@ def slackened_gain(cfg: AttractivenessConfig) -> float:
     return (1.0 - 1.0 / cfg.m2) * cfg.gains.alpha
 
 
-def perturbed_settling_bound(cfg: AttractivenessConfig, guard: float = FLOOR_GUARD) -> int:
+def perturbed_settling_bound(cfg: AttractivenessConfig) -> int:
     """Fixed step bound for reaching the attractive set under perturbation.
 
     Reuses the phase-bound kernels with the slackened gain of the active
-    branch.  The slackened gain lies in (0, 1) whenever m > 1 and the gains
-    are admissible, so the kernels' own domain checks cannot fire.
+    branch, evaluated exactly from the decimals of m and the gain: m = 1.5
+    and beta = 0.25 give exactly 1/12, where float64 gives a value above it.
+    The slackened gain lies in (0, 1) whenever m > 1 and the gains are
+    admissible, so the kernels' own domain checks cannot fire.
     """
     gain_d = slackened_gain(cfg)
     if not 0.0 < gain_d < 1.0:
@@ -124,8 +131,10 @@ def perturbed_settling_bound(cfg: AttractivenessConfig, guard: float = FLOOR_GUA
             f"slackened gain {gain_d!r} left (0, 1); check m and the gains"
         )
     if cfg.branch == BRANCH_HIGH:
-        return phase1_bound(gain_d, cfg.gains.r2, guard)
-    return phase2_bound(gain_d, cfg.gains.r1, guard)
+        exact = (1 - 1 / shortest_decimal(cfg.m1)) * shortest_decimal(cfg.gains.beta)
+        return phase1_bound(exact, cfg.gains.r2)
+    exact = (1 - 1 / shortest_decimal(cfg.m2)) * shortest_decimal(cfg.gains.alpha)
+    return phase2_bound(exact, cfg.gains.r1)
 
 
 def verify_attractiveness(
@@ -147,7 +156,7 @@ def _entry_and_remained(values, B: float) -> Tuple[Optional[int], bool]:
 
 
 def remark_tradeoff_table(
-    cfg: AttractivenessConfig, m_values: Sequence[float], guard: float = FLOOR_GUARD
+    cfg: AttractivenessConfig, m_values: Sequence[float]
 ) -> Tuple[Tuple[float, float, int], ...]:
     """(m, B, K*) rows for a sweep of the active branch's slack constant.
 
@@ -160,7 +169,7 @@ def remark_tradeoff_table(
     for m in m_values:
         cfg_m = replace(cfg, m1=m) if cfg.branch == BRANCH_HIGH else replace(cfg, m2=m)
         rows.append(
-            (float(m), attractive_level(cfg_m), perturbed_settling_bound(cfg_m, guard))
+            (float(m), attractive_level(cfg_m), perturbed_settling_bound(cfg_m))
         )
     return tuple(rows)
 
@@ -190,7 +199,6 @@ def analyze_attractiveness(
     cfg: AttractivenessConfig,
     traj: Optional[Trajectory] = None,
     V: Optional[LyapunovCandidate] = None,
-    guard: float = FLOOR_GUARD,
 ) -> AttractivenessReport:
     """Compute level, bound and feasibility, and verify a recorded orbit.
 
@@ -199,7 +207,7 @@ def analyze_attractiveness(
     reported alongside.
     """
     b_level = attractive_level(cfg)
-    k_star = perturbed_settling_bound(cfg, guard)
+    k_star = perturbed_settling_bound(cfg)
     gain_d = slackened_gain(cfg)
     residual = feasibility_residual(cfg, b_level) if b_level > 0.0 else 0.0
 

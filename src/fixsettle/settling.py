@@ -8,17 +8,23 @@ integer step bounds:
     phase 2 (level at most 1, sublinear branch):
         K2 - K1 <= floor(alpha^(1/(r1-1))) + 1
 
-and their sum, the initial-condition-independent settling bound.  The
-module also provides the normalized q-sequence and the extinction
-S-sequence those proofs rest on, implemented as independently checkable
-constructs, plus entry-and-stay settling measurement on recorded orbits.
+and their sum, the initial-condition-independent settling bound.  Every
+floor is decided exactly.  A float parameter stands for its shortest
+round-trip decimal, ``Fraction(repr(x))``, which is the literal a config
+gave: 0.25^(1/(0.5-1)) is exactly 16 and floors to 16 although float64
+may land just below it, and an argument truly below an integer floors
+below it however close it lies.  The module also provides the normalized
+q-sequence and the extinction S-sequence those proofs rest on,
+implemented as independently checkable constructs, plus entry-and-stay
+settling measurement on recorded orbits.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,53 +33,166 @@ from .lyapunov import FixedTimeGains
 from .record import Record
 from .systems import Trajectory, validate_example_params
 
-# Floor arguments that are exact integers in real arithmetic (for instance
-# 0.25^-2 = 16) may land just below the integer in float64; pulling values
-# within this distance up before flooring keeps such cases stable.
-FLOOR_GUARD = 1e-9
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+# Unit roundoff of float64: a correctly rounded operation is within this
+# relative distance of its exact result.
+_U = 2.0 ** -53
 
 
-def guarded_floor(x: float, guard: float = FLOOR_GUARD) -> int:
-    """floor(x), except values within ``guard`` below an integer round up."""
+def shortest_decimal(x) -> Fraction:
+    """The shortest round-trip decimal of ``x``, as an exact rational.
+
+    ``float()`` comes first because numpy 2 writes ``repr(np.float64(0.25))``
+    as ``'np.float64(0.25)'``.
+    """
+    # fractions and decimal load with the first bound: importing them takes
+    # about 4 ms, 3-5 % of a CLI start, which simulate and check never need.
+    from decimal import Decimal
+    from fractions import Fraction
+
+    x = float(x)
     if not math.isfinite(x):
-        raise ParameterDomainError(f"floor argument must be finite, got {x!r}")
-    c = math.ceil(x)
-    if 0.0 <= c - x <= guard:
-        return c
-    return math.floor(x)
+        raise ParameterDomainError(f"bound parameter must be finite, got {x!r}")
+    return Fraction(Decimal(repr(x)))  # exact, and parsed faster than by Fraction
 
 
-def phase1_bound(beta: float, r2: float, guard: float = FLOOR_GUARD) -> int:
-    """Step bound for driving the candidate level from above 1 down to 1."""
+def _int_root(n: int, q: int) -> Optional[int]:
+    """The integer q-th root of ``n >= 1``, or None when ``n`` is no q-th power."""
+    if n == 1:
+        return 1
+    if q >= n.bit_length():  # 1 < n^(1/q) < 2
+        return None
+    x = 1 << -(-n.bit_length() // q)  # above the root; Newton descends to it
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x if x ** q == n else None
+        x = y
+
+
+def _exact_floor(b: Fraction, e: Fraction, c0: Fraction, c1: Fraction, near: int) -> int:
+    """floor((b^e - c0) / c1) for exact rationals; ``near`` estimates it.
+
+    The argument is an integer n exactly when b^e = n c1 + c0, which needs a
+    rational b^(1/q), for e = p/q in lowest terms, and is settled in
+    integers.  Otherwise decimal brackets of rising precision narrow until
+    they hold no integer.
+    """
+    import decimal
+
+    p, q = e.numerator, e.denominator
+    num, den = _int_root(b.numerator, q), _int_root(b.denominator, q)
+    if p < 0:
+        num, den = den, num
+    rational = num is not None and den is not None
+
+    def is_argument(n: int) -> bool:
+        # b^e = (num/den)^|p| is in lowest terms: compare the |p|-th roots of
+        # the target's numerator and denominator, never forming the power.
+        target = n * c1 + c0
+        return (
+            rational
+            and target > 0
+            and _int_root(target.numerator, abs(p)) == num
+            and _int_root(target.denominator, abs(p)) == den
+        )
+
+    if is_argument(near):
+        return near
+    # Each decimal operation is correctly rounded, within eps/2 relative; to
+    # first order t misses e ln(b) by (|e| + 2|t|) eps and y misses the
+    # argument by (|e| + 2|t| + 4) eps (b^e + |c0|) / c1.  The bracket
+    # doubles that.
+    prec = 40
+    while True:
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
+            bd, ed, c0d, c1d = (
+                decimal.Decimal(f.numerator) / f.denominator for f in (b, e, c0, c1)
+            )
+            t = ed * bd.ln()
+            power = t.exp()
+            y = (power - c0d) / c1d
+            eps = decimal.Decimal(10) ** (1 - prec)
+            err = 2 * eps * (abs(ed) + 2 * abs(t) + 4) * (power + abs(c0d)) / c1d
+            lo, hi = (int((y + d).to_integral_value(decimal.ROUND_FLOOR)) for d in (-err, err))
+        if lo == hi:
+            return lo
+        if hi == lo + 1 and is_argument(hi):
+            return hi
+        prec *= 2
+
+
+def _power_floor(b, k: int, r, c0=0, c1=1) -> int:
+    """floor((b^e - c0) / c1) with e = k / (1 - r), decided exactly.
+
+    Needs b > 0, r != 1, c1 > 0 and b^e >= 1, as every bound here has.
+    ``b``, ``r``, ``c0`` and ``c1`` are rationals (Fraction, int) or floats,
+    and a float stands for its shortest decimal.
+    """
+    bf, rf, c0f, c1f = float(b), float(r), float(c0), float(c1)
+    ef = k / (1.0 - rf)
+    try:
+        power = bf ** ef
+    except OverflowError:  # float ** raises where * and / return inf
+        power = math.inf
+    y = (power - c0f) / c1f
+    if not math.isfinite(y):
+        raise ParameterDomainError(
+            f"bound argument ({bf!r}^{ef!r} - {c0f!r}) / {c1f!r} overflows float64"
+        )
+    # Float shortcut.  bf, rf, c0f and c1f are each rounded once from the
+    # exact values, so each is within _U of it, relative, and libm pow is
+    # within one ulp (2 _U).  1 - rf then misses 1 - r by (|r| / |1 - r| + 1)
+    # _U, relative: the exponent's sensitivity 1/|1 - r|.  So ef misses e by
+    # (|r e / k| + 2) _U, ef ln(bf) misses e ln(b) by
+    # (|e ln b| (|r e / k| + 2) + |e|) _U to first order, and power misses
+    # b^e by that plus 2 _U, relative.  The subtraction and the division add
+    # 4 _U (b^e + |c0|) / c1.  The margin doubles the sum, which also covers
+    # rounding y -/+ margin.
+    sensitivity = abs(rf * ef / k) + 2
+    spread = abs(ef * math.log(bf)) * sensitivity + abs(ef) + 6
+    margin = 2 * _U * spread * (power + abs(c0f)) / c1f
+    hi = y + margin
+    if hi < math.inf and math.floor(y - margin) == math.floor(hi):
+        return math.floor(hi)
+    b, r, c0, c1 = (
+        x if isinstance(x, numbers.Rational) else shortest_decimal(x) for x in (b, r, c0, c1)
+    )
+    return _exact_floor(b, k / (1 - r), c0, c1, round(y))
+
+
+def phase1_bound(beta: float | Fraction, r2: float) -> int:
+    """Step bound for driving the candidate level from above 1 down to 1.
+
+    ``beta`` is a float, standing for its shortest decimal, or an exact
+    Fraction.
+    """
     if not 0.0 < beta < 1.0:
         raise ParameterDomainError(f"beta={beta!r} must lie in (0, 1)")
     if not r2 > 1.0:
         raise ParameterDomainError(f"r2={r2!r} must exceed 1")
-    return guarded_floor((beta ** (1.0 / (1.0 - r2)) - 1.0) / beta, guard) + 1
+    return _power_floor(beta, 1, r2, 1, beta) + 1
 
 
-def phase2_bound(alpha: float, r1: float, guard: float = FLOOR_GUARD) -> int:
-    """Step bound for extinguishing a candidate level of at most 1."""
+def phase2_bound(alpha: float | Fraction, r1: float) -> int:
+    """Step bound for extinguishing a candidate level of at most 1.
+
+    ``alpha`` is a float, standing for its shortest decimal, or an exact
+    Fraction.
+    """
     if not 0.0 < alpha < 1.0:
         raise ParameterDomainError(f"alpha={alpha!r} must lie in (0, 1)")
     if not 0.0 < r1 < 1.0:
         raise ParameterDomainError(f"r1={r1!r} must lie in (0, 1)")
-    return guarded_floor(alpha ** (1.0 / (r1 - 1.0)), guard) + 1
+    return _power_floor(alpha, -1, r1) + 1
 
 
-def settling_bound(gains: FixedTimeGains, guard: float = FLOOR_GUARD) -> int:
-    """Combined fixed-time settling bound.
-
-    Evaluated directly from the combined formula; it must coincide with
-    phase1_bound + phase2_bound, which the test suite asserts over random
-    admissible gains.
-    """
-    alpha, beta, r1, r2 = gains.alpha, gains.beta, gains.r1, gains.r2
-    return (
-        guarded_floor(alpha ** (1.0 / (r1 - 1.0)), guard)
-        + guarded_floor((beta ** (1.0 / (1.0 - r2)) - 1.0) / beta, guard)
-        + 2
-    )
+def settling_bound(gains: FixedTimeGains) -> int:
+    """Combined fixed-time settling bound: phase1_bound + phase2_bound."""
+    return phase1_bound(gains.beta, gains.r2) + phase2_bound(gains.alpha, gains.r1)
 
 
 def gains_from_example(
@@ -84,33 +203,27 @@ def gains_from_example(
     The quadratic candidate's difference is bounded by squared powers of
     |x|, which matches the decrement inequality for V = |x| with
     alpha = aprime^2, beta = bprime^2, r1 = 2 r1prime, r2 = 2 r2prime.
+    alpha and beta are the correctly rounded squares of the decimals, so
+    0.8 gives 0.64, where the float product 0.8 * 0.8 is 0.6400000000000001.
     """
     validate_example_params(aprime, bprime, r1prime, r2prime)
     return FixedTimeGains(
-        alpha=aprime ** 2, beta=bprime ** 2, r1=2.0 * r1prime, r2=2.0 * r2prime
+        alpha=float(shortest_decimal(aprime) ** 2),
+        beta=float(shortest_decimal(bprime) ** 2),
+        r1=2.0 * r1prime,
+        r2=2.0 * r2prime,
     )
 
 
-def example_bound(
-    aprime: float,
-    bprime: float,
-    r1prime: float,
-    r2prime: float,
-    guard: float = FLOOR_GUARD,
-) -> int:
+def example_bound(aprime: float, bprime: float, r1prime: float, r2prime: float) -> int:
     """Settling bound of the benchmark map in its native parameters.
 
     Algebraically equal to ``settling_bound(gains_from_example(...))``; kept
     as an independent evaluation route so the identity is a real check.
     """
     validate_example_params(aprime, bprime, r1prime, r2prime)
-    return (
-        guarded_floor(aprime ** (2.0 / (2.0 * r1prime - 1.0)), guard)
-        + guarded_floor(
-            (bprime ** (2.0 / (1.0 - 2.0 * r2prime)) - 1.0) / bprime ** 2, guard
-        )
-        + 2
-    )
+    a, b, r1, r2 = (shortest_decimal(p) for p in (aprime, bprime, r1prime, r2prime))
+    return _power_floor(a, -2, 2 * r1) + _power_floor(b, 2, 2 * r2, 1, b * b) + 2
 
 
 def check_level(level: float) -> float:
@@ -176,15 +289,12 @@ class SettlingReport(Record):
 
 
 def analyze_settling(
-    gains: FixedTimeGains,
-    traj: Optional[Trajectory] = None,
-    epsilon: float = 0.0,
-    guard: float = FLOOR_GUARD,
+    gains: FixedTimeGains, traj: Optional[Trajectory] = None, epsilon: float = 0.0
 ) -> SettlingReport:
     """Evaluate all bounds for ``gains`` and measure settling of ``traj``."""
-    k1 = phase1_bound(gains.beta, gains.r2, guard)
-    k2 = phase2_bound(gains.alpha, gains.r1, guard)
-    k_star = settling_bound(gains, guard)
+    k1 = phase1_bound(gains.beta, gains.r2)
+    k2 = phase2_bound(gains.alpha, gains.r1)
+    k_star = k1 + k2
     empirical = measure_settling(traj, epsilon) if traj is not None else None
     return SettlingReport(
         bound_K_star=k_star,

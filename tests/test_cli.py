@@ -2,10 +2,14 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import fixsettle
 from fixsettle.cli import main
 from fixsettle.lyapunov import ConditionReport
 from fixsettle.oracle import SweepResult, Table1Row
@@ -149,6 +153,14 @@ class TestBoundCommand:
         assert attract["branch"] == "V0_LE_1"
         assert bound["perturbed_K_star"] == attract["K_star"] == 299
 
+    def test_overflowing_bound_is_a_domain_error(self, tmp_path, capsys):
+        # beta^(1/(1-r2)) = 0.25^(-1e7) overflows float64.
+        payload = case1_config(gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 1.0000001})
+        cfg = write_config(tmp_path, payload)
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflows" in err
+
     def test_auto_branch_needs_x0(self, tmp_path, capsys):
         payload = case1_config(
             gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
@@ -245,6 +257,18 @@ class TestAttractCommand:
         )
         assert report.B == 0.0
         assert report.empirical_entry is None  # orbit never reaches exact zero
+
+    def test_overflowing_level_is_a_domain_error(self, tmp_path, capsys):
+        # B = (2 * 1 * 0.1 / 0.01)^(1/0.001) = 20^1000 on the low branch.
+        payload = case1_config(
+            gains={"alpha": 0.01, "beta": 0.25, "r1": 0.001, "r2": 2.2},
+            perturbation={"delta0": 0.1, "generator": "uniform_ball", "seed": 5},
+            analysis={"x0": 0.5, "k_max": 20, "branch": "auto"},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "level B" in err
 
     def test_perturbed_run_and_tradeoff(self, tmp_path):
         payload = case1_config(
@@ -525,3 +549,14 @@ class TestMoreConfigSurfaces:
         negs = sorted(-w for w in wheres if w < 0)
         poss = sorted(w for w in wheres if w > 0)
         assert negs == pytest.approx(poss)
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # mpmath is a test dependency; loading it would add to every CLI start.
+    src = str(Path(fixsettle.__file__).resolve().parents[1])
+    code = "import sys, fixsettle.cli; print('mpmath' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

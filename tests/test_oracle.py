@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from fixsettle import (
     SystemMap,
     affine_system,
     SweepResult,
+    Table1Case,
     Table1Row,
     TABLE1_CASES,
     divergence_threshold,
@@ -40,6 +43,12 @@ class TestDivergenceThreshold:
         assert abs(above[0]) > thresh * 1.05
         below = system.apply([thresh * 0.95])
         assert abs(below[0]) < thresh * 0.95
+
+    def test_threshold_beyond_float64_is_infinite(self):
+        # (2 / 0.5)^(1 / 1e-7) = 4^(1e7) overflows; the grid then caps at high.
+        assert divergence_threshold(0.5, 1.0000001) == math.inf
+        case = Table1Case("near_linear", 0.8, 0.5, 0.4, 1.0000001, 0, 0)
+        assert sweep_grid(case, high=1e4)[-1] == pytest.approx(1e4)
 
 
 class TestSweep:

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -86,6 +88,11 @@ class TestAttractiveLevel:
         assert attractive_level(cfg_high(delta0=0.0)) == 0.0
         assert attractive_level(cfg_low(delta0=0.0)) == 0.0
 
+    def test_overflowing_level_is_a_domain_error(self):
+        # (2 * 1 * 0.1 / 0.01)^(1/0.001) = 20^1000 exceeds float64.
+        with pytest.raises(ParameterDomainError, match="attractive level B"):
+            attractive_level(cfg_low(alpha=0.01, r1=0.001, delta0=0.1))
+
 
 class TestFeasibilityResidual:
     def test_zero_at_the_computed_level(self):
@@ -124,9 +131,13 @@ class TestPerturbedSettlingBound:
         assert abs(softened - nominal) <= 1
 
     def test_bound_reuses_phase_kernels(self):
+        # The slackened gain is exact: (1 - 1/3) 0.25 = 1/6, so the argument
+        # is (6 - 1) 6 = 30.  Its float64 value, 0.16666666666666669, lies
+        # above 1/6 and would give 29 + 1.
         cfg = cfg_high(m1=3.0)
-        beta_d = (1.0 - 1.0 / 3.0) * 0.25
-        assert perturbed_settling_bound(cfg) == phase1_bound(beta_d, 2.0)
+        beta_d = (1 - Fraction(1, 3)) * Fraction(1, 4)
+        assert perturbed_settling_bound(cfg) == phase1_bound(beta_d, 2.0) == 31
+        assert phase1_bound((1.0 - 1.0 / 3.0) * 0.25, 2.0) == 30
 
 
 class TestRemarkTradeoff:

@@ -1,5 +1,10 @@
+import math
+import sys
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from fixsettle import (
     FixedTimeGains,
@@ -8,7 +13,6 @@ from fixsettle import (
     analyze_settling,
     example_bound,
     gains_from_example,
-    guarded_floor,
     measure_first_entry,
     measure_settling,
     phase1_bound,
@@ -19,32 +23,115 @@ from fixsettle import (
     settling_vs_epsilon,
     simulate,
 )
+from fixsettle import settling
 from conftest import CASE1
 
 
-class TestGuardedFloor:
-    def test_plain_floor(self):
-        assert guarded_floor(9.3132) == 9
-        assert guarded_floor(-2.3) == -3
+def _exact_decimal(x: float, value: Fraction) -> float:
+    """``x``, after checking that its shortest decimal is ``value``."""
+    assert Fraction(repr(x)) == value
+    return x
 
-    def test_exact_integers(self):
-        assert guarded_floor(16.0) == 16
-        assert guarded_floor(0.25 ** -2.5) == 32
 
-    def test_guard_pulls_up_near_integers(self):
-        assert guarded_floor(16.0 - 1e-10) == 16
-        assert guarded_floor(7599.9999999999991) == 7600
+class TestExactFloor:
+    def test_large_exact_integer_is_not_lost(self):
+        # 0.0001^-2 = 1e8 exactly, but float64 gives 99999999.99999999.
+        assert phase2_bound(0.0001, 0.5) == 100000001
+        assert phase2_bound(2e-05, 0.5) == 2500000001
 
-    def test_guard_does_not_overreach(self):
-        assert guarded_floor(15.9999999) == 15
-        assert guarded_floor(16.0000001) == 16
+    def test_value_just_below_an_integer_is_not_pulled_up(self):
+        # The argument is 15.9999999995..., within 1e-9 of 16.
+        assert phase2_bound(0.25000000000390626, 0.5) == 16
 
-    def test_guard_configurable(self):
-        assert guarded_floor(15.9999999, guard=1e-6) == 16
+    @settings(max_examples=200, deadline=None)
+    @given(i=st.integers(0, 30), j=st.integers(0, 20))
+    def test_phase2_exact_integer_arguments(self, i, j):
+        # alpha = 2^-i 5^-j has at most 15 significant digits, so its float
+        # reads back as that decimal; alpha^-2 = 4^i 25^j exactly.
+        assume(i + j > 0 and i - j <= 21)
+        exact = Fraction(1, 2 ** i * 5 ** j)
+        alpha = _exact_decimal(float(exact), exact)
+        assert phase2_bound(alpha, 0.5) == 4 ** i * 25 ** j + 1
 
-    def test_nonfinite_rejected(self):
-        with pytest.raises(ParameterDomainError):
-            guarded_floor(float("inf"))
+    @settings(max_examples=200, deadline=None)
+    @given(i=st.integers(0, 20), j=st.integers(0, 12))
+    def test_phase1_exact_integer_arguments(self, i, j):
+        # beta = 1/m^2 with r2 = 3: beta^(1/(1-3)) = m, so the argument is
+        # (m - 1) m^2 exactly.
+        m = 2 ** i * 5 ** j
+        assume(m > 1 and i - j <= 10)
+        exact = Fraction(1, m * m)
+        beta = _exact_decimal(float(exact), exact)
+        assert phase1_bound(beta, 3.0) == (m - 1) * m * m + 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        a=st.integers(1, 9999),
+        b=st.integers(1, 9999),
+        r1=st.integers(1, 999),
+        r2=st.integers(1001, 4000),
+    )
+    def test_matches_mpmath_on_short_literals(self, a, b, r1, r2):
+        import mpmath as mp
+
+        alpha, beta = f"0.{a:04d}", f"0.{b:04d}"
+        r1s, r2s = f"0.{r1:03d}", f"{r2 // 1000}.{r2 % 1000:03d}"
+        with mp.workdps(100):
+            am, bm, r1m, r2m = (mp.mpf(v) for v in (alpha, beta, r1s, r2s))
+            args = ((bm ** (1 / (1 - r2m)) - 1) / bm, am ** (1 / (r1m - 1)))
+            # 100 digits cannot tell on which side of an integer an argument
+            # within 1e-80 relative lies; the exact-integer tests cover those.
+            floors = [
+                int(mp.floor(v)) if abs(v - mp.nint(v)) > v * mp.mpf(10) ** -80 else None
+                for v in args
+            ]
+        for bound, gain, r, arg, floor in (
+            (phase1_bound, beta, r2s, args[0], floors[0]),
+            (phase2_bound, alpha, r1s, args[1], floors[1]),
+        ):
+            if arg > sys.float_info.max:
+                with pytest.raises(ParameterDomainError):
+                    bound(float(gain), float(r))
+            elif floor is not None:
+                assert bound(float(gain), float(r)) == floor + 1
+
+    def test_irrational_argument_near_an_integer(self, monkeypatch):
+        # alpha^(1/(0.6-1)) = alpha^(-5/2) for alpha = float(17^-0.4) lies
+        # within 3e-15 below 17, too close for the float shortcut; alpha's
+        # numerator is no perfect square, so the decimal branch decides.
+        import mpmath as mp
+
+        alpha = float(17.0 ** -0.4)
+        with mp.workdps(60):
+            arg = mp.mpf(repr(alpha)) ** (1 / (mp.mpf("0.6") - 1))
+        assert 0 < 17 - arg < 1e-14
+        original, roots = settling._int_root, []
+
+        def spy(n, q):
+            roots.append(original(n, q))
+            return roots[-1]
+
+        monkeypatch.setattr(settling, "_int_root", spy)
+        assert phase2_bound(alpha, 0.6) == 17
+        assert None in roots
+
+    def test_exponent_sensitivity_widens_the_margin(self):
+        # With r2 = 1.001 the float exponent 1/(1 - r2) carries r2's rounding
+        # amplified 1000 times: the float argument is 202422309839.13, the
+        # exact one 202422309838.54 (mpmath).  A margin without the
+        # 1/|1 - r| term would accept the float floor.
+        b = 0.974327670679
+        assert math.floor((b ** (1.0 / (1.0 - 1.001)) - 1.0) / b) == 202422309839
+        assert phase1_bound(b, 1.001) == 202422309838 + 1
+
+    def test_overflow_is_a_domain_error(self):
+        with pytest.raises(ParameterDomainError, match="overflows"):
+            phase1_bound(0.25, 1.0000001)
+        with pytest.raises(ParameterDomainError, match="overflows"):
+            phase2_bound(0.01, 0.9999999)
+
+    def test_numpy_scalars_read_as_their_decimal(self):
+        assert phase2_bound(np.float64(0.0001), np.float64(0.5)) == 100000001
 
 
 class TestPhaseBounds:
@@ -115,15 +202,27 @@ class TestExampleBound:
         assert example_bound(*params) == expected
 
     def test_fourth_case_floor_sensitivity(self):
-        # In exact arithmetic the superlinear piece is 400 * 19 = 7600; raw
-        # float64 flooring loses one, which is where the published 7814 vs
-        # recomputed 7815 gap comes from.
-        assert example_bound(0.2, 0.05, 0.2, 1.5, guard=0.0) == 7814
-        assert example_bound(0.2, 0.05, 0.2, 1.5) == 7815
+        # In exact arithmetic the superlinear piece is 400 * 19 = 7600; the
+        # plain float64 floor loses one, which is where the published 7814
+        # vs recomputed 7815 gap comes from.
+        a, b, r1, r2 = 0.2, 0.05, 0.2, 1.5
+        plain = (
+            math.floor(a ** (2.0 / (2.0 * r1 - 1.0)))
+            + math.floor((b ** (2.0 / (1.0 - 2.0 * r2)) - 1.0) / b ** 2)
+            + 2
+        )
+        assert plain == 7814
+        assert example_bound(a, b, r1, r2) == 7815
 
     def test_matches_mapped_gains_route(self):
-        for params in [(0.8, 0.5, 0.4, 1.1), (0.45, 0.3, 0.22, 1.6)]:
+        for params in [(0.8, 0.5, 0.4, 1.1), (0.45, 0.3, 0.22, 1.6), (0.2, 0.05, 0.2, 1.5)]:
             assert example_bound(*params) == settling_bound(gains_from_example(*params))
+
+    def test_mapped_gains_are_rounded_squares_of_the_decimals(self):
+        # 0.8 * 0.8 and 0.05 * 0.05 give 0.6400000000000001 and
+        # 0.0025000000000000005 in float64.
+        gains = gains_from_example(0.8, 0.05, 0.4, 1.1)
+        assert (gains.alpha, gains.beta) == (0.64, 0.0025)
 
     def test_parameter_domain(self):
         with pytest.raises(ParameterDomainError):
