@@ -194,7 +194,7 @@ def cmd_attract(args) -> int:
     if lv is None and cfg.analysis.grid is not None:
         # Grid estimate of the candidate's slope; a lower bound on the true
         # constant, recorded as such in the report.
-        lv = estimate_lipschitz(cfg.lyapunov.value, cfg.analysis.grid.materialize())
+        lv = estimate_lipschitz(cfg.lyapunov.values, cfg.analysis.grid.materialize())
         lv_source = "estimated"
     if lv is None:
         raise FixsettleError(

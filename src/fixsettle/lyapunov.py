@@ -72,23 +72,22 @@ class FixedTimeGains:
 class LyapunovCandidate:
     """A scalar-valued candidate V with optional Lipschitz constant.
 
-    ``value`` maps a state vector to a nonnegative real and must vanish at
-    the origin (checked at construction).  ``lipschitz_LV`` is required only
-    by the perturbed decrement check.  ``value_batch``, when given, maps an
-    (m, dimension) array of states to the m values in one call and must
-    agree with ``value`` bit for bit on every row.
+    ``body`` maps an (m, dimension) array of states to the m values of V in
+    one call; ``V(x)`` is a batch of one through it.  V must vanish at the
+    origin (checked at construction, which also checks the body's output
+    shape).  ``lipschitz_LV`` is required only by the perturbed decrement
+    check.
     """
 
     name: str
-    value: Callable[[np.ndarray], float]
+    body: Callable[[np.ndarray], np.ndarray]
     lipschitz_LV: Optional[float] = None
     dimension: int = 1
-    value_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
         if self.lipschitz_LV is not None and not self.lipschitz_LV > 0.0:
             raise ParameterDomainError("lipschitz_LV must be positive when given")
-        v0 = float(self.value(np.zeros(self.dimension)))
+        v0 = self(np.zeros(self.dimension))
         if v0 != 0.0:
             raise ParameterDomainError(
                 f"candidate '{self.name}' has value {v0!r} at the origin; "
@@ -96,42 +95,26 @@ class LyapunovCandidate:
             )
 
     def __call__(self, x) -> float:
-        return float(self.value(as_state(x, self.dimension)))
+        return float(self.values(as_state(x, self.dimension)[None, :])[0])
 
     def values(self, states: np.ndarray) -> np.ndarray:
-        """V of every row of an (m, dimension) state array.
-
-        Uses ``value_batch`` when the candidate has one, and ``value`` row
-        by row otherwise.
-        """
-        if self.value_batch is None:
-            return np.array([float(self.value(s)) for s in states], dtype=float)
-        return np.asarray(self.value_batch(states), dtype=float)
-
-
-def _builtin_candidate(name, value_batch, lipschitz, dimension) -> LyapunovCandidate:
-    """A candidate with one body: ``value`` is a batch of one through ``value_batch``."""
-
-    def value(s) -> float:
-        return float(value_batch(np.asarray(s, dtype=float).reshape(1, -1))[0])
-
-    return LyapunovCandidate(
-        name=name,
-        value=value,
-        lipschitz_LV=lipschitz,
-        dimension=dimension,
-        value_batch=value_batch,
-    )
+        """V of every row of an (m, dimension) state array."""
+        out = np.asarray(self.body(states), dtype=float)
+        if out.shape != (len(states),):
+            raise ParameterDomainError(
+                f"candidate '{self.name}' returned shape {out.shape}, expected {(len(states),)}"
+            )
+        return out
 
 
 def abs_candidate(dimension: int = 1, lipschitz: Optional[float] = 1.0) -> LyapunovCandidate:
     """V(x) = ||x||.  Its exact Lipschitz constant is 1."""
-    return _builtin_candidate("abs", _row_norms, lipschitz, dimension)
+    return LyapunovCandidate("abs", _row_norms, lipschitz, dimension)
 
 
 def square_candidate(dimension: int = 1, lipschitz: Optional[float] = None) -> LyapunovCandidate:
     """V(x) = ||x||^2.  Lipschitz only on bounded domains, so none by default."""
-    return _builtin_candidate("square", _row_dots, lipschitz, dimension)
+    return LyapunovCandidate("square", _row_dots, lipschitz, dimension)
 
 
 def polynomial_candidate(
@@ -148,14 +131,14 @@ def polynomial_candidate(
     if not coeffs:
         raise ParameterDomainError("polynomial candidate needs at least one coefficient")
 
-    def value_batch(states: np.ndarray) -> np.ndarray:
+    def body(states: np.ndarray) -> np.ndarray:
         m = _row_norms(states)
         total = 0.0
         for i, c in enumerate(coeffs):
             total = total + c * np.float_power(m, i + 1)
         return total
 
-    return _builtin_candidate("poly", value_batch, lipschitz, dimension)
+    return LyapunovCandidate("poly", body, lipschitz, dimension)
 
 
 class ConditionId(str, Enum):
@@ -305,7 +288,7 @@ def check_basic_lyapunov(
         raise EmptyDomainError("domain grid is empty")
     violations = []
     origin = np.zeros(system.dimension)
-    origin_residual = abs(float(V.value(origin)))
+    origin_residual = abs(V(origin))
     if origin_residual > tolerance:
         violations.append(Violation(tuple(origin), origin_residual, check="origin"))
 
@@ -453,7 +436,8 @@ def scan_trajectory(
 def estimate_lipschitz(f, domain_grid) -> float:
     """Largest difference quotient of ``f`` over all grid pairs.
 
-    This is a lower bound on the true local Lipschitz constant, an
+    ``f`` maps the (m, n) array of grid points to their m images in one
+    call.  This is a lower bound on the true local Lipschitz constant, an
     estimate rather than a certificate.  The grid needs at least two
     distinct points.
     """
@@ -462,7 +446,7 @@ def estimate_lipschitz(f, domain_grid) -> float:
         pts = pts.reshape(-1, 1)
     if len(pts) < 2:
         raise EmptyDomainError("lipschitz estimation needs at least two grid points")
-    images = np.array([np.atleast_1d(np.asarray(f(p), dtype=float)) for p in pts])
+    images = np.asarray(f(pts), dtype=float).reshape(len(pts), -1)
     best = 0.0
     seen_distinct = False
     for i in range(len(pts) - 1):

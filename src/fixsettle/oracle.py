@@ -298,7 +298,10 @@ def generate_level_run(
     vs = [float(v0)]
     v = float(v0)
     while True:
-        nxt = v - (1.0 + extra_fraction) * beta * v ** r2
+        try:
+            nxt = v - (1.0 + extra_fraction) * beta * v ** r2
+        except OverflowError:  # float ** raises where * and / return inf
+            raise ParameterDomainError(f"level {v!r} ** r2={r2!r} overflows float64") from None
         if not nxt > 1.0:
             return vs
         vs.append(nxt)

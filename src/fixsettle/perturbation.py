@@ -78,16 +78,23 @@ def choose_branch(v0: float) -> str:
     return BRANCH_HIGH if v0 > 1.0 else BRANCH_LOW
 
 
+def _branch(cfg: AttractivenessConfig):
+    """The active branch's slack constant m, gain, exponent r, phase-bound
+    kernel, and the name of its m field."""
+    if cfg.branch == BRANCH_HIGH:
+        return cfg.m1, cfg.gains.beta, cfg.gains.r2, phase1_bound, "m1"
+    return cfg.m2, cfg.gains.alpha, cfg.gains.r1, phase2_bound, "m2"
+
+
 def attractive_level(cfg: AttractivenessConfig) -> float:
     """The sublevel threshold B of the attractive set {V <= B}.
 
     Collapses to 0 in the unperturbed limit delta0 = 0.
     """
+    m, gain, r, _, _ = _branch(cfg)
     lv_delta = cfg.lipschitz_lv * cfg.delta0
     try:
-        if cfg.branch == BRANCH_HIGH:
-            return (cfg.m1 * lv_delta / cfg.gains.beta) ** (1.0 / cfg.gains.r2)
-        return (cfg.m2 * lv_delta / cfg.gains.alpha) ** (1.0 / cfg.gains.r1)
+        return (m * lv_delta / gain) ** (1.0 / r)
     except OverflowError:  # float ** raises where * and / return inf
         raise ParameterDomainError(
             f"attractive level B overflows float64 on branch {cfg.branch}"
@@ -103,17 +110,20 @@ def feasibility_residual(cfg: AttractivenessConfig, b_target: float) -> float:
     """
     if not b_target > 0.0:
         raise ParameterDomainError("b_target must be positive")
+    m, gain, r, _, _ = _branch(cfg)
     lv_delta = cfg.lipschitz_lv * cfg.delta0
-    if cfg.branch == BRANCH_HIGH:
-        return cfg.gains.beta * b_target ** cfg.gains.r2 - cfg.m1 * lv_delta
-    return cfg.gains.alpha * b_target ** cfg.gains.r1 - cfg.m2 * lv_delta
+    try:
+        return gain * b_target ** r - m * lv_delta
+    except OverflowError:  # float ** raises where * and / return inf
+        raise ParameterDomainError(
+            f"feasibility residual at b_target={b_target!r} overflows float64"
+        ) from None
 
 
 def slackened_gain(cfg: AttractivenessConfig) -> float:
     """beta_d or alpha_d, the decrement gain left after perturbation slack."""
-    if cfg.branch == BRANCH_HIGH:
-        return (1.0 - 1.0 / cfg.m1) * cfg.gains.beta
-    return (1.0 - 1.0 / cfg.m2) * cfg.gains.alpha
+    m, gain, _, _, _ = _branch(cfg)
+    return (1.0 - 1.0 / m) * gain
 
 
 def perturbed_settling_bound(cfg: AttractivenessConfig) -> int:
@@ -130,11 +140,9 @@ def perturbed_settling_bound(cfg: AttractivenessConfig) -> int:
         raise ParameterDomainError(
             f"slackened gain {gain_d!r} left (0, 1); check m and the gains"
         )
-    if cfg.branch == BRANCH_HIGH:
-        exact = (1 - 1 / shortest_decimal(cfg.m1)) * shortest_decimal(cfg.gains.beta)
-        return phase1_bound(exact, cfg.gains.r2)
-    exact = (1 - 1 / shortest_decimal(cfg.m2)) * shortest_decimal(cfg.gains.alpha)
-    return phase2_bound(exact, cfg.gains.r1)
+    m, gain, r, phase_bound, _ = _branch(cfg)
+    exact = (1 - 1 / shortest_decimal(m)) * shortest_decimal(gain)
+    return phase_bound(exact, r)
 
 
 def verify_attractiveness(
@@ -167,7 +175,7 @@ def remark_tradeoff_table(
         raise EmptyDomainError("m grid is empty")
     rows = []
     for m in m_values:
-        cfg_m = replace(cfg, m1=m) if cfg.branch == BRANCH_HIGH else replace(cfg, m2=m)
+        cfg_m = replace(cfg, **{_branch(cfg)[4]: m})
         rows.append(
             (float(m), attractive_level(cfg_m), perturbed_settling_bound(cfg_m))
         )

@@ -354,19 +354,24 @@ def q_sequence(v_values: Sequence[float], beta: float, r2: float) -> QSequence:
                 f"level at index {k} is {v!r}, but every level must exceed 1",
                 index=k,
             )
-    # Tiny relative slack so sequences generated with the exact decrement do
-    # not get rejected over last-bit rounding.
-    for k in range(len(vs) - 1):
-        allowed = vs[k] - beta * vs[k] ** r2
-        if vs[k + 1] > allowed + 1e-12 * max(1.0, abs(allowed)):
-            raise LemmaPreconditionError(
-                f"levels at indices {k}->{k + 1} violate the superlinear "
-                f"decrement ({vs[k + 1]!r} > {allowed!r})",
-                index=k + 1,
-            )
-    scale = beta ** (-1.0 / (r2 - 1.0))
-    lower = beta ** (1.0 / (1.0 - r2))
-    upper = beta ** (2.0 / (1.0 - r2))
+    try:
+        # Tiny relative slack so sequences generated with the exact decrement
+        # do not get rejected over last-bit rounding.
+        for k in range(len(vs) - 1):
+            allowed = vs[k] - beta * vs[k] ** r2
+            if vs[k + 1] > allowed + 1e-12 * max(1.0, abs(allowed)):
+                raise LemmaPreconditionError(
+                    f"levels at indices {k}->{k + 1} violate the superlinear "
+                    f"decrement ({vs[k + 1]!r} > {allowed!r})",
+                    index=k + 1,
+                )
+        scale = beta ** (-1.0 / (r2 - 1.0))
+        lower = beta ** (1.0 / (1.0 - r2))
+        upper = beta ** (2.0 / (1.0 - r2))
+    except OverflowError:  # float ** raises where * and / return inf
+        raise ParameterDomainError(
+            f"q-sequence powers overflow float64 (beta={beta!r}, r2={r2!r})"
+        ) from None
     q = tuple(v * scale for v in vs)
     out = tuple(k for k, qk in enumerate(q) if not lower < qk < upper)
     return QSequence(q=q, beta=beta, r2=r2, lower=lower, upper=upper, out_of_bounds=out)

@@ -124,21 +124,18 @@ class Trajectory:
     """
 
     states: np.ndarray
-    initial_state: np.ndarray
     truncated: bool
 
     def __post_init__(self):
         if self.states.ndim != 2 or len(self.states) == 0:
             raise ParameterDomainError("trajectory needs at least the initial state")
-        if not np.array_equal(self.states[0], self.initial_state):
-            raise ParameterDomainError("states[0] must equal initial_state")
 
     def __len__(self) -> int:
         return len(self.states)
 
     @property
-    def k_max(self) -> int:
-        return len(self.states) - 1
+    def initial_state(self) -> np.ndarray:
+        return self.states[0]
 
     def norms(self) -> np.ndarray:
         """Euclidean norm of every recorded state."""
@@ -253,7 +250,7 @@ def _run(
     states = [x]
     truncated = True
     if stop_epsilon is not None and float(np.linalg.norm(x)) <= stop_epsilon:
-        return Trajectory(np.array(states), states[0], truncated=False)
+        return Trajectory(np.array(states), truncated=False)
     # A diverging orbit overflows to inf, which the guard reports; numpy's
     # overflow warnings would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -269,7 +266,7 @@ def _run(
             if stop_epsilon is not None and float(np.linalg.norm(x)) <= stop_epsilon:
                 truncated = False
                 break
-    return Trajectory(np.array(states), states[0], truncated=truncated)
+    return Trajectory(np.array(states), truncated=truncated)
 
 
 def simulate(

@@ -85,7 +85,7 @@ class TestGains:
 class TestCandidates:
     def test_origin_value_checked(self):
         with pytest.raises(ParameterDomainError):
-            LyapunovCandidate("offset", lambda s: float(s[0]) + 1.0)
+            LyapunovCandidate("offset", lambda s: s[:, 0] + 1.0)
 
     def test_lipschitz_positive(self):
         with pytest.raises(ParameterDomainError):
@@ -245,7 +245,7 @@ class TestReportCodec:
 
     def test_grid_report(self, doubling_system):
         # V = x^2 (x - 1)^2 vanishes at x = 1, a nonzero grid point.
-        v = LyapunovCandidate("dip", lambda s: float(s[0] ** 2 * (s[0] - 1.0) ** 2))
+        v = LyapunovCandidate("dip", lambda s: s[:, 0] ** 2 * (s[:, 0] - 1.0) ** 2)
         gains = FixedTimeGains(0.5, 0.5, 0.5, 2.0)
         report = scan_conditions(doubling_system, v, gains, [-2.0, 0.5, 1.0, 2.0])
         assert report.value_zero_points == ((1.0,),)
@@ -365,7 +365,7 @@ class TestScanConditions:
     def test_candidate_zero_at_nonzero_point_is_reported_not_an_error(self):
         # V that ignores the second coordinate vanishes on a whole axis.
         system = affine_system([[0.5, 0.0], [0.0, 0.5]])
-        v = LyapunovCandidate("first-coord", lambda s: s[0] ** 2, dimension=2)
+        v = LyapunovCandidate("first-coord", lambda s: s[:, 0] ** 2, dimension=2)
         gains = FixedTimeGains(0.5, 0.5, 0.5, 2.0)
         report = scan_conditions(system, v, gains, [[0.0, 1.0], [1.0, 1.0]], v_rhs=None)
         assert (0.0, 1.0) in report.value_zero_points
@@ -454,9 +454,10 @@ class TestEstimateLipschitz:
 
     @staticmethod
     def _pairwise(f, grid):
-        """The definition: the largest slope over all pairs of distinct points."""
+        """The definition: the largest slope over all pairs of distinct points,
+        with ``f`` evaluated one row at a time."""
         pts = np.asarray(grid, dtype=float).reshape(len(grid), -1)
-        images = [np.atleast_1d(np.asarray(f(p), dtype=float)) for p in pts]
+        images = [np.atleast_1d(np.asarray(f(p[None, :])[0], dtype=float)) for p in pts]
         best = 0.0
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -467,7 +468,7 @@ class TestEstimateLipschitz:
 
     def test_matches_pairwise_definition_bit_for_bit(self):
         rng = np.random.default_rng(29)
-        candidates = (abs_candidate().value, square_candidate().value, lambda x: np.sin(3.0 * x))
+        candidates = (abs_candidate().values, square_candidate().values, lambda x: np.sin(3.0 * x))
         for trial in range(60):
             n = int(rng.integers(4, 40))
             if trial % 2:
@@ -486,7 +487,7 @@ class TestEstimateLipschitz:
             n = 2 + trial % 3
             grid = rng.standard_normal((6, n)) * 10.0 ** rng.uniform(-3, 3, (6, 1))
             grid[-1] = grid[0]
-            for f in (square_candidate(dimension=n).value, lambda x: x[::-1] * x[0]):
+            for f in (square_candidate(dimension=n).values, lambda x: x[:, ::-1] * x[:, :1]):
                 assert estimate_lipschitz(f, grid) == self._pairwise(f, grid)
 
     def test_too_few_points(self):
@@ -525,7 +526,7 @@ class TestTwoDimensionalSystems:
         system = self._system()
         rng = np.random.default_rng(23)
         grid = rng.uniform(-2, 2, size=(40, 2))
-        est = estimate_lipschitz(lambda s: system.apply(s), grid)
+        est = estimate_lipschitz(system.apply_batch, grid)
         operator_norm = np.linalg.norm([[0.5, 0.1], [0.0, 0.4]], ord=2)
         assert est <= operator_norm + 1e-12
         assert est > 0.4
@@ -715,9 +716,16 @@ def _candidate(draw, dimension, rng):
         # Negative coefficients make V negative somewhere.
         coeffs = rng.uniform(-2.0, 2.0, draw(st.integers(1, 3))).tolist()
         return polynomial_candidate(coeffs, dimension, 1.5), _poly_reference(coeffs)
-    # A custom candidate, evaluated row by row; it vanishes at x = 1.
-    dip = lambda s: float(s[0] ** 2 * (s[0] - 1.0) ** 2)
-    return LyapunovCandidate("dip", dip, lipschitz_LV=3.0), dip
+    # A custom candidate with its own batched body; it vanishes at x = 1.
+    # Products, not ``** 2``: numpy's array and scalar ``** 2`` differ in
+    # the last bit on some inputs, and products agree with Python floats.
+    def dip(x, y):
+        return x * x * (y * y)
+
+    V = LyapunovCandidate(
+        "dip", lambda s: dip(s[:, 0], s[:, 0] - 1.0), lipschitz_LV=3.0
+    )
+    return V, lambda s: dip(float(s[0]), float(s[0]) - 1.0)
 
 
 @st.composite
@@ -796,7 +804,7 @@ class TestBatchedScansMatchPerPointLoop:
     def test_orbit_scan(self, case):
         system, (V, V_ref), (rhs, rhs_ref), g_norm, tolerance, states = case
         condition_id, slack = _form(V, rhs, g_norm)
-        traj = Trajectory(states, states[0], truncated=False)
+        traj = Trajectory(states, truncated=False)
         gains = FixedTimeGains(0.01, 0.001, 0.5, 2.0)
         for tol in (tolerance, -math.inf):
             got = _outcome(lambda: scan_trajectory(
@@ -844,17 +852,41 @@ class TestBatchedValues:
                   polynomial_candidate([0.5, -1.0, 2.0], dimension)):
             with np.errstate(over="ignore", invalid="ignore"):
                 got = V.values(states)
-                want = np.array([V.value(s) for s in states])
+                want = np.array([V(s) for s in states])
             assert np.array_equal(got.view(np.int64), want.view(np.int64)), V.name
 
-    def test_candidate_without_batch_body_evaluates_row_by_row(self):
-        calls = []
+    def test_custom_body_sees_the_whole_batch(self):
+        batches = []
 
-        def value(s):
-            calls.append(s.copy())
-            return float(abs(s[0]))
+        def body(states):
+            batches.append(states.shape)
+            return np.abs(states[:, 0])
 
-        V = LyapunovCandidate("custom", value)
-        calls.clear()
+        V = LyapunovCandidate("custom", body)
+        assert batches == [(1, 1)]  # the origin check is a batch of one
         assert np.array_equal(V.values(np.array([[2.0], [-3.0]])), [2.0, 3.0])
-        assert len(calls) == 2
+        assert V(-4.0) == 4.0
+        assert batches == [(1, 1), (2, 1), (1, 1)]
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            lambda s: 0.0,  # a scalar, not one value per row
+            lambda s: s * 0.0,  # (m, 1) rather than (m,)
+            lambda s: np.zeros(len(s) + 1),
+        ],
+    )
+    def test_wrong_shape_rejected_at_construction(self, body):
+        with pytest.raises(ParameterDomainError, match=r"returned shape .*expected \(1,\)"):
+            LyapunovCandidate("bad", body)
+
+    def test_wrong_shape_rejected_in_values(self):
+        # Right for a batch of one, wrong for any other batch.
+        V = LyapunovCandidate("first-row", lambda s: np.abs(s[:1, 0]))
+        assert V(-2.0) == 2.0
+        with pytest.raises(ParameterDomainError, match=r"returned shape \(1,\), expected \(3,\)"):
+            V.values(np.array([[1.0], [2.0], [3.0]]))
+
+    def test_value_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            LyapunovCandidate("old", value=lambda s: float(abs(s[0])))

@@ -309,6 +309,11 @@ class TestLemma1Trials:
         qs = q_sequence(run, 0.5, 2.0)
         assert qs.out_of_bounds == ()
 
+    def test_overflowing_level_is_a_domain_error(self):
+        # (1e200) ** 2 exceeds float64.
+        with pytest.raises(ParameterDomainError, match="overflow"):
+            generate_level_run(1e200, 0.5, 2.0)
+
     def test_adversarial_input_is_rejected_not_a_failure(self):
         # A level at or below 1 violates the preconditions outright.
         with pytest.raises(LemmaPreconditionError):

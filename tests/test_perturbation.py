@@ -115,6 +115,11 @@ class TestFeasibilityResidual:
         with pytest.raises(ParameterDomainError):
             feasibility_residual(cfg_high(), 0.0)
 
+    def test_overflowing_power_is_a_domain_error(self):
+        # b_target ** r2 with r2 > 1 exceeds float64 at 1e300.
+        with pytest.raises(ParameterDomainError, match="feasibility residual"):
+            feasibility_residual(cfg_high(), 1e300)
+
 
 class TestPerturbedSettlingBound:
     def test_high_branch_value(self):
@@ -190,7 +195,7 @@ class TestRemarkTradeoff:
 
 def synthetic_trajectory(values):
     states = np.asarray(values, dtype=float).reshape(-1, 1)
-    return Trajectory(states, states[0], truncated=True)
+    return Trajectory(states, truncated=True)
 
 
 class TestVerifyAttractiveness:
@@ -254,16 +259,16 @@ class TestAnalyzeAttractiveness:
             assert report.empirical_entry == measure_settling(traj, 0.0)
 
     def test_candidate_evaluated_once_per_state(self, case1_system):
-        calls = []
+        rows = []
         base = abs_candidate()
-        v = LyapunovCandidate("counted", lambda s: calls.append(1) or base.value(s))
+        v = LyapunovCandidate("counted", lambda s: rows.append(len(s)) or base.values(s))
         cfg = AttractivenessConfig(
             gains=gains_from_example(*CASE1), lipschitz_lv=1.0, delta0=0.05
         )
         traj = simulate(case1_system, 1500.0, 40)
-        calls.clear()  # the constructor's origin check evaluates V once
+        rows.clear()  # the constructor's origin check evaluates V once
         report = analyze_attractiveness(cfg, traj, v)
-        assert len(calls) == len(traj)
+        assert sum(rows) == len(traj)
         assert report == analyze_attractiveness(cfg, traj, base)
 
     def test_orbit_requires_candidate(self, case1_system):

@@ -353,6 +353,14 @@ class TestQSequence:
         with pytest.raises(ParameterDomainError):
             q_sequence([2.0], beta=0.25, r2=0.9)
 
+    def test_overflowing_power_is_a_domain_error(self):
+        # beta ** (-1 / (r2 - 1)) = 4 ** 1e7 exceeds float64.
+        with pytest.raises(ParameterDomainError, match="overflow"):
+            q_sequence([2.0], 0.25, 1.0000001)
+        # So does the precondition power (1e200) ** 2.
+        with pytest.raises(ParameterDomainError, match="overflow"):
+            q_sequence([1e200, 2.0], 0.25, 2.0)
+
     def test_bounds_ordering_invariant(self):
         rng = np.random.default_rng(9)
         for _ in range(50):

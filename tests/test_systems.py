@@ -154,9 +154,13 @@ class TestSimulate:
         with pytest.raises(ParameterDomainError):
             simulate(case1_system, 1.0, 0)
 
-    def test_trajectory_head_invariant(self):
-        with pytest.raises(ParameterDomainError):
-            Trajectory(np.array([[1.0], [2.0]]), np.array([3.0]), truncated=True)
+    def test_initial_state_is_the_first_row(self, case1_system):
+        traj = simulate(case1_system, 1500.0, 3)
+        assert np.array_equal(traj.initial_state, [1500.0])
+        assert np.array_equal(traj.initial_state, traj.states[0])
+        # The head is stored once: there is no initial_state argument.
+        with pytest.raises(TypeError):
+            Trajectory(traj.states, traj.states[0], truncated=True)
 
 
 class TestSimulatePerturbed:
