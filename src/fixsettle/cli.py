@@ -24,6 +24,7 @@ import numpy as np
 from .config import ScenarioConfig, load_config
 from .errors import FixsettleError, SimulationDivergedError
 from .lyapunov import (
+    ConditionReport,
     abs_candidate,
     estimate_lipschitz,
     scan_conditions,
@@ -38,7 +39,7 @@ from .perturbation import (
     remark_tradeoff_table,
 )
 from .settling import phase1_bound, phase2_bound, settling_bound, example_bound
-from .systems import simulate, simulate_perturbed
+from .systems import as_state_grid, simulate, simulate_perturbed
 
 
 def _fmt(x) -> str:
@@ -62,8 +63,62 @@ def _write_csv(path: Path, header, rows):
 
 
 def _write_json(path: Path, obj):
+    """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline.
+
+    A ``ConditionReport`` is written as its ``to_dict()`` would be, byte for
+    byte, but from its columns: the rest of the report goes through
+    ``json.dumps`` with an empty violation list, which sorts last, and the
+    records are spliced in there, a chunk at a time.
+    """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+        if not isinstance(obj, ConditionReport):
+            fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+            return
+        text = json.dumps(
+            {**obj.to_dict(violations=False), "violations": []}, indent=2, sort_keys=True
+        )
+        if not len(obj.check):
+            fh.write(text + "\n")
+            return
+        fh.write(text[: -len("]\n}")] + "\n")
+        fh.writelines(_violation_chunks(obj))
+        fh.write("\n  ]\n}\n")
+
+
+_CHUNK = 1024  # violation records per write
+
+
+def _json_floats(values: np.ndarray) -> list:
+    """The text ``json`` writes for each float: its repr, or NaN/Infinity/-Infinity."""
+    floats = values.tolist()
+    text = list(map(float.__repr__, floats))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        text[i] = json.dumps(floats[i])
+    return text
+
+
+def _violation_chunks(report: ConditionReport):
+    """The violation records of ``report`` as ``json.dumps`` lays them out at
+    indent 2 inside the top-level object, joined by commas, in chunks."""
+    where = report.where
+    if where.ndim == 1:
+        place = "%s"
+    else:
+        place = "[\n        " + ",\n        ".join(["%s"] * where.shape[1]) + "\n      ]"
+    record = '    {\n      "check": %s,\n      "residual": %s,\n      "where": ' + place + "\n    }"
+    kinds = {c: json.dumps(c) for c in set(report.check)}
+    for start in range(0, len(where), _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        columns = [
+            map(kinds.__getitem__, report.check[rows]),
+            _json_floats(report.residual[rows]),
+        ]
+        if where.ndim == 1:
+            columns.append(map(int.__repr__, where[rows].tolist()))
+        else:
+            flat = _json_floats(where[rows].ravel())
+            columns += [flat[j:: where.shape[1]] for j in range(where.shape[1])]
+        yield (",\n" if start else "") + ",\n".join(map(record.__mod__, zip(*columns)))
 
 
 def _out_path(args, default_name: str, cfg: Optional[ScenarioConfig] = None) -> Path:
@@ -152,10 +207,10 @@ def cmd_check(args) -> int:
         tolerance=cfg.analysis.tolerance,
     )
     path = _out_path(args, "check.json", cfg)
-    _write_json(path, report.to_dict())
+    _write_json(path, report)
     print(
         f"wrote {path} ({report.condition_id.value}: "
-        f"{len(report.violations)} violations over {report.checked_points} points)"
+        f"{len(report.check)} violations over {report.checked_points} points)"
     )
     return 0
 
@@ -194,7 +249,8 @@ def cmd_attract(args) -> int:
     if lv is None and cfg.analysis.grid is not None:
         # Grid estimate of the candidate's slope; a lower bound on the true
         # constant, recorded as such in the report.
-        lv = estimate_lipschitz(cfg.lyapunov.values, cfg.analysis.grid.materialize())
+        grid = as_state_grid(cfg.analysis.grid.materialize(), cfg.system.dimension)
+        lv = estimate_lipschitz(cfg.lyapunov.values, grid)
         lv_source = "estimated"
     if lv is None:
         raise FixsettleError(

@@ -99,6 +99,11 @@ class LyapunovCandidate:
 
     def values(self, states: np.ndarray) -> np.ndarray:
         """V of every row of an (m, dimension) state array."""
+        if np.ndim(states) != 2 or np.shape(states)[1] != self.dimension:
+            raise ParameterDomainError(
+                f"candidate '{self.name}' takes states of shape (m, {self.dimension}), "
+                f"got {np.shape(states)}"
+            )
         out = np.asarray(self.body(states), dtype=float)
         if out.shape != (len(states),):
             raise ParameterDomainError(
@@ -160,13 +165,19 @@ class Violation(Record):
     check: str = "decrement"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConditionReport(Record):
     """Outcome of a pointwise condition check over a grid or trajectory.
 
-    ``holds_everywhere`` is true exactly when ``violations`` is empty; every
-    listed violation has residual above the tolerance, or NaN where the
-    residual cannot be evaluated (inf - inf once V overflows, say), and
+    The violations are kept as three columns, in order: ``where``, a (k,)
+    array of step indices or a (k, n) array of states; ``residual``, a (k,)
+    float array; and ``check``, the kind of each.  ``violations`` builds
+    the ``Violation`` records from them on demand, and ``to_dict`` lists
+    them under ``"violations"``.  Equality compares the ``to_dict`` forms.
+
+    ``holds_everywhere`` is true exactly when there are no violations;
+    every listed violation has residual above the tolerance, or NaN where
+    the residual cannot be evaluated (inf - inf once V overflows, say), and
     ``max_residual`` is then NaN too.  For 1-D grids,
     ``violation_intervals`` groups contiguous violating grid points.
     ``value_zero_points`` lists nonzero grid points where V vanished, which
@@ -176,7 +187,9 @@ class ConditionReport(Record):
 
     condition_id: ConditionId
     checked_points: int
-    violations: Tuple[Violation, ...]
+    where: np.ndarray
+    residual: np.ndarray
+    check: Tuple[str, ...]
     max_residual: float
     holds_everywhere: bool
     tolerance: float
@@ -184,10 +197,67 @@ class ConditionReport(Record):
     value_zero_points: Tuple[Where, ...] = ()
 
     def __post_init__(self):
-        if self.holds_everywhere != (len(self.violations) == 0):
+        where = np.asarray(self.where)
+        if where.ndim == 1 and (where.dtype.kind in "iu" or len(where) == 0):
+            where = where.astype(np.int64, copy=False)
+        elif where.ndim == 2:
+            where = where.astype(float, copy=False)
+        else:
+            raise ParameterDomainError(
+                "violation places must be a (k,) array of step indices or a "
+                f"(k, n) array of states, got shape {where.shape}"
+            )
+        residual = np.asarray(self.residual, dtype=float)
+        check = tuple(self.check)
+        if not len(where) == len(residual) == len(check):
+            raise ParameterDomainError("violation columns differ in length")
+        if self.holds_everywhere != (len(check) == 0):
             raise ParameterDomainError(
                 "holds_everywhere must mirror emptiness of the violation list"
             )
+        object.__setattr__(self, "where", _read_only(where))
+        object.__setattr__(self, "residual", _read_only(residual))
+        object.__setattr__(self, "check", check)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    @property
+    def violations(self) -> Tuple[Violation, ...]:
+        where = self.where.tolist()
+        if self.where.ndim == 2:
+            where = map(tuple, where)
+        return tuple(map(Violation, where, self.residual.tolist(), self.check))
+
+    def to_dict(self, violations: bool = True) -> dict:
+        """The JSON form; ``violations=False`` leaves that list out."""
+        out = super().to_dict()
+        del out["where"], out["residual"], out["check"]
+        if violations:
+            out["violations"] = [
+                {"where": w, "residual": r, "check": c}
+                for w, r, c in zip(self.where.tolist(), self.residual.tolist(), self.check)
+            ]
+        return out
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        rows = d["violations"]
+        where = [r["where"] for r in rows]
+        return super().from_dict(
+            d,
+            where=np.array(where, dtype=float if where and isinstance(where[0], list) else int),
+            residual=np.array([r["residual"] for r in rows], dtype=float),
+            check=tuple(r["check"] for r in rows),
+        )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 _AT_ORIGIN = "the decrement condition excludes the origin"
@@ -286,29 +356,29 @@ def check_basic_lyapunov(
     grid = as_state_grid(domain_grid, system.dimension)
     if len(grid) == 0:
         raise EmptyDomainError("domain grid is empty")
-    violations = []
-    origin = np.zeros(system.dimension)
-    origin_residual = abs(V(origin))
-    if origin_residual > tolerance:
-        violations.append(Violation(tuple(origin), origin_residual, check="origin"))
+    origin_residual = abs(V(np.zeros(system.dimension)))
 
     # Positivity and decrement are posed away from the origin.
     points = grid[~_at_origin(grid)]
     vx, difference = _step_values(system, V, points)
     # Row i holds point i's positivity and decrement residuals.
     residuals = np.stack([-vx, difference], axis=1)
-    checks = ("positivity", "decrement")
-    for i, j in zip(*np.nonzero(_violating(residuals, tolerance))):
-        violations.append(
-            Violation(tuple(points[i].tolist()), float(residuals[i, j]), check=checks[j])
-        )
+    rows, cols = np.nonzero(_violating(residuals, tolerance))
+    where, residual = points[rows], residuals[rows, cols]
+    check = tuple(("positivity", "decrement")[j] for j in cols.tolist())
+    if origin_residual > tolerance:
+        where = np.concatenate([np.zeros((1, system.dimension)), where])
+        residual = np.concatenate([[origin_residual], residual])
+        check = ("origin",) + check
 
     return ConditionReport(
         condition_id=ConditionId.LYAP_BASIC,
         checked_points=len(grid),
-        violations=tuple(violations),
+        where=where,
+        residual=residual,
+        check=check,
         max_residual=_first_max(np.concatenate([[origin_residual], residuals.ravel()])),
-        holds_everywhere=not violations,
+        holds_everywhere=not check,
         tolerance=tolerance,
     )
 
@@ -342,16 +412,6 @@ def _violation_intervals(grid: np.ndarray, violating: np.ndarray):
     starts = np.flatnonzero(edges == 1)
     ends = np.flatnonzero(edges == -1) - 1
     return tuple(zip(xs[starts].tolist(), xs[ends].tolist()))
-
-
-def _violations(where, residuals: np.ndarray) -> Tuple[Violation, ...]:
-    """Decrement violations at the given places, in order.
-
-    Points and residuals stay numpy floats, which encode to the same JSON
-    as Python floats; converting whole arrays with ``tolist`` first costs
-    about 1 MiB of peak memory on a report of 9000 violations.
-    """
-    return tuple(Violation(w, r) for w, r in zip(where, residuals))
 
 
 def scan_conditions(
@@ -388,7 +448,9 @@ def scan_conditions(
     return ConditionReport(
         condition_id=condition_id,
         checked_points=len(pts),
-        violations=_violations(map(tuple, pts[violating]), residuals[violating]),
+        where=pts[violating],
+        residual=residuals[violating],
+        check=("decrement",) * int(violating.sum()),
         max_residual=_first_max(residuals),
         holds_everywhere=not violating.any(),
         tolerance=tolerance,
@@ -424,7 +486,9 @@ def scan_trajectory(
     return ConditionReport(
         condition_id=condition_id,
         checked_points=len(steps),
-        violations=_violations(steps[violating].tolist(), residuals[violating]),
+        where=steps[violating],
+        residual=residuals[violating],
+        check=("decrement",) * int(violating.sum()),
         # An orbit pinned at the origin checks nothing; report a neutral 0.
         max_residual=_first_max(residuals) if len(steps) else 0.0,
         holds_everywhere=not violating.any(),
@@ -446,19 +510,21 @@ def estimate_lipschitz(f, domain_grid) -> float:
         pts = pts.reshape(-1, 1)
     if len(pts) < 2:
         raise EmptyDomainError("lipschitz estimation needs at least two grid points")
-    images = np.asarray(f(pts), dtype=float).reshape(len(pts), -1)
     best = 0.0
     seen_distinct = False
-    for i in range(len(pts) - 1):
-        dx = _row_norms(pts[i + 1:] - pts[i])
-        distinct = dx != 0.0
-        if not distinct.any():
-            continue
-        seen_distinct = True
-        slopes = _row_norms(images[i + 1:][distinct] - images[i]) / dx[distinct]
-        steeper = slopes[slopes > best]  # skips NaN slopes, as max() did
-        if len(steeper):
-            best = float(steeper.max())
+    # Overflow gives inf and NaN slopes, not warnings; NaN ones are skipped.
+    with np.errstate(over="ignore", invalid="ignore"):
+        images = np.asarray(f(pts), dtype=float).reshape(len(pts), -1)
+        for i in range(len(pts) - 1):
+            dx = _row_norms(pts[i + 1:] - pts[i])
+            distinct = dx != 0.0
+            if not distinct.any():
+                continue
+            seen_distinct = True
+            slopes = _row_norms(images[i + 1:][distinct] - images[i]) / dx[distinct]
+            steeper = slopes[slopes > best]  # skips NaN slopes, as max() did
+            if len(steeper):
+                best = float(steeper.max())
     if not seen_distinct:
         raise DegenerateDomainError("all grid points coincide; slopes are undefined")
     return best

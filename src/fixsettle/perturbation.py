@@ -63,8 +63,10 @@ class AttractivenessConfig:
                 f"m2={self.m2!r} must exceed 1 so the slackened gain "
                 "alpha_d = (1 - 1/m2) alpha stays positive"
             )
-        if not self.lipschitz_lv > 0.0:
-            raise ParameterDomainError("lipschitz_lv must be positive")
+        if not (math.isfinite(self.lipschitz_lv) and self.lipschitz_lv > 0.0):
+            raise ParameterDomainError(
+                f"lipschitz_lv={self.lipschitz_lv!r} must be finite and positive"
+            )
         if not (math.isfinite(self.delta0) and self.delta0 >= 0.0):
             raise ParameterDomainError("delta0 must be finite and nonnegative")
         if self.branch not in _BRANCHES:

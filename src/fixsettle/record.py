@@ -81,6 +81,9 @@ class Record:
         return out
 
     @classmethod
-    def from_dict(cls, d: dict):
-        """Rebuild from ``to_dict`` output; absent keys take field defaults."""
-        return cls(**{name: dec(d[name]) for name, dec in _codec(cls)[1] if name in d})
+    def from_dict(cls, d: dict, **decoded):
+        """Rebuild from ``to_dict`` output; absent keys take field defaults.
+
+        ``decoded`` fields go to the constructor as they are.
+        """
+        return cls(**{name: dec(d[name]) for name, dec in _codec(cls)[1] if name in d}, **decoded)

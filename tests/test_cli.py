@@ -7,11 +7,22 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import fixsettle
+from fixsettle import cli
 from fixsettle.cli import main
-from fixsettle.lyapunov import ConditionReport
+from fixsettle.lyapunov import (
+    ConditionId,
+    ConditionReport,
+    FixedTimeGains,
+    abs_candidate,
+    scan_conditions,
+    square_candidate,
+)
+from fixsettle.systems import affine_system
 from fixsettle.oracle import SweepResult, Table1Row
 from fixsettle.perturbation import AttractivenessReport
 from conftest import CASE1, mp_example_orbit
@@ -394,33 +405,71 @@ class TestDeterminism:
         for name in ("table1.csv", "table1.json", "simulate.csv", "attract.json"):
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
-    # sha256 of check.json as written before the grid scans were batched.
-    # Run-to-run comparisons cannot see a last-bit change that every run
-    # makes alike; a pinned digest can.
+    # sha256 of check.json: mixed and perturbed as written before the grid
+    # scans were batched, the others as written before reports kept their
+    # violations as columns.  Run-to-run comparisons cannot see a last-bit
+    # change that every run makes alike; a pinned digest can.
     PINNED_CHECK_DIGESTS = {
+        "grid2d": "9e38d9f24df9717e6ef6d22c44301c8d3c629ab426048b75fa7d22c753a1af8a",
         "mixed": "2ff6ec68f1b26a0e9ace5b421d9096abdeb88d473477596cd69c69c1ff4ca618",
+        "orbit": "5282077bae9cb70768f857da40c643ac701f8841096a0da002ea26870ba47384",
+        "overflow": "e70f0c492c6711e336c5ddcb28c871cc14354065cf6cfd0ef2e39747c881453d",
         "perturbed": "542aff69a84054f3564ca9f545fe8a5b9445bf98f8eb03132096f4f0b2ae1267",
+    }
+    PINNED_CHECK_CONFIGS = {
+        "perturbed": {
+            "schema": 1,
+            "system": {"builtin": "example", "case": 1},
+            "lyapunov": {"form": "abs"},
+            "gains": {"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            "perturbation": {"delta0": 0.05, "generator": "radial"},
+            "analysis": {
+                "grid": {"scale": "log", "low": 0.001, "high": 10000,
+                         "points": 2001, "signed": True},
+                "tolerance": 1e-12,
+            },
+        },
+        # Violations keyed by step: x -> 0.9 R x with R a rotation; the
+        # decrement fails while ||x|| > 100 and again once ||x|| < 0.01.
+        "orbit": {
+            "schema": 1,
+            "system": {"affine": {"matrix": [[0.6, -0.3, 0.6], [0.6, 0.6, -0.3],
+                                             [-0.3, 0.6, 0.6]],
+                                  "offset": [0.0, 0.0, 0.0]}},
+            "lyapunov": {"form": "abs"},
+            "gains": {"alpha": 0.01, "beta": 0.001, "r1": 0.5, "r2": 2.0},
+            "analysis": {"x0": [300.0, -400.0, 1200.0], "k_max": 300, "tolerance": 1e-12},
+        },
+        # ||x||^3 overflows near the top of the grid: NaN and inf residuals,
+        # max_residual NaN.
+        "overflow": {
+            "schema": 1,
+            "system": {"builtin": "example", "case": 1},
+            "lyapunov": {"form": "poly", "coefficients": [1.0, 1.0, 1.0]},
+            "gains": {"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            "analysis": {"grid": {"scale": "log", "low": 0.01, "high": 1e150, "points": 41}},
+        },
     }
 
     @pytest.mark.parametrize("scenario", sorted(PINNED_CHECK_DIGESTS))
     def test_check_report_digest_is_pinned(self, tmp_path, scenario):
-        if scenario == "mixed":
-            cfg = str(Path(__file__).resolve().parents[1] / "configs" / "case1_check_mixed.json")
-        else:
-            cfg = write_config(tmp_path, {
-                "schema": 1,
-                "system": {"builtin": "example", "case": 1},
-                "lyapunov": {"form": "abs"},
-                "gains": {"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
-                "perturbation": {"delta0": 0.05, "generator": "radial"},
-                "analysis": {
-                    "grid": {"scale": "log", "low": 0.001, "high": 10000,
-                             "points": 2001, "signed": True},
-                    "tolerance": 1e-12,
-                },
-            })
         out = tmp_path / "out"
-        assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+        if scenario == "grid2d":
+            # Scenario grids are 1-D, so a 2-D grid scan is written directly.
+            axis = np.linspace(-2.95, 2.95, 60)
+            grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+            report = scan_conditions(
+                affine_system([[0.5, 0.1], [0.0, 0.4]]), square_candidate(2),
+                FixedTimeGains(0.5, 0.1, 0.5, 2.0), grid, v_rhs=abs_candidate(2),
+            )
+            out.mkdir()
+            cli._write_json(out / "check.json", report)
+        else:
+            if scenario == "mixed":
+                cfg = str(Path(__file__).resolve().parents[1] / "configs" / "case1_check_mixed.json")
+            else:
+                cfg = write_config(tmp_path, self.PINNED_CHECK_CONFIGS[scenario])
+            assert main(["check", "--config", cfg, "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "check.json").read_bytes()).hexdigest()
         assert digest == self.PINNED_CHECK_DIGESTS[scenario]
 
@@ -451,6 +500,39 @@ class TestEstimatedLipschitz:
         assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 0
         report = json.loads((tmp_path / "attract.json").read_text())
         assert report["lv_source"] == "estimated"
+
+    def test_flat_grid_on_a_2d_system_is_config_error(self, tmp_path, capsys):
+        # The slope of a 2-D candidate cannot be estimated along a line.
+        payload = {
+            "schema": 1,
+            "system": {"affine": {"matrix": [[0.5, 0.1], [0.0, 0.4]]}},
+            "lyapunov": {"form": "square"},
+            "gains": {"alpha": 0.5, "beta": 0.5, "r1": 0.5, "r2": 2.0},
+            "perturbation": {"delta0": 0.05, "generator": "uniform_ball", "seed": 3},
+            "analysis": {"x0": [1.0, 2.0], "k_max": 30,
+                         "grid": {"scale": "log", "low": 0.01, "high": 9, "points": 50}},
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: flat grid given for a 2-dimensional system\n"
+        assert not (tmp_path / "attract.json").exists()
+
+    def test_infinite_estimate_is_domain_error(self, tmp_path, capsys):
+        # V = x^2 overflows on a grid reaching 1e200, so the estimate is inf;
+        # a leaked RuntimeWarning would fail the suite.
+        payload = case1_config(
+            lyapunov={"form": "square"},
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 3},
+        )
+        payload["analysis"].update(
+            {"x0": 3.5, "k_max": 30,
+             "grid": {"scale": "log", "low": 0.01, "high": 1e200, "points": 50}}
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: lipschitz_lv=inf must be finite and positive\n"
+        assert not (tmp_path / "attract.json").exists()
 
     def test_attract_without_lv_or_grid_is_config_error(self, tmp_path):
         payload = case1_config(
@@ -560,3 +642,77 @@ def test_cli_import_leaves_mpmath_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+def test_python_m_fixsettle_runs_the_cli(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = [sys.executable, "-m", "fixsettle", "check",
+            "--config", str(root / "configs" / "case1_check_mixed.json"), "--out", str(tmp_path)]
+    out = subprocess.run(argv, env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith(f"wrote {tmp_path / 'check.json'} (FT_MIXED: ")
+    assert (tmp_path / "check.json").is_file()
+
+
+# Floats a JSON writer must spell out: NaN, both infinities, both zeros,
+# subnormals and the extremes, plus whatever else Hypothesis draws.
+_FLOATS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.225e-308,
+                     1.7976931348623157e308, 1e16, 0.1]),
+    st.floats(),
+)
+
+
+@st.composite
+def _reports(draw):
+    """Reports with any column content: int step indices or n-D states,
+    every violation kind, and any floats."""
+    k = draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        where = np.array(draw(st.lists(st.integers(0, 2 ** 62), min_size=k, max_size=k)),
+                         dtype=np.int64)
+    else:
+        n = draw(st.integers(1, 4))
+        where = np.array(draw(st.lists(_FLOATS, min_size=k * n, max_size=k * n)),
+                         dtype=float).reshape(k, n)
+    return ConditionReport(
+        condition_id=draw(st.sampled_from(list(ConditionId))),
+        checked_points=draw(st.integers(0, 10 ** 6)),
+        where=where,
+        residual=draw(st.lists(_FLOATS, min_size=k, max_size=k)),
+        check=draw(st.lists(st.sampled_from(["origin", "positivity", "decrement"]),
+                            min_size=k, max_size=k)),
+        max_residual=draw(_FLOATS),
+        holds_everywhere=k == 0,
+        tolerance=draw(_FLOATS),
+        violation_intervals=draw(st.none() | st.lists(st.tuples(_FLOATS, _FLOATS), max_size=2)
+                                 .map(tuple)),
+        value_zero_points=tuple(draw(st.lists(st.tuples(_FLOATS), max_size=2))),
+    )
+
+
+class TestReportWriter:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(report=_reports(), chunk=st.integers(1, 5))
+    def test_columns_write_the_bytes_of_json_dumps(self, tmp_path, monkeypatch, report, chunk):
+        # Small chunks put chunk boundaries inside the drawn reports.
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        path = tmp_path / "check.json"
+        cli._write_json(path, report)
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode()
+
+    def test_large_report_spans_chunks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        k = 2 * cli._CHUNK + 7
+        report = ConditionReport(
+            condition_id=ConditionId.FT_MIXED, checked_points=k,
+            where=rng.standard_normal((k, 2)) * 10.0 ** rng.integers(-300, 300, (k, 1)),
+            residual=rng.standard_normal(k), check=("decrement",) * k,
+            max_residual=1.0, holds_everywhere=False, tolerance=1e-12,
+        )
+        cli._write_json(tmp_path / "check.json", report)
+        expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "check.json").read_text() == expected

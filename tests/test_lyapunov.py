@@ -269,6 +269,43 @@ class TestReportCodec:
         assert d["violation_intervals"] is None
         assert d["value_zero_points"] == []
 
+    def test_violation_records_built_from_columns(self, doubling_system):
+        report = check_basic_lyapunov(doubling_system, square_candidate(), [-1.0, 2.0])
+        assert report.violations == (Violation((-1.0,), 3.0), Violation((2.0,), 12.0))
+        assert [type(v.where[0]) for v in report.violations] == [float, float]
+        traj = simulate(doubling_system, 1.0, 2)
+        orbit = scan_trajectory(
+            doubling_system, square_candidate(), FixedTimeGains(0.5, 0.5, 0.5, 2.0), traj
+        )
+        assert [type(v.where) for v in orbit.violations] == [int, int]
+
+    def test_columns_are_read_only(self, doubling_system):
+        report = check_basic_lyapunov(doubling_system, square_candidate(), [-1.0, 2.0])
+        for column in (report.where, report.residual):
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_equality_ignores_the_shape_of_empty_columns(self, halving_system):
+        report = check_basic_lyapunov(halving_system, square_candidate(), [1.0])
+        assert report.where.shape == (0, 1)
+        assert self.roundtrip(report)["violations"] == []
+        assert report != check_basic_lyapunov(halving_system, square_candidate(), [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "where, residual, check",
+        [
+            ([0, 1], [1.0], ("decrement",)),        # columns of different lengths
+            ([0.5, 1.5], [1.0, 2.0], ("decrement",) * 2),  # float step indices
+            (np.zeros((1, 1, 1)), [1.0], ("decrement",)),
+        ],
+    )
+    def test_malformed_columns_rejected(self, where, residual, check):
+        with pytest.raises(ParameterDomainError):
+            ConditionReport(
+                ConditionId.FT_DECREMENT, 2, where, residual, check,
+                max_residual=2.0, holds_everywhere=False, tolerance=0.0,
+            )
+
     def test_decode_runs_post_init_checks(self):
         d = {
             "condition_id": "FT_MIXED", "checked_points": 1, "violations": [],
@@ -448,6 +485,14 @@ class TestEstimateLipschitz:
             assert cur >= prev
             prev = cur
 
+    def test_overflowing_images_give_inf_without_warnings(self):
+        # ||x||^3 overflows at 1e103, so the slope to it is inf; at 1e200
+        # and 1e250 both images are inf and the NaN slope between them is
+        # skipped.  The suite turns a leaked RuntimeWarning into an error.
+        cube = polynomial_candidate([0.0, 0.0, 1.0]).values
+        assert estimate_lipschitz(cube, [1.0, 1e103, 2.0]) == math.inf
+        assert estimate_lipschitz(square_candidate().values, [1e200, 1e250]) == 0.0
+
     def test_duplicate_only_grid(self):
         with pytest.raises(DegenerateDomainError):
             estimate_lipschitz(lambda x: x, [1.0, 1.0, 1.0])
@@ -600,6 +645,15 @@ def _reference_intervals(xs_unsorted, flags_unsorted):
     return tuple(intervals)
 
 
+def _columns(violations):
+    """The report columns of a list of ``Violation`` records."""
+    return {
+        "where": np.array([v.where for v in violations]),
+        "residual": np.array([v.residual for v in violations], dtype=float),
+        "check": tuple(v.check for v in violations),
+    }
+
+
 def _reference_scan(system, V, gains, pts, V_rhs, slack, tolerance, condition_id):
     violations, flags, zeros, best = [], [], [], -math.inf
     for p in pts:
@@ -613,7 +667,7 @@ def _reference_scan(system, V, gains, pts, V_rhs, slack, tolerance, condition_id
     return ConditionReport(
         condition_id=condition_id,
         checked_points=len(pts),
-        violations=tuple(violations),
+        **_columns(violations),
         max_residual=best,
         holds_everywhere=not violations,
         tolerance=tolerance,
@@ -638,7 +692,7 @@ def _reference_orbit_scan(system, V, gains, states, V_rhs, slack, tolerance, con
     return ConditionReport(
         condition_id=condition_id,
         checked_points=checked,
-        violations=tuple(violations),
+        **_columns(violations),
         max_residual=best if checked else 0.0,
         holds_everywhere=not violations,
         tolerance=tolerance,
@@ -663,7 +717,7 @@ def _reference_basic(system, V, grid, tolerance):
     return ConditionReport(
         condition_id=ConditionId.LYAP_BASIC,
         checked_points=len(grid),
-        violations=tuple(violations),
+        **_columns(violations),
         max_residual=best,
         holds_everywhere=not violations,
         tolerance=tolerance,
@@ -886,6 +940,13 @@ class TestBatchedValues:
         assert V(-2.0) == 2.0
         with pytest.raises(ParameterDomainError, match=r"returned shape \(1,\), expected \(3,\)"):
             V.values(np.array([[1.0], [2.0], [3.0]]))
+
+    @pytest.mark.parametrize("states", [np.ones(3), np.ones((3, 1)), np.ones((2, 3, 2))])
+    def test_states_of_the_wrong_dimension_rejected(self, states):
+        # A 2-D candidate given a flat grid, a column, or a stack of grids.
+        V = square_candidate(2)
+        with pytest.raises(ParameterDomainError, match=r"takes states of shape \(m, 2\)"):
+            V.values(states)
 
     def test_value_keyword_is_gone(self):
         with pytest.raises(TypeError):

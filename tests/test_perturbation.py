@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -59,6 +60,12 @@ class TestConfig:
     def test_delta0_nonnegative(self):
         with pytest.raises(ParameterDomainError):
             cfg_high(delta0=-0.1)
+
+    @pytest.mark.parametrize("lv", [0.0, -1.0, math.inf, math.nan])
+    def test_lipschitz_finite_and_positive(self, lv):
+        # An infinite L_V would give B = inf and a NaN feasibility residual.
+        with pytest.raises(ParameterDomainError, match="lipschitz_lv"):
+            cfg_high(lv=lv)
 
     def test_branch_names(self):
         with pytest.raises(ParameterDomainError):
