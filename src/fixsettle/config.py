@@ -139,7 +139,13 @@ def _build_perturbation(d: dict, dimension: int, seed_override: Optional[int]) -
     if generator == "radial":
         return radial_perturbation(delta0, dimension, seed=seed)
     if generator == "constant":
-        return constant_perturbation(_require(d, "vector", "perturbation"), delta0)
+        vector = np.atleast_1d(np.asarray(_require(d, "vector", "perturbation"), dtype=float))
+        if vector.shape != (dimension,):
+            raise ConfigurationError(
+                f"perturbation.vector has shape {vector.shape}, "
+                f"expected a vector of length {dimension}"
+            )
+        return constant_perturbation(vector, delta0)
     raise ConfigurationError(
         f"unknown perturbation generator {generator!r}; "
         "use uniform_ball|radial|constant"

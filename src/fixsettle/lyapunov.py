@@ -516,12 +516,12 @@ def estimate_lipschitz(f, domain_grid) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         images = np.asarray(f(pts), dtype=float).reshape(len(pts), -1)
         for i in range(len(pts) - 1):
-            dx = _row_norms(pts[i + 1:] - pts[i])
+            dx = _diff_norms(pts[i + 1:] - pts[i])
             distinct = dx != 0.0
             if not distinct.any():
                 continue
             seen_distinct = True
-            slopes = _row_norms(images[i + 1:][distinct] - images[i]) / dx[distinct]
+            slopes = _diff_norms(images[i + 1:][distinct] - images[i]) / dx[distinct]
             steeper = slopes[slopes > best]  # skips NaN slopes, as max() did
             if len(steeper):
                 best = float(steeper.max())
@@ -553,3 +553,19 @@ def _at_origin(states: np.ndarray) -> np.ndarray:
 def _row_norms(rows: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row, equal to ``np.linalg.norm(row)`` bit for bit."""
     return np.sqrt(_row_dots(rows))
+
+
+def _diff_norms(rows: np.ndarray) -> np.ndarray:
+    """``_row_norms`` with the rows whose squares overflow recomputed.
+
+    A row of finite components whose squared norm overflows is scaled by
+    its largest component first; every other row keeps ``_row_norms``'s
+    bits.
+    """
+    norms = _row_norms(rows)
+    big = np.isinf(norms)
+    if big.any():
+        big &= np.isfinite(rows).all(axis=1)
+        scale = np.abs(rows[big]).max(axis=1)
+        norms[big] = scale * _row_norms(rows[big] / scale[:, None])
+    return norms

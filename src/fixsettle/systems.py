@@ -147,9 +147,9 @@ class PerturbationSpec:
     """A seeded bounded perturbation source for perturbed simulation.
 
     ``generator(k, state)`` must be deterministic in ``(k, state)`` for a
-    fixed ``seed``; every generated vector must have Euclidean norm strictly
-    below ``delta0`` (exact zero is always admissible, it reduces the
-    perturbed map to the nominal one).
+    fixed ``seed``; every generated vector must have the state's shape and
+    a Euclidean norm strictly below ``delta0`` (exact zero is always
+    admissible, it reduces the perturbed map to the nominal one).
     """
 
     delta0: float
@@ -166,10 +166,20 @@ class PerturbationSpec:
             raise ParameterDomainError("seed must be a nonnegative integer")
 
     def sample(self, k: int, state: np.ndarray) -> np.ndarray:
-        """Generate the step-``k`` perturbation and enforce the norm bound."""
-        g = np.atleast_1d(np.asarray(self.generator(k, state), dtype=float))
-        norm = float(np.linalg.norm(g))
-        if norm > 0.0 and norm >= self.delta0:
+        """Generate the step-``k`` perturbation and enforce its shape and norm bound.
+
+        A NaN draw fails the bound; a scalar draw counts as a 1-vector.
+        """
+        g = np.asarray(self.generator(k, state), dtype=float)
+        if g.shape != state.shape:
+            g = np.atleast_1d(g)
+            if g.shape != state.shape:
+                raise ParameterDomainError(
+                    f"perturbation '{self.name}' at step {k} has shape {g.shape}, "
+                    f"expected {state.shape}"
+                )
+        norm = math.sqrt(g.dot(g))
+        if norm != 0.0 and not norm < self.delta0:
             raise PerturbationBoundError(
                 f"perturbation at step {k} has norm {norm:.6g}, "
                 f"which is not strictly below delta0={self.delta0:.6g}"
@@ -183,25 +193,57 @@ def constant_perturbation(vector, delta0: float, name: str = "constant") -> Pert
     return PerturbationSpec(delta0=delta0, generator=lambda k, x: vec, seed=0, name=name)
 
 
+# Steps whose PCG64 states ``uniform_ball`` computes in one pass.
+_SEED_BLOCK = 128
+
+
 def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> PerturbationSpec:
     """Per-step draw uniform in the open ball of radius ``delta0``.
 
-    Each step uses an independent generator keyed by ``(seed, k)``, so the
-    sequence is reproducible and the generator itself is a pure function.
+    Step k (k >= 0) draws ``standard_normal(dimension)`` and then
+    ``random()`` from ``np.random.default_rng((seed, k))``, so the draw
+    depends on ``(seed, k)`` alone and the sequence is reproducible.  The
+    generator keeps internal state to get there cheaply: one PCG64, whose
+    state is set to that of ``default_rng((seed, k))`` before each draw,
+    and the states of a block of consecutive steps, computed in one pass.
+    A negative k raises ``ParameterDomainError``.
     """
+    exponent = 1.0 / dimension
+    bitgen = rng = None
+    k0, states = 0, []
 
     def gen(k: int, state: np.ndarray) -> np.ndarray:
+        nonlocal bitgen, rng, k0, states
         if delta0 == 0.0:
             return np.zeros(dimension)
-        rng = np.random.default_rng((seed, k))
+        if k < 0:
+            raise ParameterDomainError(f"uniform_ball step must be nonnegative, got {k}")
+        # numpy imports numpy.random on first use, and importing it or
+        # ._pcg64 is a large share of a CLI call's set-up; only a draw pays.
+        if rng is None:
+            from numpy.random import PCG64, Generator
+
+            bitgen = PCG64(0)
+            rng = Generator(bitgen)
+        if not 0 <= k - k0 < len(states):
+            from ._pcg64 import seed_states
+
+            k0, states = k, seed_states(seed, k, _SEED_BLOCK)
+        pcg_state, inc = states[k - k0]
+        bitgen.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": pcg_state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
         direction = rng.standard_normal(dimension)
-        norm = np.linalg.norm(direction)
+        norm = math.sqrt(direction.dot(direction))
         if norm == 0.0:
             direction = np.zeros(dimension)
             direction[0] = 1.0
             norm = 1.0
         # u in [0, 1) keeps the radius strictly below delta0.
-        radius = delta0 * rng.random() ** (1.0 / dimension)
+        radius = delta0 * rng.random() ** exponent
         return direction / norm * radius
 
     return PerturbationSpec(delta0=delta0, generator=gen, seed=seed, name="uniform_ball")
@@ -218,17 +260,18 @@ def radial_perturbation(
     """
     if not 0.0 <= fraction < 1.0:
         raise ParameterDomainError("fraction must lie in [0, 1) to keep the bound strict")
+    magnitude = fraction * delta0
 
     def gen(k: int, state: np.ndarray) -> np.ndarray:
         if delta0 == 0.0:
             return np.zeros(dimension)
-        norm = np.linalg.norm(state)
+        norm = math.sqrt(state.dot(state))
         if norm == 0.0:
             direction = np.zeros(dimension)
             direction[0] = 1.0
         else:
             direction = state / norm
-        return direction * (fraction * delta0)
+        return direction * magnitude
 
     return PerturbationSpec(delta0=delta0, generator=gen, seed=seed, name="radial")
 
@@ -249,21 +292,25 @@ def _run(
     shape = x.shape
     states = [x]
     truncated = True
-    if stop_epsilon is not None and float(np.linalg.norm(x)) <= stop_epsilon:
+    # One vector's norm as np.linalg.norm computes it, bit for bit.
+    if stop_epsilon is not None and math.sqrt(x.dot(x)) <= stop_epsilon:
         return Trajectory(np.array(states), truncated=False)
     # A diverging orbit overflows to inf, which the guard reports; numpy's
     # overflow warnings would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(k_max):
-            nxt = np.atleast_1d(np.asarray(step(x), dtype=float))
-            _check_shape(system, nxt, shape)
+            nxt = np.asarray(step(x), dtype=float)
+            if nxt.shape != shape:
+                nxt = np.atleast_1d(nxt)
+                _check_shape(system, nxt, shape)
             if pert is not None:
                 nxt = nxt + pert.sample(k, x)
-            if not np.all(np.isfinite(nxt)) or np.any(np.abs(nxt) > DIVERGENCE_LIMIT):
+            # NaN and inf fail the comparison, as they fail the guard.
+            if not (np.abs(nxt) <= DIVERGENCE_LIMIT).all():
                 raise divergence_error(system, k, states[0])
             states.append(nxt)
             x = nxt
-            if stop_epsilon is not None and float(np.linalg.norm(x)) <= stop_epsilon:
+            if stop_epsilon is not None and math.sqrt(x.dot(x)) <= stop_epsilon:
                 truncated = False
                 break
     return Trajectory(np.array(states), truncated=truncated)

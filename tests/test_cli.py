@@ -117,6 +117,24 @@ class TestConfigValidation:
         cfg = write_config(tmp_path, payload)
         assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_constant_vector_of_the_wrong_length(self, tmp_path, capsys):
+        payload = case1_config(
+            perturbation={"delta0": 0.05, "generator": "constant", "vector": [0.01, 0.0]}
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: perturbation.vector has shape (2,), expected a vector of length 1\n"
+        )
+
+    def test_nan_perturbation_breaks_the_bound(self, tmp_path, capsys):
+        payload = case1_config(
+            perturbation={"delta0": 0.05, "generator": "constant", "vector": [math.nan]}
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "has norm nan, which is not strictly below delta0=0.05" in capsys.readouterr().err
+
     def test_unreadable_config(self, tmp_path):
         assert main(["bound", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -653,6 +671,27 @@ def test_python_m_fixsettle_runs_the_cli(tmp_path):
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith(f"wrote {tmp_path / 'check.json'} (FT_MIXED: ")
     assert (tmp_path / "check.json").is_file()
+
+
+def test_numpy_random_not_imported_to_load_a_perturbed_scenario(tmp_path):
+    # numpy imports numpy.random lazily, and that import is a large share of
+    # a CLI call's set-up; building a uniform_ball source must not pay it,
+    # nor import the module that seeds its draws.
+    cfg = write_config(
+        tmp_path,
+        case1_config(perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 7}),
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = (
+        "import sys, fixsettle.cli\n"
+        "from fixsettle.config import load_config\n"
+        f"load_config({cfg!r})\n"
+        "print('numpy.random' in sys.modules, 'fixsettle._pcg64' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False False\n"
 
 
 # Floats a JSON writer must spell out: NaN, both infinities, both zeros,

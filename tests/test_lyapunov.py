@@ -29,6 +29,7 @@ from fixsettle import (
     simulate,
     square_candidate,
 )
+from fixsettle.lyapunov import _diff_norms, _row_norms
 from conftest import CASE1
 
 
@@ -492,6 +493,35 @@ class TestEstimateLipschitz:
         cube = polynomial_candidate([0.0, 0.0, 1.0]).values
         assert estimate_lipschitz(cube, [1.0, 1e103, 2.0]) == math.inf
         assert estimate_lipschitz(square_candidate().values, [1e200, 1e250]) == 0.0
+
+    def test_differences_whose_squares_overflow_keep_their_slope(self):
+        # A difference above about 1.34e154 overflows when squared; the
+        # norm is then taken scaled by the difference's largest component.
+        assert estimate_lipschitz(lambda s: s[:, 0] * 1e160, [1.0, 2.0]) == 1e160
+        assert estimate_lipschitz(square_candidate().values, [1.0, 1e100]) == pytest.approx(1e100)
+        assert estimate_lipschitz(lambda s: s, [1e300, -1e300, 0.0]) == pytest.approx(1.0)
+        plane = np.array([[0.0, 0.0], [3e200, 4e200]])
+        assert estimate_lipschitz(lambda s: s[:, :1] * 2.0, plane) == pytest.approx(1.2)
+
+    def test_rescue_keeps_the_bits_of_rows_that_fit(self):
+        # Rows whose squared norm overflows sit in the same batch as rows
+        # that fit; only the former change, and inf or NaN rows stay as
+        # they were.
+        rng = np.random.default_rng(37)
+        for n in (1, 2, 3):
+            rows = rng.standard_normal((400, n)) * 10.0 ** rng.uniform(-300, 300, (400, 1))
+            rows[0, 0] = math.inf
+            rows[1, -1] = math.nan
+            rows[2], rows[3] = 1e300, -1e300
+            with np.errstate(over="ignore", invalid="ignore"):
+                plain = _row_norms(rows)
+                rescued = _diff_norms(rows)
+            fits = np.isfinite(plain) | ~np.isfinite(rows).all(axis=1)
+            assert 0 < fits.sum() < len(rows)
+            assert rescued[fits].tobytes() == plain[fits].tobytes()
+            big = ~fits
+            want = [math.hypot(*row) for row in rows[big]]
+            assert rescued[big] == pytest.approx(want, rel=1e-15)
 
     def test_duplicate_only_grid(self):
         with pytest.raises(DegenerateDomainError):

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixsettle import (
     TABLE1_CASES,
@@ -17,6 +20,8 @@ from fixsettle import (
     simulate_perturbed,
     uniform_ball_perturbation,
 )
+from fixsettle._pcg64 import seed_states
+from fixsettle.systems import DIVERGENCE_LIMIT, PerturbationSpec, _SEED_BLOCK
 from conftest import CASE1, mp_example_orbit
 
 
@@ -208,6 +213,119 @@ class TestSimulatePerturbed:
     def test_delta0_must_be_finite(self):
         with pytest.raises(ParameterDomainError):
             constant_perturbation([0.0], delta0=float("inf"))
+
+    def test_nan_draw_breaks_the_bound(self, identity_system):
+        pert = constant_perturbation([math.nan], delta0=0.05)
+        with pytest.raises(PerturbationBoundError, match="norm nan"):
+            simulate_perturbed(identity_system, pert, 0.0, 3)
+
+    def test_draw_of_the_wrong_shape_rejected(self, identity_system):
+        plane = affine_system(np.eye(2))
+        with pytest.raises(ParameterDomainError, match=r"shape \(1,\), expected \(2,\)"):
+            simulate_perturbed(plane, constant_perturbation([0.01], 0.05), [1.0, 1.0], 3)
+        with pytest.raises(ParameterDomainError, match=r"shape \(2,\), expected \(1,\)"):
+            simulate_perturbed(
+                identity_system, constant_perturbation([0.01, 0.0], 0.05), 1.0, 3
+            )
+
+    def test_scalar_draw_counts_as_a_vector_in_one_dimension(self, identity_system):
+        pert = PerturbationSpec(delta0=0.05, generator=lambda k, x: 0.01)
+        traj = simulate_perturbed(identity_system, pert, 0.0, 2)
+        assert traj.states[:, 0].tolist() == [0.0, 0.01, 0.02]
+
+
+def _reference_ball(delta0, n, seed, k):
+    """The documented ``uniform_ball`` draw: a fresh default_rng((seed, k))."""
+    rng = np.random.default_rng((seed, k))
+    direction = rng.standard_normal(n)
+    norm = np.linalg.norm(direction)
+    radius = delta0 * rng.random() ** (1.0 / n)
+    return direction / norm * radius
+
+
+def _reference_orbit(system, generator, delta0, seed, x0, k_max):
+    """A perturbed orbit stepped with a fresh RNG per step and np.linalg.norm;
+    returns its states, or the last finite index of a diverged orbit."""
+    x = np.array([x0])
+    states = [x]
+    for k in range(k_max):
+        nxt = np.atleast_1d(np.asarray(system.step(x), dtype=float))
+        if generator == "uniform_ball":
+            g = _reference_ball(delta0, 1, seed, k)
+        else:
+            norm = np.linalg.norm(x)
+            direction = x / norm if norm != 0.0 else np.array([1.0])
+            g = direction * (0.999 * delta0)
+        assert float(np.linalg.norm(g)) < delta0
+        nxt = nxt + g
+        if not np.all(np.isfinite(nxt)) or np.any(np.abs(nxt) > DIVERGENCE_LIMIT):
+            return k
+        states.append(nxt)
+        x = nxt
+    return np.array(states)
+
+
+class TestUniformBallStream:
+    """Step k of ``uniform_ball`` draws from default_rng((seed, k)), bit for bit."""
+
+    SEEDS = [0, 1, 2**31 - 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 1]
+    STEPS = [0, 1, _SEED_BLOCK - 1, _SEED_BLOCK, _SEED_BLOCK + 1, 7,
+             2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 3]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_seed_states_equal_default_rng(self, seed):
+        for k0 in (0, _SEED_BLOCK - 2, 2**32 - 3, 2**32, 2**64 - 1, 2**64):
+            states = seed_states(seed, k0, 5)
+            # A block stops where the low word of k would wrap.
+            assert len(states) == (3 if k0 == 2**32 - 3 else 1 if k0 == 2**64 - 1 else 5)
+            for j, (state, inc) in enumerate(states):
+                want = np.random.default_rng((seed, k0 + j)).bit_generator.state["state"]
+                assert want == {"state": state, "inc": inc}
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_draws_equal_default_rng(self, seed, n):
+        gen = uniform_ball_perturbation(0.05, n, seed).generator
+        for k in self.STEPS:
+            got = gen(k, np.zeros(n))
+            assert got.tobytes() == _reference_ball(0.05, n, seed, k).tobytes(), k
+
+    def test_negative_step_rejected(self):
+        # default_rng((seed, k)) rejects a negative k; the low 32-bit word of
+        # k must not stand in for it.
+        gen = uniform_ball_perturbation(0.05, 1, 3).generator
+        for k in (-1, -(2**32), -(2**64) - 5):
+            with pytest.raises(ParameterDomainError, match="nonnegative"):
+                gen(k, np.zeros(1))
+            with pytest.raises(ValueError):
+                np.random.default_rng((3, k))
+        assert gen(2**32 - 1, np.zeros(1)).tobytes() == _reference_ball(0.05, 1, 3, 2**32 - 1).tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        case=st.sampled_from(TABLE1_CASES),
+        generator=st.sampled_from(["uniform_ball", "radial"]),
+        x0_share=st.floats(-2.0, 2.0),
+        delta0=st.floats(1e-6, 1.0),
+        seed=st.integers(0, 2**70),
+        k_max=st.integers(1, 60),
+    )
+    def test_orbits_equal_the_per_step_rng_loop(self, case, generator, x0_share, delta0, seed, k_max):
+        system = case.system()
+        x0 = x0_share * divergence_threshold(case.bprime, case.r2prime)
+        if generator == "uniform_ball":
+            pert = uniform_ball_perturbation(delta0, 1, seed)
+        else:
+            pert = radial_perturbation(delta0, 1, seed=seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _reference_orbit(system, generator, delta0, seed, x0, k_max)
+        if isinstance(want, int):
+            with pytest.raises(SimulationDivergedError) as err:
+                simulate_perturbed(system, pert, x0, k_max)
+            assert err.value.last_finite_index == want
+        else:
+            got = simulate_perturbed(system, pert, x0, k_max)
+            assert got.states.tobytes() == want.tobytes()
 
 
 class TestSystemMap:
