@@ -38,7 +38,7 @@ from .perturbation import (
     perturbed_settling_bound,
     remark_tradeoff_table,
 )
-from .settling import phase1_bound, phase2_bound, settling_bound, example_bound
+from .settling import phase1_bound, phase2_bound, example_bound
 from .systems import as_state_grid, simulate, simulate_perturbed
 
 
@@ -219,9 +219,9 @@ def cmd_bound(args) -> int:
     cfg = _require_cfg(args)
     out = {}
     if cfg.gains is not None:
-        out["K_star"] = settling_bound(cfg.gains)
         out["K1_bound"] = phase1_bound(cfg.gains.beta, cfg.gains.r2)
         out["K2_gap"] = phase2_bound(cfg.gains.alpha, cfg.gains.r1)
+        out["K_star"] = out["K1_bound"] + out["K2_gap"]  # = settling_bound(gains)
     if cfg.example_params is not None:
         out["example_K_star"] = example_bound(*cfg.example_params)
     if cfg.perturbation is not None and cfg.gains is not None:

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, FixsettleError
+from .errors import ConfigurationError, FixsettleError, ParameterDomainError
 from .lyapunov import (
     DEFAULT_TOLERANCE,
     FixedTimeGains,
@@ -134,10 +134,13 @@ def _build_perturbation(d: dict, dimension: int, seed_override: Optional[int]) -
     delta0 = float(_require(d, "delta0", "perturbation"))
     generator = d.get("generator", "uniform_ball")
     seed = int(d.get("seed", 0)) if seed_override is None else seed_override
+    # Only uniform_ball draws from the seed; every generator rejects a bad one.
+    if seed < 0:
+        raise ParameterDomainError("seed must be a nonnegative integer")
     if generator == "uniform_ball":
         return uniform_ball_perturbation(delta0, dimension, seed)
     if generator == "radial":
-        return radial_perturbation(delta0, dimension, seed=seed)
+        return radial_perturbation(delta0, dimension)
     if generator == "constant":
         vector = np.atleast_1d(np.asarray(_require(d, "vector", "perturbation"), dtype=float))
         if vector.shape != (dimension,):

@@ -30,7 +30,7 @@ from .errors import (
     ParameterDomainError,
 )
 from .record import Record
-from .systems import SystemMap, Trajectory, as_state, as_state_grid
+from .systems import SystemMap, Trajectory, as_state, as_state_grid, row_dots, row_norms
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -114,12 +114,12 @@ class LyapunovCandidate:
 
 def abs_candidate(dimension: int = 1, lipschitz: Optional[float] = 1.0) -> LyapunovCandidate:
     """V(x) = ||x||.  Its exact Lipschitz constant is 1."""
-    return LyapunovCandidate("abs", _row_norms, lipschitz, dimension)
+    return LyapunovCandidate("abs", row_norms, lipschitz, dimension)
 
 
 def square_candidate(dimension: int = 1, lipschitz: Optional[float] = None) -> LyapunovCandidate:
     """V(x) = ||x||^2.  Lipschitz only on bounded domains, so none by default."""
-    return LyapunovCandidate("square", _row_dots, lipschitz, dimension)
+    return LyapunovCandidate("square", row_dots, lipschitz, dimension)
 
 
 def polynomial_candidate(
@@ -137,7 +137,7 @@ def polynomial_candidate(
         raise ParameterDomainError("polynomial candidate needs at least one coefficient")
 
     def body(states: np.ndarray) -> np.ndarray:
-        m = _row_norms(states)
+        m = row_norms(states)
         total = 0.0
         for i, c in enumerate(coeffs):
             total = total + c * np.float_power(m, i + 1)
@@ -516,12 +516,12 @@ def estimate_lipschitz(f, domain_grid) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         images = np.asarray(f(pts), dtype=float).reshape(len(pts), -1)
         for i in range(len(pts) - 1):
-            dx = _diff_norms(pts[i + 1:] - pts[i])
+            dx = row_norms(pts[i + 1:] - pts[i])
             distinct = dx != 0.0
             if not distinct.any():
                 continue
             seen_distinct = True
-            slopes = _diff_norms(images[i + 1:][distinct] - images[i]) / dx[distinct]
+            slopes = row_norms(images[i + 1:][distinct] - images[i]) / dx[distinct]
             steeper = slopes[slopes > best]  # skips NaN slopes, as max() did
             if len(steeper):
                 best = float(steeper.max())
@@ -530,42 +530,6 @@ def estimate_lipschitz(f, domain_grid) -> float:
     return best
 
 
-def _row_dots(rows: np.ndarray) -> np.ndarray:
-    """Every row's dot product with itself, as ``np.dot`` takes it.
-
-    Each row goes through the vector dot product that ``np.dot`` and
-    ``np.linalg.norm`` use for a single vector, so the result equals
-    ``np.dot(row, row)`` bit for bit; a plain sum of squares differs in the
-    last bit on some rows of two or more components.
-    """
-    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
-
-
 def _at_origin(states: np.ndarray) -> np.ndarray:
-    """Which rows are the origin: their dot product is zero.
-
-    A dot product that overflows is inf, without a warning.
-    """
-    with np.errstate(over="ignore"):
-        return _row_dots(states) == 0.0
-
-
-def _row_norms(rows: np.ndarray) -> np.ndarray:
-    """Euclidean norm of every row, equal to ``np.linalg.norm(row)`` bit for bit."""
-    return np.sqrt(_row_dots(rows))
-
-
-def _diff_norms(rows: np.ndarray) -> np.ndarray:
-    """``_row_norms`` with the rows whose squares overflow recomputed.
-
-    A row of finite components whose squared norm overflows is scaled by
-    its largest component first; every other row keeps ``_row_norms``'s
-    bits.
-    """
-    norms = _row_norms(rows)
-    big = np.isinf(norms)
-    if big.any():
-        big &= np.isfinite(rows).all(axis=1)
-        scale = np.abs(rows[big]).max(axis=1)
-        norms[big] = scale * _row_norms(rows[big] / scale[:, None])
-    return norms
+    """Which rows are the origin: every component is zero, of either sign."""
+    return ~states.any(axis=1)

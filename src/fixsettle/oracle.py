@@ -32,6 +32,7 @@ from .systems import (
     as_state_grid,
     divergence_error,
     example_system,
+    row_norms,
     simulate,
 )
 
@@ -156,7 +157,7 @@ def sweep_settling(
     levels = np.array([check_level(level) for level in (epsilon, *epsilons)], dtype=float)
 
     # Per orbit and level: last index outside {||x|| <= level}, first inside.
-    norms = np.linalg.norm(x, axis=1)[:, None]
+    norms = row_norms(x)[:, None]
     last_out = np.where(norms > levels, 0, -1)
     first_in = np.where(norms <= levels, 0, -1)
     lanes = np.arange(len(x0s))  # grid index of every orbit still running
@@ -164,17 +165,18 @@ def sweep_settling(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             x = system.apply_batch(x)
-            guarded = np.abs(x) <= DIVERGENCE_LIMIT  # False for inf and NaN too
+            # |x| in one dimension, so the guard reads the norms too.
+            norms = row_norms(x)[:, None]
+            guarded = norms[:, 0] <= DIVERGENCE_LIMIT  # False for inf and NaN too
             if not guarded.all():
                 # Every running orbit sits earlier in the grid than the one
                 # diverged so far, so only they can still change the outcome.
-                diverged = (int(lanes[~guarded.all(axis=1)][0]), k - 1)
+                diverged = (int(lanes[~guarded][0]), k - 1)
                 keep = lanes < diverged[0]
                 lanes, x = lanes[keep], x[keep]
                 if not len(lanes):
                     break
             if diverged is None:
-                norms = np.linalg.norm(x, axis=1)[:, None]
                 last_out[norms > levels] = k
                 first_in[(norms <= levels) & (first_in < 0)] = k
     if diverged is not None:

@@ -105,6 +105,61 @@ def _check_shape(system: SystemMap, out: np.ndarray, shape) -> None:
         )
 
 
+# The root of the smallest normal float 2**-1022: a squared norm is a
+# finite normal float exactly when its correctly rounded root lies in
+# [_ROOT_TINY, inf).
+_ROOT_TINY = 2.0 ** -511
+
+
+def row_dots(rows: np.ndarray) -> np.ndarray:
+    """Every row's dot product with itself, as ``np.dot`` takes it.
+
+    Each row goes through the vector dot product that ``np.dot`` and
+    ``np.linalg.norm`` use for a single vector, so the result equals
+    ``np.dot(row, row)`` bit for bit; a plain sum of squares differs in the
+    last bit on some rows of two or more components.
+    """
+    return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
+
+
+def norm(v: np.ndarray) -> float:
+    """Euclidean norm of one state vector: ``row_norms`` of a batch of one.
+
+    Takes one dot product and one square root wherever the squared norm is
+    in range, and leaves the rest to ``row_norms``.  A square that
+    overflows may raise numpy's overflow warning, as ``np.linalg.norm``
+    does; the result is still the rescued norm.
+    """
+    r = math.sqrt(v.dot(v))
+    if _ROOT_TINY <= r < math.inf:
+        return r
+    return float(row_norms(v[None, :])[0])
+
+
+def row_norms(rows: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of an (m, n) array.
+
+    Where a row's squared norm is a finite normal float, the norm is
+    sqrt(row . row), equal to ``np.linalg.norm(row)`` bit for bit.  A
+    finite nonzero row whose square overflows or falls below 2**-1022 is
+    scaled by its largest |component| first, which keeps its norm to a few
+    ulps instead of inf or a lost (even zero) result.  A row holding NaN
+    gives NaN; one holding inf and no NaN gives inf.  One-component rows
+    give |x|, which sqrt(x * x) equals wherever the square is in range.
+    """
+    if rows.shape[1] == 1:
+        return np.abs(rows[:, 0])
+    with np.errstate(over="ignore"):
+        out = np.sqrt(row_dots(rows))
+        off = np.flatnonzero(~((out >= _ROOT_TINY) & (out < math.inf)))
+        if len(off):
+            scale = np.abs(rows[off]).max(axis=1)
+            finite = (scale > 0.0) & (scale < math.inf)  # zero, inf and NaN rows stay
+            off, scale = off[finite], scale[finite]
+            out[off] = scale * np.sqrt(row_dots(rows[off] / scale[:, None]))
+    return out
+
+
 def divergence_error(system: SystemMap, k: int, x0) -> SimulationDivergedError:
     """The error for an orbit whose state at step k + 1 left the guard."""
     return SimulationDivergedError(
@@ -138,23 +193,23 @@ class Trajectory:
         return self.states[0]
 
     def norms(self) -> np.ndarray:
-        """Euclidean norm of every recorded state."""
-        return np.linalg.norm(self.states, axis=1)
+        """Euclidean norm of every recorded state, as ``row_norms`` takes it."""
+        return row_norms(self.states)
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """A seeded bounded perturbation source for perturbed simulation.
+    """A bounded perturbation source for perturbed simulation.
 
-    ``generator(k, state)`` must be deterministic in ``(k, state)`` for a
-    fixed ``seed``; every generated vector must have the state's shape and
-    a Euclidean norm strictly below ``delta0`` (exact zero is always
-    admissible, it reduces the perturbed map to the nominal one).
+    ``generator(k, state)`` must be deterministic in ``(k, state)``; a
+    seeded generator closes over its own seed.  Every generated vector must
+    have the state's shape and a ``norm`` strictly below ``delta0`` (exact
+    zero is always admissible, it reduces the perturbed map to the nominal
+    one).
     """
 
     delta0: float
     generator: Callable[[int, np.ndarray], np.ndarray]
-    seed: int = 0
     name: str = "custom"
 
     def __post_init__(self):
@@ -162,8 +217,6 @@ class PerturbationSpec:
             raise ParameterDomainError(
                 "delta0 must be a finite nonnegative perturbation bound"
             )
-        if self.seed < 0:
-            raise ParameterDomainError("seed must be a nonnegative integer")
 
     def sample(self, k: int, state: np.ndarray) -> np.ndarray:
         """Generate the step-``k`` perturbation and enforce its shape and norm bound.
@@ -178,10 +231,10 @@ class PerturbationSpec:
                     f"perturbation '{self.name}' at step {k} has shape {g.shape}, "
                     f"expected {state.shape}"
                 )
-        norm = math.sqrt(g.dot(g))
-        if norm != 0.0 and not norm < self.delta0:
+        size = norm(g)
+        if size != 0.0 and not size < self.delta0:
             raise PerturbationBoundError(
-                f"perturbation at step {k} has norm {norm:.6g}, "
+                f"perturbation at step {k} has norm {size:.6g}, "
                 f"which is not strictly below delta0={self.delta0:.6g}"
             )
         return g
@@ -190,7 +243,7 @@ class PerturbationSpec:
 def constant_perturbation(vector, delta0: float, name: str = "constant") -> PerturbationSpec:
     """A fixed additive offset applied at every step."""
     vec = np.atleast_1d(np.asarray(vector, dtype=float))
-    return PerturbationSpec(delta0=delta0, generator=lambda k, x: vec, seed=0, name=name)
+    return PerturbationSpec(delta0=delta0, generator=lambda k, x: vec, name=name)
 
 
 # Steps whose PCG64 states ``uniform_ball`` computes in one pass.
@@ -206,8 +259,10 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
     generator keeps internal state to get there cheaply: one PCG64, whose
     state is set to that of ``default_rng((seed, k))`` before each draw,
     and the states of a block of consecutive steps, computed in one pass.
-    A negative k raises ``ParameterDomainError``.
+    A negative seed or k raises ``ParameterDomainError``.
     """
+    if seed < 0:
+        raise ParameterDomainError("seed must be a nonnegative integer")
     exponent = 1.0 / dimension
     bitgen = rng = None
     k0, states = 0, []
@@ -237,20 +292,20 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
             "uinteger": 0,
         }
         direction = rng.standard_normal(dimension)
-        norm = math.sqrt(direction.dot(direction))
-        if norm == 0.0:
+        size = norm(direction)
+        if size == 0.0:
             direction = np.zeros(dimension)
             direction[0] = 1.0
-            norm = 1.0
+            size = 1.0
         # u in [0, 1) keeps the radius strictly below delta0.
         radius = delta0 * rng.random() ** exponent
-        return direction / norm * radius
+        return direction / size * radius
 
-    return PerturbationSpec(delta0=delta0, generator=gen, seed=seed, name="uniform_ball")
+    return PerturbationSpec(delta0=delta0, generator=gen, name="uniform_ball")
 
 
 def radial_perturbation(
-    delta0: float, dimension: int, fraction: float = 0.999, seed: int = 0
+    delta0: float, dimension: int, fraction: float = 0.999
 ) -> PerturbationSpec:
     """Worst-case-style push directly away from the origin.
 
@@ -265,15 +320,15 @@ def radial_perturbation(
     def gen(k: int, state: np.ndarray) -> np.ndarray:
         if delta0 == 0.0:
             return np.zeros(dimension)
-        norm = math.sqrt(state.dot(state))
-        if norm == 0.0:
+        size = norm(state)
+        if size == 0.0:
             direction = np.zeros(dimension)
             direction[0] = 1.0
         else:
-            direction = state / norm
+            direction = state / size
         return direction * magnitude
 
-    return PerturbationSpec(delta0=delta0, generator=gen, seed=seed, name="radial")
+    return PerturbationSpec(delta0=delta0, generator=gen, name="radial")
 
 
 def _run(
@@ -292,12 +347,11 @@ def _run(
     shape = x.shape
     states = [x]
     truncated = True
-    # One vector's norm as np.linalg.norm computes it, bit for bit.
-    if stop_epsilon is not None and math.sqrt(x.dot(x)) <= stop_epsilon:
-        return Trajectory(np.array(states), truncated=False)
     # A diverging orbit overflows to inf, which the guard reports; numpy's
     # overflow warnings would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
+        if stop_epsilon is not None and norm(x) <= stop_epsilon:
+            return Trajectory(np.array(states), truncated=False)
         for k in range(k_max):
             nxt = np.asarray(step(x), dtype=float)
             if nxt.shape != shape:
@@ -310,7 +364,7 @@ def _run(
                 raise divergence_error(system, k, states[0])
             states.append(nxt)
             x = nxt
-            if stop_epsilon is not None and math.sqrt(x.dot(x)) <= stop_epsilon:
+            if stop_epsilon is not None and norm(x) <= stop_epsilon:
                 truncated = False
                 break
     return Trajectory(np.array(states), truncated=truncated)

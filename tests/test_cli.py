@@ -135,6 +135,21 @@ class TestConfigValidation:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "has norm nan, which is not strictly below delta0=0.05" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("generator", [
+        {"generator": "uniform_ball"},
+        {"generator": "radial"},
+        {"generator": "constant", "vector": [0.01]},
+    ])
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    def test_negative_seed_rejected_for_every_generator(self, tmp_path, capsys, generator, where):
+        perturbation = {"delta0": 0.05, **generator}
+        if where == "config":
+            perturbation["seed"] = -1
+        cfg = write_config(tmp_path, case1_config(perturbation=perturbation))
+        flag = ["--seed", "-1"] if where == "flag" else []
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), *flag]) == 2
+        assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
+
     def test_unreadable_config(self, tmp_path):
         assert main(["bound", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -154,6 +169,24 @@ class TestBoundCommand:
         assert out["K_star"] == 30
         assert out["K1_bound"] == 13
         assert out["K2_gap"] == 17
+
+    def test_each_phase_bound_evaluated_once(self, tmp_path, monkeypatch):
+        from fixsettle import settling
+
+        calls = []
+        for name in ("phase1_bound", "phase2_bound"):
+            def counted(*args, _name=name, _fn=getattr(settling, name)):
+                calls.append(_name)
+                return _fn(*args)
+
+            monkeypatch.setattr(settling, name, counted)
+            monkeypatch.setattr(cli, name, counted)
+        payload = case1_config(gains={"alpha": 0.25, "beta": 0.25, "r1": 0.5, "r2": 2.0})
+        cfg = write_config(tmp_path, payload)
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == ["phase1_bound", "phase2_bound"]
+        out = json.loads((tmp_path / "bound.json").read_text())
+        assert out["K_star"] == out["K1_bound"] + out["K2_gap"] == 30
 
     def test_perturbed_bound_key(self, tmp_path):
         payload = case1_config(

@@ -29,7 +29,8 @@ from fixsettle import (
     simulate,
     square_candidate,
 )
-from fixsettle.lyapunov import _diff_norms, _row_norms
+from fixsettle.lyapunov import _at_origin
+from fixsettle.systems import norm, row_norms
 from conftest import CASE1
 
 
@@ -504,22 +505,28 @@ class TestEstimateLipschitz:
         assert estimate_lipschitz(lambda s: s[:, :1] * 2.0, plane) == pytest.approx(1.2)
 
     def test_rescue_keeps_the_bits_of_rows_that_fit(self):
-        # Rows whose squared norm overflows sit in the same batch as rows
-        # that fit; only the former change, and inf or NaN rows stay as
-        # they were.
+        # The differences are measured by ``row_norms``.  Rows whose squared
+        # norm overflows or underflows sit in the same batch as rows that
+        # fit; only the former are rescued, and inf or NaN rows stay as
+        # np.linalg.norm has them.
         rng = np.random.default_rng(37)
         for n in (1, 2, 3):
             rows = rng.standard_normal((400, n)) * 10.0 ** rng.uniform(-300, 300, (400, 1))
             rows[0, 0] = math.inf
             rows[1, -1] = math.nan
             rows[2], rows[3] = 1e300, -1e300
+            rows[4], rows[5] = 1e-300, -1e-170
             with np.errstate(over="ignore", invalid="ignore"):
-                plain = _row_norms(rows)
-                rescued = _diff_norms(rows)
-            fits = np.isfinite(plain) | ~np.isfinite(rows).all(axis=1)
+                dots = np.array([row.dot(row) for row in rows])
+                plain = np.array([np.linalg.norm(row) for row in rows])
+                rescued = row_norms(rows)
+            fits = ((dots >= 2.0 ** -1022) & (dots < math.inf)) | ~np.isfinite(rows).all(axis=1)
             assert 0 < fits.sum() < len(rows)
-            assert rescued[fits].tobytes() == plain[fits].tobytes()
+            nan = np.isnan(plain)
+            assert np.array_equal(np.isnan(rescued), nan)
+            assert rescued[fits & ~nan].tobytes() == plain[fits & ~nan].tobytes()
             big = ~fits
+            assert big[[2, 3, 4, 5]].all()
             want = [math.hypot(*row) for row in rows[big]]
             assert rescued[big] == pytest.approx(want, rel=1e-15)
 
@@ -613,7 +620,9 @@ class TestTwoDimensionalSystems:
 # The reference loop models two choices that depart from a plain Python
 # loop: a power that overflows gives inf (Python's ``**`` raises
 # OverflowError there), and a NaN residual, which cannot be shown to hold,
-# is a violation and makes ``max_residual`` NaN.
+# is a violation and makes ``max_residual`` NaN.  It takes every norm one
+# point at a time through ``systems.norm`` and calls a state the origin
+# when all its components are zero.
 
 
 def _pow(v, r):
@@ -626,7 +635,7 @@ def _pow(v, r):
 
 def _poly_reference(coefficients):
     def value(s):
-        m = float(np.linalg.norm(s))
+        m = norm(s)
         total = 0.0
         for i, c in enumerate(coefficients):
             total += c * _pow(m, i + 1)
@@ -637,7 +646,7 @@ def _poly_reference(coefficients):
 
 def _reference_residual(system, V, gains, x, V_rhs, slack):
     """One point of the per-point loop: V and V_rhs are reference functions."""
-    if float(np.linalg.norm(x)) == 0.0:
+    if not np.any(x):
         raise OriginError("the decrement condition excludes the origin")
     vx = V(x)
     vfx = V(system.apply(x))
@@ -711,7 +720,7 @@ def _reference_scan(system, V, gains, pts, V_rhs, slack, tolerance, condition_id
 def _reference_orbit_scan(system, V, gains, states, V_rhs, slack, tolerance, condition_id):
     violations, zeros, best, checked = [], [], -math.inf, 0
     for k in range(len(states) - 1):
-        if float(np.linalg.norm(states[k])) == 0.0:
+        if not np.any(states[k]):
             zeros.append(k)
             continue
         checked += 1
@@ -737,7 +746,7 @@ def _reference_basic(system, V, grid, tolerance):
     if origin_residual > tolerance:
         violations.append(Violation(tuple(np.zeros(system.dimension)), origin_residual, "origin"))
     for p in grid:
-        if float(np.linalg.norm(p)) == 0.0:
+        if not np.any(p):
             continue
         vx = V(p)
         for check, r in (("positivity", -vx), ("decrement", V(system.apply(p)) - vx)):
@@ -793,7 +802,7 @@ def _candidate(draw, dimension, rng):
     kind = draw(st.sampled_from(("abs", "square", "poly", "dip") if dimension == 1
                                 else ("abs", "square", "poly")))
     if kind == "abs":
-        return abs_candidate(dimension), lambda s: float(np.linalg.norm(s))
+        return abs_candidate(dimension), norm
     if kind == "square":
         return square_candidate(dimension, 2.0), lambda s: float(np.dot(s, s))
     if kind == "poly":
@@ -822,11 +831,14 @@ def _system(draw, dimension, rng):
 @st.composite
 def _states(draw, dimension, min_size, rng):
     """States in order: mostly moderate magnitudes, some whose squares or
-    powers overflow, and now and then an origin or unit point mid-way."""
+    powers overflow, some whose squares underflow, and now and then an
+    origin or unit point mid-way."""
     m = draw(st.integers(min_size, 30))
     exponents = np.where(rng.random((m, 1)) < 0.15, rng.uniform(5.0, 300.0, (m, 1)),
                          rng.uniform(-4.0, 5.0, (m, 1)))
-    rows = list(rng.standard_normal((m, dimension)) * 10.0 ** exponents)
+    rows = rng.standard_normal((m, dimension)) * 10.0 ** exponents
+    tiny = rng.standard_normal((m, dimension)) * 10.0 ** rng.uniform(-320.0, -150.0, (m, 1))
+    rows = list(np.where(rng.random((m, 1)) < 0.1, tiny, rows))
     if draw(st.integers(0, 5)) == 3:
         rows.insert(draw(st.integers(0, m)), np.full(dimension, draw(st.sampled_from((0.0, -0.0)))))
     if draw(st.integers(0, 2)) == 1:
@@ -917,6 +929,16 @@ class TestBatchedScansMatchPerPointLoop:
             want = _outcome(lambda: _reference_basic(system, V_ref, pts, tol))
             assert got == want
 
+    def test_states_whose_squares_underflow_are_not_the_origin(self, case1_system):
+        gains = FixedTimeGains(*MAPPED_GAINS)
+        report = scan_conditions(case1_system, abs_candidate(), gains, [1e-170, 1.0])
+        assert report.checked_points == 2
+        assert report.value_zero_points == ()
+        assert math.isfinite(decrement_residual(case1_system, abs_candidate(), gains, -1e-170))
+        states = np.array([[0.0, -0.0], [-0.0, -0.0], [np.nan, 0.0], [0.0, -np.inf],
+                           [1e-170, 0.0], [0.0, 5e-324]])
+        assert _at_origin(states).tolist() == [True, True, False, False, False, False]
+
     def test_first_offending_point_in_grid_order_raises(self, case1_system):
         gains = FixedTimeGains(*MAPPED_GAINS)
         negative_rhs = polynomial_candidate([1.0, -2.0])  # V < 0 above |x| = 0.5
@@ -977,6 +999,17 @@ class TestBatchedValues:
         V = square_candidate(2)
         with pytest.raises(ParameterDomainError, match=r"takes states of shape \(m, 2\)"):
             V.values(states)
+
+    def test_norm_candidates_finite_where_the_square_leaves_range(self):
+        # ||x|| is in range at 1e200 and 1e-170 though its square is not;
+        # the suite turns a leaked overflow warning into an error.
+        line = np.array([[1e200], [1e-170]])
+        assert abs_candidate().values(line).tolist() == [1e200, 1e-170]
+        assert polynomial_candidate([2.0]).values(line).tolist() == [2e200, 2e-170]
+        plane = np.array([[3e200, 4e200], [3e-170, -4e-170]])
+        assert abs_candidate(2).values(plane) == pytest.approx([5e200, 5e-170], rel=1e-15)
+        assert polynomial_candidate([2.0], 2).values(plane) == pytest.approx(
+            [1e201, 1e-169], rel=1e-15)
 
     def test_value_keyword_is_gone(self):
         with pytest.raises(TypeError):

@@ -1,8 +1,11 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from fixsettle import (
     TABLE1_CASES,
@@ -21,7 +24,14 @@ from fixsettle import (
     uniform_ball_perturbation,
 )
 from fixsettle._pcg64 import seed_states
-from fixsettle.systems import DIVERGENCE_LIMIT, PerturbationSpec, _SEED_BLOCK
+from fixsettle.systems import (
+    DIVERGENCE_LIMIT,
+    PerturbationSpec,
+    _SEED_BLOCK,
+    norm,
+    row_dots,
+    row_norms,
+)
 from conftest import CASE1, mp_example_orbit
 
 
@@ -244,8 +254,9 @@ def _reference_ball(delta0, n, seed, k):
 
 
 def _reference_orbit(system, generator, delta0, seed, x0, k_max):
-    """A perturbed orbit stepped with a fresh RNG per step and np.linalg.norm;
-    returns its states, or the last finite index of a diverged orbit."""
+    """A perturbed orbit stepped with a fresh RNG per step, and with the
+    radial push along x / |x|; returns its states, or the last finite index
+    of a diverged orbit."""
     x = np.array([x0])
     states = [x]
     for k in range(k_max):
@@ -253,7 +264,7 @@ def _reference_orbit(system, generator, delta0, seed, x0, k_max):
         if generator == "uniform_ball":
             g = _reference_ball(delta0, 1, seed, k)
         else:
-            norm = np.linalg.norm(x)
+            norm = math.hypot(*x)  # |x|, whose square may underflow
             direction = x / norm if norm != 0.0 else np.array([1.0])
             g = direction * (0.999 * delta0)
         assert float(np.linalg.norm(g)) < delta0
@@ -310,13 +321,16 @@ class TestUniformBallStream:
         seed=st.integers(0, 2**70),
         k_max=st.integers(1, 60),
     )
+    # x0 is about -1e-305, whose square underflows: the push is still outward.
+    @example(case=TABLE1_CASES[0], generator="radial", x0_share=-1e-311, delta0=0.5,
+             seed=0, k_max=3)
     def test_orbits_equal_the_per_step_rng_loop(self, case, generator, x0_share, delta0, seed, k_max):
         system = case.system()
         x0 = x0_share * divergence_threshold(case.bprime, case.r2prime)
         if generator == "uniform_ball":
             pert = uniform_ball_perturbation(delta0, 1, seed)
         else:
-            pert = radial_perturbation(delta0, 1, seed=seed)
+            pert = radial_perturbation(delta0, 1)
         with np.errstate(over="ignore", invalid="ignore"):
             want = _reference_orbit(system, generator, delta0, seed, x0, k_max)
         if isinstance(want, int):
@@ -424,3 +438,135 @@ class TestSeedValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterDomainError):
             uniform_ball_perturbation(0.1, 1, seed=-1)
+
+    def test_seed_knob_is_gone(self):
+        # Only uniform_ball draws from a seed, and its generator keeps it.
+        with pytest.raises(TypeError):
+            PerturbationSpec(delta0=0.1, generator=lambda k, x: x * 0.0, seed=1)
+        with pytest.raises(TypeError):
+            radial_perturbation(0.1, 1, seed=1)
+        assert not hasattr(constant_perturbation([0.0], 0.1), "seed")
+
+
+# -- the state norm ------------------------------------------------------------------
+
+# Finite components of every kind: zeros of both signs, subnormals, and
+# magnitudes whose squares overflow or underflow.
+_finite = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0 ** -1022, 1e-170, -1e-160,
+                     1e154, 1e200, -1.7e308]),
+)
+
+
+def _in_range(row: np.ndarray) -> bool:
+    """Whether the row's squared norm is a finite normal float."""
+    with np.errstate(over="ignore"):
+        dot = row.dot(row)
+    return 2.0 ** -1022 <= dot < math.inf
+
+
+class TestStateNorm:
+    """``norm`` and ``row_norms``: np.linalg.norm's bits wherever the squared
+    norm is in range, and the rescued norm everywhere else."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(_finite, min_size=1, max_size=4))
+    def test_contract(self, components):
+        row = np.array(components)
+        with np.errstate(over="ignore"):
+            one = norm(row)
+            batch = row_norms(row[None, :])
+            plain = np.linalg.norm(row)
+        assert type(one) is float and batch.shape == (1,)
+        assert np.float64(one).tobytes() == batch[0].tobytes()
+        if _in_range(row):
+            assert batch[0].tobytes() == plain.tobytes()
+        else:
+            assert one == pytest.approx(math.hypot(*components), rel=1e-15)
+        if row.any():
+            assert one > 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(_finite, st.sampled_from([math.inf, -math.inf, math.nan])),
+                    min_size=1, max_size=4))
+    def test_rows_with_inf_or_nan(self, components):
+        row = np.array(components)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = [norm(row), float(row_norms(row[None, :])[0])]
+        for value in got:
+            if np.isnan(row).any():
+                assert math.isnan(value)
+            elif np.isinf(row).any():
+                assert value == math.inf
+            else:
+                assert value == pytest.approx(math.hypot(*components), rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_batch_equals_rows_one_at_a_time(self, n):
+        rng = np.random.default_rng(43)
+        rows = rng.standard_normal((600, n)) * 10.0 ** rng.uniform(-320, 308, (600, 1))
+        rows[:4] = np.array([0.0, -0.0, np.inf, np.nan])[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = row_norms(rows)
+            want = np.array([norm(row) for row in rows])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_one_component_is_the_magnitude(self):
+        xs = np.array([0.0, -0.0, 5e-324, -1e-170, 1.5, -1e200, 1.7e308, -np.inf])
+        assert row_norms(xs[:, None]).tobytes() == np.abs(xs).tobytes()
+        with np.errstate(over="ignore"):
+            assert [norm(np.array([x])) for x in xs] == np.abs(xs).tolist()
+
+    def test_row_dots_equal_np_dot(self):
+        rng = np.random.default_rng(47)
+        for n in (1, 2, 3, 5, 8):
+            rows = rng.standard_normal((300, n))
+            assert row_dots(rows).tobytes() == np.array([np.dot(r, r) for r in rows]).tobytes()
+
+    def test_stop_test_and_settling_index_agree(self):
+        # The stop test and the settling measurements read the same norm:
+        # a plain sum of squares put ||x_5|| just above this epsilon.
+        from fixsettle import measure_first_entry, measure_settling
+
+        system = affine_system([[0.5, 0.1], [0.0, 0.4]])
+        epsilon = 0.060891203288981684
+        traj = simulate(system, [-3.4053656700181563, 5.7685740685680855], 40,
+                        stop_epsilon=epsilon)
+        assert len(traj) == 6 and not traj.truncated
+        assert traj.norms()[-1] <= epsilon
+        assert measure_settling(traj, epsilon) == 5
+        assert measure_first_entry(traj, epsilon) == 5
+
+    def test_radial_push_where_the_square_leaves_range(self):
+        # From x = -1e-170 the push is outward (negative), and from x = 1e200
+        # it has its full size: the zero map shows the push alone.
+        zero = affine_system([[0.0]])
+        pert = radial_perturbation(0.5, 1)
+        assert simulate_perturbed(zero, pert, -1e-170, 1).states[1, 0] == -0.4995
+        assert simulate_perturbed(zero, pert, 1e200, 1).states[1, 0] == 0.4995
+        plane = affine_system(np.zeros((2, 2)))
+        pushed = simulate_perturbed(plane, radial_perturbation(0.5, 2), [3e-170, -4e-170], 1)
+        assert pushed.states[1] == pytest.approx([0.2997, -0.3996], rel=1e-15)
+
+
+_NORM_FORMULA = re.compile(r"linalg\.norm|\.dot\(|hypot")
+_NORM_HELPERS = ("norm", "row_norms", "row_dots")
+
+
+def test_norm_formulas_live_only_in_the_systems_helpers():
+    """No module computes a state norm by hand: every ``linalg.norm``,
+    ``.dot(`` and ``hypot`` in the package sits in one of the helpers."""
+    package = Path(__file__).resolve().parent.parent / "src" / "fixsettle"
+    allowed = set()
+    tree = ast.parse((package / "systems.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and node.name in _NORM_HELPERS:
+            allowed.update(range(node.lineno, node.end_lineno + 1))
+    assert len(allowed) > 0
+    stray = []
+    for path in sorted(package.glob("*.py")):
+        for number, line in enumerate(path.read_text().splitlines(), start=1):
+            if _NORM_FORMULA.search(line) and not (path.name == "systems.py" and number in allowed):
+                stray.append(f"{path.name}:{number}: {line.strip()}")
+    assert stray == []
