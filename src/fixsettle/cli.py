@@ -38,7 +38,7 @@ from .perturbation import (
     perturbed_settling_bound,
     remark_tradeoff_table,
 )
-from .settling import phase1_bound, phase2_bound, example_bound
+from .settling import example_bound, phase1_bound, phase2_bound, settling_bound
 from .systems import as_state_grid, simulate, simulate_perturbed
 
 
@@ -283,21 +283,20 @@ def cmd_sweep(args) -> int:
     cfg = _require_cfg(args)
     if cfg.analysis.grid is None:
         raise FixsettleError("sweep requires analysis.grid")
-    kwargs = {}
     if cfg.example_params is not None:
-        kwargs["example_params"] = cfg.example_params
+        bound = example_bound(*cfg.example_params)
     elif cfg.gains is not None:
-        kwargs["gains"] = cfg.gains
+        bound = settling_bound(cfg.gains)
     else:
         raise FixsettleError("sweep requires gains or an example system")
     result = sweep_settling(
         cfg.system,
         cfg.analysis.grid.materialize(),
+        bound,
         epsilon=cfg.analysis.epsilon,
         k_max=cfg.analysis.k_max,
         epsilons=cfg.analysis.epsilon_list,
         case_id=cfg.analysis.case_id or cfg.system.name,
-        **kwargs,
     )
     path = _out_path(args, "sweep.json", cfg)
     _write_json(path, result.to_dict())

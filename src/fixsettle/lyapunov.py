@@ -98,13 +98,17 @@ class LyapunovCandidate:
         return float(self.values(as_state(x, self.dimension)[None, :])[0])
 
     def values(self, states: np.ndarray) -> np.ndarray:
-        """V of every row of an (m, dimension) state array."""
+        """V of every row of an (m, dimension) state array.
+
+        A value that overflows is inf, without numpy's overflow warning.
+        """
         if np.ndim(states) != 2 or np.shape(states)[1] != self.dimension:
             raise ParameterDomainError(
                 f"candidate '{self.name}' takes states of shape (m, {self.dimension}), "
                 f"got {np.shape(states)}"
             )
-        out = np.asarray(self.body(states), dtype=float)
+        with np.errstate(over="ignore"):
+            out = np.asarray(self.body(states), dtype=float)
         if out.shape != (len(states),):
             raise ParameterDomainError(
                 f"candidate '{self.name}' returned shape {out.shape}, expected {(len(states),)}"

@@ -17,13 +17,11 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import EmptyDomainError, ParameterDomainError, SimulationDivergedError
-from .lyapunov import FixedTimeGains
 from .record import Record
 from .settling import (
     check_level,
     example_bound,
     q_sequence,
-    settling_bound,
     settling_vs_epsilon,
 )
 from .systems import (
@@ -120,23 +118,23 @@ class SweepResult(Record):
 def sweep_settling(
     system: SystemMap,
     x0_grid,
-    gains: Optional[FixedTimeGains] = None,
-    example_params: Optional[Sequence[float]] = None,
+    bound: int,
     epsilon: float = 1.0,
     k_max: Optional[int] = None,
     epsilons: Sequence[float] = DEFAULT_EPSILONS,
     case_id: str = "",
 ) -> SweepResult:
-    """Simulate every initial condition and compare settling to the bound.
+    """Simulate every initial condition and compare settling to ``bound``.
 
-    Exactly one of ``gains`` / ``example_params`` selects the bound.  All
-    initial conditions advance together, one ``system.apply_batch`` call
-    per step, and each keeps only its last-outside and first-inside index
-    for ``epsilon`` and every entry of ``epsilons``.  The settling-vs-epsilon
-    curve is reported for the worst-settling orbit (ties broken by grid
-    order).  A diverged orbit stops; the first one in grid order is raised
-    with its initial condition attached.  Initial conditions are scalars,
-    so the system must be one-dimensional.
+    ``k_max`` defaults to ``bound + 50`` steps.  All initial conditions
+    advance together, one ``system.apply_batch`` call per step, and each
+    keeps only its last-outside and first-inside index for ``epsilon`` and
+    every entry of ``epsilons``.  The settling-vs-epsilon curve is reported
+    for the worst-settling orbit (ties broken by grid order).  An orbit
+    diverges by ``simulate``'s rule, a norm not <= ``DIVERGENCE_LIMIT``,
+    and stops; the first one in grid order is raised with its initial
+    condition attached.  Initial conditions are scalars, so the system must
+    be one-dimensional.
     """
     if system.dimension != 1:
         raise ParameterDomainError(
@@ -147,9 +145,8 @@ def sweep_settling(
     x0s = x[:, 0].tolist()
     if not x0s:
         raise EmptyDomainError("x0 grid is empty")
-    if (gains is None) == (example_params is None):
-        raise ParameterDomainError("pass exactly one of gains or example_params")
-    bound = settling_bound(gains) if gains is not None else example_bound(*example_params)
+    if bound < 0:
+        raise ParameterDomainError(f"bound must be nonnegative, got {bound!r}")
     steps = bound + 50 if k_max is None else k_max
     if steps < 1:
         raise ParameterDomainError("k_max must be at least 1")
@@ -165,7 +162,6 @@ def sweep_settling(
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, steps + 1):
             x = system.apply_batch(x)
-            # |x| in one dimension, so the guard reads the norms too.
             norms = row_norms(x)[:, None]
             guarded = norms[:, 0] <= DIVERGENCE_LIMIT  # False for inf and NaN too
             if not guarded.all():

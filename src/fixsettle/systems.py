@@ -12,8 +12,8 @@ simulators and a small family of bounded perturbation generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,7 +24,9 @@ from .errors import (
 )
 
 # Power-law maps overflow within a handful of steps once they leave the
-# basin of attraction; abort well before float64 infinity.
+# basin of attraction; abort well before float64 infinity.  An orbit has
+# diverged at its first state whose ``norm`` is not <= this limit, which a
+# NaN or inf norm is not.
 DIVERGENCE_LIMIT = 1e300
 
 
@@ -59,8 +61,7 @@ class SystemMap:
     """A deterministic discrete-time autonomous map.
 
     ``step`` must be a pure function from a state vector of length
-    ``dimension`` to a state vector of the same length.  ``params`` records
-    the constants the map was built from, for reporting.  ``step_batch``,
+    ``dimension`` to a state vector of the same length.  ``step_batch``,
     when given, maps an (m, dimension) array of states row by row in one
     call and must agree with ``step`` bit for bit on every row.
     """
@@ -68,7 +69,6 @@ class SystemMap:
     name: str
     dimension: int
     step: Callable[[np.ndarray], np.ndarray]
-    params: Mapping[str, float] = field(default_factory=dict)
     step_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
@@ -261,6 +261,8 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
     and the states of a block of consecutive steps, computed in one pass.
     A negative seed or k raises ``ParameterDomainError``.
     """
+    if dimension < 1:
+        raise ParameterDomainError("dimension must be a positive integer")
     if seed < 0:
         raise ParameterDomainError("seed must be a nonnegative integer")
     exponent = 1.0 / dimension
@@ -313,6 +315,8 @@ def radial_perturbation(
     strict).  At the origin, where "away" is undefined, the first axis is
     used.
     """
+    if dimension < 1:
+        raise ParameterDomainError("dimension must be a positive integer")
     if not 0.0 <= fraction < 1.0:
         raise ParameterDomainError("fraction must lie in [0, 1) to keep the bound strict")
     magnitude = fraction * delta0
@@ -359,12 +363,13 @@ def _run(
                 _check_shape(system, nxt, shape)
             if pert is not None:
                 nxt = nxt + pert.sample(k, x)
-            # NaN and inf fail the comparison, as they fail the guard.
-            if not (np.abs(nxt) <= DIVERGENCE_LIMIT).all():
+            # One norm decides both tests; a NaN or inf norm fails the guard.
+            size = norm(nxt)
+            if not size <= DIVERGENCE_LIMIT:
                 raise divergence_error(system, k, states[0])
             states.append(nxt)
             x = nxt
-            if stop_epsilon is not None and norm(x) <= stop_epsilon:
+            if stop_epsilon is not None and size <= stop_epsilon:
                 truncated = False
                 break
     return Trajectory(np.array(states), truncated=truncated)
@@ -456,18 +461,7 @@ def example_system(
         m = np.copysign(np.maximum(low, high), states)
         return np.where(states == 0.0, 0.0, states - m)
 
-    return SystemMap(
-        name=name,
-        dimension=1,
-        step=step,
-        params={
-            "aprime": aprime,
-            "bprime": bprime,
-            "r1prime": r1prime,
-            "r2prime": r2prime,
-        },
-        step_batch=step_batch,
-    )
+    return SystemMap(name=name, dimension=1, step=step, step_batch=step_batch)
 
 
 def affine_system(matrix, offset=None, name: str = "affine") -> SystemMap:
@@ -481,4 +475,4 @@ def affine_system(matrix, offset=None, name: str = "affine") -> SystemMap:
     def step(state: np.ndarray) -> np.ndarray:
         return a @ state + b
 
-    return SystemMap(name=name, dimension=n, step=step, params={})
+    return SystemMap(name=name, dimension=n, step=step)

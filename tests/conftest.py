@@ -32,12 +32,16 @@ def identity_system():
 
 
 def mp_example_orbit(x0, params, steps, dps=60):
-    """High-precision reference orbit of the benchmark map (mpmath)."""
+    """High-precision reference orbit of the benchmark map (mpmath).
+
+    Starts from the exact binary values of the float ``x0`` and parameters,
+    so it differs from the float map only by the float map's own rounding.
+    """
     import mpmath as mp
 
     with mp.workdps(dps):
-        a, b, r1, r2 = (mp.mpf(repr(p)) for p in params)
-        x = mp.mpf(repr(x0))
+        a, b, r1, r2 = (mp.mpf(float(p)) for p in params)
+        x = mp.mpf(float(x0))
         out = [x]
         for _ in range(steps):
             if x == 0:

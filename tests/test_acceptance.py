@@ -122,7 +122,7 @@ def test_criterion_04_empirical_settling_within_bound():
         result = sweep_settling(
             case.system(),
             grid,
-            example_params=case.params(),
+            example_bound(*case.params()),
             epsilon=1.0,
             k_max=400,
             case_id=case.case_id,

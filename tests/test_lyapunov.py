@@ -1011,6 +1011,14 @@ class TestBatchedValues:
         assert polynomial_candidate([2.0], 2).values(plane) == pytest.approx(
             [1e201, 1e-169], rel=1e-15)
 
+    def test_overflowing_value_is_inf_without_a_warning(self):
+        # V = x^2 and V = x + x^2 leave float64 at x = 1e200; the suite turns
+        # numpy's overflow warning into an error.
+        far = np.array([[1e200]])
+        assert square_candidate().values(far).tolist() == [math.inf]
+        assert polynomial_candidate([1.0, 1.0]).values(far).tolist() == [math.inf]
+        assert square_candidate(2).values(np.array([[1e200, -1e200]])).tolist() == [math.inf]
+
     def test_value_keyword_is_gone(self):
         with pytest.raises(TypeError):
             LyapunovCandidate("old", value=lambda s: float(abs(s[0])))

@@ -63,7 +63,7 @@ class TestSweep:
     def test_single_zero_initial_condition(self):
         case = TABLE1_CASES[0]
         result = sweep_settling(
-            case.system(), [0.0], example_params=case.params(), epsilon=1.0, k_max=30
+            case.system(), [0.0], example_bound(*case.params()), epsilon=1.0, k_max=30
         )
         assert result.worst_settling == 0
         assert result.all_within_bound
@@ -74,7 +74,7 @@ class TestSweep:
         result = sweep_settling(
             case.system(),
             sweep_grid(case, points=31),
-            example_params=case.params(),
+            example_bound(*case.params()),
             epsilon=1.0,
         )
         assert result.all_within_bound
@@ -87,7 +87,7 @@ class TestSweep:
         # so the local bound genuinely fails from the top of [2, 1e6].
         case = TABLE1_CASES[0]
         result = sweep_settling(
-            case.system(), [1e6], example_params=case.params(), epsilon=1.0, k_max=200
+            case.system(), [1e6], example_bound(*case.params()), epsilon=1.0, k_max=200
         )
         assert result.worst_settling is not None
         assert result.worst_settling > 19
@@ -97,19 +97,18 @@ class TestSweep:
         case = TABLE1_CASES[1]
         with pytest.raises(SimulationDivergedError) as err:
             sweep_settling(
-                case.system(), [2e5], example_params=case.params(), epsilon=1.0, k_max=400
+                case.system(), [2e5], example_bound(*case.params()), epsilon=1.0, k_max=400
             )
         assert err.value.x0 == 2e5
 
-    def test_gains_and_example_params_exclusive(self):
-        case = TABLE1_CASES[0]
-        with pytest.raises(ParameterDomainError):
-            sweep_settling(case.system(), [10.0], epsilon=1.0)
+    def test_negative_bound_rejected(self):
+        with pytest.raises(ParameterDomainError, match="bound must be nonnegative"):
+            sweep_settling(TABLE1_CASES[0].system(), [10.0], -1)
 
     def test_empty_grid(self):
         case = TABLE1_CASES[0]
         with pytest.raises(EmptyDomainError):
-            sweep_settling(case.system(), [], example_params=case.params())
+            sweep_settling(case.system(), [], example_bound(*case.params()))
 
     def test_multidimensional_system_rejected_before_simulating(self, monkeypatch):
         def no_simulation(*args, **kwargs):
@@ -120,13 +119,13 @@ class TestSweep:
         system = affine_system([[0.5, 0.0], [0.0, 0.5]])
         with pytest.raises(ParameterDomainError, match="dimension 2"):
             sweep_settling(
-                system, [[1.0, 2.0], [3.0, 4.0]], example_params=TABLE1_CASES[0].params()
+                system, [[1.0, 2.0], [3.0, 4.0]], example_bound(*TABLE1_CASES[0].params())
             )
 
     def test_roundtrip(self):
         case = TABLE1_CASES[0]
         result = sweep_settling(
-            case.system(), [10.0, 1500.0], example_params=case.params()
+            case.system(), [10.0, 1500.0], example_bound(*case.params())
         )
         assert SweepResult.from_dict(result.to_dict()) == result
 
@@ -144,7 +143,7 @@ class TestSweep:
         assert last_finite[far] < last_finite[near]
         with pytest.raises(SimulationDivergedError) as err:
             sweep_settling(
-                system, [10.0, near, far], example_params=case.params(), k_max=400
+                system, [10.0, near, far], example_bound(*case.params()), k_max=400
             )
         k = last_finite[near]
         assert err.value.x0 == near
@@ -154,12 +153,22 @@ class TestSweep:
             f"{k + 1} of '{system.name}' (last finite index {k})"
         )
 
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
+    def test_divergence_index_equals_simulate(self, case):
+        # Both loops stop at the first norm above DIVERGENCE_LIMIT.
+        x0 = 1.01 * divergence_threshold(case.bprime, case.r2prime)
+        with pytest.raises(SimulationDivergedError) as orbit:
+            simulate(case.system(), x0, 200)
+        with pytest.raises(SimulationDivergedError) as sweep:
+            sweep_settling(case.system(), [x0], example_bound(*case.params()), k_max=200)
+        assert sweep.value.last_finite_index == orbit.value.last_finite_index
+
     def test_non_finite_initial_condition_diverges_at_first_step(self):
         case = TABLE1_CASES[0]
         for x0 in (float("nan"), float("inf")):
             with pytest.raises(SimulationDivergedError) as err:
                 sweep_settling(
-                    case.system(), [2.0, x0], example_params=case.params(), k_max=30
+                    case.system(), [2.0, x0], example_bound(*case.params()), k_max=30
                 )
             assert err.value.last_finite_index == 0
             assert repr(err.value.x0) == repr(x0)
@@ -172,13 +181,13 @@ class TestSweep:
     def test_parameters_checked(self, kwargs):
         case = TABLE1_CASES[0]
         with pytest.raises(ParameterDomainError):
-            sweep_settling(case.system(), [10.0], example_params=case.params(), **kwargs)
+            sweep_settling(case.system(), [10.0], example_bound(*case.params()), **kwargs)
 
     def test_batch_shape_checked(self):
         case = TABLE1_CASES[0]
         system = SystemMap("flat", 1, lambda s: s, step_batch=lambda states: states[:, 0])
         with pytest.raises(ParameterDomainError, match=r"returned shape \(2,\), expected \(2, 1\)"):
-            sweep_settling(system, [1.0, 2.0], example_params=case.params())
+            sweep_settling(system, [1.0, 2.0], example_bound(*case.params()))
 
 
 SWEEP_EPSILONS = (10.0, 1.0, 0.5, 0.25, 0.1, 1e-3, 0.0)
@@ -222,7 +231,7 @@ class TestLockstepSweep:
             for start in range(0, len(grid), size):
                 x0s = grid[start:start + size]
                 result = sweep_settling(
-                    system, x0s, example_params=case.params(), k_max=self.STEPS,
+                    system, x0s, bound, k_max=self.STEPS,
                     epsilons=SWEEP_EPSILONS,
                 )
                 want = _expected(rows[start:start + size], x0s, bound)
@@ -233,7 +242,7 @@ class TestLockstepSweep:
         system = case.system()
         grid = sweep_grid(case, points=41)
         bound = example_bound(*case.params())
-        result = sweep_settling(system, grid, example_params=case.params())
+        result = sweep_settling(system, grid, bound)
         rows = _lane_rows(system, grid, bound + 50, epsilons=DEFAULT_EPSILONS)
         want = _expected(rows, grid, bound)
         assert _got(result, want) == want
@@ -241,20 +250,14 @@ class TestLockstepSweep:
     def test_map_without_batch_body(self, halving_system):
         assert halving_system.step_batch is None
         x0s = [-8.0, 0.0, 3.0, 1e6, 0.75]
-        result = sweep_settling(
-            halving_system, x0s, example_params=TABLE1_CASES[0].params(),
-            k_max=40, epsilons=SWEEP_EPSILONS,
-        )
+        result = sweep_settling(halving_system, x0s, 19, k_max=40, epsilons=SWEEP_EPSILONS)
         assert result.worst_x0 == 1e6
         assert result.worst_settling == 20  # 1e6 / 2^20 < 1 <= 1e6 / 2^19
         want = _expected(_lane_rows(halving_system, x0s, 40), x0s, result.bound)
         assert _got(result, want) == want
 
     def test_orbit_that_never_settles_is_worst(self, identity_system):
-        result = sweep_settling(
-            identity_system, [0.5, 2.0, 3.0], example_params=TABLE1_CASES[0].params(),
-            k_max=10, epsilons=(1.0,),
-        )
+        result = sweep_settling(identity_system, [0.5, 2.0, 3.0], 19, k_max=10, epsilons=(1.0,))
         assert result.worst_settling is None
         assert result.worst_x0 == 2.0
         assert not result.all_within_bound

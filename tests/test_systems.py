@@ -84,6 +84,39 @@ class TestExampleStep:
         assert example_step(-1e300, *CASE1) == np.inf
         assert type(example_step(1e300, *CASE1)) is float
 
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.sampled_from(TABLE1_CASES), share=st.floats(-0.5, 0.5))
+    @example(case=TABLE1_CASES[2], share=1e-320)
+    @example(case=TABLE1_CASES[3], share=-0.5)
+    def test_one_step_within_rounding_of_the_60_digit_step(self, case, share):
+        """|example_step(x) - y| <= 2 ulp(M) + ulp(y) for |x| below half the
+        divergence threshold, where y is the 60-digit step rounded to float
+        and M the larger exact power term.
+
+        The float step is x - sign(x) max(p1, p2) with p_i = c_i pow(|x|, r_i).
+        glibc's ``pow`` (2.28 on) errs by under 0.52 ulp; times c, that is
+        under 1.6 ulp of c |x|^r, as every c here has a mantissa of at most
+        1.6, and the product's rounding adds 1/2 ulp.  So each term, and so
+        their max, is within 1.34 ulp(M) of its exact value.  The subtraction
+        and the rounding of y add at most 1/2 ulp of their results each, 1 ulp
+        of y in all unless the two straddle a power of two.  Then either
+        ulp(M) is at least ulp(y) and the spare 0.66 ulp(M) covers the wider
+        half ulp, or the gap of under 1.34 ulp(M) is below half the wider ulp
+        and the float step rounds onto the power of two itself.  The 60-digit
+        step's own error, about 1e-60 relative, is far below the spare.
+        """
+        import mpmath as mp
+
+        params = case.params()
+        x0 = share * divergence_threshold(case.bprime, case.r2prime)
+        want = mp_example_orbit(x0, params, 1)[1]
+        a, b, r1, r2 = params
+        with mp.workdps(60):
+            mag = abs(mp.mpf(x0))
+            big = float(max(a * mag ** r1, b * mag ** r2))
+        tolerance = 2 * np.spacing(big) + np.spacing(abs(want))
+        assert abs(example_step(x0, *params) - want) <= tolerance
+
     def test_max_branch_switches_exactly_once(self):
         # The two branches cross at (a'/b')^(1/(r2'-r1')); a scan around it
         # must pick the sublinear branch below and the superlinear one above.
@@ -176,6 +209,46 @@ class TestSimulate:
         # The head is stored once: there is no initial_state argument.
         with pytest.raises(TypeError):
             Trajectory(traj.states, traj.states[0], truncated=True)
+
+
+class TestDivergenceGuard:
+    """An orbit diverges at its first state whose ``norm`` is not <= the limit."""
+
+    def test_norm_above_the_limit_diverges_with_every_component_below(self):
+        # ||(8e299, 8e299)|| = 1.13e300.
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate(affine_system(np.eye(2)), [8e299, 8e299], 1)
+        assert err.value.last_finite_index == 0
+
+    def test_norm_below_the_limit_does_not_diverge(self):
+        # ||(7e299, 7e299)|| = 9.9e299.
+        traj = simulate(affine_system(np.eye(2)), [7e299, 7e299], 1)
+        assert traj.states[1].tolist() == [7e299, 7e299]
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_dimensional_orbit_whose_square_overflows(self, doubling_system, halving_system):
+        # Above 1.4e154 the square x * x overflows, but the norm stays |x|.
+        traj = simulate(doubling_system, 1e200, 10, stop_epsilon=1e150)
+        assert traj.truncated and traj.states[-1, 0] == 1e200 * 2.0 ** 10
+        with pytest.raises(SimulationDivergedError) as err:
+            simulate(doubling_system, 3e299, 5)  # 3e299, 6e299, 1.2e300
+        assert err.value.last_finite_index == 1
+        # 1e299 / 2^163 <= 1e250 < 1e299 / 2^162
+        traj = simulate(halving_system, -1e299, 400, stop_epsilon=1e250)
+        assert len(traj) == 164 and not traj.truncated
+
+    def test_limit_read_only_by_the_two_orbit_loops(self):
+        """Only ``systems._run`` and ``oracle.sweep_settling`` read the limit,
+        so a further orbit loop must share their rule, not restate it."""
+        package = Path(__file__).resolve().parent.parent / "src" / "fixsettle"
+        readers = set()
+        for path in sorted(package.glob("*.py")):
+            for top in ast.parse(path.read_text()).body:
+                for node in ast.walk(top):
+                    name = getattr(node, "id", getattr(node, "attr", None))
+                    if name == "DIVERGENCE_LIMIT" and isinstance(node.ctx, ast.Load):
+                        readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+        assert readers == {"systems._run", "oracle.sweep_settling"}
 
 
 class TestSimulatePerturbed:
@@ -357,10 +430,6 @@ class TestSystemMap:
         with pytest.raises(ParameterDomainError):
             affine_system([[1.0, 2.0]])
 
-    def test_params_recorded(self, case1_system):
-        assert case1_system.params["aprime"] == 0.8
-        assert case1_system.params["r2prime"] == 1.1
-
 
 def _batch_inputs(case, count=100_000):
     """Inputs over the float range whose powers stay finite, plus the map's
@@ -438,6 +507,13 @@ class TestSeedValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ParameterDomainError):
             uniform_ball_perturbation(0.1, 1, seed=-1)
+
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_dimension_below_one_rejected(self, dimension):
+        with pytest.raises(ParameterDomainError, match="dimension"):
+            uniform_ball_perturbation(0.1, dimension, 1)
+        with pytest.raises(ParameterDomainError, match="dimension"):
+            radial_perturbation(0.1, dimension)
 
     def test_seed_knob_is_gone(self):
         # Only uniform_ball draws from a seed, and its generator keeps it.
