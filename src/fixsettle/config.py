@@ -89,12 +89,20 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _integer(value, key: str) -> int:
+    """A JSON integer, or a number with an integral value such as 400.0."""
+    integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    if isinstance(value, bool) or not integral:
+        raise ConfigurationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_system(d: dict) -> tuple:
     if "builtin" in d:
         if d["builtin"] != "example":
             raise ConfigurationError(f"unknown builtin system {d['builtin']!r}")
         if "case" in d:
-            idx = int(d["case"]) - 1
+            idx = _integer(d["case"], "system.case") - 1
             if not 0 <= idx < len(TABLE1_CASES):
                 raise ConfigurationError(
                     f"system.case must be 1..{len(TABLE1_CASES)}, got {d['case']!r}"
@@ -133,7 +141,9 @@ def _build_candidate(d: dict, dimension: int) -> LyapunovCandidate:
 def _build_perturbation(d: dict, dimension: int, seed_override: Optional[int]) -> PerturbationSpec:
     delta0 = float(_require(d, "delta0", "perturbation"))
     generator = d.get("generator", "uniform_ball")
-    seed = int(d.get("seed", 0)) if seed_override is None else seed_override
+    seed = _integer(d.get("seed", 0), "perturbation.seed")
+    if seed_override is not None:
+        seed = seed_override
     # Only uniform_ball draws from the seed; every generator rejects a bad one.
     if seed < 0:
         raise ParameterDomainError("seed must be a nonnegative integer")
@@ -161,7 +171,7 @@ def _build_grid(d: dict) -> GridSpec:
         raise ConfigurationError(f"grid.scale must be log|linear, got {scale!r}")
     low = float(_require(d, "low", "grid"))
     high = float(_require(d, "high", "grid"))
-    points = int(_require(d, "points", "grid"))
+    points = _integer(_require(d, "points", "grid"), "grid.points")
     if points < 1:
         raise ConfigurationError("grid.points must be positive")
     if not low < high:
@@ -215,7 +225,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
             )
         analysis = AnalysisParams(
             x0=x0,
-            k_max=None if a.get("k_max") is None else int(a["k_max"]),
+            k_max=None if a.get("k_max") is None else _integer(a["k_max"], "analysis.k_max"),
             stop_epsilon=(
                 None if a.get("stop_epsilon") is None else float(a["stop_epsilon"])
             ),

@@ -134,17 +134,20 @@ def polynomial_candidate(
     """V(x) = sum_i c_i * ||x||^i with powers starting at 1.
 
     The missing constant term makes V(0) = 0 by construction.  The terms
-    are added in order from 0.0; a power that overflows gives inf.
+    are added in order from 0.0; a power that overflows gives inf.  Terms
+    with a zero coefficient are left out, as they add only 0.0 to a finite
+    sum and would turn an overflowing power into NaN.
     """
     coeffs = [float(c) for c in coefficients]
     if not coeffs:
         raise ParameterDomainError("polynomial candidate needs at least one coefficient")
+    terms = [(c, i + 1) for i, c in enumerate(coeffs) if c != 0.0]
 
     def body(states: np.ndarray) -> np.ndarray:
         m = row_norms(states)
-        total = 0.0
-        for i, c in enumerate(coeffs):
-            total = total + c * np.float_power(m, i + 1)
+        total = np.zeros(len(m))
+        for c, power in terms:
+            total = total + c * np.float_power(m, power)
         return total
 
     return LyapunovCandidate("poly", body, lipschitz, dimension)

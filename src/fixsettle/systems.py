@@ -60,16 +60,15 @@ def as_state_grid(grid, dimension: int) -> np.ndarray:
 class SystemMap:
     """A deterministic discrete-time autonomous map.
 
-    ``step`` must be a pure function from a state vector of length
-    ``dimension`` to a state vector of the same length.  ``step_batch``,
-    when given, maps an (m, dimension) array of states row by row in one
-    call and must agree with ``step`` bit for bit on every row.
+    ``body`` must be a pure function that maps one state vector of length
+    ``dimension`` to a vector of that shape, and an (m, dimension) stack of
+    states to an (m, dimension) stack, each row bit for bit what the row
+    alone gives.
     """
 
     name: str
     dimension: int
-    step: Callable[[np.ndarray], np.ndarray]
-    step_batch: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    body: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
         if self.dimension < 1:
@@ -78,31 +77,21 @@ class SystemMap:
     def apply(self, x) -> np.ndarray:
         """One application of the map, with dimension checking."""
         state = as_state(x, self.dimension)
-        out = np.atleast_1d(np.asarray(self.step(state), dtype=float))
-        _check_shape(self, out, state.shape)
-        return out
+        return _checked(self, self.body(state), state.shape)
 
     def apply_batch(self, states: np.ndarray) -> np.ndarray:
-        """One application of the map to every row of an (m, dimension) array.
-
-        Uses ``step_batch`` when the map has one, and ``apply`` row by row
-        otherwise.
-        """
-        if self.step_batch is None:
-            out = np.empty_like(states, dtype=float)
-            for i, state in enumerate(states):
-                out[i] = self.apply(state)
-            return out
-        out = np.asarray(self.step_batch(states), dtype=float)
-        _check_shape(self, out, states.shape)
-        return out
+        """One application of the map to every row of an (m, dimension) array."""
+        return _checked(self, self.body(states), states.shape)
 
 
-def _check_shape(system: SystemMap, out: np.ndarray, shape) -> None:
+def _checked(system: SystemMap, out, shape) -> np.ndarray:
+    """``out`` as a float array, which must have the input's shape."""
+    out = np.asarray(out, dtype=float)
     if out.shape != shape:
         raise ParameterDomainError(
             f"map '{system.name}' returned shape {out.shape}, expected {shape}"
         )
+    return out
 
 
 # The root of the smallest normal float 2**-1022: a squared norm is a
@@ -347,7 +336,7 @@ def _run(
     if stop_epsilon is not None and stop_epsilon < 0.0:
         raise ParameterDomainError("stop_epsilon must be nonnegative")
     x = as_state(x0, system.dimension)
-    step = system.step
+    body = system.body
     shape = x.shape
     states = [x]
     truncated = True
@@ -357,10 +346,9 @@ def _run(
         if stop_epsilon is not None and norm(x) <= stop_epsilon:
             return Trajectory(np.array(states), truncated=False)
         for k in range(k_max):
-            nxt = np.asarray(step(x), dtype=float)
+            nxt = np.asarray(body(x), dtype=float)
             if nxt.shape != shape:
-                nxt = np.atleast_1d(nxt)
-                _check_shape(system, nxt, shape)
+                _checked(system, nxt, shape)
             if pert is not None:
                 nxt = nxt + pert.sample(k, x)
             # One norm decides both tests; a NaN or inf norm fails the guard.
@@ -448,20 +436,20 @@ def example_system(
     """The benchmark map packaged as a 1-D SystemMap."""
     validate_example_params(aprime, bprime, r1prime, r2prime)
 
-    def step(state: np.ndarray) -> np.ndarray:
+    def body(states: np.ndarray) -> np.ndarray:
         # Parameters were validated at construction; skip the per-step check.
-        return np.array([_example_step_raw(state[0], aprime, bprime, r1prime, r2prime)])
-
-    def step_batch(states: np.ndarray) -> np.ndarray:
-        # np.float_power calls libm pow like Python's **, so every row
-        # matches ``step`` bit for bit; np.power does not on some inputs.
+        # A single state takes the scalar step, far cheaper per call than the
+        # array path; np.float_power calls libm pow like Python's **, so a
+        # stack's rows match it bit for bit, where np.power does not.
+        if states.ndim == 1:
+            return np.array([_example_step_raw(states[0], aprime, bprime, r1prime, r2prime)])
         mag = np.abs(states)
         low = aprime * np.float_power(mag, r1prime)
         high = bprime * np.float_power(mag, r2prime)
         m = np.copysign(np.maximum(low, high), states)
         return np.where(states == 0.0, 0.0, states - m)
 
-    return SystemMap(name=name, dimension=1, step=step, step_batch=step_batch)
+    return SystemMap(name=name, dimension=1, body=body)
 
 
 def affine_system(matrix, offset=None, name: str = "affine") -> SystemMap:
@@ -472,7 +460,9 @@ def affine_system(matrix, offset=None, name: str = "affine") -> SystemMap:
     n = a.shape[0]
     b = np.zeros(n) if offset is None else as_state(offset, n)
 
-    def step(state: np.ndarray) -> np.ndarray:
-        return a @ state + b
+    def body(states: np.ndarray) -> np.ndarray:
+        # Stacked matrix-vector products equal ``a @ x`` row by row, bit for
+        # bit; the plain product ``states @ a.T`` differs in the last bit.
+        return np.matmul(a, states[..., None])[..., 0] + b
 
-    return SystemMap(name=name, dimension=n, step=step)
+    return SystemMap(name=name, dimension=n, body=body)

@@ -150,6 +150,41 @@ class TestConfigValidation:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path), *flag]) == 2
         assert capsys.readouterr().err == "error: seed must be a nonnegative integer\n"
 
+    @staticmethod
+    def _integer_fields(case=1, points=5, k_max=40, seed=3):
+        payload = case1_config(
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": seed}
+        )
+        payload["system"]["case"] = case
+        payload["analysis"].update(
+            k_max=k_max, grid={"scale": "log", "low": 2.0, "high": 100.0, "points": points}
+        )
+        return payload
+
+    @pytest.mark.parametrize("key, value", [
+        ("system.case", 1.9), ("system.case", True), ("system.case", "1"),
+        ("grid.points", 10.7), ("grid.points", True), ("grid.points", math.inf),
+        ("analysis.k_max", 12.9), ("analysis.k_max", "40"),
+        ("perturbation.seed", 2.5), ("perturbation.seed", "7"), ("perturbation.seed", False),
+    ])
+    def test_integer_fields_reject_what_is_not_an_integer(self, tmp_path, capsys, key, value):
+        # Each used to be truncated by int(): 1.9 ran case 1, true was 1 point.
+        payload = self._integer_fields(**{key.split(".")[1]: value})
+        cfg = write_config(tmp_path, payload)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be an integer, got {value!r}\n"
+
+    def test_integer_fields_accept_integral_floats(self, tmp_path, capsys):
+        outputs = []
+        for number in (int, float):
+            payload = self._integer_fields(*(number(v) for v in (1, 5, 40, 3)))
+            out = tmp_path / number.__name__
+            cfg = write_config(tmp_path, payload, f"{number.__name__}.json")
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((printed, (out / "simulate.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_unreadable_config(self, tmp_path):
         assert main(["bound", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 

@@ -1019,6 +1019,15 @@ class TestBatchedValues:
         assert polynomial_candidate([1.0, 1.0]).values(far).tolist() == [math.inf]
         assert square_candidate(2).values(np.array([[1e200, -1e200]])).tolist() == [math.inf]
 
+    def test_zero_coefficient_adds_nothing_where_its_power_overflows(self):
+        # 0 * inf is NaN, so a zero term must be left out, not added; the
+        # suite turns numpy's invalid-value warning into an error.
+        far = np.array([[1e200], [-3.0], [0.0]])
+        assert polynomial_candidate([1.0, 0.0]).values(far).tolist() == [1e200, 3.0, 0.0]
+        assert polynomial_candidate([0.0, 1.0, 0.0]).values(far).tolist() == [math.inf, 9.0, 0.0]
+        zero = polynomial_candidate([0.0, 0.0]).values(far)
+        assert zero.shape == (3,) and zero.tolist() == [0.0, 0.0, 0.0]
+
     def test_value_keyword_is_gone(self):
         with pytest.raises(TypeError):
             LyapunovCandidate("old", value=lambda s: float(abs(s[0])))

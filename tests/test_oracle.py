@@ -185,7 +185,7 @@ class TestSweep:
 
     def test_batch_shape_checked(self):
         case = TABLE1_CASES[0]
-        system = SystemMap("flat", 1, lambda s: s, step_batch=lambda states: states[:, 0])
+        system = SystemMap("flat", 1, lambda states: states[..., 0])
         with pytest.raises(ParameterDomainError, match=r"returned shape \(2,\), expected \(2, 1\)"):
             sweep_settling(system, [1.0, 2.0], example_bound(*case.params()))
 
@@ -248,7 +248,6 @@ class TestLockstepSweep:
         assert _got(result, want) == want
 
     def test_map_without_batch_body(self, halving_system):
-        assert halving_system.step_batch is None
         x0s = [-8.0, 0.0, 3.0, 1e6, 0.75]
         result = sweep_settling(halving_system, x0s, 19, k_max=40, epsilons=SWEEP_EPSILONS)
         assert result.worst_x0 == 1e6

@@ -1,6 +1,9 @@
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +81,8 @@ class TestExampleStep:
         # |1e300|^1.1 overflows: the step is -inf, with no error or warning.
         system = example_system(*CASE1)
         with np.errstate(over="ignore"):
-            want = system.step(np.array([1e300]))[0]
+            want = system.body(np.array([1e300]))[0]
+            assert system.body(np.array([[1e300]]))[0, 0] == want
         assert want == -np.inf
         assert example_step(1e300, *CASE1) == want
         assert example_step(-1e300, *CASE1) == np.inf
@@ -327,13 +331,13 @@ def _reference_ball(delta0, n, seed, k):
 
 
 def _reference_orbit(system, generator, delta0, seed, x0, k_max):
-    """A perturbed orbit stepped with a fresh RNG per step, and with the
-    radial push along x / |x|; returns its states, or the last finite index
-    of a diverged orbit."""
+    """A perturbed orbit stepped with a fresh RNG per step, the map applied
+    to a stack of one state, and with the radial push along x / |x|;
+    returns its states, or the last finite index of a diverged orbit."""
     x = np.array([x0])
     states = [x]
     for k in range(k_max):
-        nxt = np.atleast_1d(np.asarray(system.step(x), dtype=float))
+        nxt = system.body(x[None, :])[0]
         if generator == "uniform_ball":
             g = _reference_ball(delta0, 1, seed, k)
         else:
@@ -430,6 +434,21 @@ class TestSystemMap:
         with pytest.raises(ParameterDomainError):
             affine_system([[1.0, 2.0]])
 
+    def test_one_body_and_no_second_map_callable(self):
+        """A map is one ``body`` for a state and for a stack of states; no
+        second callable for stacks comes back into the package."""
+        from dataclasses import fields
+
+        from fixsettle import SystemMap
+
+        assert tuple(f.name for f in fields(SystemMap)) == ("name", "dimension", "body")
+        package = Path(__file__).resolve().parent.parent / "src" / "fixsettle"
+        stray = [f"{path.name}:{number}"
+                 for path in sorted(package.glob("*.py"))
+                 for number, line in enumerate(path.read_text().splitlines(), start=1)
+                 if "step_batch" in line]
+        assert stray == []
+
 
 def _batch_inputs(case, count=100_000):
     """Inputs over the float range whose powers stay finite, plus the map's
@@ -447,14 +466,25 @@ def _batch_inputs(case, count=100_000):
     return np.concatenate([special, spread, near_one, -near_threshold])
 
 
+def _one_state_at_a_time(system, xs):
+    """The example body's rank-1 branch, one state per call."""
+    return np.array([system.body(np.array([x]))[0] for x in xs])
+
+
 class TestBatchedStep:
+    """The example body's two branches, a single state and a stack of
+    states, agree bit for bit."""
+
     @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
     def test_matches_example_step_bit_for_bit(self, case):
+        system = case.system()
         xs = _batch_inputs(case)
-        got = case.system().apply_batch(xs.reshape(-1, 1))[:, 0]
+        got = system.apply_batch(xs.reshape(-1, 1))[:, 0]
+        one = _one_state_at_a_time(system, xs)
         want = np.array([example_step(x, *case.params()) for x in xs])
         # Compare the bit patterns, so -0.0 against 0.0 counts too.
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        assert np.array_equal(got.view(np.int64), one.view(np.int64))
+        assert np.array_equal(one.view(np.int64), want.view(np.int64))
 
     @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
     def test_matches_scalar_step_where_powers_overflow(self, case):
@@ -462,7 +492,7 @@ class TestBatchedStep:
         xs = np.array([1e250, -1e300, 1e305, 1.7e308, np.inf, -np.inf, np.nan])
         with np.errstate(over="ignore", invalid="ignore"):
             got = system.apply_batch(xs.reshape(-1, 1))[:, 0]
-            want = np.array([system.step(np.array([x]))[0] for x in xs])
+            want = _one_state_at_a_time(system, xs)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_every_batch_size_gives_the_same_rows(self, case1_system):
@@ -474,33 +504,94 @@ class TestBatchedStep:
                     part = case1_system.apply_batch(xs[start:start + size])
                     assert np.array_equal(part, whole[start:start + size], equal_nan=True)
 
-    def test_map_without_batch_body_steps_row_by_row(self):
+    def test_custom_body_takes_the_whole_stack(self):
         from fixsettle import SystemMap
 
         calls = []
 
-        def step(state):
-            calls.append(state.copy())
-            return state * 0.5
+        def body(states):
+            calls.append(states.shape)
+            return states * 0.5
 
-        system = SystemMap("halving", 1, step)
+        system = SystemMap("halving", 1, body)
         states = np.array([[4.0], [-1.0], [0.0]])
         assert np.array_equal(system.apply_batch(states), [[2.0], [-0.5], [0.0]])
-        assert len(calls) == 3
+        assert np.array_equal(system.apply([4.0]), [2.0])
+        assert calls == [(3, 1), (1,)]
 
     def test_batch_shape_checked(self):
         from fixsettle import SystemMap
 
-        system = SystemMap("flat", 1, lambda s: s, step_batch=lambda states: states[:, 0])
+        system = SystemMap("flat", 1, lambda states: states[..., 0])
         with pytest.raises(ParameterDomainError, match=r"returned shape \(3,\), expected \(3, 1\)"):
             system.apply_batch(np.ones((3, 1)))
 
-    def test_row_shape_checked_without_batch_body(self):
+    def test_single_state_shape_checked(self):
         from fixsettle import SystemMap
 
-        system = SystemMap("widening", 1, lambda s: np.array([s[0], s[0]]))
+        widening = SystemMap("widening", 1, lambda s: np.array([s[0], s[0]]))
         with pytest.raises(ParameterDomainError, match=r"returned shape \(2,\), expected \(1,\)"):
-            system.apply_batch(np.ones((3, 1)))
+            widening.apply([1.0])
+        # A scalar is not a state: the body must keep the input's shape.
+        scalar = SystemMap("scalar", 1, lambda s: 0.5 * s[0])
+        for run in (lambda: scalar.apply([1.0]), lambda: simulate(scalar, 1.0, 3)):
+            with pytest.raises(ParameterDomainError, match=r"returned shape \(\), expected \(1,\)"):
+                run()
+
+    def test_single_orbits_take_the_module_scalar_step(self, monkeypatch, case1_system):
+        """``simulate`` steps the example map through ``systems._example_step_raw``,
+        looked up at every call, so patching it changes the orbit."""
+        import fixsettle.systems
+
+        assert simulate(case1_system, 2.0, 1).states[1, 0] == example_step(2.0, *CASE1)
+        monkeypatch.setattr(fixsettle.systems, "_example_step_raw", lambda x, *params: x * 0.5)
+        assert simulate(case1_system, 2.0, 3).states[:, 0].tolist() == [2.0, 1.0, 0.5, 0.25]
+
+
+# Checks the affine body against ``a @ x + b`` row by row, bit for bit, and
+# prints the (n, batch size, start) of every block that differs.
+_AFFINE_GATE = """
+import numpy as np
+from fixsettle import affine_system
+
+rng = np.random.default_rng(29)
+bad = []
+with np.errstate(all="ignore"):
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 16, 64):
+        a = rng.standard_normal((n, n)) * np.exp(rng.uniform(-30, 30, (n, n)))
+        b = rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n))
+        body = affine_system(a, b).body
+        rows = rng.standard_normal((101, n)) * np.exp(rng.uniform(-30, 30, (101, n)))
+        rows[3, 0] = np.inf
+        rows[5, -1] = np.nan
+        rows[8] = -np.inf
+        rows[9] = 0.0
+        want = np.array([a @ x + b for x in rows])
+        for i, x in enumerate(rows):
+            if body(x).tobytes() != want[i].tobytes():
+                bad.append((n, 0, i))
+        for size in (1, 7, 101):
+            for start in range(0, len(rows), size):
+                if body(rows[start:start + size]).tobytes() != want[start:start + size].tobytes():
+                    bad.append((n, size, start))
+print(bad)
+"""
+
+
+class TestAffineBody:
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_equals_row_wise_product_bit_for_bit(self, threads):
+        """One state and stacks of 1, 7 and 101 rows, with inf, NaN and zero
+        rows, for n = 1..8, 16 and 64; the BLAS thread count may not change
+        a bit, so each count runs in a fresh interpreter."""
+        import fixsettle
+
+        src = Path(fixsettle.__file__).resolve().parent.parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", _AFFINE_GATE], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSeedValidation:
