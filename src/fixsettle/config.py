@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -89,6 +90,27 @@ def _require(d: dict, key: str, where: str):
     return d[key]
 
 
+def _section(value, key: str) -> dict:
+    """A JSON object, or ConfigurationError naming ``key``."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
+def _number(value, key: str) -> float:
+    """A JSON number as a float; booleans and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, key: str) -> tuple:
+    """A JSON array of numbers as a tuple of floats."""
+    if not isinstance(values, list):
+        raise ConfigurationError(f"{key} must be an array of numbers, got {values!r}")
+    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(values))
+
+
 def _integer(value, key: str) -> int:
     """A JSON integer, or a number with an integral value such as 400.0."""
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
@@ -109,14 +131,14 @@ def _build_system(d: dict) -> tuple:
                 )
             params = TABLE1_CASES[idx].params()
         else:
-            p = _require(d, "params", "system")
+            p = _section(_require(d, "params", "system"), "system.params")
             params = tuple(
-                float(_require(p, k, "system.params"))
+                _number(_require(p, k, "system.params"), f"system.params.{k}")
                 for k in ("aprime", "bprime", "r1prime", "r2prime")
             )
         return example_system(*params), params
     if "affine" in d:
-        a = d["affine"]
+        a = _section(d["affine"], "system.affine")
         return (
             affine_system(_require(a, "matrix", "system.affine"), a.get("offset")),
             None,
@@ -127,19 +149,23 @@ def _build_system(d: dict) -> tuple:
 def _build_candidate(d: dict, dimension: int) -> LyapunovCandidate:
     form = _require(d, "form", "lyapunov")
     lipschitz = d.get("lipschitz")
+    if lipschitz is not None:
+        lipschitz = _number(lipschitz, "lyapunov.lipschitz")
     if form == "abs":
         return abs_candidate(dimension, lipschitz if lipschitz is not None else 1.0)
     if form == "square":
         return square_candidate(dimension, lipschitz)
     if form == "poly":
         return polynomial_candidate(
-            _require(d, "coefficients", "lyapunov"), dimension, lipschitz
+            _numbers(_require(d, "coefficients", "lyapunov"), "lyapunov.coefficients"),
+            dimension,
+            lipschitz,
         )
     raise ConfigurationError(f"unknown lyapunov form {form!r}; use abs|square|poly")
 
 
 def _build_perturbation(d: dict, dimension: int, seed_override: Optional[int]) -> PerturbationSpec:
-    delta0 = float(_require(d, "delta0", "perturbation"))
+    delta0 = _number(_require(d, "delta0", "perturbation"), "perturbation.delta0")
     generator = d.get("generator", "uniform_ball")
     seed = _integer(d.get("seed", 0), "perturbation.seed")
     if seed_override is not None:
@@ -169,8 +195,8 @@ def _build_grid(d: dict) -> GridSpec:
     scale = d.get("scale", "log")
     if scale not in ("log", "linear"):
         raise ConfigurationError(f"grid.scale must be log|linear, got {scale!r}")
-    low = float(_require(d, "low", "grid"))
-    high = float(_require(d, "high", "grid"))
+    low = _number(_require(d, "low", "grid"), "grid.low")
+    high = _number(_require(d, "high", "grid"), "grid.high")
     points = _integer(_require(d, "points", "grid"), "grid.points")
     if points < 1:
         raise ConfigurationError("grid.points must be positive")
@@ -178,7 +204,10 @@ def _build_grid(d: dict) -> GridSpec:
         raise ConfigurationError("grid.low must be below grid.high")
     if scale == "log" and low <= 0:
         raise ConfigurationError("log grid needs a positive low endpoint")
-    return GridSpec(scale, low, high, points, bool(d.get("signed", False)))
+    signed = d.get("signed", False)
+    if not isinstance(signed, bool):
+        raise ConfigurationError(f"grid.signed must be true or false, got {signed!r}")
+    return GridSpec(scale, low, high, points, signed)
 
 
 def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConfig:
@@ -191,33 +220,40 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
             f"config schema must be {SCHEMA_VERSION}, got {schema!r}"
         )
     try:
-        system, example_params = _build_system(_require(raw, "system", "config"))
+        system, example_params = _build_system(
+            _section(_require(raw, "system", "config"), "system")
+        )
         dim = system.dimension
 
         lyap = lyap_rhs = None
         if "lyapunov" in raw:
-            lyap = _build_candidate(raw["lyapunov"], dim)
-            if "rhs" in raw["lyapunov"]:
-                lyap_rhs = _build_candidate(raw["lyapunov"]["rhs"], dim)
+            lyap_raw = _section(raw["lyapunov"], "lyapunov")
+            lyap = _build_candidate(lyap_raw, dim)
+            if "rhs" in lyap_raw:
+                lyap_rhs = _build_candidate(_section(lyap_raw["rhs"], "lyapunov.rhs"), dim)
 
         gains = None
         if "gains" in raw:
-            g = raw["gains"]
+            g = _section(raw["gains"], "gains")
             gains = FixedTimeGains(
-                alpha=float(_require(g, "alpha", "gains")),
-                beta=float(_require(g, "beta", "gains")),
-                r1=float(_require(g, "r1", "gains")),
-                r2=float(_require(g, "r2", "gains")),
+                *(
+                    _number(_require(g, k, "gains"), f"gains.{k}")
+                    for k in ("alpha", "beta", "r1", "r2")
+                )
             )
 
         pert = None
         if "perturbation" in raw:
-            pert = _build_perturbation(raw["perturbation"], dim, seed_override)
+            pert = _build_perturbation(
+                _section(raw["perturbation"], "perturbation"), dim, seed_override
+            )
 
-        a = raw.get("analysis", {})
+        a = _section(raw.get("analysis", {}), "analysis")
         x0 = a.get("x0")
-        if x0 is not None:
-            x0 = [float(v) for v in np.atleast_1d(x0)]
+        if isinstance(x0, list):
+            x0 = list(_numbers(x0, "analysis.x0"))
+        elif x0 is not None:
+            x0 = [_number(x0, "analysis.x0")]
         branch = a.get("branch", "auto")
         if branch not in ("auto", "V0_GT_1", "V0_LE_1"):
             raise ConfigurationError(
@@ -227,20 +263,33 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
             x0=x0,
             k_max=None if a.get("k_max") is None else _integer(a["k_max"], "analysis.k_max"),
             stop_epsilon=(
-                None if a.get("stop_epsilon") is None else float(a["stop_epsilon"])
+                None
+                if a.get("stop_epsilon") is None
+                else _number(a["stop_epsilon"], "analysis.stop_epsilon")
             ),
-            epsilon=float(a.get("epsilon", 1.0)),
-            epsilon_list=tuple(float(e) for e in a.get("epsilon_list", DEFAULT_EPSILONS)),
-            grid=_build_grid(a["grid"]) if "grid" in a else None,
-            tolerance=float(a.get("tolerance", DEFAULT_TOLERANCE)),
-            m_values=tuple(float(m) for m in a.get("m_values", ())),
+            epsilon=_number(a.get("epsilon", 1.0), "analysis.epsilon"),
+            epsilon_list=(
+                _numbers(a["epsilon_list"], "analysis.epsilon_list")
+                if "epsilon_list" in a
+                else DEFAULT_EPSILONS
+            ),
+            grid=_build_grid(_section(a["grid"], "analysis.grid")) if "grid" in a else None,
+            tolerance=_number(a.get("tolerance", DEFAULT_TOLERANCE), "analysis.tolerance"),
+            m_values=_numbers(a.get("m_values", []), "analysis.m_values"),
             branch=branch,
             case_id=str(a.get("case_id", "")),
         )
         if analysis.k_max is not None and analysis.k_max < 1:
             raise ConfigurationError("analysis.k_max must be at least 1")
 
-        output = raw.get("output", {})
+        output = _section(raw.get("output", {}), "output")
+        name = output.get("filename")
+        if name is not None and (
+            not isinstance(name, str) or name in ("", "..") or Path(name).name != name
+        ):
+            raise ConfigurationError(
+                f"output.filename must name a plain file inside --out, got {name!r}"
+            )
         return ScenarioConfig(
             system=system,
             lyapunov=lyap,
@@ -248,17 +297,17 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
             gains=gains,
             perturbation=pert,
             example_params=example_params,
-            m1=float(raw.get("m1", 2.0)),
-            m2=float(raw.get("m2", 2.0)),
+            m1=_number(raw.get("m1", 2.0), "m1"),
+            m2=_number(raw.get("m2", 2.0), "m2"),
             analysis=analysis,
-            output_name=output.get("filename"),
+            output_name=name,
         )
     except ConfigurationError:
         raise
     except FixsettleError as err:
         # Domain constructors raise with condition-specific messages.
         raise ConfigurationError(str(err)) from err
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise ConfigurationError(f"malformed config: {err}") from err
 
 

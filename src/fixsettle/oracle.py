@@ -24,15 +24,7 @@ from .settling import (
     q_sequence,
     settling_vs_epsilon,
 )
-from .systems import (
-    DIVERGENCE_LIMIT,
-    SystemMap,
-    as_state_grid,
-    divergence_error,
-    example_system,
-    row_norms,
-    simulate,
-)
+from .systems import SystemMap, _steps, as_state_grid, example_system, row_norms, simulate
 
 DEFAULT_EPSILONS = (10.0, 1.0, 0.5, 0.25, 0.1)
 
@@ -127,14 +119,13 @@ def sweep_settling(
     """Simulate every initial condition and compare settling to ``bound``.
 
     ``k_max`` defaults to ``bound + 50`` steps.  All initial conditions
-    advance together, one ``system.apply_batch`` call per step, and each
-    keeps only its last-outside and first-inside index for ``epsilon`` and
-    every entry of ``epsilons``.  The settling-vs-epsilon curve is reported
-    for the worst-settling orbit (ties broken by grid order).  An orbit
-    diverges by ``simulate``'s rule, a norm not <= ``DIVERGENCE_LIMIT``,
-    and stops; the first one in grid order is raised with its initial
-    condition attached.  Initial conditions are scalars, so the system must
-    be one-dimensional.
+    advance as one stack through ``simulate``'s orbit loop and divergence
+    rule, and each keeps only its last-outside and first-inside index for
+    ``epsilon`` and every entry of ``epsilons``.  The settling-vs-epsilon
+    curve is reported for the worst-settling orbit (ties broken by grid
+    order).  The first diverged orbit in grid order is raised with its
+    initial condition attached.  Initial conditions are scalars, so the
+    system must be one-dimensional.
     """
     if system.dimension != 1:
         raise ParameterDomainError(
@@ -157,31 +148,16 @@ def sweep_settling(
     norms = row_norms(x)[:, None]
     last_out = np.where(norms > levels, 0, -1)
     first_in = np.where(norms <= levels, 0, -1)
-    lanes = np.arange(len(x0s))  # grid index of every orbit still running
-    diverged = None  # (grid index, last finite index) of the first diverged orbit
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, steps + 1):
-            x = system.apply_batch(x)
-            norms = row_norms(x)[:, None]
-            guarded = norms[:, 0] <= DIVERGENCE_LIMIT  # False for inf and NaN too
-            if not guarded.all():
-                # Every running orbit sits earlier in the grid than the one
-                # diverged so far, so only they can still change the outcome.
-                diverged = (int(lanes[~guarded][0]), k - 1)
-                keep = lanes < diverged[0]
-                lanes, x = lanes[keep], x[keep]
-                if not len(lanes):
-                    break
-            if diverged is None:
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, _, norms in _steps(system, x, steps):
+                norms = norms[:, None]
                 last_out[norms > levels] = k
                 first_in[(norms <= levels) & (first_in < 0)] = k
-    if diverged is not None:
-        i, k = diverged
-        err = divergence_error(system, k, [x0s[i]])
+    except SimulationDivergedError as err:
+        x0 = float(err.x0[0])
         raise SimulationDivergedError(
-            f"sweep orbit from x0={x0s[i]!r} diverged: {err}",
-            last_finite_index=k,
-            x0=x0s[i],
+            f"sweep orbit from x0={x0!r} diverged: {err}", err.last_finite_index, x0
         ) from err
 
     # Entry-and-stay index, or None (-1 here) when the last state is outside.
@@ -193,7 +169,7 @@ def sweep_settling(
         case_id=case_id,
         grid_description=(
             f"{len(x0s)} initial conditions, |x0| in "
-            f"[{min(x0s):.6g}, {max(x0s):.6g}]"
+            f"[{min(map(abs, x0s)):.6g}, {max(map(abs, x0s)):.6g}]"
         ),
         epsilon=float(epsilon),
         bound=bound,

@@ -227,8 +227,8 @@ def example_bound(aprime: float, bprime: float, r1prime: float, r2prime: float) 
 
 
 def check_level(level: float) -> float:
-    """``level`` itself, or ParameterDomainError when it is negative."""
-    if level < 0.0:
+    """``level`` itself, or ParameterDomainError when it is negative or NaN."""
+    if not level >= 0.0:
         raise ParameterDomainError(f"level must be nonnegative, got {level!r}")
     return level
 

@@ -149,16 +149,6 @@ def row_norms(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def divergence_error(system: SystemMap, k: int, x0) -> SimulationDivergedError:
-    """The error for an orbit whose state at step k + 1 left the guard."""
-    return SimulationDivergedError(
-        f"state diverged at step {k + 1} of '{system.name}' "
-        f"(last finite index {k})",
-        last_finite_index=k,
-        x0=np.array(x0),
-    )
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """An orbit x(0..k) of a map, stored as an array of shape (k+1, n).
@@ -324,6 +314,53 @@ def radial_perturbation(
     return PerturbationSpec(delta0=delta0, generator=gen, name="radial")
 
 
+def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[PerturbationSpec] = None):
+    """Step one state of shape (n,) or an (m, n) stack ``k_max`` times.
+
+    Yields ``(k, states, norms)`` for k = 1..k_max: the state or stack at
+    index k and its ``norm`` or ``row_norms``.  Each step calls ``body``
+    once and adds ``pert.sample(k - 1, x)`` when ``pert`` is given.  A
+    state has diverged when its norm is not <= ``DIVERGENCE_LIMIT``.  Rows
+    run as if each ran alone, in row order: after the first divergence
+    nothing is yielded, only the rows before the diverged one keep
+    stepping, and the first diverged row is raised with its initial state.
+    Callers hold ``np.errstate`` around their loop; none is held across a
+    ``yield``.
+    """
+    body = system.body
+    start = x
+    stack = x.ndim == 2
+    diverged = None  # (row, last finite index) of the first diverged row
+    for k in range(k_max):
+        nxt = np.asarray(body(x), dtype=float)
+        if nxt.shape != x.shape:
+            _checked(system, nxt, x.shape)
+        if pert is not None:
+            nxt = nxt + pert.sample(k, x)
+        if stack:
+            size = row_norms(nxt)
+            guarded = size <= DIVERGENCE_LIMIT
+            row = None if guarded.all() else int(np.argmin(guarded))
+        else:
+            size = norm(nxt)
+            row = None if size <= DIVERGENCE_LIMIT else 0
+        if row is not None:
+            diverged = (row, k)
+            nxt = nxt[:row]
+            if not len(nxt):
+                break
+        elif diverged is None:
+            yield k + 1, nxt, size
+        x = nxt
+    if diverged is not None:
+        row, k = diverged
+        raise SimulationDivergedError(
+            f"state diverged at step {k + 1} of '{system.name}' (last finite index {k})",
+            last_finite_index=k,
+            x0=np.array(np.atleast_2d(start)[row]),
+        )
+
+
 def _run(
     system: SystemMap,
     x0,
@@ -333,11 +370,9 @@ def _run(
 ) -> Trajectory:
     if k_max < 1:
         raise ParameterDomainError("k_max must be at least 1")
-    if stop_epsilon is not None and stop_epsilon < 0.0:
+    if stop_epsilon is not None and not stop_epsilon >= 0.0:
         raise ParameterDomainError("stop_epsilon must be nonnegative")
     x = as_state(x0, system.dimension)
-    body = system.body
-    shape = x.shape
     states = [x]
     truncated = True
     # A diverging orbit overflows to inf, which the guard reports; numpy's
@@ -345,18 +380,8 @@ def _run(
     with np.errstate(over="ignore", invalid="ignore"):
         if stop_epsilon is not None and norm(x) <= stop_epsilon:
             return Trajectory(np.array(states), truncated=False)
-        for k in range(k_max):
-            nxt = np.asarray(body(x), dtype=float)
-            if nxt.shape != shape:
-                _checked(system, nxt, shape)
-            if pert is not None:
-                nxt = nxt + pert.sample(k, x)
-            # One norm decides both tests; a NaN or inf norm fails the guard.
-            size = norm(nxt)
-            if not size <= DIVERGENCE_LIMIT:
-                raise divergence_error(system, k, states[0])
-            states.append(nxt)
-            x = nxt
+        for _, x, size in _steps(system, x, k_max, pert):
+            states.append(x)
             if stop_epsilon is not None and size <= stop_epsilon:
                 truncated = False
                 break
@@ -411,8 +436,7 @@ def validate_example_params(aprime: float, bprime: float, r1prime: float, r2prim
 
 
 def _example_step_raw(x: float, aprime: float, bprime: float, r1prime: float, r2prime: float) -> float:
-    if x == 0.0:
-        return 0.0
+    # At ±0 both powers are 0, so the step gives +0.0 with no special case.
     mag = abs(x)
     m = max(aprime * mag ** r1prime, bprime * mag ** r2prime)
     return x - math.copysign(m, x)
@@ -447,7 +471,7 @@ def example_system(
         low = aprime * np.float_power(mag, r1prime)
         high = bprime * np.float_power(mag, r2prime)
         m = np.copysign(np.maximum(low, high), states)
-        return np.where(states == 0.0, 0.0, states - m)
+        return states - m
 
     return SystemMap(name=name, dimension=1, body=body)
 

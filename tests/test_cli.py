@@ -185,6 +185,115 @@ class TestConfigValidation:
             outputs.append((printed, (out / "simulate.csv").read_bytes()))
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("key, value", [
+        ("system", ["example"]),
+        ("system.params", 0.8),
+        ("system.affine", [[0.5]]),
+        ("lyapunov", "abs"),
+        ("lyapunov.rhs", "abs"),
+        ("gains", [0.64, 0.25, 0.8, 2.2]),
+        ("perturbation", 0.05),
+        ("analysis", []),
+        ("analysis.grid", 5),
+        ("output", "run.csv"),
+    ])
+    def test_sections_must_be_objects(self, tmp_path, capsys, key, value):
+        # Each used to crash with a traceback and exit 1.
+        payload = case1_config()
+        if key == "system.params":
+            payload["system"] = {"builtin": "example", "params": value}
+        elif key == "system.affine":
+            payload["system"] = {"affine": value}
+        elif key == "lyapunov.rhs":
+            payload["lyapunov"] = {"form": "square", "rhs": value}
+        elif key == "analysis.grid":
+            payload["analysis"]["grid"] = value
+        else:
+            payload[key] = value
+        cfg = write_config(tmp_path, payload)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {key} must be a JSON object, got {value!r}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", [5, "sub/run.csv", "/run.csv", "..", "", "run/"])
+    def test_output_filename_must_be_a_plain_file(self, tmp_path, capsys, name):
+        cfg = write_config(tmp_path, case1_config(output={"filename": name}))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: output.filename must name a plain file inside --out, got {name!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, path", [
+        ("grid.signed", "false", ("analysis", "grid", "signed")),
+        ("grid.signed", 0, ("analysis", "grid", "signed")),
+        ("grid.low", "2", ("analysis", "grid", "low")),
+        ("perturbation.delta0", True, ("perturbation", "delta0")),
+        ("analysis.epsilon", "0.5", ("analysis", "epsilon")),
+        ("analysis.tolerance", True, ("analysis", "tolerance")),
+        ("analysis.stop_epsilon", "0.1", ("analysis", "stop_epsilon")),
+        ("analysis.epsilon_list", 1.0, ("analysis", "epsilon_list")),
+        ("analysis.epsilon_list[1]", "1", ("analysis", "epsilon_list", 1)),
+        ("analysis.m_values[0]", False, ("analysis", "m_values", 0)),
+        ("analysis.x0", "1500", ("analysis", "x0")),
+        ("analysis.x0[0]", None, ("analysis", "x0", 0)),
+        ("gains.alpha", "0.64", ("gains", "alpha")),
+        ("system.params.aprime", True, ("system", "params", "aprime")),
+        ("lyapunov.coefficients[0]", True, ("lyapunov", "coefficients", 0)),
+        ("lyapunov.lipschitz", "1", ("lyapunov", "lipschitz")),
+        ("m1", "2", ("m1",)),
+    ])
+    def test_scalars_of_the_wrong_json_type(self, tmp_path, capsys, key, value, path):
+        # Each used to go through float() or bool(): "false" built a signed grid.
+        payload = {
+            "schema": 1,
+            "system": {"builtin": "example", "params": dict(zip(
+                ("aprime", "bprime", "r1prime", "r2prime"), CASE1
+            ))},
+            "lyapunov": {"form": "poly", "coefficients": [1.0], "lipschitz": 1.0},
+            "gains": {"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            "perturbation": {"delta0": 0.05, "generator": "uniform_ball", "seed": 3},
+            "m1": 2.0,
+            "analysis": {
+                "x0": [1500.0], "k_max": 40, "epsilon": 1.0, "tolerance": 1e-12,
+                "stop_epsilon": 0.1, "epsilon_list": [10.0, 1.0], "m_values": [2.0],
+                "grid": {"scale": "log", "low": 2.0, "high": 100.0, "points": 5},
+            },
+        }
+        cfg = write_config(tmp_path, payload, "valid.json")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "valid")]) == 0
+        target = payload
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        cfg = write_config(tmp_path, payload)
+        capsys.readouterr()
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+        kind = "true or false" if key == "grid.signed" else (
+            "an array of numbers" if key == "analysis.epsilon_list" else "a number"
+        )
+        assert capsys.readouterr().err == f"error: {key} must be {kind}, got {value!r}\n"
+
+    def test_numbers_accept_integers(self, tmp_path, capsys):
+        outputs = []
+        for number in (int, float):
+            payload = case1_config(
+                analysis={"x0": number(1500), "k_max": 40, "stop_epsilon": number(1)}
+            )
+            out = tmp_path / number.__name__
+            cfg = write_config(tmp_path, payload, f"{number.__name__}.json")
+            assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            printed = capsys.readouterr().out.replace(str(out), "OUT")
+            outputs.append((printed, (out / "simulate.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_number_beyond_float_range_is_config_error(self, tmp_path):
+        cfg = write_config(tmp_path, case1_config(m1=10 ** 400))
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
+
     def test_unreadable_config(self, tmp_path):
         assert main(["bound", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -432,6 +541,30 @@ class TestSweepCommand:
             "at step 31 of 'example' (last finite index 30)\n"
         )
         assert not (tmp_path / "sweep.json").exists()
+
+    def test_nan_epsilon_is_a_domain_error(self, tmp_path, capsys):
+        # JSON's NaN used to pass as a level and print worst=0, all_within=True.
+        payload = case1_config(
+            analysis={
+                "grid": {"scale": "log", "low": 2.0, "high": 1000.0, "points": 5},
+                "epsilon": math.nan,
+            },
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: level must be nonnegative, got nan\n"
+        assert not (tmp_path / "sweep.json").exists()
+
+    def test_signed_grid_described_by_magnitude(self, tmp_path):
+        payload = case1_config(
+            analysis={
+                "grid": {"scale": "log", "low": 2.0, "high": 1000.0, "points": 5, "signed": True},
+            },
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        result = json.loads((tmp_path / "sweep.json").read_text())
+        assert result["grid_description"] == "10 initial conditions, |x0| in [2, 1000]"
 
 
 class TestTable1Command:

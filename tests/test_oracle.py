@@ -183,6 +183,52 @@ class TestSweep:
         with pytest.raises(ParameterDomainError):
             sweep_settling(case.system(), [10.0], example_bound(*case.params()), **kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"epsilon": math.nan}, {"epsilons": (1.0, math.nan)}], ids=["epsilon", "epsilons"]
+    )
+    def test_nan_level_rejected(self, kwargs):
+        # A NaN level used to give worst_settling 0 and all_within_bound.
+        case = TABLE1_CASES[0]
+        grid = np.geomspace(2.0, 1000.0, 5)
+        with pytest.raises(ParameterDomainError, match="got nan"):
+            sweep_settling(case.system(), grid, example_bound(*case.params()), **kwargs)
+
+    def test_grid_description_ranges_over_magnitudes(self):
+        case = TABLE1_CASES[0]
+        bound = example_bound(*case.params())
+        signed = sweep_settling(case.system(), [-1000.0, -2.0, 2.0, 1000.0], bound)
+        assert signed.grid_description == "4 initial conditions, |x0| in [2, 1000]"
+        mixed = sweep_settling(case.system(), [-5.0, 0.0, 3.0], bound)
+        assert mixed.grid_description == "3 initial conditions, |x0| in [0, 5]"
+
+    @pytest.mark.parametrize("k_max", [3, 20, 30, 40])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            [1.0, 1e290, 1e299, 1e300],
+            [1e300, 1e299, 1e290, 1.0],
+            [1e299, 1.0, 1e300, 1e290],
+            [1e290, 1e300, 1.0, 1e299, 3e289],
+        ],
+    )
+    def test_first_row_in_grid_order_to_diverge_within_k_max(self, doubling_system, grid, k_max):
+        # Doubling from 1e300 / 2^j leaves the guard at step j + 1; each row
+        # runs as if alone, so the raised row is the first one in grid order
+        # whose own simulate orbit diverges within k_max.
+        want = None
+        for x0 in grid:
+            try:
+                simulate(doubling_system, x0, k_max)
+            except SimulationDivergedError as err:
+                want = (x0, err.last_finite_index, str(err))
+                break
+        assert want is not None
+        with pytest.raises(SimulationDivergedError) as err:
+            sweep_settling(doubling_system, grid, 19, k_max=k_max)
+        x0, k, message = want
+        assert (err.value.x0, err.value.last_finite_index) == (x0, k)
+        assert str(err.value) == f"sweep orbit from x0={x0!r} diverged: {message}"
+
     def test_batch_shape_checked(self):
         case = TABLE1_CASES[0]
         system = SystemMap("flat", 1, lambda states: states[..., 0])

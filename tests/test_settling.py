@@ -279,6 +279,18 @@ class TestMeasureSettling:
         with pytest.raises(ParameterDomainError):
             measure_settling(traj, -0.5)
 
+    def test_nan_epsilon_rejected(self, case1_system):
+        # A NaN level used to read as "settled at step 0".
+        traj = simulate(case1_system, 1500.0, 50)
+        for measure in (measure_settling, measure_first_entry):
+            with pytest.raises(ParameterDomainError, match="got nan"):
+                measure(traj, math.nan)
+        with pytest.raises(ParameterDomainError, match="got nan"):
+            settling_vs_epsilon(traj, [1.0, math.nan])
+        with pytest.raises(ParameterDomainError):
+            settling.check_level(math.nan)
+        assert settling.check_level(0.0) == 0.0
+
 
 class TestAnalyzeSettling:
     def test_report_composition(self, case1_system):

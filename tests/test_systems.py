@@ -206,6 +206,23 @@ class TestSimulate:
         with pytest.raises(ParameterDomainError):
             simulate(case1_system, 1.0, 0)
 
+    @pytest.mark.parametrize("stop_epsilon", [-0.5, math.nan])
+    def test_stop_epsilon_must_be_a_nonnegative_number(self, case1_system, stop_epsilon):
+        # A NaN level used to be taken and never stopped the orbit.
+        with pytest.raises(ParameterDomainError, match="stop_epsilon must be nonnegative"):
+            simulate(case1_system, 1500.0, 50, stop_epsilon=stop_epsilon)
+
+    def test_stopped_orbit_leaves_the_callers_errstate(self, halving_system):
+        # The orbit loop is left suspended at the stop; closing it must not
+        # restore an errstate out of order.
+        before = np.geterr()
+        with np.errstate(all="raise"):
+            inner = np.geterr()
+            traj = simulate(halving_system, 8.0, 10, stop_epsilon=2.5)
+            assert not traj.truncated
+            assert np.geterr() == inner
+        assert np.geterr() == before
+
     def test_initial_state_is_the_first_row(self, case1_system):
         traj = simulate(case1_system, 1500.0, 3)
         assert np.array_equal(traj.initial_state, [1500.0])
@@ -241,10 +258,13 @@ class TestDivergenceGuard:
         traj = simulate(halving_system, -1e299, 400, stop_epsilon=1e250)
         assert len(traj) == 164 and not traj.truncated
 
-    def test_limit_read_only_by_the_two_orbit_loops(self):
-        """Only ``systems._run`` and ``oracle.sweep_settling`` read the limit,
-        so a further orbit loop must share their rule, not restate it."""
+    def test_limit_read_only_by_the_one_orbit_loop(self):
+        """Only ``systems._steps`` reads the limit, and the sweep steps
+        through it rather than calling the map itself, so a further orbit
+        loop must share its rule, not restate it."""
         package = Path(__file__).resolve().parent.parent / "src" / "fixsettle"
+        oracle = (package / "oracle.py").read_text()
+        assert "divergence_error" not in oracle and "apply_batch" not in oracle
         readers = set()
         for path in sorted(package.glob("*.py")):
             for top in ast.parse(path.read_text()).body:
@@ -252,7 +272,7 @@ class TestDivergenceGuard:
                     name = getattr(node, "id", getattr(node, "attr", None))
                     if name == "DIVERGENCE_LIMIT" and isinstance(node.ctx, ast.Load):
                         readers.add(f"{path.stem}.{getattr(top, 'name', '<module>')}")
-        assert readers == {"systems._run", "oracle.sweep_settling"}
+        assert readers == {"systems._steps"}
 
 
 class TestSimulatePerturbed:
@@ -494,6 +514,21 @@ class TestBatchedStep:
             got = system.apply_batch(xs.reshape(-1, 1))[:, 0]
             want = _one_state_at_a_time(system, xs)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
+    def test_zeros_take_the_plain_formula(self, case):
+        # x - sign(x) max(a |x|^r1, b |x|^r2) needs no special case at 0:
+        # both powers are 0 there and -0.0 - (-0.0) is +0.0.
+        a, b, r1, r2 = case.params()
+        xs = np.array([0.0, -0.0, 5e-324, -5e-324])
+        mag = np.abs(xs)
+        plain = xs - np.copysign(
+            np.maximum(a * np.float_power(mag, r1), b * np.float_power(mag, r2)), xs
+        )
+        system = case.system()
+        for got in (system.body(xs[:, None])[:, 0], _one_state_at_a_time(system, xs)):
+            assert np.array_equal(got.view(np.int64), plain.view(np.int64))
+            assert np.array_equal(got[:2].view(np.int64), [0, 0])  # +0.0 from either zero
 
     def test_every_batch_size_gives_the_same_rows(self, case1_system):
         xs = _batch_inputs(TABLE1_CASES[0], count=1001).reshape(-1, 1)
