@@ -16,13 +16,14 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .config import ScenarioConfig, load_config
-from .errors import FixsettleError, SimulationDivergedError
+from .errors import ConfigurationError, FixsettleError, SimulationDivergedError
 from .lyapunov import (
     ConditionReport,
     abs_candidate,
@@ -54,8 +55,19 @@ def _fmt(x) -> str:
     return str(x)
 
 
+@contextmanager
+def _writing(path: Path, newline=None):
+    """``path`` opened for writing; an ``OSError`` becomes a ``FixsettleError``
+    that names the path."""
+    try:
+        with open(path, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+    except OSError as err:
+        raise FixsettleError(f"cannot write {path}: {err.strerror or err}") from err
+
+
 def _write_csv(path: Path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _writing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -70,7 +82,7 @@ def _write_json(path: Path, obj):
     ``json.dumps`` with an empty violation list, which sorts last, and the
     records are spliced in there, a chunk at a time.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with _writing(path) as fh:
         if not isinstance(obj, ConditionReport):
             fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
             return
@@ -121,13 +133,24 @@ def _violation_chunks(report: ConditionReport):
         yield (",\n" if start else "") + ",\n".join(map(record.__mod__, zip(*columns)))
 
 
-def _out_path(args, default_name: str, cfg: Optional[ScenarioConfig] = None) -> Path:
+def _out_dir(args) -> Path:
+    """The ``--out`` directory, made if missing; an ``OSError`` becomes a
+    ``FixsettleError`` that names it."""
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise FixsettleError(
+            f"cannot use {out_dir} as the output directory: {err.strerror or err}"
+        ) from err
+    return out_dir
+
+
+def _out_path(args, default_name: str, cfg: Optional[ScenarioConfig] = None) -> Path:
     name = default_name
     if cfg is not None and cfg.output_name:
         name = cfg.output_name
-    return out_dir / name
+    return _out_dir(args) / name
 
 
 def _require_cfg(args) -> ScenarioConfig:
@@ -240,10 +263,18 @@ def cmd_bound(args) -> int:
     return 0
 
 
+TRADEOFF_NAME = "tradeoff.json"
+
+
 def cmd_attract(args) -> int:
     cfg = _require_cfg(args)
     if cfg.gains is None or cfg.lyapunov is None or cfg.perturbation is None:
         raise FixsettleError("attract requires gains, lyapunov, and perturbation")
+    if cfg.analysis.m_values and cfg.output_name == TRADEOFF_NAME:
+        raise ConfigurationError(
+            f"output.filename {TRADEOFF_NAME!r} would be overwritten by the "
+            "analysis.m_values table attract writes there; choose another name"
+        )
     lv = cfg.lyapunov.lipschitz_LV
     lv_source = "user"
     if lv is None and cfg.analysis.grid is not None:
@@ -266,7 +297,7 @@ def cmd_attract(args) -> int:
     _write_json(path, report.to_dict())
     if cfg.analysis.m_values:
         rows = remark_tradeoff_table(acfg, cfg.analysis.m_values)
-        tradeoff_path = Path(args.out) / "tradeoff.json"
+        tradeoff_path = Path(args.out) / TRADEOFF_NAME
         _write_json(
             tradeoff_path,
             [{"m": m, "B": b, "K_star": k} for m, b, k in rows],
@@ -309,8 +340,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_table1(args) -> int:
     rows = table1_reproduce()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args)
     formats = ("csv", "json") if args.format is None else (args.format,)
     if "json" in formats:
         path = out_dir / "table1.json"

@@ -9,6 +9,7 @@ enforced once, with messages naming the violated condition.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -104,11 +105,20 @@ def _number(value, key: str) -> float:
     return float(value)
 
 
-def _numbers(values, key: str) -> tuple:
-    """A JSON array of numbers as a tuple of floats."""
+def _numbers(values, key: str, number=_number) -> tuple:
+    """A JSON array of numbers as a tuple of floats, each read by ``number``."""
     if not isinstance(values, list):
         raise ConfigurationError(f"{key} must be an array of numbers, got {values!r}")
-    return tuple(_number(v, f"{key}[{i}]") for i, v in enumerate(values))
+    return tuple(number(v, f"{key}[{i}]") for i, v in enumerate(values))
+
+
+def _finite(value, key: str) -> float:
+    """A JSON number that is neither NaN nor infinite: an initial state or
+    grid end that is not finite would only be reported as a divergence."""
+    x = _number(value, key)
+    if not math.isfinite(x):
+        raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    return x
 
 
 def _integer(value, key: str) -> int:
@@ -195,8 +205,8 @@ def _build_grid(d: dict) -> GridSpec:
     scale = d.get("scale", "log")
     if scale not in ("log", "linear"):
         raise ConfigurationError(f"grid.scale must be log|linear, got {scale!r}")
-    low = _number(_require(d, "low", "grid"), "grid.low")
-    high = _number(_require(d, "high", "grid"), "grid.high")
+    low = _finite(_require(d, "low", "grid"), "grid.low")
+    high = _finite(_require(d, "high", "grid"), "grid.high")
     points = _integer(_require(d, "points", "grid"), "grid.points")
     if points < 1:
         raise ConfigurationError("grid.points must be positive")
@@ -251,9 +261,9 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
         a = _section(raw.get("analysis", {}), "analysis")
         x0 = a.get("x0")
         if isinstance(x0, list):
-            x0 = list(_numbers(x0, "analysis.x0"))
+            x0 = list(_numbers(x0, "analysis.x0", _finite))
         elif x0 is not None:
-            x0 = [_number(x0, "analysis.x0")]
+            x0 = [_finite(x0, "analysis.x0")]
         branch = a.get("branch", "auto")
         if branch not in ("auto", "V0_GT_1", "V0_LE_1"):
             raise ConfigurationError(

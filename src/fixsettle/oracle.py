@@ -11,6 +11,7 @@ results are reproducible bit for bit.
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -18,13 +19,17 @@ import numpy as np
 
 from .errors import EmptyDomainError, ParameterDomainError, SimulationDivergedError
 from .record import Record
-from .settling import (
-    check_level,
-    example_bound,
-    q_sequence,
-    settling_vs_epsilon,
+from .settling import check_level, example_bound, q_sequence
+# Nothing here calls ``simulate``; it stays importable as ``oracle.simulate``.
+from .systems import (
+    SystemMap,
+    _steps,
+    as_state,
+    as_state_grid,
+    example_system,
+    row_norms,
+    simulate,
 )
-from .systems import SystemMap, _steps, as_state_grid, example_system, row_norms, simulate
 
 DEFAULT_EPSILONS = (10.0, 1.0, 0.5, 0.25, 0.1)
 
@@ -121,11 +126,12 @@ def sweep_settling(
     ``k_max`` defaults to ``bound + 50`` steps.  All initial conditions
     advance as one stack through ``simulate``'s orbit loop and divergence
     rule, and each keeps only its last-outside and first-inside index for
-    ``epsilon`` and every entry of ``epsilons``.  The settling-vs-epsilon
-    curve is reported for the worst-settling orbit (ties broken by grid
-    order).  The first diverged orbit in grid order is raised with its
-    initial condition attached.  Initial conditions are scalars, so the
-    system must be one-dimensional.
+    ``epsilon`` and every entry of ``epsilons``; stepping stops early once
+    every orbit has closed an exact cycle (see ``_settling_indices``).  The
+    settling-vs-epsilon curve is reported for the worst-settling orbit
+    (ties broken by grid order).  The first diverged orbit in grid order is
+    raised with its initial condition attached.  Initial conditions are
+    scalars, so the system must be one-dimensional.
     """
     if system.dimension != 1:
         raise ParameterDomainError(
@@ -139,21 +145,11 @@ def sweep_settling(
     if bound < 0:
         raise ParameterDomainError(f"bound must be nonnegative, got {bound!r}")
     steps = bound + 50 if k_max is None else k_max
-    if steps < 1:
-        raise ParameterDomainError("k_max must be at least 1")
     epsilons = tuple(epsilons)
     levels = np.array([check_level(level) for level in (epsilon, *epsilons)], dtype=float)
 
-    # Per orbit and level: last index outside {||x|| <= level}, first inside.
-    norms = row_norms(x)[:, None]
-    last_out = np.where(norms > levels, 0, -1)
-    first_in = np.where(norms <= levels, 0, -1)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, _, norms in _steps(system, x, steps):
-                norms = norms[:, None]
-                last_out[norms > levels] = k
-                first_in[(norms <= levels) & (first_in < 0)] = k
+        last_out, first_in = _settling_indices(system, x, steps, levels)
     except SimulationDivergedError as err:
         x0 = float(err.x0[0])
         raise SimulationDivergedError(
@@ -161,8 +157,7 @@ def sweep_settling(
         ) from err
 
     # Entry-and-stay index, or None (-1 here) when the last state is outside.
-    stay = np.where(last_out < steps, last_out + 1, -1)
-    settle = stay[:, 0]
+    settle = np.where(last_out[:, 0] < steps, last_out[:, 0] + 1, -1)
     # argmax keeps the earliest x0 among equally slow ones.
     worst = int(np.argmax(np.where(settle < 0, np.inf, settle)))
     return SweepResult(
@@ -176,15 +171,91 @@ def sweep_settling(
         worst_settling=_index(settle[worst]),
         worst_x0=x0s[worst],
         all_within_bound=bool(np.all((settle >= 0) & (settle <= bound))),
-        settling_vs_epsilon=tuple(
-            (float(eps), _index(stay[worst, j]), _index(first_in[worst, j]))
-            for j, eps in enumerate(epsilons, start=1)
-        ),
+        settling_vs_epsilon=_curve(epsilons, steps, last_out[worst, 1:], first_in[worst, 1:]),
     )
 
 
 def _index(k) -> Optional[int]:
     return None if k < 0 else int(k)
+
+
+def _curve(epsilons, steps: int, last_out, first_in):
+    """(epsilon, entry-and-stay, first-entry) for each level of one orbit,
+    from its ``_settling_indices`` row; the stay is None when the last
+    state is outside."""
+    return tuple(
+        (float(eps), None if last == steps else last + 1, _index(first))
+        for eps, last, first in zip(epsilons, last_out.tolist(), first_in.tolist())
+    )
+
+
+# Steps a settling run buffers before it folds them into its indices and
+# looks for closed cycles.
+_CHUNK = 64
+
+
+def _settling_indices(system: SystemMap, x: np.ndarray, steps: int, levels: np.ndarray):
+    """Last-outside and first-inside index of every orbit for every level.
+
+    Steps the (m, n) stack ``x`` ``steps`` times through ``systems._steps``
+    and returns two (m, len(levels)) integer arrays: per orbit and level,
+    the last index k <= steps whose ``row_norms`` exceeds the level and the
+    first whose norm is <= the level, -1 where there is none.  The
+    divergence error of ``_steps`` passes through unchanged.
+
+    States and norms are buffered ``_CHUNK`` steps at a time and folded
+    into the indices per chunk.  At the end of each full chunk, every
+    orbit's last state K is compared bit for bit with its earlier states in
+    the chunk (bits, since ``==`` equates -0.0 and +0.0, which a map may
+    send apart).  ``body`` is pure and row-wise, so a match at K - lam
+    proves that the orbit repeats with period lam from K - lam on.  Once
+    every orbit has matched, nothing after K is new: first-inside indices
+    are final, and each last-outside index is the last k <= steps in the
+    phase of an outside state of the cycle.  Stepping then stops.  A
+    cycling orbit cannot diverge, so stopping never hides a divergence.
+    """
+    if steps < 1:
+        raise ParameterDomainError("k_max must be at least 1")
+    norms = row_norms(x)[:, None]
+    last_out = np.where(norms > levels, 0, -1)
+    first_in = np.where(norms <= levels, 0, -1)
+    states = np.empty((_CHUNK, *x.shape))
+    norms = np.empty((_CHUNK, len(x)))
+    bits = states.view(np.int64)
+    slots = np.arange(_CHUNK)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"), closing(_steps(system, x, steps)) as orbit:
+        for k, state, size in orbit:
+            i = (k - 1) % _CHUNK
+            states[i], norms[i] = state, size
+            if i < _CHUNK - 1:
+                continue
+            first = k - _CHUNK + 1  # the index in slot 0
+            _fold(last_out, first_in, norms, first, levels)
+            # same[j, r]: orbit r's state in slot j equals its state at k.
+            same = (bits[:-1] == bits[-1]).all(axis=2)
+            if not same.any(axis=0).all():
+                continue
+            period = np.argmax(same[::-1], axis=0) + 1  # the shortest match
+            # Slots from _CHUNK - period on hold one cycle; each phase last
+            # recurs at the largest index <= steps congruent to its own.
+            cycle = slots >= _CHUNK - period
+            last = steps - (steps - first - slots) % period
+            outside = (norms[:, :, None] > levels) & cycle[:, :, None]
+            np.maximum(last_out, np.where(outside, last[:, :, None], -1).max(axis=0), out=last_out)
+            return last_out, first_in
+    rest = steps % _CHUNK
+    if rest:
+        _fold(last_out, first_in, norms[:rest], steps - rest + 1, levels)
+    return last_out, first_in
+
+
+def _fold(last_out, first_in, norms, k0: int, levels):
+    """Fold the norms of indices k0, k0 + 1, ... into the indices in place."""
+    outside = norms[:, :, None] > levels
+    inside = norms[:, :, None] <= levels
+    last = k0 + len(norms) - 1 - np.argmax(outside[::-1], axis=0)
+    np.copyto(last_out, last, where=outside.any(axis=0))
+    np.copyto(first_in, k0 + np.argmax(inside, axis=0), where=inside.any(axis=0) & (first_in < 0))
 
 
 @dataclass(frozen=True)
@@ -218,10 +289,13 @@ def table1_reproduce(
     had no stated threshold, so they are reported, never asserted.
     """
     epsilons = DEFAULT_EPSILONS if epsilon_list is None else tuple(epsilon_list)
+    levels = np.array([check_level(level) for level in epsilons], dtype=float)
+    x = as_state(x0, 1)[None, :]
     rows = []
     for case in TABLE1_CASES:
         recomputed = example_bound(*case.params())
-        traj = simulate(case.system(), x0, recomputed + extra_steps)
+        steps = recomputed + extra_steps
+        last_out, first_in = _settling_indices(case.system(), x, steps, levels)
         rows.append(
             Table1Row(
                 case_id=case.case_id,
@@ -234,7 +308,7 @@ def table1_reproduce(
                 discrepancy=recomputed != case.published_k_star,
                 atc_published=case.published_atc,
                 x0=float(x0),
-                settling=settling_vs_epsilon(traj, epsilons),
+                settling=_curve(epsilons, steps, last_out[0], first_in[0]),
             )
         )
     return tuple(rows)

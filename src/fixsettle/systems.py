@@ -63,7 +63,8 @@ class SystemMap:
     ``body`` must be a pure function that maps one state vector of length
     ``dimension`` to a vector of that shape, and an (m, dimension) stack of
     states to an (m, dimension) stack, each row bit for bit what the row
-    alone gives.
+    alone gives.  Sweeps rely on that purity: once every orbit of a stack
+    repeats a state bit for bit, they finish the run in closed form.
     """
 
     name: str

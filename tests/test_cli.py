@@ -956,3 +956,85 @@ class TestReportWriter:
         cli._write_json(tmp_path / "check.json", report)
         expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "check.json").read_text() == expected
+
+
+class TestUnusableInputsAndOutputs:
+    """Inputs that can only fail and output paths that cannot be written
+    exit 2 with a message naming the key or path, and write nothing."""
+
+    def test_attract_filename_that_the_tradeoff_table_would_replace(self, tmp_path, capsys):
+        payload = case1_config(
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 5},
+            output={"filename": "tradeoff.json"},
+        )
+        payload["analysis"]["m_values"] = [1.5, 2.0]
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["attract", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: output.filename 'tradeoff.json' ")
+        assert not out.exists()
+
+    def test_attract_may_name_its_report_tradeoff_without_m_values(self, tmp_path):
+        payload = case1_config(
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 5},
+            output={"filename": "tradeoff.json"},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "branch" in json.loads((tmp_path / "tradeoff.json").read_text())
+
+    @pytest.mark.parametrize("command", ["simulate", "table1"])
+    def test_out_naming_an_existing_file(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, case1_config())
+        taken = tmp_path / "taken"
+        taken.write_text("keep")
+        args = [command, "--out", str(taken)] + (["--config", cfg] if command != "table1" else [])
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot use {taken} as the output directory: File exists\n"
+        )
+        assert taken.read_text() == "keep"
+
+    def test_filename_naming_an_existing_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, case1_config(output={"filename": "orbit"}))
+        (tmp_path / "out" / "orbit").mkdir(parents=True)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write {tmp_path / 'out' / 'orbit'}: Is a directory\n"
+        )
+        assert list((tmp_path / "out" / "orbit").iterdir()) == []
+
+    @pytest.mark.parametrize("x0, key", [
+        (math.nan, "analysis.x0"), (math.inf, "analysis.x0"), (-math.inf, "analysis.x0"),
+        ([1.0, math.nan], "analysis.x0[1]"),
+    ])
+    def test_initial_state_must_be_finite(self, tmp_path, capsys, x0, key):
+        # Each used to exit 3 with "state diverged at step 1".
+        system = {"affine": {"matrix": [[0.5, 0.0], [0.0, 0.5]]}} if isinstance(x0, list) else None
+        payload = case1_config()
+        if system:
+            payload["system"] = system
+        payload["analysis"]["x0"] = x0
+        cfg = write_config(tmp_path, payload)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        bad = x0[1] if isinstance(x0, list) else x0
+        assert capsys.readouterr().err == f"error: {key} must be a finite number, got {bad!r}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("high", math.inf), ("high", math.nan), ("low", -math.inf), ("low", math.nan),
+    ])
+    def test_grid_ends_must_be_finite(self, tmp_path, capsys, key, value):
+        # An infinite end used to exit 3 and leak numpy's RuntimeWarning.
+        grid = {"scale": "linear", "low": 2.0, "high": 100.0, "points": 5}
+        grid[key] = value
+        cfg = write_config(tmp_path, case1_config(analysis={"grid": grid}))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: grid.{key} must be a finite number, got {value!r}\n"
+        )
+        assert not (tmp_path / "out").exists()

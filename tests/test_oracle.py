@@ -1,4 +1,6 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +26,13 @@ from fixsettle import (
     table1_reproduce,
 )
 import fixsettle.oracle
-from fixsettle.oracle import DEFAULT_EPSILONS, generate_level_run
+from fixsettle.oracle import (
+    _CHUNK,
+    DEFAULT_EPSILONS,
+    _curve,
+    _settling_indices,
+    generate_level_run,
+)
 from fixsettle.settling import q_sequence
 
 
@@ -309,6 +317,163 @@ class TestLockstepSweep:
         assert result.settling_vs_epsilon == ((1.0, None, None),)
 
 
+def _counted(system):
+    """``system`` with a body that records each call; returns it and the record."""
+    calls = []
+
+    def body(states):
+        calls.append(states.shape)
+        return system.body(states)
+
+    return SystemMap(system.name, system.dimension, body), calls
+
+
+def _body_calls_for_lanes(system, x0s, steps, levels):
+    """Check every lane of one settling run against its own ``simulate`` and
+    ``settling_vs_epsilon``, and return the number of body calls it made."""
+    counted, calls = _counted(system)
+    x = np.array(x0s, dtype=float).reshape(-1, 1)
+    last_out, first_in = _settling_indices(counted, x, steps, np.array(levels, dtype=float))
+    for i, x0 in enumerate(x0s):
+        want = settling_vs_epsilon(simulate(system, x0, steps), levels)
+        assert _curve(levels, steps, last_out[i], first_in[i]) == want, (x0, steps)
+    return len(calls)
+
+
+def _count_to_seventy(states):
+    return np.where(states >= 69.0, 0.0, states + 1.0)
+
+
+def _zeros_apart(states):
+    """+0.0 -> -0.0 -> 1 -> 2 -> ... -> 63 -> +0.0: period 65, and -0.0 and
+    +0.0 go to different states."""
+    out = np.where(states >= 63.0, 0.0, states + 1.0)
+    return np.where(states == 0.0, np.where(np.signbit(states), 1.0, -0.0), out)
+
+
+class TestCycleExit:
+    """A settling run stops once every orbit has closed an exact cycle, and
+    each lane still equals its own full-length simulation."""
+
+    LEVELS = (10.0, 1.0, 0.5, 0.25, 0.1, 1e-3, 0.0)
+
+    def test_fixed_point_zero(self, case1_system):
+        # -0.0 steps to +0.0, which the map keeps.
+        calls = _body_calls_for_lanes(case1_system, [0.0, -0.0], 500, self.LEVELS)
+        assert calls == _CHUNK
+
+    def test_halving_underflows_to_zero(self, halving_system):
+        # 1e300 reaches the smallest subnormal after about 2 070 halvings.
+        x0s = [1.0, -3.0, 1e300, 0.0, 5e-324]
+        levels = (1.0, 1e-300, 5e-324, 0.0)
+        calls = _body_calls_for_lanes(halving_system, x0s, 3000, levels)
+        assert calls == 33 * _CHUNK
+
+    def test_period_two_outside_the_smallest_levels(self):
+        # Case 1 ends on a period-2 orbit of amplitude 0.217: inside 0.25,
+        # never inside 0.1.
+        case = TABLE1_CASES[0]
+        grid = sweep_grid(case, points=21)
+        calls = _body_calls_for_lanes(case.system(), grid, 200, self.LEVELS)
+        assert calls <= 2 * _CHUNK
+        counted, _ = _counted(case.system())
+        result = sweep_settling(counted, grid, 19, epsilon=0.1, epsilons=(0.25, 0.1))
+        assert result.worst_settling is None and not result.all_within_bound
+        assert result.settling_vs_epsilon[1][1:] == (None, None)
+        assert result.settling_vs_epsilon[0][1] is not None
+
+    @pytest.mark.parametrize(
+        "steps", [1, 2, 5, 63, 64, 65, 66, 127, 128, 129, 130, 131, 1000, 1001]
+    )
+    def test_every_k_max_phase(self, steps):
+        # Long runs end on each phase of the cycle; short ones never reach
+        # the end of a chunk.
+        case = TABLE1_CASES[0]
+        x0s = [2.0, -7.5, 1500.0, 3e5, 0.0]
+        calls = _body_calls_for_lanes(case.system(), x0s, steps, self.LEVELS)
+        assert calls == min(steps, _CHUNK)
+
+    @pytest.mark.parametrize("steps", [64, 65, 66, 67, 200, 201, 202])
+    def test_cycle_phases_of_different_norms(self, steps):
+        # x -> 1 - x cycles 3, -2, 3, ... and 0.25, 0.75, ...; the 3-cycle
+        # 1 -> 2 -> 5 -> 1 has three norms. Each level lies between them.
+        flip = affine_system([[-1.0]], [1.0])
+        calls = _body_calls_for_lanes(flip, [3.0, 0.25, 0.5], steps, (2.5, 0.6, 0.5, 0.3))
+        assert calls == _CHUNK
+        turn = SystemMap("turn", 1, lambda x: np.where(x == 1.0, 2.0, np.where(x == 2.0, 5.0, 1.0)))
+        calls = _body_calls_for_lanes(turn, [1.0, 2.0, 5.0], steps, (4.0, 1.5, 1.0))
+        assert calls == _CHUNK
+
+    def test_level_equal_to_a_cycle_norm(self):
+        case = TABLE1_CASES[1]
+        norms = simulate(case.system(), 1500.0, 300).norms()
+        cycle = sorted(set(norms[-4:].tolist()))
+        levels = []
+        for c in cycle:
+            levels += [np.nextafter(c, 0.0), c, np.nextafter(c, np.inf)]
+        calls = _body_calls_for_lanes(case.system(), [1500.0, 40.0, -2.0], 300, tuple(levels))
+        assert calls < 300
+
+    def test_period_of_a_chunk_or_more_steps_to_the_end(self):
+        system = SystemMap("count70", 1, _count_to_seventy)
+        calls = _body_calls_for_lanes(system, [0.0, 5.0, 30.0], 500, (10.0, 50.0, 0.5))
+        assert calls == 500
+
+    def test_orbit_that_never_repeats_steps_to_the_end(self):
+        system = affine_system([[-0.999]])
+        calls = _body_calls_for_lanes(system, np.linspace(1.0, 100.0, 11), 300, self.LEVELS)
+        assert calls == 300
+
+    def test_one_lane_still_moving_keeps_every_lane_stepping(self):
+        system = affine_system([[-0.999]])
+        counted, calls = _counted(system)
+        _settling_indices(counted, np.array([[0.0], [1.0]]), 300, np.array([0.5]))
+        assert len(calls) == 300
+
+    def test_states_are_compared_bit_for_bit(self):
+        # From 1.0 the orbit sits at +0.0 at index 63 and at -0.0 at index
+        # 64, the end of the first chunk; == would call that a fixed point.
+        system = SystemMap("zeros_apart", 1, _zeros_apart)
+        states = simulate(system, 1.0, 64).states[:, 0]
+        assert states[63] == states[64] == 0.0
+        assert np.signbit(states[64]) and not np.signbit(states[63])
+        calls = _body_calls_for_lanes(system, [1.0], 200, (10.0, 0.5))
+        assert calls == 200
+
+    def test_case4_log_sweep_stops_within_two_chunks(self):
+        # Without the exit the sweep would make bound + 50 = 7 865 calls.
+        case = TABLE1_CASES[3]
+        counted, calls = _counted(case.system())
+        grid = np.geomspace(2.0, 800.0, 7)
+        bound = example_bound(*case.params())
+        result = sweep_settling(counted, grid, bound)
+        assert len(calls) <= 2 * _CHUNK
+        rows = _lane_rows(case.system(), grid, bound + 50, epsilons=DEFAULT_EPSILONS)
+        want = _expected(rows, grid, bound)
+        assert _got(result, want) == want
+
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
+    def test_default_k_max_sweep_matches_simulate(self, case):
+        system = case.system()
+        grid = sweep_grid(case, points=9)
+        bound = example_bound(*case.params())
+        result = sweep_settling(system, grid, bound, epsilons=SWEEP_EPSILONS)
+        want = _expected(_lane_rows(system, grid, bound + 50), grid, bound)
+        assert _got(result, want) == want
+
+    def test_oracle_measures_without_scalar_orbits(self):
+        """Sweeps and ``table1`` step through ``_settling_indices``; the
+        scalar ``simulate`` + ``settling_vs_epsilon`` pair is not used."""
+        source = Path(fixsettle.oracle.__file__).read_text()
+        called = {
+            node.func.id
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        }
+        assert not called & {"simulate", "settling_vs_epsilon"}
+        assert "_settling_indices" in called
+
+
 class TestTable1:
     def test_recomputed_bounds(self):
         rows = table1_reproduce()
@@ -337,6 +502,24 @@ class TestTable1:
 
     def test_deterministic(self):
         assert table1_reproduce() == table1_reproduce()
+
+    @pytest.mark.parametrize("x0, extra_steps", [(1500.0, 100), (-3.0, 7), (0.0, 1), (1000.0, 0)])
+    def test_equals_scalar_orbits(self, x0, extra_steps):
+        epsilons = (10.0, 1.0, 0.5, 0.2, 0.1, 0.0)
+        for row, case in zip(table1_reproduce(epsilons, x0, extra_steps), TABLE1_CASES):
+            traj = simulate(case.system(), x0, row.k_star_recomputed + extra_steps)
+            assert row.settling == settling_vs_epsilon(traj, epsilons)
+
+    def test_divergence_keeps_the_orbit_message(self):
+        # Case 1 diverges above 4^10; 1e7 leaves the guard within its run.
+        steps = example_bound(*TABLE1_CASES[0].params()) + 100
+        with pytest.raises(SimulationDivergedError) as orbit, np.errstate(over="ignore"):
+            simulate(TABLE1_CASES[0].system(), 1e7, steps)
+        with pytest.raises(SimulationDivergedError) as table:
+            table1_reproduce(x0=1e7)
+        assert str(table.value) == str(orbit.value)
+        assert table.value.last_finite_index == orbit.value.last_finite_index
+        assert table.value.x0.tolist() == [1e7]
 
     def test_roundtrip(self):
         row = table1_reproduce(epsilon_list=[1.0, 1e-6])[0]
