@@ -269,6 +269,9 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
             raise ConfigurationError(
                 f"analysis.branch must be auto|V0_GT_1|V0_LE_1, got {branch!r}"
             )
+        case_id = a.get("case_id", "")
+        if not isinstance(case_id, str):
+            raise ConfigurationError(f"analysis.case_id must be a string, got {case_id!r}")
         analysis = AnalysisParams(
             x0=x0,
             k_max=None if a.get("k_max") is None else _integer(a["k_max"], "analysis.k_max"),
@@ -287,7 +290,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
             tolerance=_number(a.get("tolerance", DEFAULT_TOLERANCE), "analysis.tolerance"),
             m_values=_numbers(a.get("m_values", []), "analysis.m_values"),
             branch=branch,
-            case_id=str(a.get("case_id", "")),
+            case_id=case_id,
         )
         if analysis.k_max is not None and analysis.k_max < 1:
             raise ConfigurationError("analysis.k_max must be at least 1")

@@ -313,6 +313,8 @@ def _residuals(
 
 def _violating(residuals: np.ndarray, tolerance: float) -> np.ndarray:
     """Residuals above the tolerance, and NaN ones, which cannot be shown to hold."""
+    if not math.isfinite(tolerance):  # NaN would flag every point, inf none
+        raise ParameterDomainError(f"tolerance must be a finite number, got {tolerance!r}")
     return ~(residuals <= tolerance)
 
 

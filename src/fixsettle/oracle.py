@@ -19,17 +19,8 @@ import numpy as np
 
 from .errors import EmptyDomainError, ParameterDomainError, SimulationDivergedError
 from .record import Record
-from .settling import check_level, example_bound, q_sequence
-# Nothing here calls ``simulate``; it stays importable as ``oracle.simulate``.
-from .systems import (
-    SystemMap,
-    _steps,
-    as_state,
-    as_state_grid,
-    example_system,
-    row_norms,
-    simulate,
-)
+from .settling import check_levels, entry_curves, example_bound, fold_entries, q_sequence
+from .systems import SystemMap, _steps, as_state, as_state_grid, example_system, row_norms
 
 DEFAULT_EPSILONS = (10.0, 1.0, 0.5, 0.25, 0.1)
 
@@ -127,7 +118,7 @@ def sweep_settling(
     advance as one stack through ``simulate``'s orbit loop and divergence
     rule, and each keeps only its last-outside and first-inside index for
     ``epsilon`` and every entry of ``epsilons``; stepping stops early once
-    every orbit has closed an exact cycle (see ``_settling_indices``).  The
+    every orbit has closed an exact cycle (see ``_settling_curves``).  The
     settling-vs-epsilon curve is reported for the worst-settling orbit
     (ties broken by grid order).  The first diverged orbit in grid order is
     raised with its initial condition attached.  Initial conditions are
@@ -145,21 +136,19 @@ def sweep_settling(
     if bound < 0:
         raise ParameterDomainError(f"bound must be nonnegative, got {bound!r}")
     steps = bound + 50 if k_max is None else k_max
-    epsilons = tuple(epsilons)
-    levels = np.array([check_level(level) for level in (epsilon, *epsilons)], dtype=float)
+    levels = check_levels((epsilon, *epsilons))
 
     try:
-        last_out, first_in = _settling_indices(system, x, steps, levels)
+        curves = _settling_curves(system, x, steps, levels)
     except SimulationDivergedError as err:
         x0 = float(err.x0[0])
         raise SimulationDivergedError(
             f"sweep orbit from x0={x0!r} diverged: {err}", err.last_finite_index, x0
         ) from err
 
-    # Entry-and-stay index, or None (-1 here) when the last state is outside.
-    settle = np.where(last_out[:, 0] < steps, last_out[:, 0] + 1, -1)
-    # argmax keeps the earliest x0 among equally slow ones.
-    worst = int(np.argmax(np.where(settle < 0, np.inf, settle)))
+    settle = [curve[0][1] for curve in curves]
+    # The first x0 that never settles, else the first of the slowest.
+    worst = settle.index(None) if None in settle else settle.index(max(settle))
     return SweepResult(
         case_id=case_id,
         grid_description=(
@@ -168,24 +157,10 @@ def sweep_settling(
         ),
         epsilon=float(epsilon),
         bound=bound,
-        worst_settling=_index(settle[worst]),
+        worst_settling=settle[worst],
         worst_x0=x0s[worst],
-        all_within_bound=bool(np.all((settle >= 0) & (settle <= bound))),
-        settling_vs_epsilon=_curve(epsilons, steps, last_out[worst, 1:], first_in[worst, 1:]),
-    )
-
-
-def _index(k) -> Optional[int]:
-    return None if k < 0 else int(k)
-
-
-def _curve(epsilons, steps: int, last_out, first_in):
-    """(epsilon, entry-and-stay, first-entry) for each level of one orbit,
-    from its ``_settling_indices`` row; the stay is None when the last
-    state is outside."""
-    return tuple(
-        (float(eps), None if last == steps else last + 1, _index(first))
-        for eps, last, first in zip(epsilons, last_out.tolist(), first_in.tolist())
+        all_within_bound=all(k is not None and k <= bound for k in settle),
+        settling_vs_epsilon=curves[worst][1:],
     )
 
 
@@ -194,31 +169,25 @@ def _curve(epsilons, steps: int, last_out, first_in):
 _CHUNK = 64
 
 
-def _settling_indices(system: SystemMap, x: np.ndarray, steps: int, levels: np.ndarray):
-    """Last-outside and first-inside index of every orbit for every level.
-
-    Steps the (m, n) stack ``x`` ``steps`` times through ``systems._steps``
-    and returns two (m, len(levels)) integer arrays: per orbit and level,
-    the last index k <= steps whose ``row_norms`` exceeds the level and the
-    first whose norm is <= the level, -1 where there is none.  The
-    divergence error of ``_steps`` passes through unchanged.
+def _settling_curves(system: SystemMap, x: np.ndarray, steps: int, levels: np.ndarray):
+    """``settling.entry_curves`` of every orbit of the (m, n) stack ``x``:
+    the ``fold_entries`` of its ``row_norms`` at k = 0..steps, stepped
+    through ``systems._steps``, whose divergence error passes through.
 
     States and norms are buffered ``_CHUNK`` steps at a time and folded
-    into the indices per chunk.  At the end of each full chunk, every
-    orbit's last state K is compared bit for bit with its earlier states in
-    the chunk (bits, since ``==`` equates -0.0 and +0.0, which a map may
-    send apart).  ``body`` is pure and row-wise, so a match at K - lam
-    proves that the orbit repeats with period lam from K - lam on.  Once
-    every orbit has matched, nothing after K is new: first-inside indices
-    are final, and each last-outside index is the last k <= steps in the
-    phase of an outside state of the cycle.  Stepping then stops.  A
-    cycling orbit cannot diverge, so stopping never hides a divergence.
+    per chunk.  At the end of each full chunk, every orbit's last state K
+    is compared bit for bit with its earlier states in the chunk (bits,
+    since ``==`` equates -0.0 and +0.0, which a map may send apart).
+    ``body`` is pure and row-wise, so a match at K - lam proves that the
+    orbit repeats with period lam from K - lam on.  Once every orbit has
+    matched, the norm at every later index is that of a slot of the chunk,
+    so the last ``_CHUNK`` indices up to ``steps`` are read off the chunk
+    and folded, and stepping stops.  A cycling orbit cannot diverge, so
+    stopping never hides a divergence.
     """
     if steps < 1:
         raise ParameterDomainError("k_max must be at least 1")
-    norms = row_norms(x)[:, None]
-    last_out = np.where(norms > levels, 0, -1)
-    first_in = np.where(norms <= levels, 0, -1)
+    indices = fold_entries(row_norms(x)[None, :], levels)
     states = np.empty((_CHUNK, *x.shape))
     norms = np.empty((_CHUNK, len(x)))
     bits = states.view(np.int64)
@@ -230,32 +199,25 @@ def _settling_indices(system: SystemMap, x: np.ndarray, steps: int, levels: np.n
             if i < _CHUNK - 1:
                 continue
             first = k - _CHUNK + 1  # the index in slot 0
-            _fold(last_out, first_in, norms, first, levels)
+            fold_entries(norms, levels, first, indices)
             # same[j, r]: orbit r's state in slot j equals its state at k.
             same = (bits[:-1] == bits[-1]).all(axis=2)
             if not same.any(axis=0).all():
                 continue
             period = np.argmax(same[::-1], axis=0) + 1  # the shortest match
-            # Slots from _CHUNK - period on hold one cycle; each phase last
-            # recurs at the largest index <= steps congruent to its own.
-            cycle = slots >= _CHUNK - period
-            last = steps - (steps - first - slots) % period
-            outside = (norms[:, :, None] > levels) & cycle[:, :, None]
-            np.maximum(last_out, np.where(outside, last[:, :, None], -1).max(axis=0), out=last_out)
-            return last_out, first_in
-    rest = steps % _CHUNK
-    if rest:
-        _fold(last_out, first_in, norms[:rest], steps - rest + 1, levels)
-    return last_out, first_in
-
-
-def _fold(last_out, first_in, norms, k0: int, levels):
-    """Fold the norms of indices k0, k0 + 1, ... into the indices in place."""
-    outside = norms[:, :, None] > levels
-    inside = norms[:, :, None] <= levels
-    last = k0 + len(norms) - 1 - np.argmax(outside[::-1], axis=0)
-    np.copyto(last_out, last, where=outside.any(axis=0))
-    np.copyto(first_in, k0 + np.argmax(inside, axis=0), where=inside.any(axis=0) & (first_in < 0))
+            # Slots from start = _CHUNK - period on hold one cycle, and index
+            # first + j >= first + start the slot in its phase.  The last
+            # _CHUNK indices up to steps fold as those slots: the last period
+            # of them are exact and hold every state of the cycle, and an
+            # earlier one, already folded, only repeats one of them.
+            start = _CHUNK - period
+            slot = start + (steps - _CHUNK + 1 - first + slots - start) % period
+            fold_entries(np.take_along_axis(norms, slot, axis=0), levels, steps - _CHUNK + 1, indices)
+            break
+        else:
+            rest = steps % _CHUNK
+            fold_entries(norms[:rest], levels, steps - rest + 1, indices)
+    return entry_curves(levels, *indices, steps)
 
 
 @dataclass(frozen=True)
@@ -288,14 +250,11 @@ def table1_reproduce(
     (epsilon, entry-and-stay, first-entry); the published convergence times
     had no stated threshold, so they are reported, never asserted.
     """
-    epsilons = DEFAULT_EPSILONS if epsilon_list is None else tuple(epsilon_list)
-    levels = np.array([check_level(level) for level in epsilons], dtype=float)
+    levels = check_levels(DEFAULT_EPSILONS if epsilon_list is None else epsilon_list)
     x = as_state(x0, 1)[None, :]
     rows = []
     for case in TABLE1_CASES:
         recomputed = example_bound(*case.params())
-        steps = recomputed + extra_steps
-        last_out, first_in = _settling_indices(case.system(), x, steps, levels)
         rows.append(
             Table1Row(
                 case_id=case.case_id,
@@ -308,7 +267,7 @@ def table1_reproduce(
                 discrepancy=recomputed != case.published_k_star,
                 atc_published=case.published_atc,
                 x0=float(x0),
-                settling=_curve(epsilons, steps, last_out[0], first_in[0]),
+                settling=_settling_curves(case.system(), x, recomputed + extra_steps, levels)[0],
             )
         )
     return tuple(rows)

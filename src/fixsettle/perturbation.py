@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import EmptyDomainError, ParameterDomainError
 from .lyapunov import FixedTimeGains, LyapunovCandidate
 from .record import Record
-from .settling import entry_and_stay, phase1_bound, phase2_bound, shortest_decimal
+from .settling import entry_curve, phase1_bound, phase2_bound, shortest_decimal
 from .systems import Trajectory
 
 BRANCH_HIGH = "V0_GT_1"
@@ -157,12 +157,15 @@ def verify_attractiveness(
     and stays), and ``remained`` is True exactly when the orbit never left
     the set again after first reaching it.
     """
-    return _entry_and_remained(V.values(traj.states), B)
+    return _attraction(V.values(traj.states), B)[:2]
 
 
-def _entry_and_remained(values, B: float) -> Tuple[Optional[int], bool]:
-    entry, first = entry_and_stay(values, B)
-    return entry, first is not None and entry == first
+def _attraction(values, B: float) -> Tuple[Optional[int], bool, Optional[int]]:
+    """``verify_attractiveness`` of a value sequence, and for one started
+    above 1 its first index at or below 1, from one fold."""
+    (_, entry, first), (_, _, below_one) = entry_curve(values, (B, 1.0))
+    crossing = below_one if choose_branch(values[0]) == BRANCH_HIGH else None
+    return entry, first is not None and entry == first, crossing
 
 
 def remark_tradeoff_table(
@@ -221,16 +224,11 @@ def analyze_attractiveness(
     gain_d = slackened_gain(cfg)
     residual = feasibility_residual(cfg, b_level) if b_level > 0.0 else 0.0
 
-    entry = None
-    remained = False
-    crossing = None
+    entry, remained, crossing = None, False, None
     if traj is not None:
         if V is None:
             raise ParameterDomainError("orbit verification needs a candidate V")
-        values = V.values(traj.states)
-        entry, remained = _entry_and_remained(values, b_level)
-        if values[0] > 1.0:
-            crossing = entry_and_stay(values, 1.0)[1]
+        entry, remained, crossing = _attraction(V.values(traj.states), b_level)
     return AttractivenessReport(
         branch=cfg.branch,
         B=b_level,

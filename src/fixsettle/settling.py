@@ -15,8 +15,8 @@ gave: 0.25^(1/(0.5-1)) is exactly 16 and floors to 16 although float64
 may land just below it, and an argument truly below an integer floors
 below it however close it lies.  The module also provides the normalized
 q-sequence and the extinction S-sequence those proofs rest on,
-implemented as independently checkable constructs, plus entry-and-stay
-settling measurement on recorded orbits.
+implemented as independently checkable constructs, plus the one
+entry-and-stay fold that every settling measurement reads.
 """
 
 from __future__ import annotations
@@ -233,23 +233,60 @@ def check_level(level: float) -> float:
     return level
 
 
-def entry_and_stay(values, level: float) -> Tuple[Optional[int], Optional[int]]:
-    """Entry of a recorded value sequence into the sublevel set {v <= level}.
+def check_levels(levels) -> np.ndarray:
+    """``levels`` as a float array, each checked by ``check_level`` in order."""
+    return np.array([check_level(level) for level in levels], dtype=float)
 
-    Returns ``(stay, first)``: ``stay`` is the smallest k such that every
-    value from k on is <= level (None when the last value is outside), and
-    ``first`` is the first k with a value <= level (None if there is none).
-    Entry-and-stay matches equilibria that must be reached and kept;
-    oscillating tails would make first entry report spuriously early
-    settling.
+
+def fold_entries(values: np.ndarray, levels: np.ndarray, k0: int = 0, indices=None):
+    """Fold the values of indices k0, k0 + 1, ... into entry indices.
+
+    ``values`` is (K, m), column j a stretch of sequence j.  Returns
+    ``(last_out, first_in)``, two (m, len(levels)) integer arrays: per
+    column and level, the last index whose value exceeds the level and the
+    first whose value is <= it, -1 where there is none.  NaN is neither
+    inside nor outside.  To fold chunk by chunk, pass the pair of the
+    indices before k0 as ``indices``; it is updated in place and returned.
     """
-    check_level(level)
-    outside = np.nonzero(values > level)[0]
-    inside = np.nonzero(values <= level)[0]
-    stay = int(outside[-1]) + 1 if len(outside) else 0
-    if stay == len(values):
-        stay = None  # the last recorded value is outside
-    return stay, int(inside[0]) if len(inside) else None
+    # Laid out (m, len(levels), K), so every reduction runs along memory.
+    columns = values.T[:, None, :]
+    outside = columns > levels[:, None]
+    inside = columns <= levels[:, None]
+    if indices is None:
+        indices = (np.full(outside.shape[:2], -1), np.full(outside.shape[:2], -1))
+    last_out, first_in = indices
+    if len(values):  # argmax has nothing to reduce over an empty stretch
+        last = k0 + len(values) - 1 - np.argmax(outside[:, :, ::-1], axis=2)
+        np.copyto(last_out, last, where=outside.any(axis=2))
+        np.copyto(first_in, k0 + np.argmax(inside, axis=2), where=inside.any(axis=2) & (first_in < 0))
+    return indices
+
+
+def entry_curves(levels: np.ndarray, last_out, first_in, final: int):
+    """``(level, stay, first)`` for every level, per column of a fold that
+    ended at index ``final``.
+
+    ``stay``, the entry-and-stay index, is one past the last outside index
+    (0 when none is), or None when the value at ``final`` is outside;
+    ``first`` is the first inside index, or None.  Entry-and-stay matches
+    equilibria that must be reached and kept, where an oscillating tail
+    would make first entry report spuriously early settling.
+    """
+    stay = np.where(last_out == final, None, last_out + 1).tolist()
+    first = np.where(first_in < 0, None, first_in).tolist()
+    levels = levels.tolist()
+    return tuple(tuple(zip(levels, s, f)) for s, f in zip(stay, first))
+
+
+def entry_curve(values: np.ndarray, levels: Sequence[float]):
+    """``entry_curves`` of one recorded sequence; a negative or NaN level raises."""
+    levels = check_levels(levels)
+    return entry_curves(levels, *fold_entries(values[:, None], levels), len(values) - 1)[0]
+
+
+def entry_and_stay(values, level: float) -> Tuple[Optional[int], Optional[int]]:
+    """``(stay, first)`` of a recorded value sequence for {v <= level}, see ``entry_curves``."""
+    return entry_curve(values, (level,))[0][1:]
 
 
 def measure_settling(traj: Trajectory, epsilon: float) -> Optional[int]:
@@ -266,8 +303,7 @@ def settling_vs_epsilon(
     traj: Trajectory, epsilons: Sequence[float]
 ) -> Tuple[Tuple[float, Optional[int], Optional[int]], ...]:
     """(epsilon, entry-and-stay index, first-entry index) for each epsilon."""
-    norms = traj.norms()
-    return tuple((float(eps), *entry_and_stay(norms, eps)) for eps in epsilons)
+    return entry_curve(traj.norms(), epsilons)
 
 
 @dataclass(frozen=True)

@@ -449,6 +449,24 @@ class TestCheckCommand:
         assert parsed == direct
 
 
+    @pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("domain", [
+        {"grid": {"scale": "log", "low": 1e-3, "high": 1.0, "points": 50}},
+        {"x0": 800.0, "k_max": 10},
+    ], ids=["grid", "orbit"])
+    def test_non_finite_tolerance_is_config_error(self, tmp_path, capsys, tolerance, domain):
+        # inf would pass every point and NaN flag every one.
+        payload = case1_config(
+            lyapunov={"form": "abs"},
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            analysis={**domain, "tolerance": tolerance},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "tolerance must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "check.json").exists()
+
+
 class TestAttractCommand:
     def test_zero_delta_collapses_level(self, tmp_path):
         payload = case1_config(
@@ -511,6 +529,18 @@ class TestSweepCommand:
         assert result.all_within_bound
         assert result.worst_settling <= 19
 
+
+    @pytest.mark.parametrize("case_id", [[1, 2], 3, None, True])
+    def test_case_id_must_be_a_string(self, tmp_path, capsys, case_id):
+        # str() would write a list to sweep.json as "[1, 2]".
+        payload = case1_config(analysis={
+            "grid": {"scale": "log", "low": 2.0, "high": 1e5, "points": 5},
+            "case_id": case_id,
+        })
+        cfg = write_config(tmp_path, payload)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert f"analysis.case_id must be a string, got {case_id!r}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.json").exists()
 
     def test_multidimensional_system_is_config_error(self, tmp_path, capsys):
         payload = {

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -340,6 +341,12 @@ class TestBasicLyapunov:
         with pytest.raises(EmptyDomainError):
             check_basic_lyapunov(halving_system, square_candidate(), [])
 
+    def test_non_finite_tolerance(self, doubling_system):
+        # NaN would flag every positivity and decrement residual.
+        for tol in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterDomainError, match="tolerance must be a finite number"):
+                check_basic_lyapunov(doubling_system, square_candidate(), self.GRID, tolerance=tol)
+
 
 class TestScanConditions:
     def test_halving_map_small_gains_clean(self, halving_system):
@@ -363,9 +370,13 @@ class TestScanConditions:
         assert 10.0 in violating
 
     def test_infinite_tolerance(self, doubling_system):
+        # inf would pass every finite residual and NaN flag every point.
         gains = FixedTimeGains(0.5, 0.5, 0.5, 2.0)
+        for tol in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterDomainError, match="tolerance must be a finite number"):
+                scan_conditions(doubling_system, square_candidate(), gains, [1.0, 2.0], tolerance=tol)
         report = scan_conditions(
-            doubling_system, square_candidate(), gains, [1.0, 2.0], tolerance=math.inf
+            doubling_system, square_candidate(), gains, [1.0, 2.0], tolerance=sys.float_info.max
         )
         assert report.holds_everywhere
 
@@ -415,7 +426,7 @@ class TestScanConditions:
         V = polynomial_candidate([1.0, 1.0, 1.0])
         report = scan_conditions(
             case1_system, V, FixedTimeGains(*MAPPED_GAINS), [0.5, 1e120, 1e150, 0.25],
-            tolerance=math.inf,
+            tolerance=sys.float_info.max,
         )
         assert [v.where for v in report.violations] == [(1e120,), (1e150,)]
         assert all(math.isnan(v.residual) for v in report.violations)
@@ -451,10 +462,17 @@ class TestScanTrajectory:
         gains = FixedTimeGains(0.5, 0.5, 0.5, 2.0)
         traj = simulate(doubling_system, 1e160, 3)
         report = scan_trajectory(
-            doubling_system, square_candidate(), gains, traj, tolerance=math.inf
+            doubling_system, square_candidate(), gains, traj, tolerance=sys.float_info.max
         )
         assert [v.where for v in report.violations] == [0, 1, 2]
         assert math.isnan(report.max_residual)
+
+    def test_non_finite_tolerance(self, case1_system):
+        gains = FixedTimeGains(*MAPPED_GAINS)
+        traj = simulate(case1_system, 800.0, 10)
+        for tol in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ParameterDomainError, match="tolerance must be a finite number"):
+                scan_trajectory(case1_system, abs_candidate(), gains, traj, tolerance=tol)
 
     def test_origin_states_skipped(self, case1_system):
         gains = FixedTimeGains(*MAPPED_GAINS)
@@ -859,7 +877,7 @@ def _scan_case(draw, min_size=1):
         rhs, rhs_ref = draw(_candidate(dimension, rng))
     elif form == "perturbed":
         g_norm = float(rng.uniform(0.0, 1.0))
-    tolerance = draw(st.sampled_from((-math.inf, 0.0, 1e-12, 1.0)))
+    tolerance = draw(st.sampled_from((_EVERY, 0.0, 1e-12, 1.0)))
     states = draw(_states(dimension, min_size, rng))
     return system, (V, V_ref), (rhs, rhs_ref), g_norm, tolerance, states
 
@@ -870,14 +888,16 @@ def _form(V, rhs, g_norm):
     return (ConditionId.FT_DECREMENT if rhs is None else ConditionId.FT_MIXED), 0.0
 
 
+# The lowest finite tolerance: every residual above it is listed.
+_EVERY = -sys.float_info.max
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
 
 class TestBatchedScansMatchPerPointLoop:
     """The batched kernel against the per-point loop it replaced.
 
-    Compared bit for bit: every residual (a tolerance of -inf lists them
-    all), ``max_residual`` down to the sign of zero, the order of the
+    Compared bit for bit: every residual (a tolerance of ``_EVERY`` lists
+    them all), ``max_residual`` down to the sign of zero, the order of the
     violations, ``value_zero_points``, the intervals, and the first error.
     """
 
@@ -886,7 +906,7 @@ class TestBatchedScansMatchPerPointLoop:
     def test_grid_scan(self, case):
         system, (V, V_ref), (rhs, rhs_ref), g_norm, tolerance, pts = case
         condition_id, slack = _form(V, rhs, g_norm)
-        for tol in (tolerance, -math.inf):
+        for tol in (tolerance, _EVERY):
             got = _outcome(lambda: scan_conditions(
                 system, V, FixedTimeGains(*MAPPED_GAINS), pts, v_rhs=rhs,
                 g_norm=g_norm, tolerance=tol))
@@ -902,7 +922,7 @@ class TestBatchedScansMatchPerPointLoop:
         condition_id, slack = _form(V, rhs, g_norm)
         traj = Trajectory(states, truncated=False)
         gains = FixedTimeGains(0.01, 0.001, 0.5, 2.0)
-        for tol in (tolerance, -math.inf):
+        for tol in (tolerance, _EVERY):
             got = _outcome(lambda: scan_trajectory(
                 system, V, gains, traj, v_rhs=rhs, g_norm=g_norm, tolerance=tol))
             want = _outcome(lambda: _reference_orbit_scan(
@@ -924,7 +944,7 @@ class TestBatchedScansMatchPerPointLoop:
     @given(_scan_case())
     def test_basic_lyapunov(self, case):
         system, (V, V_ref), _, _, tolerance, pts = case
-        for tol in (tolerance, -math.inf):
+        for tol in (tolerance, _EVERY):
             got = _outcome(lambda: check_basic_lyapunov(system, V, pts, tolerance=tol))
             want = _outcome(lambda: _reference_basic(system, V_ref, pts, tol))
             assert got == want

@@ -29,8 +29,7 @@ import fixsettle.oracle
 from fixsettle.oracle import (
     _CHUNK,
     DEFAULT_EPSILONS,
-    _curve,
-    _settling_indices,
+    _settling_curves,
     generate_level_run,
 )
 from fixsettle.settling import q_sequence
@@ -118,13 +117,11 @@ class TestSweep:
         with pytest.raises(EmptyDomainError):
             sweep_settling(case.system(), [], example_bound(*case.params()))
 
-    def test_multidimensional_system_rejected_before_simulating(self, monkeypatch):
-        def no_simulation(*args, **kwargs):
-            raise AssertionError("simulated before checking the dimension")
+    def test_multidimensional_system_rejected_before_simulating(self):
+        def no_steps(states):
+            raise AssertionError("stepped before checking the dimension")
 
-        monkeypatch.setattr(fixsettle.oracle, "simulate", no_simulation)
-        monkeypatch.setattr(SystemMap, "apply_batch", no_simulation)
-        system = affine_system([[0.5, 0.0], [0.0, 0.5]])
+        system = SystemMap("no_steps", 2, no_steps)
         with pytest.raises(ParameterDomainError, match="dimension 2"):
             sweep_settling(
                 system, [[1.0, 2.0], [3.0, 4.0]], example_bound(*TABLE1_CASES[0].params())
@@ -333,10 +330,9 @@ def _body_calls_for_lanes(system, x0s, steps, levels):
     ``settling_vs_epsilon``, and return the number of body calls it made."""
     counted, calls = _counted(system)
     x = np.array(x0s, dtype=float).reshape(-1, 1)
-    last_out, first_in = _settling_indices(counted, x, steps, np.array(levels, dtype=float))
-    for i, x0 in enumerate(x0s):
-        want = settling_vs_epsilon(simulate(system, x0, steps), levels)
-        assert _curve(levels, steps, last_out[i], first_in[i]) == want, (x0, steps)
+    curves = _settling_curves(counted, x, steps, np.array(levels, dtype=float))
+    for x0, curve in zip(x0s, curves):
+        assert curve == settling_vs_epsilon(simulate(system, x0, steps), levels), (x0, steps)
     return len(calls)
 
 
@@ -427,7 +423,7 @@ class TestCycleExit:
     def test_one_lane_still_moving_keeps_every_lane_stepping(self):
         system = affine_system([[-0.999]])
         counted, calls = _counted(system)
-        _settling_indices(counted, np.array([[0.0], [1.0]]), 300, np.array([0.5]))
+        _settling_curves(counted, np.array([[0.0], [1.0]]), 300, np.array([0.5]))
         assert len(calls) == 300
 
     def test_states_are_compared_bit_for_bit(self):
@@ -462,16 +458,18 @@ class TestCycleExit:
         assert _got(result, want) == want
 
     def test_oracle_measures_without_scalar_orbits(self):
-        """Sweeps and ``table1`` step through ``_settling_indices``; the
-        scalar ``simulate`` + ``settling_vs_epsilon`` pair is not used."""
+        """Sweeps and ``table1`` step through ``_settling_curves``, which
+        folds with ``settling.fold_entries`` and reads the curves through
+        ``settling.entry_curves``; the scalar ``simulate`` +
+        ``settling_vs_epsilon`` pair is not used."""
         source = Path(fixsettle.oracle.__file__).read_text()
         called = {
             node.func.id
             for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
         }
-        assert not called & {"simulate", "settling_vs_epsilon"}
-        assert "_settling_indices" in called
+        assert not called & {"simulate", "settling_vs_epsilon", "entry_curve"}
+        assert {"_settling_curves", "fold_entries", "entry_curves"} <= called
 
 
 class TestTable1:

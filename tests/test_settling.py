@@ -1,6 +1,8 @@
+import ast
 import math
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -290,6 +292,118 @@ class TestMeasureSettling:
         with pytest.raises(ParameterDomainError):
             settling.check_level(math.nan)
         assert settling.check_level(0.0) == 0.0
+
+
+def _loop_fold(columns, levels, k0):
+    """Last-outside and first-inside index per column and level, -1 for
+    none, by a plain loop over indices k0, k0 + 1, ..."""
+    last_out = [[-1] * len(levels) for _ in columns]
+    first_in = [[-1] * len(levels) for _ in columns]
+    for j, column in enumerate(columns):
+        for i, level in enumerate(levels):
+            for k, v in enumerate(column, start=k0):
+                if v > level:
+                    last_out[j][i] = k
+                if v <= level and first_in[j][i] < 0:
+                    first_in[j][i] = k
+    return last_out, first_in
+
+
+def _loop_curve(column, levels):
+    """(level, entry-and-stay, first entry) of one recorded sequence by a
+    plain loop: stay follows the last value above the level (NaN is
+    neither above nor below), and is None when that is the last value."""
+    curve = []
+    for level in levels:
+        stay, first = 0, None
+        for k, v in enumerate(column):
+            if v > level:
+                stay = k + 1
+            if v <= level and first is None:
+                first = k
+        curve.append((level, None if stay == len(column) else stay, first))
+    return tuple(curve)
+
+
+_VALUES = st.one_of(
+    st.sampled_from([math.nan, 0.0, -0.0, 0.5, 1.0, 2.0, math.inf]),
+    st.floats(0.0, 4.0),
+)
+_LEVELS = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, math.inf]), st.floats(0.0, 4.0)),
+    min_size=1, max_size=4,
+)
+
+
+class TestEntryFold:
+    """``settling.fold_entries`` and ``entry_curves`` against plain loops."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 4)),
+        levels=_LEVELS,
+        fill=st.sampled_from([None, 0.0, math.inf, math.nan]),
+        k0=st.integers(1, 10 ** 6),
+    )
+    def test_fold_in_one_pass_and_in_chunks(self, data, shape, levels, fill, k0):
+        K, m = shape
+        if fill is None:
+            values = np.array(data.draw(st.lists(_VALUES, min_size=K * m, max_size=K * m)))
+        else:  # all inside, all outside or all NaN at the finite levels
+            values = np.full(K * m, fill)
+        values = values.reshape(K, m)
+        columns = values.T.tolist()
+        levels_array = np.array(levels)
+        want = _loop_fold(columns, levels, k0)
+
+        got = settling.fold_entries(values, levels_array, k0)
+        assert [a.tolist() for a in got] == list(want)
+
+        cuts = sorted(data.draw(st.sets(st.integers(1, K - 1), max_size=K - 1)) if K > 1 else [])
+        indices = None
+        for lo, hi in zip([0, *cuts], [*cuts, K]):
+            indices = settling.fold_entries(values[lo:hi], levels_array, k0 + lo, indices)
+        assert [a.tolist() for a in indices] == list(want)
+
+        curves = settling.entry_curves(levels_array, *settling.fold_entries(values, levels_array), K - 1)
+        assert curves == tuple(_loop_curve(column, levels) for column in columns)
+        for j, column in enumerate(columns):
+            assert settling.entry_curve(values[:, j], levels) == curves[j]
+            assert settling.entry_and_stay(values[:, j], levels[0]) == curves[j][0][1:]
+
+    def test_one_value(self):
+        curve = settling.entry_curve(np.array([2.0]), (1.0, 2.0, 3.0))
+        assert curve == ((1.0, None, None), (2.0, 0, 0), (3.0, 0, 0))
+
+    def test_nan_is_neither_inside_nor_outside(self):
+        values = np.array([3.0, math.nan, 0.5, math.nan])
+        assert settling.entry_curve(values, (1.0,)) == ((1.0, 1, 2),)
+        assert settling.entry_curve(np.array([math.nan]), (1.0,)) == ((1.0, 0, None),)
+
+    def test_only_settling_defines_the_fold(self):
+        """``oracle`` and ``perturbation`` read entry indices from
+        ``settling``'s fold: they define no copy of it and compare no value
+        sequence against a level themselves."""
+        package = Path(settling.__file__).resolve().parent
+        owners = {}
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef):
+                    owners.setdefault(node.name, set()).add(path.stem)
+            if path.stem not in ("oracle", "perturbation"):
+                continue
+            for node in ast.walk(tree):
+                for side in [node.left, *node.comparators] if isinstance(node, ast.Compare) else ():
+                    while isinstance(side, ast.Subscript):  # values[0], norms[:, :, None]
+                        side = side.value
+                    name = getattr(side, "id", None)
+                    assert name not in {"level", "levels", "values", "norms", "B"}, ast.unparse(node)
+        for name in ("_fold", "_index", "_curve", "_entry_and_remained"):
+            assert name not in owners
+        for name in ("fold_entries", "entry_curves", "entry_curve"):
+            assert owners[name] == {"settling"}
 
 
 class TestAnalyzeSettling:
