@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from contextlib import contextmanager
@@ -66,12 +67,20 @@ def _writing(path: Path, newline=None):
         raise FixsettleError(f"cannot write {path}: {err.strerror or err}") from err
 
 
-def _write_csv(path: Path, header, rows):
+def _csv_column(col) -> list:
+    """Every value of ``col`` as ``_fmt`` writes it; a float array in one pass."""
+    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
+        return list(map("{:.17g}".format, col.tolist()))
+    return list(map(_fmt, col))
+
+
+def _write_csv(path: Path, header, columns):
+    """Write ``header`` and the rows that ``columns`` make side by side."""
+    cols = [_csv_column(col) for col in columns]
     with _writing(path, newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*cols))
 
 
 def _write_json(path: Path, obj):
@@ -201,11 +210,10 @@ def cmd_simulate(args) -> int:
     traj = _run_orbit(cfg, cfg.analysis.x0)
     v = cfg.lyapunov if cfg.lyapunov is not None else abs_candidate(cfg.system.dimension)
     header = ["k"] + [f"x_{i + 1}" for i in range(cfg.system.dimension)] + ["V"]
-    values = v.values(traj.states)
-    rows = [[k, *state, values[k]] for k, state in enumerate(traj.states)]
+    n = len(traj.states)
     path = _out_path(args, "simulate.csv", cfg)
-    _write_csv(path, header, rows)
-    print(f"wrote {path} ({len(rows)} rows, truncated={traj.truncated})")
+    _write_csv(path, header, [range(n), *traj.states.T, v.values(traj.states)])
+    print(f"wrote {path} ({n} rows, truncated={traj.truncated})")
     return 0
 
 
@@ -293,10 +301,12 @@ def cmd_attract(args) -> int:
     acfg = _attractiveness_config(cfg, lv, lv_source)
     traj = _run_orbit(cfg, cfg.analysis.x0)
     report = analyze_attractiveness(acfg, traj, cfg.lyapunov)
+    # Every table row is computed before any file is written, so a row
+    # that fails leaves no report behind.
+    rows = remark_tradeoff_table(acfg, cfg.analysis.m_values) if cfg.analysis.m_values else ()
     path = _out_path(args, "attract.json", cfg)
     _write_json(path, report.to_dict())
-    if cfg.analysis.m_values:
-        rows = remark_tradeoff_table(acfg, cfg.analysis.m_values)
+    if rows:
         tradeoff_path = Path(args.out) / TRADEOFF_NAME
         _write_json(
             tradeoff_path,
@@ -362,7 +372,7 @@ def cmd_table1(args) -> int:
                     r.atc_published, r.x0, eps, stay, first,
                 ])
         path = out_dir / "table1.csv"
-        _write_csv(path, header, csv_rows)
+        _write_csv(path, header, zip(*csv_rows))
         print(f"wrote {path}")
     for r in rows:
         note = "  (recomputation differs by one; both values reported)" if r.discrepancy else ""
@@ -373,7 +383,12 @@ def cmd_table1(args) -> int:
     return 0
 
 
+COMMANDS = ("simulate", "check", "bound", "attract", "sweep", "table1")
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by later ``main`` calls."""
     parser = argparse.ArgumentParser(
         prog="fixsettle",
         description=(
@@ -382,16 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (
-        ("simulate", cmd_simulate),
-        ("check", cmd_check),
-        ("bound", cmd_bound),
-        ("attract", cmd_attract),
-        ("sweep", cmd_sweep),
-        ("table1", cmd_table1),
-    ):
+    for name in COMMANDS:
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn, seed=None)
+        p.set_defaults(seed=None)
         if name == "table1":
             p.add_argument("--format", choices=("csv", "json"), default=None)
         else:
@@ -404,8 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, so a replaced ``cmd_*`` attribute is the one run.
+    command = globals()["cmd_" + args.command]
     try:
-        return args.fn(args)
+        return command(args)
     except SimulationDivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

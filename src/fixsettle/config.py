@@ -121,6 +121,15 @@ def _finite(value, key: str) -> float:
     return x
 
 
+def _slack(value, key: str) -> float:
+    """A slack constant m: finite and above 1, or the slackened gain
+    (1 - 1/m) times alpha or beta is not positive or its bound not finite."""
+    m = _number(value, key)
+    if not (math.isfinite(m) and m > 1.0):
+        raise ConfigurationError(f"{key} must be a finite number above 1, got {value!r}")
+    return m
+
+
 def _integer(value, key: str) -> int:
     """A JSON integer, or a number with an integral value such as 400.0."""
     integral = isinstance(value, int) or isinstance(value, float) and value.is_integer()
@@ -156,22 +165,26 @@ def _build_system(d: dict) -> tuple:
     raise ConfigurationError("system must specify 'builtin' or 'affine'")
 
 
-def _build_candidate(d: dict, dimension: int) -> LyapunovCandidate:
-    form = _require(d, "form", "lyapunov")
-    lipschitz = d.get("lipschitz")
-    if lipschitz is not None:
-        lipschitz = _number(lipschitz, "lyapunov.lipschitz")
+def _build_candidate(d: dict, dimension: int, where: str) -> LyapunovCandidate:
+    form = _require(d, "form", where)
+    raw = d.get("lipschitz")
+    lipschitz = None
+    if raw is not None:
+        key = f"{where}.lipschitz"
+        lipschitz = _number(raw, key)
+        if not (math.isfinite(lipschitz) and lipschitz > 0.0):
+            raise ConfigurationError(f"{key} must be a finite positive number, got {raw!r}")
     if form == "abs":
         return abs_candidate(dimension, lipschitz if lipschitz is not None else 1.0)
     if form == "square":
         return square_candidate(dimension, lipschitz)
     if form == "poly":
         return polynomial_candidate(
-            _numbers(_require(d, "coefficients", "lyapunov"), "lyapunov.coefficients"),
+            _numbers(_require(d, "coefficients", where), f"{where}.coefficients"),
             dimension,
             lipschitz,
         )
-    raise ConfigurationError(f"unknown lyapunov form {form!r}; use abs|square|poly")
+    raise ConfigurationError(f"unknown {where} form {form!r}; use abs|square|poly")
 
 
 def _build_perturbation(d: dict, dimension: int, seed_override: Optional[int]) -> PerturbationSpec:
@@ -238,9 +251,11 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
         lyap = lyap_rhs = None
         if "lyapunov" in raw:
             lyap_raw = _section(raw["lyapunov"], "lyapunov")
-            lyap = _build_candidate(lyap_raw, dim)
+            lyap = _build_candidate(lyap_raw, dim, "lyapunov")
             if "rhs" in lyap_raw:
-                lyap_rhs = _build_candidate(_section(lyap_raw["rhs"], "lyapunov.rhs"), dim)
+                lyap_rhs = _build_candidate(
+                    _section(lyap_raw["rhs"], "lyapunov.rhs"), dim, "lyapunov.rhs"
+                )
 
         gains = None
         if "gains" in raw:
@@ -288,7 +303,7 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
             ),
             grid=_build_grid(_section(a["grid"], "analysis.grid")) if "grid" in a else None,
             tolerance=_number(a.get("tolerance", DEFAULT_TOLERANCE), "analysis.tolerance"),
-            m_values=_numbers(a.get("m_values", []), "analysis.m_values"),
+            m_values=_numbers(a.get("m_values", []), "analysis.m_values", _slack),
             branch=branch,
             case_id=case_id,
         )
@@ -310,8 +325,8 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
             gains=gains,
             perturbation=pert,
             example_params=example_params,
-            m1=_number(raw.get("m1", 2.0), "m1"),
-            m2=_number(raw.get("m2", 2.0), "m2"),
+            m1=_slack(raw.get("m1", 2.0), "m1"),
+            m2=_slack(raw.get("m2", 2.0), "m2"),
             analysis=analysis,
             output_name=name,
         )

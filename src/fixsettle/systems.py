@@ -226,7 +226,7 @@ def constant_perturbation(vector, delta0: float, name: str = "constant") -> Pert
     return PerturbationSpec(delta0=delta0, generator=lambda k, x: vec, name=name)
 
 
-# Steps whose PCG64 states ``uniform_ball`` computes in one pass.
+# Steps whose PCG64 states and draws ``uniform_ball`` computes in one pass.
 _SEED_BLOCK = 128
 
 
@@ -236,52 +236,59 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
     Step k (k >= 0) draws ``standard_normal(dimension)`` and then
     ``random()`` from ``np.random.default_rng((seed, k))``, so the draw
     depends on ``(seed, k)`` alone and the sequence is reproducible.  The
-    generator keeps internal state to get there cheaply: one PCG64, whose
-    state is set to that of ``default_rng((seed, k))`` before each draw,
-    and the states of a block of consecutive steps, computed in one pass.
-    A negative seed or k raises ``ParameterDomainError``.
+    generator keeps internal state to get there cheaply: the PCG64 states
+    of a block of consecutive steps, computed in one pass, and that
+    block's draws, each made by one reused PCG64 set to the step's state
+    and scaled for the whole block at once.  A call returns a copy of its
+    step's row.  A negative seed or k raises ``ParameterDomainError``.
     """
     if dimension < 1:
         raise ParameterDomainError("dimension must be a positive integer")
     if seed < 0:
         raise ParameterDomainError("seed must be a nonnegative integer")
-    exponent = 1.0 / dimension
-    bitgen = rng = None
-    k0, states = 0, []
+    k0, block = 0, np.empty((0, dimension))
+
+    def draw_block(k: int) -> np.ndarray:
+        # numpy imports numpy.random on first use, and importing it or
+        # ._pcg64 is a large share of a CLI call's set-up; only a draw pays.
+        from numpy.random import PCG64, Generator
+
+        from ._pcg64 import seed_states
+
+        bitgen = PCG64(0)
+        rng = Generator(bitgen)
+        states = seed_states(seed, k, _SEED_BLOCK)
+        normals = np.empty((len(states), dimension))
+        u = np.empty(len(states))
+        for j, (pcg_state, inc) in enumerate(states):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": pcg_state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            rng.standard_normal(out=normals[j])
+            u[j] = rng.random()
+        sizes = row_norms(normals)
+        zero = sizes == 0.0
+        if zero.any():
+            normals[zero] = 0.0
+            normals[zero, 0] = 1.0
+            sizes[zero] = 1.0
+        # u in [0, 1) keeps the radius strictly below delta0; float_power
+        # calls libm pow as the per-draw ``u ** (1 / n)`` would.
+        radii = delta0 * np.float_power(u, 1.0 / dimension)
+        return normals / sizes[:, None] * radii[:, None]
 
     def gen(k: int, state: np.ndarray) -> np.ndarray:
-        nonlocal bitgen, rng, k0, states
+        nonlocal k0, block
         if delta0 == 0.0:
             return np.zeros(dimension)
         if k < 0:
             raise ParameterDomainError(f"uniform_ball step must be nonnegative, got {k}")
-        # numpy imports numpy.random on first use, and importing it or
-        # ._pcg64 is a large share of a CLI call's set-up; only a draw pays.
-        if rng is None:
-            from numpy.random import PCG64, Generator
-
-            bitgen = PCG64(0)
-            rng = Generator(bitgen)
-        if not 0 <= k - k0 < len(states):
-            from ._pcg64 import seed_states
-
-            k0, states = k, seed_states(seed, k, _SEED_BLOCK)
-        pcg_state, inc = states[k - k0]
-        bitgen.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": pcg_state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        direction = rng.standard_normal(dimension)
-        size = norm(direction)
-        if size == 0.0:
-            direction = np.zeros(dimension)
-            direction[0] = 1.0
-            size = 1.0
-        # u in [0, 1) keeps the radius strictly below delta0.
-        radius = delta0 * rng.random() ** exponent
-        return direction / size * radius
+        if not 0 <= k - k0 < len(block):
+            k0, block = k, draw_block(k)
+        return block[k - k0].copy()
 
     return PerturbationSpec(delta0=delta0, generator=gen, name="uniform_ball")
 

@@ -722,6 +722,55 @@ class TestDeterminism:
         digest = hashlib.sha256((out / "check.json").read_bytes()).hexdigest()
         assert digest == self.PINNED_CHECK_DIGESTS[scenario]
 
+    # sha256 of CSV and attract outputs as written before the CSV writer
+    # took columns and uniform_ball drew a block of steps at a time: a 1-D
+    # uniform_ball orbit across two 128-step blocks, a radial orbit, a 2-D
+    # uniform_ball orbit across a block edge, table1.csv, and one attract
+    # run with its trade-off table.
+    PINNED_OUTPUT_DIGESTS = {
+        "ball1d/simulate.csv": "f5220d37e4c135c1f5b86f3cc1bdd0b1bd55bbaee626d93098b509e6f2d21e06",
+        "radial/simulate.csv": "63014c0406639f58cb5f177e32735948b1dd7906b555f39e002981d6897f4e2b",
+        "ball2d/simulate.csv": "eb8b8d82d6fc33ec2fad35a45e7c7f24a916fdf7b43f0cb18f5fe194183006b2",
+        "table1/table1.csv": "ee146ddb989004499f0f8ffa21b7e1ae9525ea3fcb38297aa0018e26c3603539",
+        "attract/attract.json": "9724db1f8663d2907c583e071671125e404b19c83f33489a0badcc1bf6ddd2fd",
+        "attract/tradeoff.json": "4fa628d0a35ff8638570ef8a36d0a3056af73993d0b0819cb2ee3cfc321f3cdc",
+    }
+    PINNED_OUTPUT_CONFIGS = {
+        "ball1d": ("simulate", case1_config(
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 11},
+            analysis={"x0": 1500.0, "k_max": 300},
+        )),
+        "radial": ("simulate", case1_config(
+            lyapunov={"form": "square"},
+            perturbation={"delta0": 0.05, "generator": "radial"},
+            analysis={"x0": -1500.0, "k_max": 40},
+        )),
+        "ball2d": ("simulate", {
+            "schema": 1,
+            "system": {"affine": {"matrix": [[0.5, 0.1], [0.0, 0.4]]}},
+            "perturbation": {"delta0": 0.1, "generator": "uniform_ball", "seed": 4},
+            "analysis": {"x0": [3.0, -2.0], "k_max": 150},
+        }),
+        "attract": ("attract", case1_config(
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 5},
+            analysis={"x0": 1500.0, "k_max": 300, "m_values": [1.25, 1.5, 2, 3, 4, 8]},
+        )),
+    }
+
+    @pytest.mark.parametrize("output", sorted(PINNED_OUTPUT_DIGESTS))
+    def test_output_digest_is_pinned(self, tmp_path, output):
+        scenario, name = output.split("/")
+        out = tmp_path / scenario
+        if scenario == "table1":
+            assert main(["table1", "--format", "csv", "--out", str(out)]) == 0
+        else:
+            command, payload = self.PINNED_OUTPUT_CONFIGS[scenario]
+            cfg = write_config(tmp_path, payload)
+            assert main([command, "--config", cfg, "--out", str(out)]) == 0
+        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+        assert digest == self.PINNED_OUTPUT_DIGESTS[output]
+
     def test_seed_override_changes_orbit(self, tmp_path):
         payload = case1_config(
             perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 11},
@@ -1068,3 +1117,210 @@ class TestUnusableInputsAndOutputs:
             f"error: grid.{key} must be a finite number, got {value!r}\n"
         )
         assert not (tmp_path / "out").exists()
+
+    def test_failing_tradeoff_row_writes_nothing(self, tmp_path, capsys):
+        # The report's own level is finite at m2 = 2; the table's row at
+        # m = 1e6 overflows.  attract.json used to be written before that.
+        payload = case1_config(
+            gains={"alpha": 0.01, "beta": 0.25, "r1": 0.01, "r2": 2.2},
+            perturbation={"delta0": 0.001, "generator": "uniform_ball", "seed": 5},
+            analysis={"x0": 0.5, "k_max": 20, "m_values": [2.0, 1e6]},
+        )
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main(["attract", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: attractive level B overflows float64 on branch V0_LE_1\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "bound", "attract", "check"])
+    @pytest.mark.parametrize("key, value", [
+        ("analysis.m_values[1]", 0.5), ("analysis.m_values[0]", math.inf),
+        ("analysis.m_values[1]", math.nan), ("m1", math.inf), ("m1", 1.0),
+        ("m2", math.nan), ("m2", -3),
+    ])
+    def test_slack_constants_are_finite_and_above_one(self, tmp_path, capsys, command, key, value):
+        # m_values [2.0, 0.5] made attract write attract.json and then exit 2
+        # on "m1=0.5 must exceed 1", while bound exited 0; m1 Infinity gave
+        # "bound parameter must be finite" in attract and bound only.
+        payload = case1_config(
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 5},
+            analysis={"x0": 50.0, "k_max": 40, "m_values": [2.0, 3.0]},
+        )
+        if key.startswith("analysis."):
+            payload["analysis"]["m_values"][int(key[-2])] = value
+        else:
+            payload[key] = value
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: {key} must be a finite number above 1, got {value!r}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rhs", [False, True])
+    @pytest.mark.parametrize("value", [math.nan, 0, -1.0, math.inf])
+    def test_lipschitz_is_finite_and_positive(self, tmp_path, capsys, rhs, value):
+        # NaN, 0 and -1 were reported as "lipschitz_LV must be positive when
+        # given"; Infinity passed until attract or bound needed it.
+        lyapunov = {"form": "abs"}
+        if rhs:
+            lyapunov["rhs"] = {"form": "abs", "lipschitz": value}
+        else:
+            lyapunov["lipschitz"] = value
+        cfg = write_config(tmp_path, case1_config(lyapunov=lyapunov))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+        key = "lyapunov.rhs.lipschitz" if rhs else "lyapunov.lipschitz"
+        assert capsys.readouterr() == (
+            "", f"error: {key} must be a finite positive number, got {value!r}\n"
+        )
+        assert not out.exists()
+
+
+def _rowwise_csv(path: Path, header, rows):
+    """The row-by-row writer the column writer replaced: every cell through
+    ``_fmt``, one ``writerow`` per row."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([cli._fmt(v) for v in row])
+
+
+_CSV_TEXT = st.text(st.sampled_from(list('ab ,"\n\r;é\'')) | st.characters(blacklist_categories=("Cs",)),
+                    max_size=6)
+# Cells of a column that is not a float array: anything _fmt takes.
+_CELLS = st.one_of(
+    st.integers(-(2 ** 70), 2 ** 70), st.booleans(), st.none(), _FLOATS, _CSV_TEXT,
+    st.builds(np.float64, _FLOATS), st.builds(np.int64, st.integers(-(2 ** 63), 2 ** 63 - 1)),
+    st.builds(np.bool_, st.booleans()),
+)
+_CSV_FLOATS = _FLOATS | st.sampled_from([1e308, -1e308, 2.2250738585072014e-308, -5e-324])
+
+
+@st.composite
+def _csv_columns(draw):
+    """Columns of one length: float arrays, int and bool arrays, ranges and
+    lists of mixed cells."""
+    k = draw(st.integers(0, 8))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(["float", "int", "bool", "range", "cells"]))
+        if kind == "float":
+            columns.append(np.array(draw(st.lists(_CSV_FLOATS, min_size=k, max_size=k)),
+                                    dtype=float))
+        elif kind == "int":
+            columns.append(np.array(draw(st.lists(st.integers(-(2 ** 63), 2 ** 63 - 1),
+                                                  min_size=k, max_size=k)), dtype=np.int64))
+        elif kind == "bool":
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)),
+                                    dtype=bool))
+        elif kind == "range":
+            columns.append(range(k))
+        else:
+            columns.append(draw(st.lists(_CELLS, min_size=k, max_size=k)))
+    header = draw(st.lists(_CSV_TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+class TestCsvWriter:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=_csv_columns())
+    def test_columns_write_the_bytes_of_the_rowwise_writer(self, tmp_path, table):
+        header, columns = table
+        cli._write_csv(tmp_path / "columns.csv", header, columns)
+        _rowwise_csv(tmp_path / "rows.csv", header, zip(*columns))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+def _small_simulate(tmp_path: Path) -> str:
+    return write_config(tmp_path, case1_config(
+        perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 11},
+        analysis={"x0": 1500.0, "k_max": 5},
+    ), "small.json")
+
+
+class TestParserReuse:
+    """``main`` builds its argparse parser once per process, on first use."""
+
+    def test_import_builds_none_and_five_calls_build_one(self, tmp_path):
+        src = str(Path(fixsettle.__file__).resolve().parents[1])
+        code = (
+            "import contextlib, io, sys\n"
+            "import fixsettle.cli as cli\n"
+            "built = [cli.build_parser.cache_info().misses]\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    for _ in range(5):\n"
+            f"        assert cli.main(['simulate', '--config', {_small_simulate(tmp_path)!r},\n"
+            f"                         '--out', {str(tmp_path / 'out')!r}]) == 0\n"
+            "built.append(cli.build_parser.cache_info().misses)\n"
+            "print(*built)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "0 1\n"
+
+    def test_usage_error_between_calls_changes_nothing_after_it(self, tmp_path, capsys):
+        cfg = _small_simulate(tmp_path)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "a")]) == 0
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s"), "--seed", "12"]) == 0
+        for bad in (["simulate"], ["simulate", "--config", cfg, "--format", "csv"], ["nope"]):
+            with pytest.raises(SystemExit) as err:
+                main(bad)
+            assert err.value.code == 2
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "b")]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert printed[0].replace("/a/", "/b/") == printed[2]
+        a, b, s = ((tmp_path / d / "simulate.csv").read_bytes() for d in "abs")
+        assert a == b  # neither the earlier --seed nor the errors carried over
+        assert s != a
+
+    def test_replaced_command_is_the_one_run(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.config) or 7)
+        assert main(["simulate", "--config", "x.json"]) == 7
+        assert seen == ["x.json"]
+
+
+def test_fresh_processes_match_in_process_calls(tmp_path, capsys):
+    # The cached parser and the column writer give a later in-process call
+    # what a fresh `python -m fixsettle` process gives: files, output, code.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    bad = write_config(tmp_path, case1_config(m1=0.5), "bad.json")
+    calls = [
+        ["simulate", "--config", str(root / "configs" / "case1_simulate.json")],
+        ["simulate", "--config", _small_simulate(tmp_path)],
+        ["attract", "--config", str(root / "configs" / "case1_attract.json")],
+        ["table1"],
+        ["simulate", "--config", bad],
+        ["simulate"],
+    ]
+    assert main(["bound", "--config", str(root / "configs" / "case1_attract.json"),
+                 "--out", str(tmp_path / "warm")]) == 0
+    assert main(["table1", "--format", "json", "--out", str(tmp_path / "warm")]) == 0
+
+    def outputs(out: Path) -> dict:
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())} if out.exists() else {}
+
+    for i, argv in enumerate(calls):
+        out = tmp_path / f"out{i}"
+        argv = argv + ["--out", str(out)]
+        proc = subprocess.run([sys.executable, "-m", "fixsettle", *argv], env=env,
+                              capture_output=True, text=True)
+        fresh = (proc.returncode, proc.stdout, proc.stderr, outputs(out))
+        for f in out.glob("*"):
+            f.unlink()
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as err:
+            code = err.code
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err, outputs(out)) == fresh, argv

@@ -398,6 +398,37 @@ class TestUniformBallStream:
             got = gen(k, np.zeros(n))
             assert got.tobytes() == _reference_ball(0.05, n, seed, k).tobytes(), k
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_block_draws_equal_default_rng(self, n):
+        # A run across two block edges, then a block that starts at a k that
+        # is not a multiple of the block, read up to and past its far edge.
+        gen = uniform_ball_perturbation(0.05, n, 9).generator
+        start = 3 * _SEED_BLOCK + 45
+        ks = [*range(_SEED_BLOCK - 3, 2 * _SEED_BLOCK + 3),
+              *range(start, start + 5), start + _SEED_BLOCK - 1, start + _SEED_BLOCK, start + 2]
+        for k in ks:
+            assert gen(k, np.zeros(n)).tobytes() == _reference_ball(0.05, n, 9, k).tobytes(), k
+
+    def test_returned_draw_is_the_callers(self):
+        gen = uniform_ball_perturbation(0.05, 2, 4).generator
+        first = gen(5, np.zeros(2))
+        want = first.copy()
+        first[:] = 7.0
+        assert gen(5, np.zeros(2)).tobytes() == want.tobytes()
+        assert want.tobytes() == _reference_ball(0.05, 2, 4, 5).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_zero_radius_draws_zero(self, n, case1_system):
+        gen = uniform_ball_perturbation(0.0, n, 4).generator
+        for k in (0, _SEED_BLOCK, 2**64):
+            g = gen(k, np.zeros(n))
+            assert g.tobytes() == np.zeros(n).tobytes()
+            g[:] = 1.0
+        assert gen(0, np.zeros(n)).tobytes() == np.zeros(n).tobytes()
+        pert = uniform_ball_perturbation(0.0, 1, 4)
+        got = simulate_perturbed(case1_system, pert, 1500.0, 300)
+        assert got.states.tobytes() == simulate(case1_system, 1500.0, 300).states.tobytes()
+
     def test_negative_step_rejected(self):
         # default_rng((seed, k)) rejects a negative k; the low 32-bit word of
         # k must not stand in for it.
