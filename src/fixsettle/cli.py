@@ -8,6 +8,13 @@ resolves from V(x0) in both bound and attract.
 Outputs are CSV (17 significant digits, '.' decimal) and JSON (sorted
 keys), both byte-stable across runs for a fixed config and seed.  Exit
 codes: 0 success, 2 config or parameter error, 3 numerical divergence.
+
+Each ``cmd_<name>(args)`` only computes: it returns ``(outputs, lines)``,
+``outputs`` a list of ``(file name, payload, note)`` in the order written,
+a ``(header, columns)`` payload written as CSV and any other as JSON, and
+``lines`` what is printed after the "wrote <path><note>" lines.  ``main``
+alone makes ``--out``, writes and prints, so a command that fails writes
+nothing.
 """
 
 from __future__ import annotations
@@ -19,7 +26,6 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -155,13 +161,6 @@ def _out_dir(args) -> Path:
     return out_dir
 
 
-def _out_path(args, default_name: str, cfg: Optional[ScenarioConfig] = None) -> Path:
-    name = default_name
-    if cfg is not None and cfg.output_name:
-        name = cfg.output_name
-    return _out_dir(args) / name
-
-
 def _require_cfg(args) -> ScenarioConfig:
     if not args.config:
         raise FixsettleError("this command requires --config")
@@ -203,7 +202,7 @@ def _run_orbit(cfg: ScenarioConfig, x0):
     return simulate(cfg.system, x0, k_max, cfg.analysis.stop_epsilon)
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     cfg = _require_cfg(args)
     if cfg.analysis.x0 is None:
         raise FixsettleError("simulate requires analysis.x0")
@@ -211,13 +210,12 @@ def cmd_simulate(args) -> int:
     v = cfg.lyapunov if cfg.lyapunov is not None else abs_candidate(cfg.system.dimension)
     header = ["k"] + [f"x_{i + 1}" for i in range(cfg.system.dimension)] + ["V"]
     n = len(traj.states)
-    path = _out_path(args, "simulate.csv", cfg)
-    _write_csv(path, header, [range(n), *traj.states.T, v.values(traj.states)])
-    print(f"wrote {path} ({n} rows, truncated={traj.truncated})")
-    return 0
+    columns = [range(n), *traj.states.T, v.values(traj.states)]
+    note = f" ({n} rows, truncated={traj.truncated})"
+    return [(cfg.output_name or "simulate.csv", (header, columns), note)], ()
 
 
-def cmd_check(args) -> int:
+def cmd_check(args):
     cfg = _require_cfg(args)
     if cfg.lyapunov is None or cfg.gains is None:
         raise FixsettleError("check requires lyapunov and gains sections")
@@ -237,16 +235,14 @@ def cmd_check(args) -> int:
         g_norm=g_norm,
         tolerance=cfg.analysis.tolerance,
     )
-    path = _out_path(args, "check.json", cfg)
-    _write_json(path, report)
-    print(
-        f"wrote {path} ({report.condition_id.value}: "
+    note = (
+        f" ({report.condition_id.value}: "
         f"{len(report.check)} violations over {report.checked_points} points)"
     )
-    return 0
+    return [(cfg.output_name or "check.json", report, note)], ()
 
 
-def cmd_bound(args) -> int:
+def cmd_bound(args):
     cfg = _require_cfg(args)
     out = {}
     if cfg.gains is not None:
@@ -265,16 +261,14 @@ def cmd_bound(args) -> int:
         raise FixsettleError(
             "bound requires gains, an example system, or a perturbed setup"
         )
-    path = _out_path(args, "bound.json", cfg)
-    _write_json(path, out)
-    print(f"wrote {path} ({', '.join(f'{k}={v}' for k, v in sorted(out.items()))})")
-    return 0
+    note = f" ({', '.join(f'{k}={v}' for k, v in sorted(out.items()))})"
+    return [(cfg.output_name or "bound.json", out, note)], ()
 
 
 TRADEOFF_NAME = "tradeoff.json"
 
 
-def cmd_attract(args) -> int:
+def cmd_attract(args):
     cfg = _require_cfg(args)
     if cfg.gains is None or cfg.lyapunov is None or cfg.perturbation is None:
         raise FixsettleError("attract requires gains, lyapunov, and perturbation")
@@ -301,26 +295,20 @@ def cmd_attract(args) -> int:
     acfg = _attractiveness_config(cfg, lv, lv_source)
     traj = _run_orbit(cfg, cfg.analysis.x0)
     report = analyze_attractiveness(acfg, traj, cfg.lyapunov)
-    # Every table row is computed before any file is written, so a row
-    # that fails leaves no report behind.
-    rows = remark_tradeoff_table(acfg, cfg.analysis.m_values) if cfg.analysis.m_values else ()
-    path = _out_path(args, "attract.json", cfg)
-    _write_json(path, report.to_dict())
-    if rows:
-        tradeoff_path = Path(args.out) / TRADEOFF_NAME
-        _write_json(
-            tradeoff_path,
-            [{"m": m, "B": b, "K_star": k} for m, b, k in rows],
-        )
-        print(f"wrote {tradeoff_path} ({len(rows)} rows)")
-    print(
-        f"wrote {path} (branch={report.branch}, B={report.B:.6g}, "
+    outputs = []
+    if cfg.analysis.m_values:
+        rows = remark_tradeoff_table(acfg, cfg.analysis.m_values)
+        table = [{"m": m, "B": b, "K_star": k} for m, b, k in rows]
+        outputs.append((TRADEOFF_NAME, table, f" ({len(rows)} rows)"))
+    note = (
+        f" (branch={report.branch}, B={report.B:.6g}, "
         f"K_star={report.K_star}, entry={report.empirical_entry})"
     )
-    return 0
+    outputs.append((cfg.output_name or "attract.json", report.to_dict(), note))
+    return outputs, ()
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     cfg = _require_cfg(args)
     if cfg.analysis.grid is None:
         raise FixsettleError("sweep requires analysis.grid")
@@ -339,23 +327,19 @@ def cmd_sweep(args) -> int:
         epsilons=cfg.analysis.epsilon_list,
         case_id=cfg.analysis.case_id or cfg.system.name,
     )
-    path = _out_path(args, "sweep.json", cfg)
-    _write_json(path, result.to_dict())
-    print(
-        f"wrote {path} (worst={result.worst_settling} at x0={result.worst_x0}, "
+    note = (
+        f" (worst={result.worst_settling} at x0={result.worst_x0}, "
         f"bound={result.bound}, all_within={result.all_within_bound})"
     )
-    return 0
+    return [(cfg.output_name or "sweep.json", result.to_dict(), note)], ()
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args):
     rows = table1_reproduce()
-    out_dir = _out_dir(args)
     formats = ("csv", "json") if args.format is None else (args.format,)
+    outputs = []
     if "json" in formats:
-        path = out_dir / "table1.json"
-        _write_json(path, [r.to_dict() for r in rows])
-        print(f"wrote {path}")
+        outputs.append(("table1.json", [r.to_dict() for r in rows], ""))
     if "csv" in formats:
         header = [
             "case_id", "aprime", "bprime", "r1prime", "r2prime",
@@ -363,24 +347,22 @@ def cmd_table1(args) -> int:
             "atc_published", "x0", "epsilon", "settling_entry_and_stay",
             "settling_first_entry",
         ]
-        csv_rows = []
-        for r in rows:
-            for eps, stay, first in r.settling:
-                csv_rows.append([
-                    r.case_id, r.aprime, r.bprime, r.r1prime, r.r2prime,
-                    r.k_star_recomputed, r.k_star_published, r.discrepancy,
-                    r.atc_published, r.x0, eps, stay, first,
-                ])
-        path = out_dir / "table1.csv"
-        _write_csv(path, header, zip(*csv_rows))
-        print(f"wrote {path}")
-    for r in rows:
-        note = "  (recomputation differs by one; both values reported)" if r.discrepancy else ""
-        print(
-            f"{r.case_id}: K*={r.k_star_recomputed} "
-            f"(published {r.k_star_published}){note}"
-        )
-    return 0
+        csv_rows = [
+            [
+                r.case_id, r.aprime, r.bprime, r.r1prime, r.r2prime,
+                r.k_star_recomputed, r.k_star_published, r.discrepancy,
+                r.atc_published, r.x0, eps, stay, first,
+            ]
+            for r in rows
+            for eps, stay, first in r.settling
+        ]
+        outputs.append(("table1.csv", (header, list(zip(*csv_rows))), ""))
+    lines = [
+        f"{r.case_id}: K*={r.k_star_recomputed} (published {r.k_star_published})"
+        + ("  (recomputation differs by one; both values reported)" if r.discrepancy else "")
+        for r in rows
+    ]
+    return outputs, lines
 
 
 COMMANDS = ("simulate", "check", "bound", "attract", "sweep", "table1")
@@ -415,13 +397,24 @@ def main(argv=None) -> int:
     # Looked up per call, so a replaced ``cmd_*`` attribute is the one run.
     command = globals()["cmd_" + args.command]
     try:
-        return command(args)
+        outputs, lines = command(args)
+        out_dir = _out_dir(args)
+        for name, payload, note in outputs:
+            path = out_dir / name
+            if isinstance(payload, tuple):
+                _write_csv(path, *payload)
+            else:
+                _write_json(path, payload)
+            print(f"wrote {path}{note}")
     except SimulationDivergedError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except FixsettleError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    for line in lines:
+        print(line)
+    return 0
 
 
 if __name__ == "__main__":

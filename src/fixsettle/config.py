@@ -114,10 +114,19 @@ def _numbers(values, key: str, number=_number) -> tuple:
 
 def _finite(value, key: str) -> float:
     """A JSON number that is neither NaN nor infinite: an initial state or
-    grid end that is not finite would only be reported as a divergence."""
+    grid end that is not finite would only be reported as a divergence, and
+    a scan tolerance would pass every point (inf) or flag every one (NaN)."""
     x = _number(value, key)
     if not math.isfinite(x):
         raise ConfigurationError(f"{key} must be a finite number, got {value!r}")
+    return x
+
+
+def _level(value, key: str) -> float:
+    """A JSON number at or above 0, NaN excluded: a level of V or of ||x||."""
+    x = _number(value, key)
+    if not x >= 0.0:
+        raise ConfigurationError(f"{key} must be a nonnegative number, got {value!r}")
     return x
 
 
@@ -293,16 +302,16 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
             stop_epsilon=(
                 None
                 if a.get("stop_epsilon") is None
-                else _number(a["stop_epsilon"], "analysis.stop_epsilon")
+                else _level(a["stop_epsilon"], "analysis.stop_epsilon")
             ),
-            epsilon=_number(a.get("epsilon", 1.0), "analysis.epsilon"),
+            epsilon=_level(a.get("epsilon", 1.0), "analysis.epsilon"),
             epsilon_list=(
-                _numbers(a["epsilon_list"], "analysis.epsilon_list")
+                _numbers(a["epsilon_list"], "analysis.epsilon_list", _level)
                 if "epsilon_list" in a
                 else DEFAULT_EPSILONS
             ),
             grid=_build_grid(_section(a["grid"], "analysis.grid")) if "grid" in a else None,
-            tolerance=_number(a.get("tolerance", DEFAULT_TOLERANCE), "analysis.tolerance"),
+            tolerance=_finite(a.get("tolerance", DEFAULT_TOLERANCE), "analysis.tolerance"),
             m_values=_numbers(a.get("m_values", []), "analysis.m_values", _slack),
             branch=branch,
             case_id=case_id,

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import csv
 import hashlib
 import json
@@ -28,6 +30,9 @@ from fixsettle.perturbation import AttractivenessReport
 from conftest import CASE1, mp_example_orbit
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -43,6 +48,10 @@ def case1_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+_GAINS = {"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2}
+_RADIAL = {"delta0": 0.05, "generator": "radial"}
 
 
 class TestSimulateCommand:
@@ -582,7 +591,9 @@ class TestSweepCommand:
         )
         cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == "error: level must be nonnegative, got nan\n"
+        assert capsys.readouterr().err == (
+            "error: analysis.epsilon must be a nonnegative number, got nan\n"
+        )
         assert not (tmp_path / "sweep.json").exists()
 
     def test_signed_grid_described_by_magnitude(self, tmp_path):
@@ -780,6 +791,227 @@ class TestDeterminism:
         assert main(["simulate", "--config", cfg, "--out", str(out_a)]) == 0
         assert main(["simulate", "--config", cfg, "--out", str(out_b), "--seed", "12"]) == 0
         assert (out_a / "simulate.csv").read_bytes() != (out_b / "simulate.csv").read_bytes()
+
+
+class TestPinnedConfigCalls:
+    """Every command on every ``configs/*.json``, and ``table1`` in each
+    format, as the CLI ran them before commands returned their outputs to
+    ``main``: exit code, stdout and stderr (``--out`` shown as ``<OUT>``),
+    and the sha256 of each file written, or None where no ``--out``
+    directory was made."""
+
+    PINNED_CALLS = {
+        "attract case1_attract": (
+            0,
+            "wrote <OUT>/tradeoff.json (3 rows)\n"
+            "wrote <OUT>/attract.json (branch=V0_GT_1, B=0.659353, K_star=38, "
+            "entry=6)\n",
+            "",
+            {
+                "attract.json": "9724db1f8663d2907c583e071671125e404b19c83f33489a0badcc1bf6ddd2fd",
+                "tradeoff.json": "cea3e710135c2e6bb2cb4d93cac44d97f951ff4bae81f22276c37f8981a1c58a",
+            },
+        ),
+        "attract case1_check_mixed": (
+            2,
+            "",
+            "error: attract requires gains, lyapunov, and perturbation\n",
+            None,
+        ),
+        "attract case1_simulate": (
+            2,
+            "",
+            "error: attract requires gains, lyapunov, and perturbation\n",
+            None,
+        ),
+        "attract case1_sweep": (
+            2,
+            "",
+            "error: attract requires gains, lyapunov, and perturbation\n",
+            None,
+        ),
+        "bound case1_attract": (
+            0,
+            "wrote <OUT>/bound.json (K1_bound=9, K2_gap=10, K_star=19, "
+            "example_K_star=19, perturbed_K_star=38)\n",
+            "",
+            {
+                "bound.json": "2aca8d3cf7347b3e45d054d027bf97a7880fe885d03f339dffb88164a9f90263",
+            },
+        ),
+        "bound case1_check_mixed": (
+            0,
+            "wrote <OUT>/bound.json (K1_bound=9, K2_gap=10, K_star=19, "
+            "example_K_star=19)\n",
+            "",
+            {
+                "bound.json": "a71e4e38799413ea0ddd1847652a1040dce7f698facce739a1dbc7f99de4e28b",
+            },
+        ),
+        "bound case1_simulate": (
+            0,
+            "wrote <OUT>/bound.json (example_K_star=19)\n",
+            "",
+            {
+                "bound.json": "9befdf760a2c6d019604aa47dae7e294feb292848bd1731462373b5a8c56eb52",
+            },
+        ),
+        "bound case1_sweep": (
+            0,
+            "wrote <OUT>/bound.json (example_K_star=19)\n",
+            "",
+            {
+                "bound.json": "9befdf760a2c6d019604aa47dae7e294feb292848bd1731462373b5a8c56eb52",
+            },
+        ),
+        "check case1_attract": (
+            0,
+            "wrote <OUT>/check.json (PERTURBED_DECREMENT: 99 violations over "
+            "100 points)\n",
+            "",
+            {
+                "check.json": "f98e4b0592e8df4208f64bf7d1b677c58bbd8e5bbfee03c51baf81ff7cbd0cf9",
+            },
+        ),
+        "check case1_check_mixed": (
+            0,
+            "wrote <OUT>/check.json (FT_MIXED: 5469 violations over 10001 "
+            "points)\n",
+            "",
+            {
+                "check.json": "2ff6ec68f1b26a0e9ace5b421d9096abdeb88d473477596cd69c69c1ff4ca618",
+            },
+        ),
+        "check case1_simulate": (
+            2,
+            "",
+            "error: check requires lyapunov and gains sections\n",
+            None,
+        ),
+        "check case1_sweep": (
+            2,
+            "",
+            "error: check requires lyapunov and gains sections\n",
+            None,
+        ),
+        "simulate case1_attract": (
+            0,
+            "wrote <OUT>/simulate.csv (101 rows, truncated=True)\n",
+            "",
+            {
+                "simulate.csv": "d79c6a87fb78bd8e4fd726020eff8a395399719385e1a08c862edb8d22b9e4d9",
+            },
+        ),
+        "simulate case1_check_mixed": (
+            2,
+            "",
+            "error: simulate requires analysis.x0\n",
+            None,
+        ),
+        "simulate case1_simulate": (
+            0,
+            "wrote <OUT>/simulate.csv (41 rows, truncated=True)\n",
+            "",
+            {
+                "simulate.csv": "de5fe143f708278ae71c5e797dc28729d286bc10821f0e324e60eab84ee96a57",
+            },
+        ),
+        "simulate case1_sweep": (
+            2,
+            "",
+            "error: simulate requires analysis.x0\n",
+            None,
+        ),
+        "sweep case1_attract": (
+            2,
+            "",
+            "error: sweep requires analysis.grid\n",
+            None,
+        ),
+        "sweep case1_check_mixed": (
+            0,
+            "wrote <OUT>/sweep.json (worst=7 at x0=7174.638108861402, "
+            "bound=19, all_within=True)\n",
+            "",
+            {
+                "sweep.json": "ae6bd56c644e5231ca40115a7a33e7d66f084b3c2221838b230d896e71c09d27",
+            },
+        ),
+        "sweep case1_simulate": (
+            2,
+            "",
+            "error: sweep requires analysis.grid\n",
+            None,
+        ),
+        "sweep case1_sweep": (
+            0,
+            "wrote <OUT>/sweep.json (worst=16 at x0=524288.0000000002, "
+            "bound=19, all_within=True)\n",
+            "",
+            {
+                "sweep.json": "33262b24885d794187fac6f8a5b082e9735d4ab408ff0295f0cb2c1381cac16d",
+            },
+        ),
+        "table1": (
+            0,
+            "wrote <OUT>/table1.json\n"
+            "wrote <OUT>/table1.csv\n"
+            "case1: K*=19 (published 19)\n"
+            "case2: K*=258 (published 258)\n"
+            "case3: K*=1359 (published 1359)\n"
+            "case4: K*=7815 (published 7814)  (recomputation differs by one; "
+            "both values reported)\n",
+            "",
+            {
+                "table1.csv": "ee146ddb989004499f0f8ffa21b7e1ae9525ea3fcb38297aa0018e26c3603539",
+                "table1.json": "092cf7bad3ab3d2b9ffef423138431a354464efde38322068a17c2efebf01cdc",
+            },
+        ),
+        "table1 --format csv": (
+            0,
+            "wrote <OUT>/table1.csv\n"
+            "case1: K*=19 (published 19)\n"
+            "case2: K*=258 (published 258)\n"
+            "case3: K*=1359 (published 1359)\n"
+            "case4: K*=7815 (published 7814)  (recomputation differs by one; "
+            "both values reported)\n",
+            "",
+            {
+                "table1.csv": "ee146ddb989004499f0f8ffa21b7e1ae9525ea3fcb38297aa0018e26c3603539",
+            },
+        ),
+        "table1 --format json": (
+            0,
+            "wrote <OUT>/table1.json\n"
+            "case1: K*=19 (published 19)\n"
+            "case2: K*=258 (published 258)\n"
+            "case3: K*=1359 (published 1359)\n"
+            "case4: K*=7815 (published 7814)  (recomputation differs by one; "
+            "both values reported)\n",
+            "",
+            {
+                "table1.json": "092cf7bad3ab3d2b9ffef423138431a354464efde38322068a17c2efebf01cdc",
+            },
+        ),
+    }
+
+    def test_every_config_is_pinned(self):
+        stems = {call.split()[1] for call in self.PINNED_CALLS if not call.startswith("table1")}
+        assert stems == {path.stem for path in CONFIGS.glob("*.json")}
+
+    @pytest.mark.parametrize("call", sorted(PINNED_CALLS))
+    def test_call_is_pinned(self, tmp_path, capsys, call):
+        command, *rest = call.split()
+        if command != "table1":
+            rest = ["--config", str(CONFIGS / f"{rest[0]}.json")]
+        out = tmp_path / "out"
+        code = main([command, *rest, "--out", str(out)])
+        captured = capsys.readouterr()
+        files = None
+        if out.exists():
+            files = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+        shown = (captured.out.replace(str(out), "<OUT>"), captured.err.replace(str(out), "<OUT>"))
+        assert (code, *shown, files) == self.PINNED_CALLS[call]
 
 
 class TestEstimatedLipschitz:
@@ -1180,6 +1412,42 @@ class TestUnusableInputsAndOutputs:
         )
         assert not out.exists()
 
+    # Every command runs this scenario (exit 0); check scans its grid.
+    LEVELS_SCENARIO = case1_config(
+        gains=_GAINS,
+        perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 5},
+        analysis={"x0": 50.0, "k_max": 40, "m_values": [2.0, 3.0],
+                  "grid": {"scale": "log", "low": 2.0, "high": 100.0, "points": 11}},
+    )
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "bound", "attract", "sweep"])
+    @pytest.mark.parametrize("key, value, rule", [
+        ("stop_epsilon", -1.0, "a nonnegative number"),
+        ("stop_epsilon", math.nan, "a nonnegative number"),
+        ("epsilon", -1.0, "a nonnegative number"),
+        ("epsilon", math.nan, "a nonnegative number"),
+        ("epsilon_list", [1.0, -0.5], "a nonnegative number"),
+        ("epsilon_list", [math.nan], "a nonnegative number"),
+        ("tolerance", math.inf, "a finite number"),
+        ("tolerance", -math.inf, "a finite number"),
+        ("tolerance", math.nan, "a finite number"),
+    ])
+    def test_levels_and_tolerance_name_their_key(self, tmp_path, capsys, command, key, value, rule):
+        # Each failed in some commands only, and without naming its key:
+        # stop_epsilon in simulate and attract, epsilon and epsilon_list in
+        # sweep, tolerance in check; the other commands exited 0.
+        payload = json.loads(json.dumps(self.LEVELS_SCENARIO))
+        payload["analysis"][key] = value
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        if isinstance(value, list):
+            key, value = f"{key}[{len(value) - 1}]", value[-1]
+        assert capsys.readouterr() == (
+            "", f"error: analysis.{key} must be {rule}, got {value!r}\n"
+        )
+        assert not out.exists()
+
 
 def _rowwise_csv(path: Path, header, rows):
     """The row-by-row writer the column writer replaced: every cell through
@@ -1281,28 +1549,128 @@ class TestParserReuse:
         assert a == b  # neither the earlier --seed nor the errors carried over
         assert s != a
 
-    def test_replaced_command_is_the_one_run(self, monkeypatch):
+    def test_replaced_command_is_the_one_run(self, tmp_path, monkeypatch, capsys):
+        # The replacement gets the raw args (no config is loaded: x.json
+        # does not exist), and main writes and prints what it returns.
         seen = []
-        monkeypatch.setattr(cli, "cmd_simulate", lambda args: seen.append(args.config) or 7)
-        assert main(["simulate", "--config", "x.json"]) == 7
-        assert seen == ["x.json"]
+
+        def replaced(args):
+            seen.append(args)
+            return [("x.json", {"config": args.config}, " (replaced)")], ["done"]
+
+        monkeypatch.setattr(cli, "cmd_simulate", replaced)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", "x.json", "--out", str(out)]) == 0
+        assert [type(args) for args in seen] == [argparse.Namespace]
+        assert seen[0].config == "x.json"
+        assert json.loads((out / "x.json").read_text()) == {"config": "x.json"}
+        assert capsys.readouterr().out == f"wrote {out / 'x.json'} (replaced)\ndone\n"
+
+
+class TestCommandPipeline:
+    """Commands compute and return ``(outputs, lines)``; ``main`` alone makes
+    the ``--out`` directory, writes and prints."""
+
+    EFFECTS = {"print", "open", "_write_json", "_write_csv", "_out_dir", "mkdir"}
+
+    @staticmethod
+    def _calls(function):
+        """(callee name, call node) of every call in ``function``."""
+        for node in ast.walk(function):
+            if isinstance(node, ast.Call):
+                func = node.func
+                yield (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)), node
+
+    def test_only_main_makes_the_directory_writes_and_prints(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+        assert sorted(n for n in functions if n.startswith("cmd_")) == sorted(
+            "cmd_" + c for c in cli.COMMANDS
+        )
+        # Neither a command nor a function of this module that it calls.
+        reached, todo = set(), [n for n in functions if n.startswith("cmd_")]
+        while todo:
+            name = todo.pop()
+            reached.add(name)
+            for callee, _ in self._calls(functions[name]):
+                assert callee not in self.EFFECTS, f"{name} calls {callee}"
+                if callee in functions and callee not in reached:
+                    todo.append(callee)
+        sites = []
+        for name, function in functions.items():
+            for callee, call in self._calls(function):
+                wrote = callee == "print" and any(
+                    isinstance(c, ast.Constant) and str(c.value).startswith("wrote ")
+                    for c in ast.walk(call)
+                )
+                if callee in ("_out_dir", "_write_json", "_write_csv") or wrote:
+                    sites.append((name, "wrote" if wrote else callee))
+        assert sorted(sites) == [
+            ("main", "_out_dir"), ("main", "_write_csv"), ("main", "_write_json"),
+            ("main", "wrote"),
+        ]
+
+    @pytest.mark.parametrize("command, payload, code", [
+        ("simulate", case1_config(perturbation=_RADIAL, analysis={"x0": 2e6, "k_max": 100}), 3),
+        ("check", case1_config(gains=_GAINS, analysis={"x0": 2e6, "k_max": 100}), 3),
+        ("check", case1_config(gains=_GAINS, analysis={
+            "grid": {"scale": "linear", "low": 0.0, "high": 1.0, "points": 5}}), 2),
+        ("bound", case1_config(gains={**_GAINS, "r2": 1.0000001}), 2),
+        ("attract", case1_config(
+            gains=_GAINS, perturbation=_RADIAL, analysis={"x0": 2e6, "k_max": 100}), 3),
+        ("attract", case1_config(
+            gains={**_GAINS, "alpha": 0.01, "r1": 0.001},
+            perturbation={**_RADIAL, "delta0": 0.1},
+            analysis={"x0": 0.5, "k_max": 20},
+        ), 2),
+        ("sweep", {
+            "schema": 1,
+            "system": {"builtin": "example", "case": 2},
+            "analysis": {"grid": {"scale": "log", "low": 2e5, "high": 1e6, "points": 5}},
+        }, 3),
+        ("sweep", {
+            "schema": 1,
+            "system": {"affine": {"matrix": [[0.5]]}},
+            "gains": {**_GAINS, "r2": 1.0000001},
+            "analysis": {"grid": {"scale": "log", "low": 1.0, "high": 10.0, "points": 3}},
+        }, 2),
+    ], ids=[
+        "simulate-diverges", "check-orbit-diverges", "check-grid-has-origin",
+        "bound-overflows", "attract-diverges", "attract-level-overflows",
+        "sweep-diverges", "sweep-bound-overflows",
+    ])
+    def test_failing_command_prints_and_writes_nothing(
+        self, tmp_path, capsys, command, payload, code
+    ):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not out.exists()
 
 
 def test_fresh_processes_match_in_process_calls(tmp_path, capsys):
-    # The cached parser and the column writer give a later in-process call
-    # what a fresh `python -m fixsettle` process gives: files, output, code.
+    # The cached parser, the column writer and the command pipeline give a
+    # later in-process call what a fresh `python -m fixsettle` process
+    # gives: files, output, code.
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     bad = write_config(tmp_path, case1_config(m1=0.5), "bad.json")
     calls = [
-        ["simulate", "--config", str(root / "configs" / "case1_simulate.json")],
+        ["simulate", "--config", str(CONFIGS / "case1_simulate.json")],
         ["simulate", "--config", _small_simulate(tmp_path)],
-        ["attract", "--config", str(root / "configs" / "case1_attract.json")],
+        ["attract", "--config", str(CONFIGS / "case1_attract.json")],
         ["table1"],
         ["simulate", "--config", bad],
         ["simulate"],
+    ] + [
+        [command, "--config", str(config)]
+        for config in sorted(CONFIGS.glob("*.json"))
+        for command in ("check", "bound", "sweep")
     ]
-    assert main(["bound", "--config", str(root / "configs" / "case1_attract.json"),
+    assert main(["bound", "--config", str(CONFIGS / "case1_attract.json"),
                  "--out", str(tmp_path / "warm")]) == 0
     assert main(["table1", "--format", "json", "--out", str(tmp_path / "warm")]) == 0
 
