@@ -32,6 +32,7 @@ from .systems import (
     affine_system,
     constant_perturbation,
     example_system,
+    norm,
     radial_perturbation,
     uniform_ball_perturbation,
 )
@@ -110,6 +111,17 @@ def _numbers(values, key: str, number=_number) -> tuple:
     if not isinstance(values, list):
         raise ConfigurationError(f"{key} must be an array of numbers, got {values!r}")
     return tuple(number(v, f"{key}[{i}]") for i, v in enumerate(values))
+
+
+def _vector(value, key: str, dimension: int, number=_number) -> tuple:
+    """A state-sized JSON array of numbers, each read by ``number``; a lone
+    number counts as an array of one."""
+    values = _numbers(value, key, number) if isinstance(value, list) else (number(value, key),)
+    if len(values) != dimension:
+        raise ConfigurationError(
+            f"{key} has shape ({len(values)},), expected a vector of length {dimension}"
+        )
+    return values
 
 
 def _finite(value, key: str) -> float:
@@ -210,13 +222,19 @@ def _build_perturbation(d: dict, dimension: int, seed_override: Optional[int]) -
     if generator == "radial":
         return radial_perturbation(delta0, dimension)
     if generator == "constant":
-        vector = np.atleast_1d(np.asarray(_require(d, "vector", "perturbation"), dtype=float))
-        if vector.shape != (dimension,):
+        vector = np.array(
+            _vector(_require(d, "vector", "perturbation"), "perturbation.vector", dimension)
+        )
+        spec = constant_perturbation(vector, delta0)
+        # Checked here, not only at the first step, so commands that never
+        # step the perturbed map reject the scenario too.  NaN fails it.
+        size = norm(vector)
+        if size != 0.0 and not size < delta0:
             raise ConfigurationError(
-                f"perturbation.vector has shape {vector.shape}, "
-                f"expected a vector of length {dimension}"
+                f"perturbation.vector has norm {size:.6g}, "
+                f"which is not strictly below delta0={delta0:.6g}"
             )
-        return constant_perturbation(vector, delta0)
+        return spec
     raise ConfigurationError(
         f"unknown perturbation generator {generator!r}; "
         "use uniform_ball|radial|constant"
@@ -284,10 +302,8 @@ def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConf
 
         a = _section(raw.get("analysis", {}), "analysis")
         x0 = a.get("x0")
-        if isinstance(x0, list):
-            x0 = list(_numbers(x0, "analysis.x0", _finite))
-        elif x0 is not None:
-            x0 = [_finite(x0, "analysis.x0")]
+        if x0 is not None:
+            x0 = list(_vector(x0, "analysis.x0", dim, _finite))
         branch = a.get("branch", "auto")
         if branch not in ("auto", "V0_GT_1", "V0_LE_1"):
             raise ConfigurationError(

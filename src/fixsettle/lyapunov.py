@@ -29,7 +29,7 @@ from .errors import (
     OriginError,
     ParameterDomainError,
 )
-from .record import Record
+from .record import Record, encode
 from .systems import SystemMap, Trajectory, as_state, as_state_grid, row_dots, row_norms
 
 DEFAULT_TOLERANCE = 1e-12
@@ -172,6 +172,9 @@ class Violation(Record):
     check: str = "decrement"
 
 
+_COLUMNS = ("where", "residual", "check")  # ConditionReport fields kept as arrays
+
+
 @dataclass(frozen=True, eq=False)
 class ConditionReport(Record):
     """Outcome of a pointwise condition check over a grid or trajectory.
@@ -204,6 +207,7 @@ class ConditionReport(Record):
     value_zero_points: Tuple[Where, ...] = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "condition_id", ConditionId(self.condition_id))
         where = np.asarray(self.where)
         if where.ndim == 1 and (where.dtype.kind in "iu" or len(where) == 0):
             where = where.astype(np.int64, copy=False)
@@ -211,8 +215,9 @@ class ConditionReport(Record):
             where = where.astype(float, copy=False)
         else:
             raise ParameterDomainError(
-                "violation places must be a (k,) array of step indices or a "
-                f"(k, n) array of states, got shape {where.shape}"
+                "violation places must be a (k,) array of integer step indices "
+                f"or a (k, n) array of states, got a {where.dtype} array of "
+                f"shape {where.shape}"
             )
         residual = np.asarray(self.residual, dtype=float)
         check = tuple(self.check)
@@ -240,8 +245,7 @@ class ConditionReport(Record):
 
     def to_dict(self, violations: bool = True) -> dict:
         """The JSON form; ``violations=False`` leaves that list out."""
-        out = super().to_dict()
-        del out["where"], out["residual"], out["check"]
+        out = {k: encode(v) for k, v in self.__dict__.items() if k not in _COLUMNS}
         if violations:
             out["violations"] = [
                 {"where": w, "residual": r, "check": c}
@@ -251,13 +255,13 @@ class ConditionReport(Record):
 
     @classmethod
     def from_dict(cls, d: dict):
+        """Rebuild from ``to_dict`` output; the constructor types the columns."""
         rows = d["violations"]
-        where = [r["where"] for r in rows]
         return super().from_dict(
             d,
-            where=np.array(where, dtype=float if where and isinstance(where[0], list) else int),
-            residual=np.array([r["residual"] for r in rows], dtype=float),
-            check=tuple(r["check"] for r in rows),
+            where=[r["where"] for r in rows],
+            residual=[r["residual"] for r in rows],
+            check=[r["check"] for r in rows],
         )
 
 

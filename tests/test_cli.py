@@ -144,6 +144,54 @@ class TestConfigValidation:
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 2
         assert "has norm nan, which is not strictly below delta0=0.05" in capsys.readouterr().err
 
+    _AFFINE_2D = {"affine": {"matrix": [[0.5, 0.0], [0.0, 0.5]]}}
+
+    @staticmethod
+    def _vector_scenario(system=None, x0=1500.0, vector=(0.01,)):
+        payload = case1_config(
+            gains=_GAINS,
+            perturbation={"delta0": 0.05, "generator": "constant", "vector": list(vector)},
+            analysis={
+                "x0": x0, "k_max": 20, "branch": "V0_GT_1",
+                "grid": {"scale": "log", "low": 2.0, "high": 100.0, "points": 5},
+            },
+        )
+        if system is not None:
+            payload["system"] = system
+            payload["perturbation"] = _RADIAL
+        return payload
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "bound", "attract", "sweep"])
+    @pytest.mark.parametrize("scenario, error", [
+        ({}, None),
+        ({"system": _AFFINE_2D, "x0": [1.0, 2.0, 3.0]},
+         "analysis.x0 has shape (3,), expected a vector of length 2"),
+        ({"x0": [1500.0, 1.0]}, "analysis.x0 has shape (2,), expected a vector of length 1"),
+        ({"vector": [0.5]},
+         "perturbation.vector has norm 0.5, which is not strictly below delta0=0.05"),
+        ({"vector": [0.05]},
+         "perturbation.vector has norm 0.05, which is not strictly below delta0=0.05"),
+        ({"vector": [math.nan]},
+         "perturbation.vector has norm nan, which is not strictly below delta0=0.05"),
+        ({"vector": ["0.01"]}, "perturbation.vector[0] must be a number, got '0.01'"),
+        ({"vector": [True]}, "perturbation.vector[0] must be a number, got True"),
+    ], ids=["valid", "x0-too-long-2d", "x0-too-long-1d", "vector-norm-above-delta0",
+            "vector-norm-at-delta0", "vector-nan", "vector-string", "vector-boolean"])
+    def test_commands_agree_on_malformed_vectors(self, tmp_path, capsys, command,
+                                                  scenario, error):
+        # Commands used to disagree: bound exited 0 on every bad scenario,
+        # grid-mode check and sweep on all but the 2-D one, and the string
+        # entry passed in every command.
+        cfg = write_config(tmp_path, self._vector_scenario(**scenario))
+        out = tmp_path / "out"
+        code = main([command, "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        if error is None:
+            assert (code, err) == (0, "")
+        else:
+            assert (code, err) == (2, f"error: {error}\n")
+            assert not out.exists()
+
     @pytest.mark.parametrize("generator", [
         {"generator": "uniform_ball"},
         {"generator": "radial"},
@@ -1654,7 +1702,8 @@ class TestCommandPipeline:
 def test_fresh_processes_match_in_process_calls(tmp_path, capsys):
     # The cached parser, the column writer and the command pipeline give a
     # later in-process call what a fresh `python -m fixsettle` process
-    # gives: files, output, code.
+    # gives: files, output, code.  The fresh process turns every warning
+    # into an error, so a deprecation on a CLI path fails here.
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     bad = write_config(tmp_path, case1_config(m1=0.5), "bad.json")
@@ -1680,7 +1729,7 @@ def test_fresh_processes_match_in_process_calls(tmp_path, capsys):
     for i, argv in enumerate(calls):
         out = tmp_path / f"out{i}"
         argv = argv + ["--out", str(out)]
-        proc = subprocess.run([sys.executable, "-m", "fixsettle", *argv], env=env,
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "fixsettle", *argv], env=env,
                               capture_output=True, text=True)
         fresh = (proc.returncode, proc.stdout, proc.stderr, outputs(out))
         for f in out.glob("*"):

@@ -309,6 +309,24 @@ class TestReportCodec:
                 max_residual=2.0, holds_everywhere=False, tolerance=0.0,
             )
 
+    def test_float_step_index_is_rejected_on_decode(self):
+        # The decoder used to force int on a flat `where` and read 0.5 as 0.
+        d = {
+            "condition_id": "FT_DECREMENT", "checked_points": 2, "max_residual": 1.0,
+            "holds_everywhere": False, "tolerance": 0.0,
+            "violations": [{"where": 0.5, "residual": 1.0, "check": "decrement"}],
+        }
+        with pytest.raises(ParameterDomainError, match="got a float64 array of shape"):
+            ConditionReport.from_dict(d)
+
+    def test_string_condition_id_becomes_the_enum(self):
+        # A str condition_id used to build, and then to_dict raised AttributeError.
+        report = ConditionReport(
+            "FT_MIXED", 1, [], [], (), max_residual=0.0, holds_everywhere=True, tolerance=0.0
+        )
+        assert report.condition_id is ConditionId.FT_MIXED
+        assert report.to_dict()["condition_id"] == "FT_MIXED"
+
     def test_decode_runs_post_init_checks(self):
         d = {
             "condition_id": "FT_MIXED", "checked_points": 1, "violations": [],
