@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import json
 import sys
@@ -38,8 +39,9 @@ from .lyapunov import (
     scan_conditions,
     scan_trajectory,
 )
-from .oracle import sweep_settling, table1_reproduce
+from .oracle import Table1Row, sweep_settling, table1_reproduce
 from .perturbation import (
+    BRANCH_HIGH,
     AttractivenessConfig,
     analyze_attractiveness,
     choose_branch,
@@ -183,8 +185,7 @@ def _attractiveness_config(
         gains=cfg.gains,
         lipschitz_lv=lv,
         delta0=cfg.perturbation.delta0,
-        m1=cfg.m1,
-        m2=cfg.m2,
+        m=cfg.m1 if branch == BRANCH_HIGH else cfg.m2,
         branch=branch,
         lv_source=lv_source,
     )
@@ -341,20 +342,12 @@ def cmd_table1(args):
     if "json" in formats:
         outputs.append(("table1.json", [r.to_dict() for r in rows], ""))
     if "csv" in formats:
-        header = [
-            "case_id", "aprime", "bprime", "r1prime", "r2prime",
-            "k_star_recomputed", "k_star_published", "discrepancy",
-            "atc_published", "x0", "epsilon", "settling_entry_and_stay",
-            "settling_first_entry",
-        ]
+        names = [f.name for f in dataclasses.fields(Table1Row) if f.name != "settling"]
+        header = names + ["epsilon", "settling_entry_and_stay", "settling_first_entry"]
         csv_rows = [
-            [
-                r.case_id, r.aprime, r.bprime, r.r1prime, r.r2prime,
-                r.k_star_recomputed, r.k_star_published, r.discrepancy,
-                r.atc_published, r.x0, eps, stay, first,
-            ]
+            [getattr(r, name) for name in names] + list(point)
             for r in rows
-            for eps, stay, first in r.settling
+            for point in r.settling
         ]
         outputs.append(("table1.csv", (header, list(zip(*csv_rows))), ""))
     lines = [

@@ -39,6 +39,21 @@ from .systems import (
 
 SCHEMA_VERSION = 1
 
+# The keys each section may hold; ``_section`` rejects any other.
+_KEYS = {
+    "config root": "schema system lyapunov gains perturbation m1 m2 analysis output",
+    "system": "builtin case params affine",
+    "system.params": "aprime bprime r1prime r2prime",
+    "system.affine": "matrix offset",
+    "lyapunov": "form lipschitz coefficients rhs",
+    "lyapunov.rhs": "form lipschitz coefficients",
+    "gains": "alpha beta r1 r2",
+    "perturbation": "delta0 generator seed vector",
+    "analysis": "x0 k_max stop_epsilon epsilon epsilon_list grid tolerance m_values branch case_id",
+    "analysis.grid": "scale low high points signed",
+    "output": "filename",
+}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -93,9 +108,15 @@ def _require(d: dict, key: str, where: str):
 
 
 def _section(value, key: str) -> dict:
-    """A JSON object, or ConfigurationError naming ``key``."""
+    """A JSON object holding only the ``_KEYS`` of ``key``, or ConfigurationError."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"{key} must be a JSON object, got {value!r}")
+    allowed = _KEYS[key].split()
+    for name in value:
+        if name not in allowed:
+            raise ConfigurationError(
+                f"{key}: unknown key {name!r}; allowed keys are {', '.join(allowed)}"
+            )
     return value
 
 
@@ -262,8 +283,7 @@ def _build_grid(d: dict) -> GridSpec:
 
 def parse_config(raw: dict, seed_override: Optional[int] = None) -> ScenarioConfig:
     """Validate a raw config dict and build the domain objects it names."""
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config root must be a JSON object")
+    _section(raw, "config root")
     schema = raw.get("schema")
     if schema != SCHEMA_VERSION:
         raise ConfigurationError(

@@ -16,7 +16,7 @@ harness for candidate certificates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional, Sequence, Tuple, Union
 
@@ -185,14 +185,16 @@ class ConditionReport(Record):
     the ``Violation`` records from them on demand, and ``to_dict`` lists
     them under ``"violations"``.  Equality compares the ``to_dict`` forms.
 
-    ``holds_everywhere`` is true exactly when there are no violations;
-    every listed violation has residual above the tolerance, or NaN where
-    the residual cannot be evaluated (inf - inf once V overflows, say), and
-    ``max_residual`` is then NaN too.  For 1-D grids,
+    ``holds_everywhere`` is derived: true exactly when there are no
+    violations.  Every listed violation has residual above the tolerance,
+    or NaN where the residual cannot be evaluated (inf - inf once V
+    overflows, say), and ``max_residual`` is then NaN too.  For 1-D grids,
     ``violation_intervals`` groups contiguous violating grid points.
-    ``value_zero_points`` lists nonzero grid points where V vanished, which
-    breaks strict positivity even though the residual arithmetic stays
-    well-defined.
+    ``value_zero_points`` lists, for a grid scan, the nonzero grid points
+    where V vanished, which breaks strict positivity even though the
+    residual arithmetic stays well-defined; for an orbit scan, the step
+    indices of the origin states it skipped.  Malformed input raises
+    ``ParameterDomainError``.
     """
 
     condition_id: ConditionId
@@ -201,35 +203,36 @@ class ConditionReport(Record):
     residual: np.ndarray
     check: Tuple[str, ...]
     max_residual: float
-    holds_everywhere: bool
+    holds_everywhere: bool = field(init=False)
     tolerance: float
     violation_intervals: Optional[Tuple[Tuple[float, float], ...]] = None
     value_zero_points: Tuple[Where, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "condition_id", ConditionId(self.condition_id))
-        where = np.asarray(self.where)
+        try:
+            condition_id = ConditionId(self.condition_id)
+            where = np.asarray(self.where)
+            if where.ndim == 2:
+                where = where.astype(float, copy=False)
+            residual = np.asarray(self.residual, dtype=float)
+            check = tuple(self.check)
+        except (TypeError, ValueError) as err:
+            raise ParameterDomainError(f"malformed condition report: {err}") from None
         if where.ndim == 1 and (where.dtype.kind in "iu" or len(where) == 0):
             where = where.astype(np.int64, copy=False)
-        elif where.ndim == 2:
-            where = where.astype(float, copy=False)
-        else:
+        elif where.ndim != 2:
             raise ParameterDomainError(
                 "violation places must be a (k,) array of integer step indices "
                 f"or a (k, n) array of states, got a {where.dtype} array of "
                 f"shape {where.shape}"
             )
-        residual = np.asarray(self.residual, dtype=float)
-        check = tuple(self.check)
         if not len(where) == len(residual) == len(check):
             raise ParameterDomainError("violation columns differ in length")
-        if self.holds_everywhere != (len(check) == 0):
-            raise ParameterDomainError(
-                "holds_everywhere must mirror emptiness of the violation list"
-            )
+        object.__setattr__(self, "condition_id", condition_id)
         object.__setattr__(self, "where", _read_only(where))
         object.__setattr__(self, "residual", _read_only(residual))
         object.__setattr__(self, "check", check)
+        object.__setattr__(self, "holds_everywhere", not check)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -257,12 +260,7 @@ class ConditionReport(Record):
     def from_dict(cls, d: dict):
         """Rebuild from ``to_dict`` output; the constructor types the columns."""
         rows = d["violations"]
-        return super().from_dict(
-            d,
-            where=[r["where"] for r in rows],
-            residual=[r["residual"] for r in rows],
-            check=[r["check"] for r in rows],
-        )
+        return super().from_dict(d, **{k: [r[k] for r in rows] for k in _COLUMNS})
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -361,37 +359,27 @@ def check_basic_lyapunov(
 ) -> ConditionReport:
     """Plain Lyapunov stability conditions on a grid.
 
-    Checks V = 0 at the origin, V > 0 at each (nonzero) grid point, and the
-    nonstrict decrement V(F(x)) - V(x) <= 0 at each grid point.  Each
-    point's positivity violation is listed before its decrement violation;
-    a NaN residual counts as a violation, as in the scans.
+    Checks V > 0 and the nonstrict decrement V(F(x)) - V(x) <= 0 at each
+    nonzero grid point (``LyapunovCandidate`` checks V(0) = 0), listing a
+    point's positivity violation before its decrement one; a NaN residual
+    counts as a violation, as in the scans.  ``max_residual`` is taken over
+    the nonzero points, -inf if none; ``checked_points`` counts the grid.
     """
     grid = as_state_grid(domain_grid, system.dimension)
     if len(grid) == 0:
         raise EmptyDomainError("domain grid is empty")
-    origin_residual = abs(V(np.zeros(system.dimension)))
-
-    # Positivity and decrement are posed away from the origin.
     points = grid[~_at_origin(grid)]
     vx, difference = _step_values(system, V, points)
     # Row i holds point i's positivity and decrement residuals.
     residuals = np.stack([-vx, difference], axis=1)
     rows, cols = np.nonzero(_violating(residuals, tolerance))
-    where, residual = points[rows], residuals[rows, cols]
-    check = tuple(("positivity", "decrement")[j] for j in cols.tolist())
-    if origin_residual > tolerance:
-        where = np.concatenate([np.zeros((1, system.dimension)), where])
-        residual = np.concatenate([[origin_residual], residual])
-        check = ("origin",) + check
-
     return ConditionReport(
         condition_id=ConditionId.LYAP_BASIC,
         checked_points=len(grid),
-        where=where,
-        residual=residual,
-        check=check,
-        max_residual=_first_max(np.concatenate([[origin_residual], residuals.ravel()])),
-        holds_everywhere=not check,
+        where=points[rows],
+        residual=residuals[rows, cols],
+        check=tuple(("positivity", "decrement")[j] for j in cols.tolist()),
+        max_residual=_first_max(residuals.ravel()),
         tolerance=tolerance,
     )
 
@@ -465,7 +453,6 @@ def scan_conditions(
         residual=residuals[violating],
         check=("decrement",) * int(violating.sum()),
         max_residual=_first_max(residuals),
-        holds_everywhere=not violating.any(),
         tolerance=tolerance,
         violation_intervals=intervals,
         value_zero_points=tuple(map(tuple, pts[vx == 0.0].tolist())),
@@ -504,7 +491,6 @@ def scan_trajectory(
         check=("decrement",) * int(violating.sum()),
         # An orbit pinned at the origin checks nothing; report a neutral 0.
         max_residual=_first_max(residuals) if len(steps) else 0.0,
-        holds_everywhere=not violating.any(),
         tolerance=tolerance,
         value_zero_points=tuple(np.flatnonzero(~nonzero).tolist()),
     )

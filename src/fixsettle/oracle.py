@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -99,8 +99,12 @@ class SweepResult(Record):
     bound: int
     worst_settling: Optional[int]
     worst_x0: Optional[float]
-    all_within_bound: bool
+    all_within_bound: bool = field(init=False)
     settling_vs_epsilon: Tuple[Tuple[float, Optional[int], Optional[int]], ...]
+
+    def __post_init__(self):
+        within = self.worst_settling is not None and self.worst_settling <= self.bound
+        object.__setattr__(self, "all_within_bound", within)
 
 
 def sweep_settling(
@@ -159,7 +163,6 @@ def sweep_settling(
         bound=bound,
         worst_settling=settle[worst],
         worst_x0=x0s[worst],
-        all_within_bound=all(k is not None and k <= bound for k in settle),
         settling_vs_epsilon=curves[worst][1:],
     )
 
@@ -231,10 +234,14 @@ class Table1Row(Record):
     r2prime: float
     k_star_recomputed: int
     k_star_published: int
-    discrepancy: bool
+    discrepancy: bool = field(init=False)
     atc_published: int
     x0: float
     settling: Tuple[Tuple[float, Optional[int], Optional[int]], ...]
+
+    def __post_init__(self):
+        differs = self.k_star_recomputed != self.k_star_published
+        object.__setattr__(self, "discrepancy", differs)
 
 
 def table1_reproduce(
@@ -264,7 +271,6 @@ def table1_reproduce(
                 r2prime=case.r2prime,
                 k_star_recomputed=recomputed,
                 k_star_published=case.published_k_star,
-                discrepancy=recomputed != case.published_k_star,
                 atc_published=case.published_atc,
                 x0=float(x0),
                 settling=_settling_curves(case.system(), x, recomputed + extra_steps, levels)[0],
@@ -282,13 +288,10 @@ class Lemma1TrialSummary(Record):
     invalid_inputs: int
     max_sequence_length: int
     seed: int
+    passed: bool = field(init=False)
 
-    @property
-    def passed(self) -> bool:
-        return len(self.failures) == 0
-
-    def to_dict(self) -> dict:
-        return {**super().to_dict(), "passed": self.passed}
+    def __post_init__(self):
+        object.__setattr__(self, "passed", not self.failures)
 
 
 def generate_level_run(

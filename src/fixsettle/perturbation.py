@@ -4,7 +4,7 @@ When the nominal map admits a fixed-time decrement certificate with a
 Lipschitz candidate (constant L_V) and the per-step perturbation norm stays
 below delta0, orbits are drawn into the sublevel set {V <= B} within a
 fixed number of steps.  The level and the step bound trade off through the
-free slack constants m1, m2 > 1:
+free slack constant m > 1 of the active branch (m1 or m2 below):
 
     branch "level above 1":  B = (m1 L_V delta0 / beta)^(1/r2),
                              steps from phase-1 kernel with
@@ -40,28 +40,22 @@ _BRANCHES = (BRANCH_HIGH, BRANCH_LOW)
 class AttractivenessConfig:
     """Inputs of the perturbed-attractiveness analysis.
 
-    ``lv_source`` records whether the Lipschitz constant was user-supplied
-    or produced by a grid estimate.
+    ``m`` is the slack constant of ``branch``.  ``lv_source`` records whether
+    the Lipschitz constant was user-supplied or produced by a grid estimate.
     """
 
     gains: FixedTimeGains
     lipschitz_lv: float
     delta0: float
-    m1: float = 2.0
-    m2: float = 2.0
+    m: float = 2.0
     branch: str = BRANCH_HIGH
     lv_source: str = "user"
 
     def __post_init__(self):
-        if not self.m1 > 1.0:
+        if not self.m > 1.0:
             raise ParameterDomainError(
-                f"m1={self.m1!r} must exceed 1 so the slackened gain "
-                "beta_d = (1 - 1/m1) beta stays positive"
-            )
-        if not self.m2 > 1.0:
-            raise ParameterDomainError(
-                f"m2={self.m2!r} must exceed 1 so the slackened gain "
-                "alpha_d = (1 - 1/m2) alpha stays positive"
+                f"m={self.m!r} must exceed 1 so the slackened gain "
+                "(1 - 1/m) times alpha or beta stays positive"
             )
         if not (math.isfinite(self.lipschitz_lv) and self.lipschitz_lv > 0.0):
             raise ParameterDomainError(
@@ -81,11 +75,10 @@ def choose_branch(v0: float) -> str:
 
 
 def _branch(cfg: AttractivenessConfig):
-    """The active branch's slack constant m, gain, exponent r, phase-bound
-    kernel, and the name of its m field."""
+    """The active branch's gain, exponent r and phase-bound kernel."""
     if cfg.branch == BRANCH_HIGH:
-        return cfg.m1, cfg.gains.beta, cfg.gains.r2, phase1_bound, "m1"
-    return cfg.m2, cfg.gains.alpha, cfg.gains.r1, phase2_bound, "m2"
+        return cfg.gains.beta, cfg.gains.r2, phase1_bound
+    return cfg.gains.alpha, cfg.gains.r1, phase2_bound
 
 
 def attractive_level(cfg: AttractivenessConfig) -> float:
@@ -93,10 +86,10 @@ def attractive_level(cfg: AttractivenessConfig) -> float:
 
     Collapses to 0 in the unperturbed limit delta0 = 0.
     """
-    m, gain, r, _, _ = _branch(cfg)
+    gain, r, _ = _branch(cfg)
     lv_delta = cfg.lipschitz_lv * cfg.delta0
     try:
-        return (m * lv_delta / gain) ** (1.0 / r)
+        return (cfg.m * lv_delta / gain) ** (1.0 / r)
     except OverflowError:  # float ** raises where * and / return inf
         raise ParameterDomainError(
             f"attractive level B overflows float64 on branch {cfg.branch}"
@@ -112,10 +105,10 @@ def feasibility_residual(cfg: AttractivenessConfig, b_target: float) -> float:
     """
     if not b_target > 0.0:
         raise ParameterDomainError("b_target must be positive")
-    m, gain, r, _, _ = _branch(cfg)
+    gain, r, _ = _branch(cfg)
     lv_delta = cfg.lipschitz_lv * cfg.delta0
     try:
-        return gain * b_target ** r - m * lv_delta
+        return gain * b_target ** r - cfg.m * lv_delta
     except OverflowError:  # float ** raises where * and / return inf
         raise ParameterDomainError(
             f"feasibility residual at b_target={b_target!r} overflows float64"
@@ -124,8 +117,7 @@ def feasibility_residual(cfg: AttractivenessConfig, b_target: float) -> float:
 
 def slackened_gain(cfg: AttractivenessConfig) -> float:
     """beta_d or alpha_d, the decrement gain left after perturbation slack."""
-    m, gain, _, _, _ = _branch(cfg)
-    return (1.0 - 1.0 / m) * gain
+    return (1.0 - 1.0 / cfg.m) * _branch(cfg)[0]
 
 
 def perturbed_settling_bound(cfg: AttractivenessConfig) -> int:
@@ -142,8 +134,8 @@ def perturbed_settling_bound(cfg: AttractivenessConfig) -> int:
         raise ParameterDomainError(
             f"slackened gain {gain_d!r} left (0, 1); check m and the gains"
         )
-    m, gain, r, phase_bound, _ = _branch(cfg)
-    exact = (1 - 1 / shortest_decimal(m)) * shortest_decimal(gain)
+    gain, r, phase_bound = _branch(cfg)
+    exact = (1 - 1 / shortest_decimal(cfg.m)) * shortest_decimal(gain)
     return phase_bound(exact, r)
 
 
@@ -180,7 +172,7 @@ def remark_tradeoff_table(
         raise EmptyDomainError("m grid is empty")
     rows = []
     for m in m_values:
-        cfg_m = replace(cfg, **{_branch(cfg)[4]: m})
+        cfg_m = replace(cfg, m=m)
         rows.append(
             (float(m), attractive_level(cfg_m), perturbed_settling_bound(cfg_m))
         )

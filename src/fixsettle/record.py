@@ -6,12 +6,16 @@ every JSON list back into a tuple, recursively, and passes the fields to
 the constructor, so ``__post_init__`` checks and conversions run on decoded
 data.  Scalars are not converted on decode: a file the program writes
 already holds the right JSON types, so it decodes to an equal record.
+A derived field is ``field(init=False)``, set by ``__post_init__`` from the
+others; ``from_dict`` rejects a stored value that differs from it.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from enum import Enum
+
+from .errors import ParameterDomainError
 
 
 def encode(value):
@@ -39,5 +43,11 @@ class Record:
 
         ``decoded`` fields go to the constructor as they are.
         """
-        names = [f.name for f in dataclasses.fields(cls) if f.name in d]
-        return cls(**{name: decode(d[name]) for name in names}, **decoded)
+        fields = [f for f in dataclasses.fields(cls) if f.name in d]
+        record = cls(**{f.name: decode(d[f.name]) for f in fields if f.init}, **decoded)
+        for f in fields:
+            if not f.init and d[f.name] != getattr(record, f.name):
+                raise ParameterDomainError(
+                    f"stored {f.name}={d[f.name]!r} contradicts the other fields"
+                )
+        return record

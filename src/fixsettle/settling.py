@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
@@ -310,35 +310,29 @@ def settling_vs_epsilon(
 class SettlingReport(Record):
     """Bounds and (optionally) measured settling for one scenario."""
 
-    bound_K_star: int
+    bound_K_star: int = field(init=False)
     bound_K1: int
     bound_K2_gap: int
     epsilon_used: float
     empirical_settling: Optional[int] = None
-    satisfied: bool = False
+    satisfied: bool = field(init=False)
 
     def __post_init__(self):
-        if self.bound_K_star != self.bound_K1 + self.bound_K2_gap:
-            raise ParameterDomainError(
-                "combined bound must equal the sum of the phase bounds"
-            )
+        k_star = self.bound_K1 + self.bound_K2_gap
+        empirical = self.empirical_settling
+        object.__setattr__(self, "bound_K_star", k_star)
+        object.__setattr__(self, "satisfied", empirical is not None and empirical <= k_star)
 
 
 def analyze_settling(
     gains: FixedTimeGains, traj: Optional[Trajectory] = None, epsilon: float = 0.0
 ) -> SettlingReport:
     """Evaluate all bounds for ``gains`` and measure settling of ``traj``."""
-    k1 = phase1_bound(gains.beta, gains.r2)
-    k2 = phase2_bound(gains.alpha, gains.r1)
-    k_star = k1 + k2
-    empirical = measure_settling(traj, epsilon) if traj is not None else None
     return SettlingReport(
-        bound_K_star=k_star,
-        bound_K1=k1,
-        bound_K2_gap=k2,
+        bound_K1=phase1_bound(gains.beta, gains.r2),
+        bound_K2_gap=phase2_bound(gains.alpha, gains.r1),
         epsilon_used=float(epsilon),
-        empirical_settling=empirical,
-        satisfied=empirical is not None and empirical <= k_star,
+        empirical_settling=measure_settling(traj, epsilon) if traj is not None else None,
     )
 
 

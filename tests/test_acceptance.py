@@ -215,23 +215,27 @@ def test_criterion_08_attractiveness_identities():
     mono_failures = 0
     n = 1000
     for _ in range(n):
+        gains = FixedTimeGains(
+            alpha=rng.uniform(0.05, 0.95),
+            beta=rng.uniform(0.05, 0.95),
+            r1=rng.uniform(0.05, 0.95),
+            r2=rng.uniform(1.05, 5.0),
+        )
+        lipschitz_lv = rng.uniform(0.1, 10.0)
+        delta0 = rng.uniform(1e-6, 1.0)
+        # Both slacks are drawn, in this order, and the branch's one is used.
+        m1, m2 = rng.uniform(1.001, 50.0), rng.uniform(1.001, 50.0)
+        branch = BRANCH_HIGH if rng.random() < 0.5 else BRANCH_LOW
         cfg = AttractivenessConfig(
-            gains=FixedTimeGains(
-                alpha=rng.uniform(0.05, 0.95),
-                beta=rng.uniform(0.05, 0.95),
-                r1=rng.uniform(0.05, 0.95),
-                r2=rng.uniform(1.05, 5.0),
-            ),
-            lipschitz_lv=rng.uniform(0.1, 10.0),
-            delta0=rng.uniform(1e-6, 1.0),
-            m1=rng.uniform(1.001, 50.0),
-            m2=rng.uniform(1.001, 50.0),
-            branch=BRANCH_HIGH if rng.random() < 0.5 else BRANCH_LOW,
+            gains=gains,
+            lipschitz_lv=lipschitz_lv,
+            delta0=delta0,
+            m=m1 if branch == BRANCH_HIGH else m2,
+            branch=branch,
         )
         level = attractive_level(cfg)
         residual = feasibility_residual(cfg, level)
-        m = cfg.m1 if cfg.branch == BRANCH_HIGH else cfg.m2
-        scale = m * cfg.lipschitz_lv * cfg.delta0
+        scale = cfg.m * cfg.lipschitz_lv * cfg.delta0
         worst_rel = max(worst_rel, abs(residual) / scale)
     for _ in range(100):
         cfg = AttractivenessConfig(
@@ -274,7 +278,7 @@ def test_criterion_09_perturbed_containment():
     checked = 0
     for delta0 in (0.01, 0.05, 0.1):
         cfg = AttractivenessConfig(
-            gains=gains, lipschitz_lv=1.0, delta0=delta0, m1=2.0, branch=BRANCH_HIGH
+            gains=gains, lipschitz_lv=1.0, delta0=delta0, m=2.0, branch=BRANCH_HIGH
         )
         level = attractive_level(cfg)
         bound = perturbed_settling_bound(cfg)

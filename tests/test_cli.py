@@ -192,6 +192,51 @@ class TestConfigValidation:
             assert (code, err) == (2, f"error: {error}\n")
             assert not out.exists()
 
+    _EVERY_SECTION = {
+        "schema": 1,
+        "system": {
+            "builtin": "example",
+            "params": {"aprime": 0.8, "bprime": 0.5, "r1prime": 0.4, "r2prime": 1.1},
+        },
+        "lyapunov": {"form": "abs", "rhs": {"form": "abs"}},
+        "gains": _GAINS,
+        "perturbation": _RADIAL,
+        "analysis": {"x0": 1500.0, "grid": {"low": 2.0, "high": 100.0, "points": 5}},
+        "output": {"filename": "out.json"},
+    }
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "bound", "attract", "sweep"])
+    @pytest.mark.parametrize("path, key, known", [
+        ((), "gain", "gains"),
+        (("system",), "cases", "case"),
+        (("system", "params"), "a_prime", "aprime"),
+        (("system", "affine"), "offst", "offset"),
+        (("lyapunov",), "lipshitz", "lipschitz"),
+        (("lyapunov", "rhs"), "rhs", "form"),
+        (("gains",), "alfa", "alpha"),
+        (("perturbation",), "sead", "seed"),
+        (("analysis",), "kmax", "k_max"),
+        (("analysis", "grid"), "point", "points"),
+        (("output",), "file_name", "filename"),
+    ], ids=lambda v: ".".join(v) or "root" if isinstance(v, tuple) else None)
+    def test_unknown_keys_are_rejected(self, tmp_path, capsys, command, path, key, known):
+        # Unknown keys used to be ignored: "lipshitz" ran with L_V = 1.0 and
+        # "kmax" with the default step budget.
+        payload = json.loads(json.dumps(self._EVERY_SECTION))
+        if path[:2] == ("system", "affine"):
+            payload["system"] = {"affine": {"matrix": [[0.5]]}}
+        section = payload
+        for name in path:
+            section = section[name]
+        section[key] = 1
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        prefix = f"error: {'.'.join(path) or 'config root'}: unknown key {key!r}; allowed keys are "
+        assert err.startswith(prefix) and known in err[len(prefix):].rstrip("\n").split(", ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("generator", [
         {"generator": "uniform_ball"},
         {"generator": "radial"},
@@ -1280,10 +1325,9 @@ def _reports(draw):
         checked_points=draw(st.integers(0, 10 ** 6)),
         where=where,
         residual=draw(st.lists(_FLOATS, min_size=k, max_size=k)),
-        check=draw(st.lists(st.sampled_from(["origin", "positivity", "decrement"]),
+        check=draw(st.lists(st.sampled_from(["positivity", "decrement"]),
                             min_size=k, max_size=k)),
         max_residual=draw(_FLOATS),
-        holds_everywhere=k == 0,
         tolerance=draw(_FLOATS),
         violation_intervals=draw(st.none() | st.lists(st.tuples(_FLOATS, _FLOATS), max_size=2)
                                  .map(tuple)),
@@ -1310,7 +1354,7 @@ class TestReportWriter:
             condition_id=ConditionId.FT_MIXED, checked_points=k,
             where=rng.standard_normal((k, 2)) * 10.0 ** rng.integers(-300, 300, (k, 1)),
             residual=rng.standard_normal(k), check=("decrement",) * k,
-            max_residual=1.0, holds_everywhere=False, tolerance=1e-12,
+            max_residual=1.0, tolerance=1e-12,
         )
         cli._write_json(tmp_path / "check.json", report)
         expected = json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n"

@@ -306,8 +306,32 @@ class TestReportCodec:
         with pytest.raises(ParameterDomainError):
             ConditionReport(
                 ConditionId.FT_DECREMENT, 2, where, residual, check,
-                max_residual=2.0, holds_everywhere=False, tolerance=0.0,
+                max_residual=2.0, tolerance=0.0,
             )
+
+    @pytest.mark.parametrize(
+        "condition_id, where, residual",
+        [
+            ("NOPE", [0], [1.0]),                    # unknown condition
+            ("FT_DECREMENT", [[1.0], [1.0, 2.0]], [1.0, 2.0]),  # ragged states
+            ("FT_DECREMENT", [0], ["x"]),            # non-numeric residual
+        ],
+    )
+    def test_malformed_input_is_a_domain_error(self, condition_id, where, residual):
+        # Each of these used to escape as a bare ValueError, also through from_dict.
+        check = ("decrement",) * len(where)
+        with pytest.raises(ParameterDomainError, match="malformed condition report"):
+            ConditionReport(condition_id, 1, where, residual, check, 1.0, 0.0)
+        d = {
+            "condition_id": condition_id, "checked_points": 1, "max_residual": 1.0,
+            "tolerance": 0.0,
+            "violations": [
+                {"where": w, "residual": r, "check": c}
+                for w, r, c in zip(where, residual, check)
+            ],
+        }
+        with pytest.raises(ParameterDomainError, match="malformed condition report"):
+            ConditionReport.from_dict(d)
 
     def test_float_step_index_is_rejected_on_decode(self):
         # The decoder used to force int on a flat `where` and read 0.5 as 0.
@@ -321,9 +345,7 @@ class TestReportCodec:
 
     def test_string_condition_id_becomes_the_enum(self):
         # A str condition_id used to build, and then to_dict raised AttributeError.
-        report = ConditionReport(
-            "FT_MIXED", 1, [], [], (), max_residual=0.0, holds_everywhere=True, tolerance=0.0
-        )
+        report = ConditionReport("FT_MIXED", 1, [], [], (), max_residual=0.0, tolerance=0.0)
         assert report.condition_id is ConditionId.FT_MIXED
         assert report.to_dict()["condition_id"] == "FT_MIXED"
 
@@ -332,7 +354,7 @@ class TestReportCodec:
             "condition_id": "FT_MIXED", "checked_points": 1, "violations": [],
             "max_residual": 1.0, "holds_everywhere": False, "tolerance": 0.0,
         }
-        with pytest.raises(ParameterDomainError):
+        with pytest.raises(ParameterDomainError, match="holds_everywhere"):
             ConditionReport.from_dict(d)
 
 
@@ -354,6 +376,13 @@ class TestBasicLyapunov:
     def test_origin_condition(self, halving_system):
         report = check_basic_lyapunov(halving_system, square_candidate(), [1.0])
         assert all(v.check != "origin" for v in report.violations)
+
+    def test_origin_is_neither_flagged_nor_the_maximum(self, halving_system):
+        # The origin row used to report max_residual 0.0 and, at a negative
+        # tolerance every point meets, a lone "origin" violation.
+        report = check_basic_lyapunov(halving_system, square_candidate(), [0.0, 1.0, 2.0], -0.1)
+        assert report.max_residual == -0.75
+        assert report.holds_everywhere and report.checked_points == 3
 
     def test_empty_grid(self, halving_system):
         with pytest.raises(EmptyDomainError):
@@ -744,7 +773,6 @@ def _reference_scan(system, V, gains, pts, V_rhs, slack, tolerance, condition_id
         checked_points=len(pts),
         **_columns(violations),
         max_residual=best,
-        holds_everywhere=not violations,
         tolerance=tolerance,
         violation_intervals=(
             _reference_intervals(pts[:, 0], flags) if system.dimension == 1 else None
@@ -769,7 +797,6 @@ def _reference_orbit_scan(system, V, gains, states, V_rhs, slack, tolerance, con
         checked_points=checked,
         **_columns(violations),
         max_residual=best if checked else 0.0,
-        holds_everywhere=not violations,
         tolerance=tolerance,
         value_zero_points=tuple(zeros),
     )
@@ -777,10 +804,6 @@ def _reference_orbit_scan(system, V, gains, states, V_rhs, slack, tolerance, con
 
 def _reference_basic(system, V, grid, tolerance):
     violations, best = [], -math.inf
-    origin_residual = abs(V(np.zeros(system.dimension)))
-    best = _keep_max(best, origin_residual)
-    if origin_residual > tolerance:
-        violations.append(Violation(tuple(np.zeros(system.dimension)), origin_residual, "origin"))
     for p in grid:
         if not np.any(p):
             continue
@@ -794,7 +817,6 @@ def _reference_basic(system, V, grid, tolerance):
         checked_points=len(grid),
         **_columns(violations),
         max_residual=best,
-        holds_everywhere=not violations,
         tolerance=tolerance,
     )
 

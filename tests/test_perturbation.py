@@ -35,7 +35,7 @@ def cfg_high(m1=2.0, lv=2.0, delta0=0.1, beta=0.25, r2=2.0, alpha=0.64, r1=0.8):
         gains=FixedTimeGains(alpha, beta, r1, r2),
         lipschitz_lv=lv,
         delta0=delta0,
-        m1=m1,
+        m=m1,
         branch=BRANCH_HIGH,
     )
 
@@ -45,7 +45,7 @@ def cfg_low(m2=2.0, lv=1.0, delta0=0.08, alpha=0.64, r1=0.8, beta=0.25, r2=2.0):
         gains=FixedTimeGains(alpha, beta, r1, r2),
         lipschitz_lv=lv,
         delta0=delta0,
-        m2=m2,
+        m=m2,
         branch=BRANCH_LOW,
     )
 
@@ -105,13 +105,13 @@ class TestFeasibilityResidual:
     def test_zero_at_the_computed_level(self):
         cfg = cfg_high()
         level = attractive_level(cfg)
-        scale = cfg.m1 * cfg.lipschitz_lv * cfg.delta0
+        scale = cfg.m * cfg.lipschitz_lv * cfg.delta0
         assert abs(feasibility_residual(cfg, level)) <= 1e-12 * scale
 
     def test_doubled_level_with_square_exponent(self):
         cfg = cfg_high(r2=2.0)
         level = attractive_level(cfg)
-        expected = 3.0 * cfg.m1 * cfg.lipschitz_lv * cfg.delta0
+        expected = 3.0 * cfg.m * cfg.lipschitz_lv * cfg.delta0
         assert feasibility_residual(cfg, 2.0 * level) == pytest.approx(expected, rel=1e-12)
 
     def test_zero_perturbation_leaves_pure_power(self):
@@ -239,7 +239,7 @@ class TestAnalyzeAttractiveness:
     def test_report_fields_and_roundtrip(self, case1_system):
         gains = gains_from_example(*CASE1)
         cfg = AttractivenessConfig(
-            gains=gains, lipschitz_lv=1.0, delta0=0.05, m1=2.0, branch=BRANCH_HIGH
+            gains=gains, lipschitz_lv=1.0, delta0=0.05, m=2.0, branch=BRANCH_HIGH
         )
         traj = simulate(case1_system, 1500.0, 80)
         report = analyze_attractiveness(cfg, traj, abs_candidate())
@@ -257,7 +257,7 @@ class TestAnalyzeAttractiveness:
         # is exactly zero-band settling for the norm candidate.
         gains = gains_from_example(*CASE1)
         cfg = AttractivenessConfig(
-            gains=gains, lipschitz_lv=1.0, delta0=0.0, m1=2.0, branch=BRANCH_HIGH
+            gains=gains, lipschitz_lv=1.0, delta0=0.0, m=2.0, branch=BRANCH_HIGH
         )
         for x0 in (0.0, 1500.0):
             traj = simulate(case1_system, x0, 60)

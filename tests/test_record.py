@@ -1,18 +1,19 @@
 """Every report record survives a JSON round trip through ``to_dict``/``from_dict``."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from fixsettle import affine_system
+from fixsettle.errors import ParameterDomainError
 from fixsettle.lyapunov import (
     ConditionReport,
     FixedTimeGains,
     LyapunovCandidate,
     Violation,
     abs_candidate,
-    check_basic_lyapunov,
     scan_conditions,
     scan_trajectory,
     square_candidate,
@@ -64,13 +65,6 @@ def orbit():
     return scan_trajectory(DOUBLING, square_candidate(), GAINS, simulate(DOUBLING, 1.0, 3))
 
 
-def basic_with_origin_row():
-    # A negative tolerance flags V(0) = 0, so the report starts with an origin row.
-    report = check_basic_lyapunov(DOUBLING, square_candidate(), [0.0, 1.0, -1.0], -1e-300)
-    assert report.check[0] == "origin"
-    return report
-
-
 def sweep():
     # Three steps leave the lower levels unreached, so the curve holds None.
     case = TABLE1_CASES[0]
@@ -92,7 +86,6 @@ RECORDS = {
     "ConditionReport-grid-1d": (ConditionReport, grid_1d),
     "ConditionReport-grid-2d": (ConditionReport, grid_2d),
     "ConditionReport-orbit": (ConditionReport, orbit),
-    "ConditionReport-basic-origin": (ConditionReport, basic_with_origin_row),
     "SweepResult": (SweepResult, sweep),
     "Table1Row": (Table1Row, lambda: table1_reproduce()[3]),
     "AttractivenessReport": (AttractivenessReport, attractiveness),
@@ -117,6 +110,39 @@ def test_json_round_trip(cls, make):
 
 def test_every_record_class_is_covered():
     assert {cls for cls, _ in RECORDS.values()} == set(Record.__subclasses__())
+
+
+# Every field a record derives from its others: record kind, and field name.
+DERIVED = (
+    ("ConditionReport-grid-1d", "holds_everywhere"),
+    ("SweepResult", "all_within_bound"),
+    ("Table1Row", "discrepancy"),
+    ("SettlingReport", "bound_K_star"),
+    ("SettlingReport", "satisfied"),
+    ("Lemma1TrialSummary", "passed"),
+)
+
+
+def test_derived_fields_are_not_constructor_arguments():
+    derived = {
+        (cls, f.name)
+        for cls in Record.__subclasses__()
+        for f in dataclasses.fields(cls)
+        if not f.init
+    }
+    assert derived == {(RECORDS[kind][0], name) for kind, name in DERIVED}
+
+
+@pytest.mark.parametrize("kind, name", DERIVED, ids=[name for _, name in DERIVED])
+def test_stored_derived_value_must_match_the_other_fields(kind, name):
+    cls, make = RECORDS[kind]
+    record = make()
+    d = json.loads(json.dumps(record.to_dict()))
+    assert cls.from_dict(d) == record
+    value = d[name]
+    d[name] = value + 1 if type(value) is int else not value
+    with pytest.raises(ParameterDomainError, match=f"stored {name}="):
+        cls.from_dict(d)
 
 
 def test_report_columns_are_typed_by_the_constructor():
