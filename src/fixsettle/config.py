@@ -39,14 +39,15 @@ from .systems import (
 
 SCHEMA_VERSION = 1
 
-# The keys each section may hold; ``_section`` rejects any other.
+# The keys each section may hold; ``_section`` rejects any other, and
+# ``_unread`` a key that the chosen variant of its section does not read.
 _KEYS = {
     "config root": "schema system lyapunov gains perturbation m1 m2 analysis output",
     "system": "builtin case params affine",
     "system.params": "aprime bprime r1prime r2prime",
     "system.affine": "matrix offset",
     "lyapunov": "form lipschitz coefficients rhs",
-    "lyapunov.rhs": "form lipschitz coefficients",
+    "lyapunov.rhs": "form coefficients",
     "gains": "alpha beta r1 r2",
     "perturbation": "delta0 generator seed vector",
     "analysis": "x0 k_max stop_epsilon epsilon epsilon_list grid tolerance m_values branch case_id",
@@ -120,6 +121,12 @@ def _section(value, key: str) -> dict:
     return value
 
 
+def _unread(d: dict, key: str, where: str, reason: str):
+    """ConfigurationError if ``d`` holds ``key``, which its variant does not read."""
+    if key in d:
+        raise ConfigurationError(f"{where}.{key} is not read {reason}; remove it")
+
+
 def _number(value, key: str) -> float:
     """A JSON number as a float; booleans and strings are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -184,7 +191,9 @@ def _build_system(d: dict) -> tuple:
     if "builtin" in d:
         if d["builtin"] != "example":
             raise ConfigurationError(f"unknown builtin system {d['builtin']!r}")
+        _unread(d, "affine", "system", "beside system.builtin")
         if "case" in d:
+            _unread(d, "params", "system", "beside system.case")
             idx = _integer(d["case"], "system.case") - 1
             if not 0 <= idx < len(TABLE1_CASES):
                 raise ConfigurationError(
@@ -216,6 +225,8 @@ def _build_candidate(d: dict, dimension: int, where: str) -> LyapunovCandidate:
         lipschitz = _number(raw, key)
         if not (math.isfinite(lipschitz) and lipschitz > 0.0):
             raise ConfigurationError(f"{key} must be a finite positive number, got {raw!r}")
+    if form in ("abs", "square"):
+        _unread(d, "coefficients", where, f"by form {form!r}, only by 'poly'")
     if form == "abs":
         return abs_candidate(dimension, lipschitz if lipschitz is not None else 1.0)
     if form == "square":
@@ -238,6 +249,8 @@ def _build_perturbation(d: dict, dimension: int, seed_override: Optional[int]) -
     # Only uniform_ball draws from the seed; every generator rejects a bad one.
     if seed < 0:
         raise ParameterDomainError("seed must be a nonnegative integer")
+    if generator in ("uniform_ball", "radial"):
+        _unread(d, "vector", "perturbation", f"by generator {generator!r}, only by 'constant'")
     if generator == "uniform_ball":
         return uniform_ball_perturbation(delta0, dimension, seed)
     if generator == "radial":

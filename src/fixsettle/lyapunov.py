@@ -185,15 +185,17 @@ class ConditionReport(Record):
     the ``Violation`` records from them on demand, and ``to_dict`` lists
     them under ``"violations"``.  Equality compares the ``to_dict`` forms.
 
+    A check evaluates places, nonzero grid points or the step indices of
+    nonzero orbit states, never the origin.  ``checked_points`` counts the
+    places.  Violations come in place order, then check-kind order, each
+    with residual above the tolerance or NaN where it cannot be evaluated
+    (inf - inf once V overflows, say).  ``max_residual`` is the first
+    largest residual: NaN if any is NaN, -inf if nothing was checked.
+    ``value_zero_points`` lists the places where V = 0, which breaks strict
+    positivity though the residual arithmetic stays well-defined.
     ``holds_everywhere`` is derived: true exactly when there are no
-    violations.  Every listed violation has residual above the tolerance,
-    or NaN where the residual cannot be evaluated (inf - inf once V
-    overflows, say), and ``max_residual`` is then NaN too.  For 1-D grids,
-    ``violation_intervals`` groups contiguous violating grid points.
-    ``value_zero_points`` lists, for a grid scan, the nonzero grid points
-    where V vanished, which breaks strict positivity even though the
-    residual arithmetic stays well-defined; for an orbit scan, the step
-    indices of the origin states it skipped.  Malformed input raises
+    violations.  For 1-D grid scans, ``violation_intervals`` groups
+    contiguous violating grid points.  Malformed input raises
     ``ParameterDomainError``.
     """
 
@@ -313,20 +315,49 @@ def _residuals(
         return vx, (difference + np.where(high > low, high, low)) - slack
 
 
-def _violating(residuals: np.ndarray, tolerance: float) -> np.ndarray:
-    """Residuals above the tolerance, and NaN ones, which cannot be shown to hold."""
+def _report(
+    condition_id: ConditionId,
+    places: np.ndarray,
+    values: np.ndarray,
+    residuals: np.ndarray,
+    kinds: Tuple[str, ...],
+    tolerance: float,
+    intervals: bool = False,
+) -> ConditionReport:
+    """The report of a check that evaluated ``places`` in order.
+
+    ``places`` holds step indices (m,) or nonzero states (m, n), ``values``
+    V at each, and ``residuals`` one column per check kind in ``kinds``.  A
+    residual above the tolerance is a violation, and so is a NaN one,
+    which cannot be shown to hold.  ``intervals`` adds the violating runs
+    of a 1-D grid.
+    """
     if not math.isfinite(tolerance):  # NaN would flag every point, inf none
         raise ParameterDomainError(f"tolerance must be a finite number, got {tolerance!r}")
-    return ~(residuals <= tolerance)
-
-
-def _first_max(residuals: np.ndarray) -> float:
-    """The first largest residual in order: NaN if any is NaN, -inf for none.
-
-    Apart from NaN this is what a running ``max`` from -inf keeps, down to
-    the sign of a zero that ties with the other one.
-    """
-    return float(residuals[np.argmax(residuals)]) if len(residuals) else -math.inf
+    violating = ~(residuals <= tolerance)
+    if len(kinds) == 1:  # a mask, and no per-violation Python work
+        rows = violating[:, 0]
+        residual = residuals[:, 0][rows]
+        check = kinds * len(residual)
+    else:
+        rows, cols = np.nonzero(violating)
+        residual = residuals[rows, cols]
+        check = tuple(np.array(kinds, dtype=object)[cols].tolist())
+    flat = residuals.ravel()  # argmax takes the first largest, or the first NaN
+    zeros = places[values == 0.0].tolist()
+    return ConditionReport(
+        condition_id=condition_id,
+        checked_points=len(places),
+        where=places[rows],
+        residual=residual,
+        check=check,
+        max_residual=float(flat[np.argmax(flat)]) if len(flat) else -math.inf,
+        tolerance=tolerance,
+        violation_intervals=(
+            _violation_intervals(places, violating.any(axis=1)) if intervals else None
+        ),
+        value_zero_points=tuple(map(tuple, zeros) if places.ndim == 2 else zeros),
+    )
 
 
 def decrement_residual(
@@ -361,26 +392,17 @@ def check_basic_lyapunov(
 
     Checks V > 0 and the nonstrict decrement V(F(x)) - V(x) <= 0 at each
     nonzero grid point (``LyapunovCandidate`` checks V(0) = 0), listing a
-    point's positivity violation before its decrement one; a NaN residual
-    counts as a violation, as in the scans.  ``max_residual`` is taken over
-    the nonzero points, -inf if none; ``checked_points`` counts the grid.
+    point's positivity violation before its decrement one.  Origin points
+    are skipped: they are neither counted nor checked.
     """
     grid = as_state_grid(domain_grid, system.dimension)
     if len(grid) == 0:
         raise EmptyDomainError("domain grid is empty")
     points = grid[~_at_origin(grid)]
     vx, difference = _step_values(system, V, points)
-    # Row i holds point i's positivity and decrement residuals.
     residuals = np.stack([-vx, difference], axis=1)
-    rows, cols = np.nonzero(_violating(residuals, tolerance))
-    return ConditionReport(
-        condition_id=ConditionId.LYAP_BASIC,
-        checked_points=len(grid),
-        where=points[rows],
-        residual=residuals[rows, cols],
-        check=tuple(("positivity", "decrement")[j] for j in cols.tolist()),
-        max_residual=_first_max(residuals.ravel()),
-        tolerance=tolerance,
+    return _report(
+        ConditionId.LYAP_BASIC, points, vx, residuals, ("positivity", "decrement"), tolerance
     )
 
 
@@ -441,21 +463,9 @@ def scan_conditions(
         _residuals(system, V, gains, pts[: origin[0]], v_rhs, slack)
         raise OriginError(_AT_ORIGIN)
     vx, residuals = _residuals(system, V, gains, pts, v_rhs, slack)
-    violating = _violating(residuals, tolerance)
-
-    intervals = (
-        _violation_intervals(pts, violating) if system.dimension == 1 else None
-    )
-    return ConditionReport(
-        condition_id=condition_id,
-        checked_points=len(pts),
-        where=pts[violating],
-        residual=residuals[violating],
-        check=("decrement",) * int(violating.sum()),
-        max_residual=_first_max(residuals),
-        tolerance=tolerance,
-        violation_intervals=intervals,
-        value_zero_points=tuple(map(tuple, pts[vx == 0.0].tolist())),
+    return _report(
+        condition_id, pts, vx, residuals[:, None], ("decrement",), tolerance,
+        intervals=system.dimension == 1,
     )
 
 
@@ -470,30 +480,17 @@ def scan_trajectory(
 ) -> ConditionReport:
     """Evaluate the decrement residual along a recorded orbit.
 
-    States are checked at k = 0 .. len-2; exact-zero states are skipped
-    (the condition excludes the origin) and recorded in
-    ``value_zero_points`` by index.  Violations are keyed by step index.
+    States are checked at k = 0 .. len-2; origin states are skipped, as
+    the condition excludes the origin.  Violations and
+    ``value_zero_points`` are keyed by step index.
     """
     if len(traj) < 2:
         raise EmptyDomainError("trajectory scan needs at least one transition")
     condition_id, slack = _condition(V, v_rhs, g_norm)
     states = traj.states[:-1]
-    nonzero = ~_at_origin(states)
-    steps = np.flatnonzero(nonzero)
-    residuals = _residuals(system, V, gains, states[nonzero], v_rhs, slack)[1]
-    violating = _violating(residuals, tolerance)
-
-    return ConditionReport(
-        condition_id=condition_id,
-        checked_points=len(steps),
-        where=steps[violating],
-        residual=residuals[violating],
-        check=("decrement",) * int(violating.sum()),
-        # An orbit pinned at the origin checks nothing; report a neutral 0.
-        max_residual=_first_max(residuals) if len(steps) else 0.0,
-        tolerance=tolerance,
-        value_zero_points=tuple(np.flatnonzero(~nonzero).tolist()),
-    )
+    steps = np.flatnonzero(~_at_origin(states))
+    vx, residuals = _residuals(system, V, gains, states[steps], v_rhs, slack)
+    return _report(condition_id, steps, vx, residuals[:, None], ("decrement",), tolerance)
 
 
 def estimate_lipschitz(f, domain_grid) -> float:

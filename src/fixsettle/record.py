@@ -7,7 +7,9 @@ the constructor, so ``__post_init__`` checks and conversions run on decoded
 data.  Scalars are not converted on decode: a file the program writes
 already holds the right JSON types, so it decodes to an equal record.
 A derived field is ``field(init=False)``, set by ``__post_init__`` from the
-others; ``from_dict`` rejects a stored value that differs from it.
+others; ``from_dict`` rejects a stored value that differs from it in value
+or type (``1`` is not ``true``), and raises ``ParameterDomainError`` for a
+missing key or a value the constructor cannot take.
 """
 
 from __future__ import annotations
@@ -44,10 +46,16 @@ class Record:
         ``decoded`` fields go to the constructor as they are.
         """
         fields = [f for f in dataclasses.fields(cls) if f.name in d]
-        record = cls(**{f.name: decode(d[f.name]) for f in fields if f.init}, **decoded)
+        try:
+            record = cls(**{f.name: decode(d[f.name]) for f in fields if f.init}, **decoded)
+        except TypeError as err:  # a missing key, or a value of the wrong type
+            raise ParameterDomainError(f"malformed {cls.__name__}: {err}") from None
         for f in fields:
-            if not f.init and d[f.name] != getattr(record, f.name):
+            if f.init:
+                continue
+            stored, derived = d[f.name], getattr(record, f.name)
+            if type(stored) is not type(derived) or stored != derived:
                 raise ParameterDomainError(
-                    f"stored {f.name}={d[f.name]!r} contradicts the other fields"
+                    f"stored {f.name}={stored!r} contradicts the other fields"
                 )
         return record

@@ -342,21 +342,37 @@ class QSequence:
 
     For any sequence with all levels above 1 and the superlinear decrement
     holding between consecutive entries, every q_k must lie strictly inside
-    (lower, upper) = (beta^(1/(1-r2)), beta^(2/(1-r2))).  ``out_of_bounds``
-    lists indices where that fails; it stays empty for any sequence
-    realizable by a nonnegative candidate.
+    (lower, upper) = (beta^(1/(1-r2)), beta^(2/(1-r2))).  The bounds and
+    ``out_of_bounds``, the indices where that fails, are derived from
+    ``q``, ``beta`` and ``r2``; ``out_of_bounds`` stays empty for any
+    sequence realizable by a nonnegative candidate.  Bounds that overflow
+    float64 or are not ordered raise ``ParameterDomainError``.
     """
 
     q: Tuple[float, ...]
     beta: float
     r2: float
-    lower: float
-    upper: float
-    out_of_bounds: Tuple[int, ...] = ()
+    lower: float = field(init=False)
+    upper: float = field(init=False)
+    out_of_bounds: Tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        if not self.lower < self.upper:
+        try:
+            lower = self.beta ** (1.0 / (1.0 - self.r2))
+            upper = self.beta ** (2.0 / (1.0 - self.r2))
+        except OverflowError:
+            raise _q_overflow(self.beta, self.r2) from None
+        if not lower < upper:
             raise ParameterDomainError("q bounds must satisfy lower < upper")
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "upper", upper)
+        out = tuple(k for k, qk in enumerate(self.q) if not lower < qk < upper)
+        object.__setattr__(self, "out_of_bounds", out)
+
+
+def _q_overflow(beta: float, r2: float) -> ParameterDomainError:
+    # float ** raises OverflowError where * and / return inf.
+    return ParameterDomainError(f"q-sequence powers overflow float64 (beta={beta!r}, r2={r2!r})")
 
 
 def q_sequence(v_values: Sequence[float], beta: float, r2: float) -> QSequence:
@@ -396,15 +412,9 @@ def q_sequence(v_values: Sequence[float], beta: float, r2: float) -> QSequence:
                     index=k + 1,
                 )
         scale = beta ** (-1.0 / (r2 - 1.0))
-        lower = beta ** (1.0 / (1.0 - r2))
-        upper = beta ** (2.0 / (1.0 - r2))
-    except OverflowError:  # float ** raises where * and / return inf
-        raise ParameterDomainError(
-            f"q-sequence powers overflow float64 (beta={beta!r}, r2={r2!r})"
-        ) from None
-    q = tuple(v * scale for v in vs)
-    out = tuple(k for k, qk in enumerate(q) if not lower < qk < upper)
-    return QSequence(q=q, beta=beta, r2=r2, lower=lower, upper=upper, out_of_bounds=out)
+    except OverflowError:
+        raise _q_overflow(beta, r2) from None
+    return QSequence(q=tuple(v * scale for v in vs), beta=beta, r2=r2)
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,11 @@ def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> st
     return str(path)
 
 
+def read_csv(path: Path) -> list:
+    """The rows of a CSV file, read with the file closed again."""
+    return list(csv.reader(path.read_text().splitlines()))
+
+
 def case1_config(**overrides):
     cfg = {
         "schema": 1,
@@ -58,7 +63,7 @@ class TestSimulateCommand:
     def test_csv_contract(self, tmp_path):
         cfg = write_config(tmp_path, case1_config())
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = list(csv.reader((tmp_path / "simulate.csv").open()))
+        rows = read_csv(tmp_path / "simulate.csv")
         assert rows[0] == ["k", "x_1", "V"]
         assert len(rows) == 42  # header + 41 states
         assert rows[1] == ["0", "1500", "1500"]
@@ -72,7 +77,7 @@ class TestSimulateCommand:
             tmp_path, case1_config(analysis={"x0": 0.0, "k_max": 5})
         )
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = list(csv.reader((tmp_path / "simulate.csv").open()))
+        rows = read_csv(tmp_path / "simulate.csv")
         assert all(row[1] == "0" for row in rows[1:])
 
     def test_divergence_exit_code(self, tmp_path):
@@ -235,6 +240,76 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         prefix = f"error: {'.'.join(path) or 'config root'}: unknown key {key!r}; allowed keys are "
         assert err.startswith(prefix) and known in err[len(prefix):].rstrip("\n").split(", ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "check", "bound", "attract", "sweep"])
+    @pytest.mark.parametrize("edit, error", [
+        (lambda c: c["lyapunov"]["rhs"].update(lipschitz=1.0),
+         "lyapunov.rhs: unknown key 'lipschitz'; allowed keys are form, coefficients"),
+        (lambda c: c["lyapunov"].update(coefficients=[1.0]),
+         "lyapunov.coefficients is not read by form 'abs', only by 'poly'; remove it"),
+        (lambda c: c["lyapunov"]["rhs"].update(form="square", coefficients=[1.0]),
+         "lyapunov.rhs.coefficients is not read by form 'square', only by 'poly'; remove it"),
+        (lambda c: c["perturbation"].update(vector=[0.01]),
+         "perturbation.vector is not read by generator 'radial', only by 'constant'; remove it"),
+        (lambda c: c["system"].update(case=1),
+         "system.params is not read beside system.case; remove it"),
+        (lambda c: c["system"].update(affine={"matrix": [[0.5]]}),
+         "system.affine is not read beside system.builtin; remove it"),
+    ], ids=["rhs-lipschitz", "coefficients", "rhs-coefficients", "vector", "params", "affine"])
+    def test_keys_the_chosen_variant_ignores_are_rejected(self, tmp_path, capsys, command,
+                                                           edit, error):
+        # Each of these keys used to be accepted and then ignored.
+        payload = json.loads(json.dumps(self._EVERY_SECTION))
+        edit(payload)
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not out.exists()
+
+    _AFFINE = {"affine": {"matrix": [[0.5]]}}
+    _GRID = {"low": 2.0, "high": 100.0, "points": 5}
+
+    @pytest.mark.parametrize("payload, command, error", [
+        (case1_config(gains=_GAINS, analysis={}), "check",
+         "check requires analysis.grid or analysis.x0"),
+        ({"schema": 1, "system": _AFFINE}, "bound",
+         "bound requires gains, an example system, or a perturbed setup"),
+        (case1_config(gains=_GAINS, perturbation=_RADIAL, analysis={"branch": "V0_GT_1"}),
+         "attract", "attract requires analysis.x0"),
+        ({"schema": 1, "system": _AFFINE, "analysis": {"grid": _GRID}}, "sweep",
+         "sweep requires gains or an example system"),
+        (case1_config(gains={"alpha": 0.64, "r1": 0.8, "r2": 2.2}), "bound",
+         "gains: missing required key 'beta'"),
+        (case1_config(system={"builtin": "logistic"}), "simulate",
+         "unknown builtin system 'logistic'"),
+        (case1_config(system={"builtin": "example", "case": 5}), "simulate",
+         "system.case must be 1..4, got 5"),
+        (case1_config(system={}), "simulate", "system must specify 'builtin' or 'affine'"),
+        (case1_config(lyapunov={"form": "cube"}), "simulate",
+         "unknown lyapunov form 'cube'; use abs|square|poly"),
+        (case1_config(analysis={"grid": {**_GRID, "scale": "cubic"}}), "sweep",
+         "grid.scale must be log|linear, got 'cubic'"),
+        (case1_config(analysis={"grid": {**_GRID, "points": 0}}), "sweep",
+         "grid.points must be positive"),
+        (case1_config(analysis={"grid": {**_GRID, "low": 100.0}}), "sweep",
+         "grid.low must be below grid.high"),
+        (case1_config(analysis={"grid": {**_GRID, "low": -2.0}}), "sweep",
+         "log grid needs a positive low endpoint"),
+        (case1_config(analysis={"x0": 1500.0, "branch": "up"}), "simulate",
+         "analysis.branch must be auto|V0_GT_1|V0_LE_1, got 'up'"),
+        (case1_config(analysis={"x0": 1500.0, "k_max": 0}), "simulate",
+         "analysis.k_max must be at least 1"),
+    ], ids=["check-no-domain", "bound-nothing", "attract-no-x0", "sweep-no-bound",
+            "missing-key", "unknown-builtin", "case-out-of-range", "no-system-kind",
+            "unknown-form", "grid-scale", "grid-points", "grid-low-high", "log-grid-low",
+            "branch", "k_max"])
+    def test_error_exits(self, tmp_path, capsys, payload, command, error):
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("generator", [
@@ -710,7 +785,7 @@ class TestTable1Command:
         ]
         assert [r.k_star_recomputed for r in rows] == [19, 258, 1359, 7815]
         assert [r.discrepancy for r in rows] == [False, False, False, True]
-        csv_rows = list(csv.reader((tmp_path / "table1.csv").open()))
+        csv_rows = read_csv(tmp_path / "table1.csv")
         assert csv_rows[0][0] == "case_id"
         assert len(csv_rows) == 1 + 4 * 5  # four cases, five epsilons each
 
@@ -1177,7 +1252,7 @@ class TestMoreConfigSurfaces:
         }
         cfg = write_config(tmp_path, payload)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = list(csv.reader((tmp_path / "simulate.csv").open()))
+        rows = read_csv(tmp_path / "simulate.csv")
         assert rows[0] == ["k", "x_1", "x_2", "V"]
         assert float(rows[1][3]) == pytest.approx(16.0 + 9.0)  # ||x||^2
 
@@ -1203,7 +1278,7 @@ class TestMoreConfigSurfaces:
         }
         cfg = write_config(tmp_path, payload)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = list(csv.reader((tmp_path / "simulate.csv").open()))
+        rows = read_csv(tmp_path / "simulate.csv")
         assert [float(r[1]) for r in rows[1:]] == pytest.approx([0.0, 0.04, 0.08, 0.12])
 
     def test_radial_generator_config(self, tmp_path):
@@ -1215,7 +1290,7 @@ class TestMoreConfigSurfaces:
         }
         cfg = write_config(tmp_path, payload)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path)]) == 0
-        rows = list(csv.reader((tmp_path / "simulate.csv").open()))
+        rows = read_csv(tmp_path / "simulate.csv")
         xs = [float(r[1]) for r in rows[1:]]
         assert all(b > a for a, b in zip(xs, xs[1:]))  # pushed outward each step
 
@@ -1489,7 +1564,8 @@ class TestUnusableInputsAndOutputs:
     @pytest.mark.parametrize("value", [math.nan, 0, -1.0, math.inf])
     def test_lipschitz_is_finite_and_positive(self, tmp_path, capsys, rhs, value):
         # NaN, 0 and -1 were reported as "lipschitz_LV must be positive when
-        # given"; Infinity passed until attract or bound needed it.
+        # given"; Infinity passed until attract or bound needed it.  No
+        # check reads the rhs candidate's constant, so it is not a key.
         lyapunov = {"form": "abs"}
         if rhs:
             lyapunov["rhs"] = {"form": "abs", "lipschitz": value}
@@ -1498,10 +1574,11 @@ class TestUnusableInputsAndOutputs:
         cfg = write_config(tmp_path, case1_config(lyapunov=lyapunov))
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-        key = "lyapunov.rhs.lipschitz" if rhs else "lyapunov.lipschitz"
-        assert capsys.readouterr() == (
-            "", f"error: {key} must be a finite positive number, got {value!r}\n"
-        )
+        if rhs:
+            error = "lyapunov.rhs: unknown key 'lipschitz'; allowed keys are form, coefficients"
+        else:
+            error = f"lyapunov.lipschitz must be a finite positive number, got {value!r}"
+        assert capsys.readouterr() == ("", f"error: {error}\n")
         assert not out.exists()
 
     # Every command runs this scenario (exit 0); check scans its grid.

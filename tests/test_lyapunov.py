@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from fixsettle import (
     simulate,
     square_candidate,
 )
+from fixsettle import lyapunov
 from fixsettle.lyapunov import _at_origin
 from fixsettle.systems import norm, row_norms
 from conftest import CASE1
@@ -63,6 +66,9 @@ def mp_residual_case1_mixed(x, gains, dps=60):
 
 
 MAPPED_GAINS = (0.64, 0.25, 0.8, 2.2)
+
+# V = x^2 (x - 1)^2 vanishes at the origin and at x = 1.
+_DIP = LyapunovCandidate("dip", lambda s: s[:, 0] ** 2 * (s[:, 0] - 1.0) ** 2)
 
 
 class TestGains:
@@ -358,6 +364,25 @@ class TestReportCodec:
             ConditionReport.from_dict(d)
 
 
+def test_one_routine_builds_every_condition_report():
+    """Every producer reports through ``lyapunov._report``: it is the one
+    place in the package that calls ``ConditionReport``."""
+    package = Path(lyapunov.__file__).resolve().parent
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                callers += [
+                    (path.stem, func.name)
+                    for node in ast.walk(func)
+                    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ConditionReport"
+                ]
+    assert callers == [("lyapunov", "_report")]
+    for name in ("_violating", "_first_max"):
+        assert not hasattr(lyapunov, name)
+
+
 class TestBasicLyapunov:
     GRID = [-10.0, -1.0, -0.1, 0.1, 1.0, 10.0]
 
@@ -382,7 +407,14 @@ class TestBasicLyapunov:
         # tolerance every point meets, a lone "origin" violation.
         report = check_basic_lyapunov(halving_system, square_candidate(), [0.0, 1.0, 2.0], -0.1)
         assert report.max_residual == -0.75
-        assert report.holds_everywhere and report.checked_points == 3
+        assert report.holds_everywhere and report.checked_points == 2
+
+    def test_candidate_zero_at_nonzero_point_is_listed(self, halving_system):
+        report = check_basic_lyapunov(halving_system, _DIP, [0.5, 1.0, 2.0])
+        assert report.value_zero_points == ((1.0,),)
+        assert report.value_zero_points == scan_conditions(
+            halving_system, _DIP, FixedTimeGains(0.05, 0.005, 0.5, 2.0), [0.5, 1.0, 2.0]
+        ).value_zero_points
 
     def test_empty_grid(self, halving_system):
         with pytest.raises(EmptyDomainError):
@@ -527,7 +559,26 @@ class TestScanTrajectory:
         report = scan_trajectory(case1_system, square_candidate(), gains, traj)
         assert report.checked_points == 0
         assert report.holds_everywhere
-        assert report.value_zero_points == (0, 1, 2, 3)
+        # Nothing was checked: no largest residual, and no place where V = 0.
+        assert report.max_residual == -math.inf
+        assert report.value_zero_points == ()
+
+    def test_candidate_zero_at_nonzero_state_is_listed(self, identity_system):
+        # V vanishes at every state of the fixed orbit x = 1, and the
+        # decrement residual there is 0, no violation.
+        traj = simulate(identity_system, 1.0, 3)
+        report = scan_trajectory(identity_system, _DIP, FixedTimeGains(0.5, 0.5, 0.5, 2.0), traj)
+        assert report.holds_everywhere
+        assert report.value_zero_points == (0, 1, 2)
+
+    def test_origin_state_is_not_a_value_zero_point(self):
+        # [[0.0]] sends x0 = 1 to the origin, where the orbit stays.
+        system = affine_system([[0.0]])
+        report = scan_trajectory(
+            system, square_candidate(), FixedTimeGains(0.5, 0.5, 0.5, 2.0), simulate(system, 1.0, 4)
+        )
+        assert report.checked_points == 1
+        assert report.value_zero_points == ()
 
 
 class TestEstimateLipschitz:
@@ -785,9 +836,10 @@ def _reference_orbit_scan(system, V, gains, states, V_rhs, slack, tolerance, con
     violations, zeros, best, checked = [], [], -math.inf, 0
     for k in range(len(states) - 1):
         if not np.any(states[k]):
-            zeros.append(k)
             continue
         checked += 1
+        if V(states[k]) == 0.0:
+            zeros.append(k)
         r = _reference_residual(system, V, gains, states[k], V_rhs, slack)
         best = _keep_max(best, r)
         if _is_violation(r, tolerance):
@@ -796,28 +848,32 @@ def _reference_orbit_scan(system, V, gains, states, V_rhs, slack, tolerance, con
         condition_id=condition_id,
         checked_points=checked,
         **_columns(violations),
-        max_residual=best if checked else 0.0,
+        max_residual=best,
         tolerance=tolerance,
         value_zero_points=tuple(zeros),
     )
 
 
 def _reference_basic(system, V, grid, tolerance):
-    violations, best = [], -math.inf
+    violations, zeros, best, checked = [], [], -math.inf, 0
     for p in grid:
         if not np.any(p):
             continue
+        checked += 1
         vx = V(p)
+        if vx == 0.0:
+            zeros.append(tuple(p))
         for check, r in (("positivity", -vx), ("decrement", V(system.apply(p)) - vx)):
             best = _keep_max(best, r)
             if _is_violation(r, tolerance):
                 violations.append(Violation(tuple(p), r, check))
     return ConditionReport(
         condition_id=ConditionId.LYAP_BASIC,
-        checked_points=len(grid),
+        checked_points=checked,
         **_columns(violations),
         max_residual=best,
         tolerance=tolerance,
+        value_zero_points=tuple(zeros),
     )
 
 

@@ -145,6 +145,27 @@ def test_stored_derived_value_must_match_the_other_fields(kind, name):
         cls.from_dict(d)
 
 
+def _sweep_json():
+    """A ``sweep.json`` as the CLI writes it: the worst orbit settles."""
+    case = TABLE1_CASES[0]
+    result = sweep_settling(case.system(), [10.0, 1500.0], example_bound(*case.params()))
+    assert result.worst_settling is not None
+    return json.loads(json.dumps(result.to_dict()))
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(bound="19"), "malformed SweepResult: '<=' not supported"),
+    (lambda d: d.pop("epsilon"), "malformed SweepResult: .*missing 1 required .*'epsilon'"),
+    (lambda d: d.update(all_within_bound=1), "stored all_within_bound=1 contradicts"),
+], ids=["string-bound", "missing-epsilon", "int-for-bool"])
+def test_malformed_file_is_a_domain_error(edit, message):
+    d = _sweep_json()
+    SweepResult.from_dict(d)
+    edit(d)
+    with pytest.raises(ParameterDomainError, match=message):
+        SweepResult.from_dict(d)
+
+
 def test_report_columns_are_typed_by_the_constructor():
     # from_dict passes the raw JSON lists; ConditionReport sets the dtypes.
     for make, kind in ((orbit, "i"), (grid_2d, "f")):

@@ -12,6 +12,7 @@ from fixsettle import (
     FixedTimeGains,
     LemmaPreconditionError,
     ParameterDomainError,
+    QSequence,
     analyze_settling,
     example_bound,
     gains_from_example,
@@ -486,6 +487,16 @@ class TestQSequence:
         # So does the precondition power (1e200) ** 2.
         with pytest.raises(ParameterDomainError, match="overflow"):
             q_sequence([1e200, 2.0], 0.25, 2.0)
+
+    def test_bounds_are_derived_from_q_beta_and_r2(self):
+        qs = QSequence((8.0, 20.0), beta=0.25, r2=2.0)
+        assert (qs.lower, qs.upper, qs.out_of_bounds) == (4.0, 16.0, (1,))
+        with pytest.raises(TypeError):
+            QSequence((8.0,), 0.25, 2.0, 4.0, 16.0, ())
+        with pytest.raises(ParameterDomainError, match="overflow"):
+            QSequence((8.0,), 0.25, 1.0000001)
+        with pytest.raises(ParameterDomainError, match="lower < upper"):
+            QSequence((8.0,), 1.5, 2.0)
 
     def test_bounds_ordering_invariant(self):
         rng = np.random.default_rng(9)
