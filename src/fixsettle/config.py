@@ -208,6 +208,8 @@ def _build_system(d: dict) -> tuple:
             )
         return example_system(*params), params
     if "affine" in d:
+        _unread(d, "case", "system", "beside system.affine")
+        _unread(d, "params", "system", "beside system.affine")
         a = _section(d["affine"], "system.affine")
         return (
             affine_system(_require(a, "matrix", "system.affine"), a.get("offset")),

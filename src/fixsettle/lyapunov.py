@@ -29,7 +29,7 @@ from .errors import (
     OriginError,
     ParameterDomainError,
 )
-from .record import Record, encode
+from .record import Record, conforms, decode, encode
 from .systems import SystemMap, Trajectory, as_state, as_state_grid, row_dots, row_norms
 
 DEFAULT_TOLERANCE = 1e-12
@@ -186,17 +186,16 @@ class ConditionReport(Record):
     them under ``"violations"``.  Equality compares the ``to_dict`` forms.
 
     A check evaluates places, nonzero grid points or the step indices of
-    nonzero orbit states, never the origin.  ``checked_points`` counts the
-    places.  Violations come in place order, then check-kind order, each
-    with residual above the tolerance or NaN where it cannot be evaluated
+    nonzero orbit states, never the origin; ``checked_points`` counts them.
+    Violations come in place order, then check-kind order, each with a
+    residual above the tolerance, or NaN where it cannot be evaluated
     (inf - inf once V overflows, say).  ``max_residual`` is the first
     largest residual: NaN if any is NaN, -inf if nothing was checked.
     ``value_zero_points`` lists the places where V = 0, which breaks strict
     positivity though the residual arithmetic stays well-defined.
-    ``holds_everywhere`` is derived: true exactly when there are no
-    violations.  For 1-D grid scans, ``violation_intervals`` groups
-    contiguous violating grid points.  Malformed input raises
-    ``ParameterDomainError``.
+    ``holds_everywhere`` is true exactly when there are no violations.  For
+    1-D grid scans, ``violation_intervals`` groups contiguous violating grid
+    points.  Malformed input raises ``ParameterDomainError``.
     """
 
     condition_id: ConditionId
@@ -214,7 +213,7 @@ class ConditionReport(Record):
         try:
             condition_id = ConditionId(self.condition_id)
             where = np.asarray(self.where)
-            if where.ndim == 2:
+            if where.ndim == 2 and where.dtype.kind in "iuf":  # states, not strings
                 where = where.astype(float, copy=False)
             residual = np.asarray(self.residual, dtype=float)
             check = tuple(self.check)
@@ -222,7 +221,7 @@ class ConditionReport(Record):
             raise ParameterDomainError(f"malformed condition report: {err}") from None
         if where.ndim == 1 and (where.dtype.kind in "iu" or len(where) == 0):
             where = where.astype(np.int64, copy=False)
-        elif where.ndim != 2:
+        elif where.ndim != 2 or where.dtype != float:
             raise ParameterDomainError(
                 "violation places must be a (k,) array of integer step indices "
                 f"or a (k, n) array of states, got a {where.dtype} array of "
@@ -261,8 +260,16 @@ class ConditionReport(Record):
     @classmethod
     def from_dict(cls, d: dict):
         """Rebuild from ``to_dict`` output; the constructor types the columns."""
-        rows = d["violations"]
-        return super().from_dict(d, **{k: [r[k] for r in rows] for k in _COLUMNS})
+        try:
+            columns = {k: tuple(decode(r[k]) for r in d["violations"]) for k in _COLUMNS}
+        except (KeyError, TypeError) as err:  # no list of violations, or a key missing
+            raise ParameterDomainError(f"malformed condition report: {err!r}") from None
+        for k, hint in (("residual", float), ("check", str)):  # the constructor checks where
+            if not conforms(columns[k], Tuple[hint, ...]):
+                raise ParameterDomainError(
+                    f"malformed condition report: a violation {k} is not a {hint.__name__}"
+                )
+        return super().from_dict(d, **columns)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -335,21 +342,16 @@ def _report(
     if not math.isfinite(tolerance):  # NaN would flag every point, inf none
         raise ParameterDomainError(f"tolerance must be a finite number, got {tolerance!r}")
     violating = ~(residuals <= tolerance)
-    if len(kinds) == 1:  # a mask, and no per-violation Python work
-        rows = violating[:, 0]
-        residual = residuals[:, 0][rows]
-        check = kinds * len(residual)
-    else:
-        rows, cols = np.nonzero(violating)
-        residual = residuals[rows, cols]
-        check = tuple(np.array(kinds, dtype=object)[cols].tolist())
-    flat = residuals.ravel()  # argmax takes the first largest, or the first NaN
+    flat = residuals.ravel()  # place-major; argmax takes the first largest, or first NaN
+    hits = np.flatnonzero(violating)  # place i, kind j is hit i * len(kinds) + j
+    check = (kinds * len(hits) if len(kinds) == 1  # far cheaper than gathering kinds
+             else np.array(kinds, dtype=object)[hits % len(kinds)])
     zeros = places[values == 0.0].tolist()
     return ConditionReport(
         condition_id=condition_id,
         checked_points=len(places),
-        where=places[rows],
-        residual=residual,
+        where=places[hits // len(kinds)],
+        residual=flat[hits],
         check=check,
         max_residual=float(flat[np.argmax(flat)]) if len(flat) else -math.inf,
         tolerance=tolerance,

@@ -256,7 +256,12 @@ class TestConfigValidation:
          "system.params is not read beside system.case; remove it"),
         (lambda c: c["system"].update(affine={"matrix": [[0.5]]}),
          "system.affine is not read beside system.builtin; remove it"),
-    ], ids=["rhs-lipschitz", "coefficients", "rhs-coefficients", "vector", "params", "affine"])
+        (lambda c: c.update(system={"affine": {"matrix": [[0.5]]}, "case": 1}),
+         "system.case is not read beside system.affine; remove it"),
+        (lambda c: c.update(system={"affine": {"matrix": [[0.5]]}, "params": {"aprime": 0.8}}),
+         "system.params is not read beside system.affine; remove it"),
+    ], ids=["rhs-lipschitz", "coefficients", "rhs-coefficients", "vector", "params", "affine",
+            "affine-case", "affine-params"])
     def test_keys_the_chosen_variant_ignores_are_rejected(self, tmp_path, capsys, command,
                                                            edit, error):
         # Each of these keys used to be accepted and then ignored.

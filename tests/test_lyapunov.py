@@ -339,6 +339,39 @@ class TestReportCodec:
         with pytest.raises(ParameterDomainError, match="malformed condition report"):
             ConditionReport.from_dict(d)
 
+    _VIOLATION = {"where": 0, "residual": 1.0, "check": "decrement"}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d.pop("violations"), "KeyError\\('violations'\\)"),
+        (lambda d: d["violations"][0].pop("check"), "KeyError\\('check'\\)"),
+        (lambda d: d["violations"][0].pop("where"), "KeyError\\('where'\\)"),
+        (lambda d: d.update(violations=5), "TypeError"),
+        (lambda d: d.update(violations=[[0, 1.0, "decrement"]]), "TypeError"),
+        (lambda d: d["violations"][0].update(residual="1.5"), "a violation residual is not a float"),
+        (lambda d: d["violations"][0].update(check=1), "a violation check is not a str"),
+    ], ids=["no-violations", "no-check", "no-where", "int-violations", "list-violation",
+            "string-residual", "int-check"])
+    def test_malformed_violations_are_a_domain_error(self, edit, message):
+        d = {
+            "condition_id": "FT_DECREMENT", "checked_points": 1, "max_residual": 1.0,
+            "holds_everywhere": False, "tolerance": 0.0, "violations": [dict(self._VIOLATION)],
+        }
+        ConditionReport.from_dict(d)
+        edit(d)
+        with pytest.raises(ParameterDomainError, match=f"malformed condition report: .*{message}"):
+            ConditionReport.from_dict(d)
+
+    @pytest.mark.parametrize("where", ["0", True, ["0.5"], [0.5, "x"], [True]])
+    def test_non_numeric_place_is_rejected_on_decode(self, where):
+        # A numeric string used to be cast to a state coordinate.
+        d = {
+            "condition_id": "FT_DECREMENT", "checked_points": 1, "max_residual": 1.0,
+            "holds_everywhere": False, "tolerance": 0.0,
+            "violations": [{"where": where, "residual": 1.0, "check": "decrement"}],
+        }
+        with pytest.raises(ParameterDomainError, match="violation places must be"):
+            ConditionReport.from_dict(d)
+
     def test_float_step_index_is_rejected_on_decode(self):
         # The decoder used to force int on a flat `where` and read 0.5 as 0.
         d = {

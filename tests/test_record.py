@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from typing import Optional, Tuple, Union
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from fixsettle import affine_system
 from fixsettle.errors import ParameterDomainError
 from fixsettle.lyapunov import (
+    ConditionId,
     ConditionReport,
     FixedTimeGains,
     LyapunovCandidate,
@@ -33,7 +35,7 @@ from fixsettle.perturbation import (
     AttractivenessReport,
     analyze_attractiveness,
 )
-from fixsettle.record import Record
+from fixsettle.record import Record, conforms
 from fixsettle.settling import (
     SettlingReport,
     analyze_settling,
@@ -145,25 +147,57 @@ def test_stored_derived_value_must_match_the_other_fields(kind, name):
         cls.from_dict(d)
 
 
-def _sweep_json():
-    """A ``sweep.json`` as the CLI writes it: the worst orbit settles."""
+def _sweep_json(settles: bool):
+    """A ``sweep.json`` as the CLI writes it, whose worst orbit settles or,
+    cut after two steps, does not."""
     case = TABLE1_CASES[0]
-    result = sweep_settling(case.system(), [10.0, 1500.0], example_bound(*case.params()))
-    assert result.worst_settling is not None
+    bound = example_bound(*case.params())
+    result = sweep_settling(case.system(), [10.0, 1500.0], bound, k_max=None if settles else 2)
+    assert (result.worst_settling is not None) == settles
     return json.loads(json.dumps(result.to_dict()))
 
 
+@pytest.mark.parametrize("settles", [True, False], ids=["settles", "unsettled"])
 @pytest.mark.parametrize("edit, message", [
-    (lambda d: d.update(bound="19"), "malformed SweepResult: '<=' not supported"),
+    (lambda d: d.update(bound="19"), "malformed SweepResult: bound='19' has the wrong type"),
+    (lambda d: d.update(bound=19.0), "malformed SweepResult: bound=19.0 has the wrong type"),
+    (lambda d: d.update(epsilon="1"), "malformed SweepResult: epsilon='1' has the wrong type"),
+    (lambda d: d.update(worst_x0=True), "malformed SweepResult: worst_x0=True has the wrong"),
+    (lambda d: d["settling_vs_epsilon"][0].append(3),
+     "malformed SweepResult: settling_vs_epsilon=.* has the wrong type"),
     (lambda d: d.pop("epsilon"), "malformed SweepResult: .*missing 1 required .*'epsilon'"),
     (lambda d: d.update(all_within_bound=1), "stored all_within_bound=1 contradicts"),
-], ids=["string-bound", "missing-epsilon", "int-for-bool"])
-def test_malformed_file_is_a_domain_error(edit, message):
-    d = _sweep_json()
+], ids=["string-bound", "float-bound", "string-epsilon", "bool-x0", "long-curve-entry",
+        "missing-epsilon", "int-for-bool"])
+def test_malformed_file_is_a_domain_error(edit, message, settles):
+    # The unsettled sweep never compares bound in __post_init__, so only
+    # the decoder's own type check can catch a string there.
+    d = _sweep_json(settles)
     SweepResult.from_dict(d)
     edit(d)
     with pytest.raises(ParameterDomainError, match=message):
         SweepResult.from_dict(d)
+
+
+@pytest.mark.parametrize("d", [[], "sweep", None], ids=["list", "string", "null"])
+def test_file_that_is_not_an_object_is_a_domain_error(d):
+    with pytest.raises(ParameterDomainError, match="malformed SweepResult: .* is not an object"):
+        SweepResult.from_dict(d)
+
+
+@pytest.mark.parametrize("value, hint, ok", [
+    (1, float, True), (1.5, float, True), (True, float, False), ("1", float, False),
+    (1, int, True), (1.0, int, False), (False, int, False), (np.int64(3), int, True),
+    (True, bool, True), (1, bool, False), ("a", str, True), (None, str, False),
+    (None, Optional[int], True), (2, Optional[int], True), ("2", Optional[int], False),
+    ((1.0, 2.0), Tuple[float, ...], True), ((1.0, "x"), Tuple[float, ...], False),
+    ([1.0], Tuple[float, ...], False), ((1.0, None), Tuple[float, Optional[int]], True),
+    ((1.0,), Tuple[float, Optional[int]], False),
+    (3, Union[int, Tuple[float, ...]], True), ((0.5,), Union[int, Tuple[float, ...]], True),
+    (0.5, Union[int, Tuple[float, ...]], False), ("NOPE", ConditionId, True),
+])
+def test_conforms(value, hint, ok):
+    assert conforms(value, hint) is ok
 
 
 def test_report_columns_are_typed_by_the_constructor():
