@@ -186,11 +186,19 @@ class PerturbationSpec:
     have the state's shape and a ``norm`` strictly below ``delta0`` (exact
     zero is always admissible, it reduces the perturbed map to the nominal
     one).
+
+    A generator that does not read the state may also supply
+    ``block(k0, count)``: the ``(count, n)`` array of the draws for steps
+    k0 .. k0 + count - 1, each row equal to ``generator(k, state)``.  The
+    simulators then take their draws a block at a time and check the block's
+    shape and norm bound once; without ``block`` they call ``sample`` every
+    step.  The simulators never write to a block.
     """
 
     delta0: float
     generator: Callable[[int, np.ndarray], np.ndarray]
     name: str = "custom"
+    block: Optional[Callable[[int, int], np.ndarray]] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.delta0) and self.delta0 >= 0.0):
@@ -211,22 +219,42 @@ class PerturbationSpec:
                     f"perturbation '{self.name}' at step {k} has shape {g.shape}, "
                     f"expected {state.shape}"
                 )
-        size = norm(g)
+        self._check_norm(k, norm(g))
+        return g
+
+    def _checked_block(self, k0: int, count: int, n: int):
+        """``block(k0, count)`` with its shape checked, its rows' norms, and
+        the first step whose draw breaks the bound (None when none does)."""
+        draws = np.asarray(self.block(k0, count), dtype=float)
+        if draws.shape != (count, n):
+            raise ParameterDomainError(
+                f"perturbation '{self.name}' block at step {k0} has shape {draws.shape}, "
+                f"expected {(count, n)}"
+            )
+        sizes = row_norms(draws)
+        bad = np.flatnonzero((sizes != 0.0) & ~(sizes < self.delta0))
+        return draws, sizes, (k0 + int(bad[0]) if len(bad) else None)
+
+    def _check_norm(self, k: int, size: float) -> None:
         if size != 0.0 and not size < self.delta0:
             raise PerturbationBoundError(
                 f"perturbation at step {k} has norm {size:.6g}, "
                 f"which is not strictly below delta0={self.delta0:.6g}"
             )
-        return g
 
 
 def constant_perturbation(vector, delta0: float, name: str = "constant") -> PerturbationSpec:
     """A fixed additive offset applied at every step."""
     vec = np.atleast_1d(np.asarray(vector, dtype=float))
-    return PerturbationSpec(delta0=delta0, generator=lambda k, x: vec, name=name)
+    return PerturbationSpec(
+        delta0=delta0,
+        generator=lambda k, x: vec,
+        name=name,
+        block=lambda k0, count: np.broadcast_to(vec, (count, *vec.shape)),
+    )
 
 
-# Steps whose PCG64 states and draws ``uniform_ball`` computes in one pass.
+# The most steps whose draws the simulators ask a ``block`` for at once.
 _SEED_BLOCK = 128
 
 
@@ -236,19 +264,22 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
     Step k (k >= 0) draws ``standard_normal(dimension)`` and then
     ``random()`` from ``np.random.default_rng((seed, k))``, so the draw
     depends on ``(seed, k)`` alone and the sequence is reproducible.  The
-    generator keeps internal state to get there cheaply: the PCG64 states
-    of a block of consecutive steps, computed in one pass, and that
-    block's draws, each made by one reused PCG64 set to the step's state
-    and scaled for the whole block at once.  A call returns a copy of its
-    step's row.  A negative seed or k raises ``ParameterDomainError``.
+    ``block`` gets there cheaply: it computes the PCG64 states of its steps
+    in one pass, makes each step's draws with one reused PCG64 set to the
+    step's state, and scales the whole block at once.  The per-step
+    ``generator`` is a block of one.  A negative seed or k raises
+    ``ParameterDomainError``.
     """
     if dimension < 1:
         raise ParameterDomainError("dimension must be a positive integer")
     if seed < 0:
         raise ParameterDomainError("seed must be a nonnegative integer")
-    k0, block = 0, np.empty((0, dimension))
 
-    def draw_block(k: int) -> np.ndarray:
+    def block(k0: int, count: int) -> np.ndarray:
+        if delta0 == 0.0:
+            return np.zeros((count, dimension))
+        if k0 < 0:
+            raise ParameterDomainError(f"uniform_ball step must be nonnegative, got {k0}")
         # numpy imports numpy.random on first use, and importing it or
         # ._pcg64 is a large share of a CLI call's set-up; only a draw pays.
         from numpy.random import PCG64, Generator
@@ -257,9 +288,11 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
 
         bitgen = PCG64(0)
         rng = Generator(bitgen)
-        states = seed_states(seed, k, _SEED_BLOCK)
-        normals = np.empty((len(states), dimension))
-        u = np.empty(len(states))
+        states = []
+        while len(states) < count:  # seed_states stops where k's low word wraps
+            states += seed_states(seed, k0 + len(states), count - len(states))
+        normals = np.empty((count, dimension))
+        u = np.empty(count)
         for j, (pcg_state, inc) in enumerate(states):
             bitgen.state = {
                 "bit_generator": "PCG64",
@@ -280,17 +313,12 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
         radii = delta0 * np.float_power(u, 1.0 / dimension)
         return normals / sizes[:, None] * radii[:, None]
 
-    def gen(k: int, state: np.ndarray) -> np.ndarray:
-        nonlocal k0, block
-        if delta0 == 0.0:
-            return np.zeros(dimension)
-        if k < 0:
-            raise ParameterDomainError(f"uniform_ball step must be nonnegative, got {k}")
-        if not 0 <= k - k0 < len(block):
-            k0, block = k, draw_block(k)
-        return block[k - k0].copy()
-
-    return PerturbationSpec(delta0=delta0, generator=gen, name="uniform_ball")
+    return PerturbationSpec(
+        delta0=delta0,
+        generator=lambda k, state: block(k, 1)[0],
+        name="uniform_ball",
+        block=block,
+    )
 
 
 def radial_perturbation(
@@ -327,7 +355,14 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
 
     Yields ``(k, states, norms)`` for k = 1..k_max: the state or stack at
     index k and its ``norm`` or ``row_norms``.  Each step calls ``body``
-    once and adds ``pert.sample(k - 1, x)`` when ``pert`` is given.  A
+    once and, when ``pert`` is given, adds the step-(k - 1) perturbation.
+    A spec with a ``block`` gives its draws a block at a time: at most
+    ``_SEED_BLOCK`` steps per call and never a step past ``k_max``, with
+    the block's shape and norm bound checked once per block; a stack adds
+    each row to all its states.  The bound error is raised only when the
+    orbit reaches the first step whose draw breaks it, so an earlier
+    divergence is the error raised.  A spec without ``block`` reads the
+    state, and each step calls ``pert.sample(k - 1, x)``.  A
     state has diverged when its norm is not <= ``DIVERGENCE_LIMIT``.  Rows
     run as if each ran alone, in row order: after the first divergence
     nothing is yielded, only the rows before the diverged one keep
@@ -338,12 +373,21 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
     body = system.body
     start = x
     stack = x.ndim == 2
+    by_block = pert is not None and pert.block is not None
+    k0, draws, bad = 0, (), None  # the block of steps k0.. and its first bad step
     diverged = None  # (row, last finite index) of the first diverged row
     for k in range(k_max):
         nxt = np.asarray(body(x), dtype=float)
         if nxt.shape != x.shape:
             _checked(system, nxt, x.shape)
-        if pert is not None:
+        if by_block:
+            if k - k0 == len(draws):
+                k0 = k
+                draws, sizes, bad = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), x.shape[-1])
+            if k == bad:
+                pert._check_norm(k, float(sizes[k - k0]))
+            nxt = nxt + draws[k - k0]
+        elif pert is not None:
             nxt = nxt + pert.sample(k, x)
         if stack:
             size = row_norms(nxt)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -328,17 +329,165 @@ class TestSimulatePerturbed:
 
     def test_draw_of_the_wrong_shape_rejected(self, identity_system):
         plane = affine_system(np.eye(2))
-        with pytest.raises(ParameterDomainError, match=r"shape \(1,\), expected \(2,\)"):
+        with pytest.raises(ParameterDomainError,
+                           match=r"block at step 0 has shape \(3, 1\), expected \(3, 2\)"):
             simulate_perturbed(plane, constant_perturbation([0.01], 0.05), [1.0, 1.0], 3)
-        with pytest.raises(ParameterDomainError, match=r"shape \(2,\), expected \(1,\)"):
+        with pytest.raises(ParameterDomainError,
+                           match=r"block at step 0 has shape \(3, 2\), expected \(3, 1\)"):
             simulate_perturbed(
                 identity_system, constant_perturbation([0.01, 0.0], 0.05), 1.0, 3
             )
+        per_step = PerturbationSpec(delta0=0.05, generator=lambda k, x: np.zeros(2))
+        with pytest.raises(ParameterDomainError, match=r"step 0 has shape \(2,\), expected \(1,\)"):
+            simulate_perturbed(identity_system, per_step, 1.0, 3)
 
     def test_scalar_draw_counts_as_a_vector_in_one_dimension(self, identity_system):
         pert = PerturbationSpec(delta0=0.05, generator=lambda k, x: 0.01)
         traj = simulate_perturbed(identity_system, pert, 0.0, 2)
         assert traj.states[:, 0].tolist() == [0.0, 0.01, 0.02]
+
+
+def _block_spec(draw, delta0=0.05, n=1, block=True):
+    """A state-free spec whose step-k draw is ``draw(k)``, given a block at a
+    time or, with ``block=False``, only step by step."""
+    def rows(k0, count):
+        return np.array([draw(k) for k in range(k0, k0 + count)], dtype=float).reshape(count, n)
+
+    return PerturbationSpec(delta0=delta0, generator=lambda k, x: rows(k, 1)[0], name="rows",
+                            block=rows if block else None)
+
+
+class TestPerturbationBlocks:
+    """State-free perturbations reach the orbit a block at a time and keep
+    every shape, bound and divergence check of the per-step ``sample``."""
+
+    @staticmethod
+    def _raised(system, spec, x0, k_max):
+        with pytest.raises(Exception) as err:
+            simulate_perturbed(system, spec, x0, k_max)
+        return err.value
+
+    @pytest.mark.parametrize("bad_step", [0, 50, _SEED_BLOCK - 1, _SEED_BLOCK + 3])
+    def test_bad_row_raises_at_its_own_step(self, identity_system, bad_step):
+        def draw(k):
+            return 0.06 if k == bad_step else 0.01
+
+        per_block = self._raised(identity_system, _block_spec(draw), 0.0, 200)
+        per_step = self._raised(identity_system, _block_spec(draw, block=False), 0.0, 200)
+        assert isinstance(per_block, PerturbationBoundError)
+        assert str(per_block) == str(per_step) == (
+            f"perturbation at step {bad_step} has norm 0.06, "
+            "which is not strictly below delta0=0.05"
+        )
+
+    def test_bad_row_after_the_orbit_stops_is_never_reached(self, identity_system):
+        spec = _block_spec(lambda k: 0.06 if k == 60 else 0.03125)
+        traj = simulate_perturbed(identity_system, spec, 0.0, 60)
+        assert len(traj) == 61 and traj.truncated
+        traj = simulate_perturbed(identity_system, spec, -1.0, 200, stop_epsilon=0.5)
+        assert len(traj) == 17 and not traj.truncated
+
+    def test_divergence_before_the_bad_step_is_the_error(self):
+        # x -> 1e100 x overflows the guard at step 4; the bad draw is at step 50.
+        blowup = affine_system([[1e100]])
+
+        def draw(k):
+            return 0.06 if k == 50 else 0.01
+
+        per_block = self._raised(blowup, _block_spec(draw), 1.0, 200)
+        per_step = self._raised(blowup, _block_spec(draw, block=False), 1.0, 200)
+        assert isinstance(per_block, SimulationDivergedError)
+        assert isinstance(per_step, SimulationDivergedError)
+        assert per_block.last_finite_index == per_step.last_finite_index == 3
+        assert str(per_block) == str(per_step)
+
+    def test_block_of_the_wrong_shape_names_step_and_shapes(self, identity_system):
+        def rows(k0, count):
+            # Right for the first block, one row too many for the second.
+            return np.full((count + (k0 > 0), 1), 0.01)
+
+        spec = PerturbationSpec(delta0=0.05, generator=lambda k, x: 0.01, block=rows)
+        with pytest.raises(ParameterDomainError,
+                           match=rf"'custom' block at step {_SEED_BLOCK} has shape "
+                                 rf"\(73, 1\), expected \(72, 1\)"):
+            simulate_perturbed(identity_system, spec, 0.0, _SEED_BLOCK + 72)
+        flat = PerturbationSpec(delta0=0.05, generator=lambda k, x: 0.01,
+                                block=lambda k0, count: np.full(count, 0.01))
+        with pytest.raises(ParameterDomainError,
+                           match=r"block at step 0 has shape \(5,\), expected \(5, 1\)"):
+            simulate_perturbed(identity_system, flat, 0.0, 5)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_nan_row_fails_the_bound(self, n):
+        plane = affine_system(np.eye(n))
+        spec = _block_spec(lambda k: [math.nan] + [0.0] * (n - 1) if k == 7 else [0.0] * n, n=n)
+        with pytest.raises(PerturbationBoundError, match="at step 7 has norm nan"):
+            simulate_perturbed(plane, spec, [0.0] * n, 20)
+
+    def test_constant_block_is_never_mutated_by_stepping(self):
+        vec = np.array([0.01, -0.02])
+        pert = constant_perturbation(vec, delta0=0.05)
+        plane = affine_system(np.eye(2))
+        traj = simulate_perturbed(plane, pert, [0.0, 0.0], 300)
+        assert vec.tolist() == [0.01, -0.02]
+        rows = pert.block(5, 3)
+        assert not rows.flags.writeable
+        assert rows.tolist() == [[0.01, -0.02]] * 3
+        want = np.zeros(2)
+        for k in range(300):
+            want = want + vec
+            assert traj.states[k + 1].tobytes() == want.tobytes()
+
+    def test_orbit_draws_each_step_once_and_never_past_k_max(self, case1_system, monkeypatch):
+        def no_sample(self, k, state):
+            raise AssertionError("a block spec must not be sampled step by step")
+
+        monkeypatch.setattr(PerturbationSpec, "sample", no_sample)
+        spec = uniform_ball_perturbation(0.05, 1, 7)
+        asked = []
+
+        def spy(k0, count):
+            asked.append((k0, count))
+            return spec.block(k0, count)
+
+        traj = simulate_perturbed(case1_system, replace(spec, block=spy), 1500.0, 200)
+        assert asked == [(0, _SEED_BLOCK), (_SEED_BLOCK, 200 - _SEED_BLOCK)]
+        assert len(traj) == 201
+        # The same orbit as the per-step generator gives.
+        per_step = replace(spec, block=None)
+        monkeypatch.undo()
+        assert traj.states.tobytes() == simulate_perturbed(
+            case1_system, per_step, 1500.0, 200).states.tobytes()
+
+    def test_stopped_orbit_draws_no_more_than_whole_blocks(self):
+        # |x| shrinks by 0.95 a step from 1000, so the orbit stops past step 128.
+        shrink = affine_system([[0.95]])
+        spec = uniform_ball_perturbation(1e-3, 1, 3)
+        asked = []
+
+        def spy(k0, count):
+            asked.append((k0, count))
+            return spec.block(k0, count)
+
+        traj = simulate_perturbed(shrink, replace(spec, block=spy), 1000.0, 1000, stop_epsilon=1.0)
+        s = len(traj) - 1
+        assert _SEED_BLOCK < s < 2 * _SEED_BLOCK and not traj.truncated
+        assert asked == [(0, _SEED_BLOCK), (_SEED_BLOCK, _SEED_BLOCK)]
+        assert sum(count for _, count in asked) <= _SEED_BLOCK * math.ceil(s / _SEED_BLOCK)
+
+    def test_state_reading_generators_are_sampled_every_step(self, case1_system, monkeypatch):
+        calls = []
+        sample = PerturbationSpec.sample
+
+        def counted(self, k, state):
+            calls.append(k)
+            return sample(self, k, state)
+
+        monkeypatch.setattr(PerturbationSpec, "sample", counted)
+        pert = radial_perturbation(0.05, 1)
+        assert pert.block is None
+        simulate_perturbed(case1_system, pert, 1500.0, 200)
+        assert calls == list(range(200))
 
 
 def _reference_ball(delta0, n, seed, k):
@@ -350,16 +499,19 @@ def _reference_ball(delta0, n, seed, k):
     return direction / norm * radius
 
 
-def _reference_orbit(system, generator, delta0, seed, x0, k_max):
+def _reference_orbit(system, generator, delta0, seed, x0, k_max, push=0.0):
     """A perturbed orbit stepped with a fresh RNG per step, the map applied
-    to a stack of one state, and with the radial push along x / |x|;
-    returns its states, or the last finite index of a diverged orbit."""
+    to a stack of one state, with the radial push along x / |x|, and with
+    the constant push ``push * delta0``; returns its states, or the last
+    finite index of a diverged orbit."""
     x = np.array([x0])
     states = [x]
     for k in range(k_max):
         nxt = system.body(x[None, :])[0]
         if generator == "uniform_ball":
             g = _reference_ball(delta0, 1, seed, k)
+        elif generator == "constant":
+            g = np.array([push * delta0])
         else:
             norm = math.hypot(*x)  # |x|, whose square may underflow
             direction = x / norm if norm != 0.0 else np.array([1.0])
@@ -408,6 +560,12 @@ class TestUniformBallStream:
               *range(start, start + 5), start + _SEED_BLOCK - 1, start + _SEED_BLOCK, start + 2]
         for k in ks:
             assert gen(k, np.zeros(n)).tobytes() == _reference_ball(0.05, n, 9, k).tobytes(), k
+        # One block across the wrap of k's low 32-bit word, where the seed
+        # states come in two runs.
+        block = uniform_ball_perturbation(0.05, n, 9).block
+        k0 = 2**32 - 3
+        want = [_reference_ball(0.05, n, 9, k) for k in range(k0, k0 + 8)]
+        assert block(k0, 8).tobytes() == np.array(want).tobytes()
 
     def test_returned_draw_is_the_callers(self):
         gen = uniform_ball_perturbation(0.05, 2, 4).generator
@@ -443,24 +601,33 @@ class TestUniformBallStream:
     @settings(max_examples=80, deadline=None)
     @given(
         case=st.sampled_from(TABLE1_CASES),
-        generator=st.sampled_from(["uniform_ball", "radial"]),
+        generator=st.sampled_from(["uniform_ball", "radial", "constant"]),
         x0_share=st.floats(-2.0, 2.0),
         delta0=st.floats(1e-6, 1.0),
         seed=st.integers(0, 2**70),
-        k_max=st.integers(1, 60),
+        # Orbits up to and past the second block edge.
+        k_max=st.integers(1, 2 * _SEED_BLOCK + 44),
+        push=st.floats(-0.999, 0.999),
     )
     # x0 is about -1e-305, whose square underflows: the push is still outward.
     @example(case=TABLE1_CASES[0], generator="radial", x0_share=-1e-311, delta0=0.5,
-             seed=0, k_max=3)
-    def test_orbits_equal_the_per_step_rng_loop(self, case, generator, x0_share, delta0, seed, k_max):
+             seed=0, k_max=3, push=0.0)
+    @example(case=TABLE1_CASES[1], generator="uniform_ball", x0_share=0.3, delta0=0.05,
+             seed=2**64 + 3, k_max=2 * _SEED_BLOCK + 1, push=0.0)
+    @example(case=TABLE1_CASES[2], generator="constant", x0_share=-0.3, delta0=0.05,
+             seed=0, k_max=2 * _SEED_BLOCK + 44, push=0.9)
+    def test_orbits_equal_the_per_step_rng_loop(self, case, generator, x0_share, delta0, seed,
+                                                 k_max, push):
         system = case.system()
         x0 = x0_share * divergence_threshold(case.bprime, case.r2prime)
         if generator == "uniform_ball":
             pert = uniform_ball_perturbation(delta0, 1, seed)
+        elif generator == "constant":
+            pert = constant_perturbation([push * delta0], delta0)
         else:
             pert = radial_perturbation(delta0, 1)
         with np.errstate(over="ignore", invalid="ignore"):
-            want = _reference_orbit(system, generator, delta0, seed, x0, k_max)
+            want = _reference_orbit(system, generator, delta0, seed, x0, k_max, push)
         if isinstance(want, int):
             with pytest.raises(SimulationDivergedError) as err:
                 simulate_perturbed(system, pert, x0, k_max)
