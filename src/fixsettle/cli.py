@@ -117,13 +117,27 @@ def _write_json(path: Path, obj):
 _CHUNK = 1024  # violation records per write
 
 
-def _json_floats(values: np.ndarray) -> list:
-    """The text ``json`` writes for each float: its repr, or NaN/Infinity/-Infinity."""
-    floats = values.tolist()
-    text = list(map(float.__repr__, floats))
-    for i in np.flatnonzero(~np.isfinite(values)).tolist():
-        text[i] = json.dumps(floats[i])
-    return text
+def _json_floats(values: np.ndarray):
+    """The text ``json`` writes for each float of ``values``, a slice at a time.
+
+    Each distinct magnitude is formatted once, as its repr or as NaN or
+    Infinity, and only one text per magnitude is kept.  The returned
+    function gives the texts of ``values[rows]`` as a list: the magnitude's
+    text with a "-" in front where the sign bit is set, except on NaN,
+    which ``json`` writes without a sign.
+    """
+    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
+    texts = np.array(list(map(float.__repr__, magnitudes.tolist())), dtype=object)
+    for i in np.flatnonzero(~np.isfinite(magnitudes)).tolist():
+        texts[i] = json.dumps(magnitudes[i].item())
+
+    def rows_text(rows: slice) -> list:
+        text, part = texts[inverse[rows]], values[rows]
+        negative = np.flatnonzero(np.signbit(part) & ~np.isnan(part))
+        text[negative] = "-" + text[negative]
+        return text.tolist()
+
+    return rows_text
 
 
 def _violation_chunks(report: ConditionReport):
@@ -133,20 +147,20 @@ def _violation_chunks(report: ConditionReport):
     if where.ndim == 1:
         place = "%s"
     else:
-        place = "[\n        " + ",\n        ".join(["%s"] * where.shape[1]) + "\n      ]"
+        n = where.shape[1]
+        place = "[\n        " + ",\n        ".join(["%s"] * n) + "\n      ]"
+        states = _json_floats(where.ravel())
     record = '    {\n      "check": %s,\n      "residual": %s,\n      "where": ' + place + "\n    }"
     kinds = {c: json.dumps(c) for c in set(report.check)}
+    residuals = _json_floats(report.residual)
     for start in range(0, len(where), _CHUNK):
         rows = slice(start, start + _CHUNK)
-        columns = [
-            map(kinds.__getitem__, report.check[rows]),
-            _json_floats(report.residual[rows]),
-        ]
+        columns = [map(kinds.__getitem__, report.check[rows]), residuals(rows)]
         if where.ndim == 1:
             columns.append(map(int.__repr__, where[rows].tolist()))
         else:
-            flat = _json_floats(where[rows].ravel())
-            columns += [flat[j:: where.shape[1]] for j in range(where.shape[1])]
+            flat = states(slice(start * n, (start + _CHUNK) * n))
+            columns += [flat[j::n] for j in range(n)]
         yield (",\n" if start else "") + ",\n".join(map(record.__mod__, zip(*columns)))
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import fixsettle
 from fixsettle import cli
@@ -839,15 +839,18 @@ class TestDeterminism:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
     # sha256 of check.json: mixed and perturbed as written before the grid
-    # scans were batched, the others as written before reports kept their
-    # violations as columns.  Run-to-run comparisons cannot see a last-bit
-    # change that every run makes alike; a pinned digest can.
+    # scans were batched, signed_mixed as written before the writer
+    # formatted each distinct magnitude once, the others as written before
+    # reports kept their violations as columns.  Run-to-run comparisons
+    # cannot see a last-bit change that every run makes alike; a pinned
+    # digest can.
     PINNED_CHECK_DIGESTS = {
         "grid2d": "9e38d9f24df9717e6ef6d22c44301c8d3c629ab426048b75fa7d22c753a1af8a",
         "mixed": "2ff6ec68f1b26a0e9ace5b421d9096abdeb88d473477596cd69c69c1ff4ca618",
         "orbit": "5282077bae9cb70768f857da40c643ac701f8841096a0da002ea26870ba47384",
         "overflow": "e70f0c492c6711e336c5ddcb28c871cc14354065cf6cfd0ef2e39747c881453d",
         "perturbed": "542aff69a84054f3564ca9f545fe8a5b9445bf98f8eb03132096f4f0b2ae1267",
+        "signed_mixed": "b88460b97056f733f791d57ab4bdb35621ff1abb19051b9d9caa08a1e24907d4",
     }
     PINNED_CHECK_CONFIGS = {
         "perturbed": {
@@ -856,6 +859,21 @@ class TestDeterminism:
             "lyapunov": {"form": "abs"},
             "gains": {"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
             "perturbation": {"delta0": 0.05, "generator": "radial"},
+            "analysis": {
+                "grid": {"scale": "log", "low": 0.001, "high": 10000,
+                         "points": 2001, "signed": True},
+                "tolerance": 1e-12,
+            },
+        },
+        # The odd example map and the even square candidate on a signed
+        # grid: 2188 violations, x at record i and -x at record 2187 - i,
+        # so the two copies of each residual and each magnitude of x sit
+        # in different chunks.
+        "signed_mixed": {
+            "schema": 1,
+            "system": {"builtin": "example", "case": 1},
+            "lyapunov": {"form": "square", "rhs": {"form": "abs"}},
+            "gains": {"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
             "analysis": {
                 "grid": {"scale": "log", "low": 0.001, "high": 10000,
                          "points": 2001, "signed": True},
@@ -905,6 +923,9 @@ class TestDeterminism:
             assert main(["check", "--config", cfg, "--out", str(out)]) == 0
         digest = hashlib.sha256((out / "check.json").read_bytes()).hexdigest()
         assert digest == self.PINNED_CHECK_DIGESTS[scenario]
+        if scenario == "signed_mixed":
+            records = json.loads((out / "check.json").read_text())["violations"]
+            assert len(records) > 2 * cli._CHUNK
 
     # sha256 of CSV and attract outputs as written before the CSV writer
     # took columns and uniform_ball drew a block of steps at a time: a 1-D
@@ -1391,20 +1412,26 @@ _FLOATS = st.one_of(
 @st.composite
 def _reports(draw):
     """Reports with any column content: int step indices or n-D states,
-    every violation kind, and any floats."""
+    every violation kind, and any floats.  Some draw their columns from a
+    small pool of magnitudes with random signs, so one column holds x and
+    -x, +0.0 and -0.0, NaN with its sign bit set, and repeats."""
     k = draw(st.integers(0, 12))
+    floats = _FLOATS
+    if draw(st.booleans()):
+        pool = draw(st.lists(_FLOATS, min_size=1, max_size=3))
+        floats = st.builds(math.copysign, st.sampled_from(pool), st.sampled_from([1.0, -1.0]))
     if draw(st.booleans()):
         where = np.array(draw(st.lists(st.integers(0, 2 ** 62), min_size=k, max_size=k)),
                          dtype=np.int64)
     else:
         n = draw(st.integers(1, 4))
-        where = np.array(draw(st.lists(_FLOATS, min_size=k * n, max_size=k * n)),
+        where = np.array(draw(st.lists(floats, min_size=k * n, max_size=k * n)),
                          dtype=float).reshape(k, n)
     return ConditionReport(
         condition_id=draw(st.sampled_from(list(ConditionId))),
         checked_points=draw(st.integers(0, 10 ** 6)),
         where=where,
-        residual=draw(st.lists(_FLOATS, min_size=k, max_size=k)),
+        residual=draw(st.lists(floats, min_size=k, max_size=k)),
         check=draw(st.lists(st.sampled_from(["positivity", "decrement"]),
                             min_size=k, max_size=k)),
         max_residual=draw(_FLOATS),
@@ -1415,10 +1442,24 @@ def _reports(draw):
     )
 
 
+def _mirrored_report():
+    """Each value and its negation, chunks apart at chunk size 3, as on a
+    signed grid of an odd map: -0.0, -inf and NaN with its sign bit set."""
+    pool = np.array([0.0, 0.1, 5e-324, 1e16, math.inf, math.nan, 2.5, 1.7976931348623157e308])
+    values = np.concatenate([pool, -pool, pool[::-1], -pool[::-1]])
+    k = len(values)
+    return ConditionReport(
+        condition_id=ConditionId.FT_MIXED, checked_points=k,
+        where=np.stack([values, values[::-1]], axis=1), residual=values[::-1],
+        check=("decrement",) * k, max_residual=math.nan, tolerance=1e-12,
+    )
+
+
 class TestReportWriter:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(report=_reports(), chunk=st.integers(1, 5))
+    @example(report=_mirrored_report(), chunk=3)
     def test_columns_write_the_bytes_of_json_dumps(self, tmp_path, monkeypatch, report, chunk):
         # Small chunks put chunk boundaries inside the drawn reports.
         monkeypatch.setattr(cli, "_CHUNK", chunk)
