@@ -76,7 +76,10 @@ def _writing(path: Path, newline=None):
 
 
 def _csv_column(col) -> list:
-    """Every value of ``col`` as ``_fmt`` writes it; a float array in one pass."""
+    """Every value of ``col`` as ``_fmt`` writes it; a float array or a
+    ``range`` in one pass."""
+    if isinstance(col, range):
+        return list(map(str, col))
     if isinstance(col, np.ndarray) and col.dtype.kind == "f":
         return list(map("{:.17g}".format, col.tolist()))
     return list(map(_fmt, col))

@@ -354,15 +354,21 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
     """Step one state of shape (n,) or an (m, n) stack ``k_max`` times.
 
     Yields ``(k, states, norms)`` for k = 1..k_max: the state or stack at
-    index k and its ``norm`` or ``row_norms``.  Each step calls ``body``
-    once and, when ``pert`` is given, adds the step-(k - 1) perturbation.
-    A spec with a ``block`` gives its draws a block at a time: at most
+    index k and its ``norm`` or ``row_norms``.  A single state of shape
+    (1,) is kept as a Python float between steps and yielded as one, with
+    ``abs`` of it as its norm, which equals ``norm`` of the 1-vector bit
+    for bit (both zeros, NaN and inf included).  Each step calls ``body``
+    once, on a one-state array for such a float, and checks the output's
+    shape; when ``pert`` is given it adds the step-(k - 1) perturbation.
+    Stacks and single states of dimension 2 or more step as arrays.  A
+    spec with a ``block`` gives its draws a block at a time: at most
     ``_SEED_BLOCK`` steps per call and never a step past ``k_max``, with
     the block's shape and norm bound checked once per block; a stack adds
-    each row to all its states.  The bound error is raised only when the
-    orbit reaches the first step whose draw breaks it, so an earlier
-    divergence is the error raised.  A spec without ``block`` reads the
-    state, and each step calls ``pert.sample(k - 1, x)``.  A
+    each row to all its states, and a float its row's one component, read
+    once per block as a list of floats.  The bound error is raised only when the orbit reaches
+    the first step whose draw breaks it, so an earlier divergence is the
+    error raised.  A spec without ``block`` reads the state, and each step
+    calls ``pert.sample(k - 1, x)``, on the one-state array for a float.  A
     state has diverged when its norm is not <= ``DIVERGENCE_LIMIT``.  Rows
     run as if each ran alone, in row order: after the first divergence
     nothing is yielded, only the rows before the diverged one keep
@@ -372,38 +378,66 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
     """
     body = system.body
     start = x
-    stack = x.ndim == 2
     by_block = pert is not None and pert.block is not None
     k0, draws, bad = 0, (), None  # the block of steps k0.. and its first bad step
     diverged = None  # (row, last finite index) of the first diverged row
-    for k in range(k_max):
-        nxt = np.asarray(body(x), dtype=float)
-        if nxt.shape != x.shape:
-            _checked(system, nxt, x.shape)
-        if by_block:
-            if k - k0 == len(draws):
-                k0 = k
-                draws, sizes, bad = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), x.shape[-1])
-            if k == bad:
-                pert._check_norm(k, float(sizes[k - k0]))
-            nxt = nxt + draws[k - k0]
-        elif pert is not None:
-            nxt = nxt + pert.sample(k, x)
-        if stack:
-            size = row_norms(nxt)
-            guarded = size <= DIVERGENCE_LIMIT
-            row = None if guarded.all() else int(np.argmin(guarded))
-        else:
-            size = norm(nxt)
-            row = None if size <= DIVERGENCE_LIMIT else 0
-        if row is not None:
-            diverged = (row, k)
-            nxt = nxt[:row]
-            if not len(nxt):
+    if x.shape == (1,):
+        y = x.item()
+        # The one-state array ``body`` and ``sample`` get, refilled every
+        # step; what they return is read before the next refill, so an
+        # output that is this array itself is safe.
+        state = np.empty(1)
+        for k in range(k_max):
+            state[0] = y
+            nxt = np.asarray(body(state), dtype=float)
+            if nxt.shape != (1,):
+                _checked(system, nxt, (1,))
+            y = nxt.item()
+            if by_block:
+                if k - k0 == len(draws):
+                    k0 = k
+                    draws, sizes, bad = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), 1)
+                    draws = draws[:, 0].tolist()
+                if k == bad:
+                    pert._check_norm(k, float(sizes[k - k0]))
+                y = y + draws[k - k0]
+            elif pert is not None:
+                y = y + pert.sample(k, state).item()
+            size = abs(y)
+            if not size <= DIVERGENCE_LIMIT:
+                diverged = (0, k)
                 break
-        elif diverged is None:
-            yield k + 1, nxt, size
-        x = nxt
+            yield k + 1, y, size
+    else:
+        stack = x.ndim == 2
+        for k in range(k_max):
+            nxt = np.asarray(body(x), dtype=float)
+            if nxt.shape != x.shape:
+                _checked(system, nxt, x.shape)
+            if by_block:
+                if k - k0 == len(draws):
+                    k0 = k
+                    draws, sizes, bad = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), x.shape[-1])
+                if k == bad:
+                    pert._check_norm(k, float(sizes[k - k0]))
+                nxt = nxt + draws[k - k0]
+            elif pert is not None:
+                nxt = nxt + pert.sample(k, x)
+            if stack:
+                size = row_norms(nxt)
+                guarded = size <= DIVERGENCE_LIMIT
+                row = None if guarded.all() else int(np.argmin(guarded))
+            else:
+                size = norm(nxt)
+                row = None if size <= DIVERGENCE_LIMIT else 0
+            if row is not None:
+                diverged = (row, k)
+                nxt = nxt[:row]
+                if not len(nxt):
+                    break
+            elif diverged is None:
+                yield k + 1, nxt, size
+            x = nxt
     if diverged is not None:
         row, k = diverged
         raise SimulationDivergedError(
@@ -425,19 +459,21 @@ def _run(
     if stop_epsilon is not None and not stop_epsilon >= 0.0:
         raise ParameterDomainError("stop_epsilon must be nonnegative")
     x = as_state(x0, system.dimension)
-    states = [x]
+    # ``_steps`` yields a state of shape (1,) as a float, so a 1-D orbit is
+    # a list of floats until it becomes one array.
+    states = [x.item() if x.shape == (1,) else x]
     truncated = True
     # A diverging orbit overflows to inf, which the guard reports; numpy's
     # overflow warnings would only repeat that on stderr.
     with np.errstate(over="ignore", invalid="ignore"):
         if stop_epsilon is not None and norm(x) <= stop_epsilon:
-            return Trajectory(np.array(states), truncated=False)
-        for _, x, size in _steps(system, x, k_max, pert):
-            states.append(x)
+            return Trajectory(np.array([x]), truncated=False)
+        for _, state, size in _steps(system, x, k_max, pert):
+            states.append(state)
             if stop_epsilon is not None and size <= stop_epsilon:
                 truncated = False
                 break
-    return Trajectory(np.array(states), truncated=truncated)
+    return Trajectory(np.array(states).reshape(len(states), -1), truncated=truncated)
 
 
 def simulate(

@@ -1703,7 +1703,9 @@ def _csv_columns(draw):
             columns.append(np.array(draw(st.lists(st.booleans(), min_size=k, max_size=k)),
                                     dtype=bool))
         elif kind == "range":
-            columns.append(range(k))
+            start = draw(st.integers(-(2 ** 70), 2 ** 70))
+            step = draw(st.integers(1, 3) | st.integers(-3, -1))
+            columns.append(range(start, start + k * step, step))
         else:
             columns.append(draw(st.lists(_CELLS, min_size=k, max_size=k)))
     header = draw(st.lists(_CSV_TEXT, min_size=len(columns), max_size=len(columns)))

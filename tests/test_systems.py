@@ -637,6 +637,178 @@ class TestUniformBallStream:
             assert got.states.tobytes() == want.tobytes()
 
 
+def _array_orbit(system, pert, x0, k_max, stop_epsilon=None):
+    """The orbit stepped as a state array: ``apply``, then ``+ sample(k, x)``
+    or the block row, then the ``norm`` guard; returns (states, truncated)."""
+    x = np.atleast_1d(np.asarray(x0, dtype=float))
+    start = x.copy()
+    states = [x]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if stop_epsilon is not None and norm(x) <= stop_epsilon:
+            return np.array(states), False
+        for k in range(k_max):
+            nxt = system.apply(x)
+            if pert is not None and pert.block is not None:
+                j = k % _SEED_BLOCK
+                if j == 0:
+                    draws, sizes, bad = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), 1)
+                if k == bad:
+                    pert._check_norm(k, float(sizes[j]))
+                nxt = nxt + draws[j]
+            elif pert is not None:
+                nxt = nxt + pert.sample(k, x)
+            size = norm(nxt)
+            if not size <= DIVERGENCE_LIMIT:
+                raise SimulationDivergedError(
+                    f"state diverged at step {k + 1} of '{system.name}' (last finite index {k})",
+                    last_finite_index=k, x0=start,
+                )
+            states.append(nxt)
+            if stop_epsilon is not None and size <= stop_epsilon:
+                return np.array(states), False
+            x = nxt
+    return np.array(states), True
+
+
+def _outcome(run):
+    """What ``run()`` gives, in bits: its states and ``truncated``, or its
+    error's type, message, last finite index and initial state."""
+    try:
+        states, truncated = run()
+    except Exception as err:  # every field of the error is compared
+        x0 = getattr(err, "x0", None)
+        return (type(err), str(err), getattr(err, "last_finite_index", None),
+                None if x0 is None else np.asarray(x0).tobytes())
+    return states.tobytes(), states.shape, truncated
+
+
+def _simulated(system, pert, x0, k_max, stop_epsilon=None):
+    if pert is None:
+        traj = simulate(system, x0, k_max, stop_epsilon)
+    else:
+        traj = simulate_perturbed(system, pert, x0, k_max, stop_epsilon)
+    return traj.states, traj.truncated
+
+
+def _same_as_the_array_loop(system, pert, x0, k_max, stop_epsilon=None):
+    want = _outcome(lambda: _array_orbit(system, pert, x0, k_max, stop_epsilon))
+    assert _outcome(lambda: _simulated(system, pert, x0, k_max, stop_epsilon)) == want
+    return want
+
+
+@st.composite
+def _one_dimensional_systems(draw):
+    """A 1-D map and a scale for its initial states: a table 1 case or random
+    admissible constants of the benchmark map (scaled by the divergence
+    threshold), a 1x1 affine map or a cubic custom body."""
+    kind = draw(st.sampled_from(["case", "example", "affine", "custom"]))
+    if kind == "case":
+        case = draw(st.sampled_from(TABLE1_CASES))
+        return case.system(), divergence_threshold(case.bprime, case.r2prime)
+    if kind == "example":
+        a, b = draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))
+        r1, r2 = draw(st.floats(0.01, 0.49)), draw(st.floats(1.01, 3.0))
+        return example_system(a, b, r1, r2), divergence_threshold(b, r2)
+    if kind == "affine":
+        a = draw(st.floats(-1.5, 1.5) | st.sampled_from([0.0, -0.0, 1e100, -1e150]))
+        offset = draw(st.floats(-1.0, 1.0))
+        return affine_system([[a]], [offset]), draw(st.sampled_from([1.0, 1e3, 1e300]))
+    from fixsettle import SystemMap
+
+    c = draw(st.floats(1e-6, 0.5))
+    return SystemMap("cubic", 1, lambda s: s * (1.0 - c * s * s)), draw(st.sampled_from([1.0, 10.0]))
+
+
+def _wobble(delta0, share):
+    """A custom per-step generator that reads the state; its draws reach
+    ``share * delta0``, past the bound when ``share >= 1``."""
+    def gen(k, state):
+        return np.array([share * delta0 * math.sin(0.7 * k + state[0])])
+
+    return PerturbationSpec(delta0=delta0, generator=gen, name="wobble")
+
+
+class TestFloatLane:
+    """A 1-D single orbit runs on a float between ``body`` calls and gives
+    what the state-array loop gives, bit for bit: states, ``truncated``,
+    and every error with its message, index and initial state."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(
+        system=_one_dimensional_systems(),
+        x0_share=st.floats(-2.0, 2.0) | st.sampled_from(
+            [0.0, -0.0, 1.0, -1.0, 0.999999, -1.000001, 5e-324, 1e-200]),
+        generator=st.sampled_from([None, "constant", "uniform_ball", "radial", "custom"]),
+        delta0=st.floats(1e-6, 1.0),
+        share=st.floats(-1.2, 1.2),
+        seed=st.integers(0, 2**70),
+        # Orbits across the first and second block edge.
+        k_max=st.integers(1, 300),
+        stop_epsilon=st.none() | st.floats(0.0, 10.0) | st.just(0.0),
+    )
+    @example(system=(TABLE1_CASES[0].system(), 1.0), x0_share=-0.0, generator=None,
+             delta0=0.05, share=0.0, seed=0, k_max=3, stop_epsilon=0.0)
+    @example(system=(TABLE1_CASES[1].system(), divergence_threshold(0.5, 1.5)),
+             x0_share=1.000001, generator="uniform_ball", delta0=0.05, share=0.0, seed=3,
+             k_max=2 * _SEED_BLOCK + 1, stop_epsilon=None)
+    @example(system=(affine_system([[1.0]]), 1.0), x0_share=0.0, generator="constant",
+             delta0=0.05, share=1.1, seed=0, k_max=300, stop_epsilon=None)
+    def test_orbits_equal_the_state_array_loop(self, system, x0_share, generator, delta0,
+                                              share, seed, k_max, stop_epsilon):
+        system, scale = system
+        pert = {
+            None: None,
+            "constant": constant_perturbation([share * delta0], delta0),
+            "uniform_ball": uniform_ball_perturbation(delta0, 1, seed),
+            "radial": radial_perturbation(delta0, 1),
+            "custom": _wobble(delta0, share),
+        }[generator]
+        with np.errstate(over="ignore", invalid="ignore"):
+            x0 = x0_share * scale
+        _same_as_the_array_loop(system, pert, x0, k_max, stop_epsilon)
+
+    @pytest.mark.parametrize("pert", [None, constant_perturbation([0.01], 0.05),
+                                      uniform_ball_perturbation(0.05, 1, 5),
+                                      radial_perturbation(0.05, 1), _wobble(0.05, 0.5)],
+                             ids=["none", "constant", "uniform_ball", "radial", "custom"])
+    @pytest.mark.parametrize("body", [
+        lambda s: s,                                  # the input array itself
+        lambda s: np.array([int(s[0]) // 2]),         # an integer array
+        lambda s: [0.5 * s[0]],                       # a list
+    ], ids=["input", "int", "list"])
+    def test_bodies_returning_their_input_an_int_array_or_a_list(self, body, pert):
+        from fixsettle import SystemMap
+
+        system = SystemMap("edge", 1, body)
+        for x0 in (7.25, -3.0, 0.0, -0.0):
+            got = _same_as_the_array_loop(system, pert, x0, 2 * _SEED_BLOCK + 5)
+            assert got[1] == (2 * _SEED_BLOCK + 6, 1)
+
+    @pytest.mark.parametrize("pert", [None, constant_perturbation([0.01], 0.05),
+                                      radial_perturbation(0.05, 1)])
+    def test_scalar_body_output_rejected(self, pert):
+        from fixsettle import SystemMap
+
+        scalar = SystemMap("scalar", 1, lambda s: 0.5 * s[0])
+        error = _same_as_the_array_loop(scalar, pert, 1.0, 3)
+        assert error[:2] == (ParameterDomainError,
+                             "map 'scalar' returned shape (), expected (1,)")
+
+    @pytest.mark.parametrize("bad_step, error", [
+        (2, PerturbationBoundError),    # before the divergence
+        (3, PerturbationBoundError),    # at its step: the bound is checked first
+        (4, SimulationDivergedError),   # after it: never reached
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, 0.06])
+    def test_bad_row_and_divergence_keep_their_order(self, bad_step, error, bad):
+        # x -> 1e100 x from 1 leaves the guard at step 4 (index 3 is 1e300).
+        blowup = affine_system([[1e100]])
+        for block in (True, False):
+            spec = _block_spec(lambda k: bad if k == bad_step else 0.0, block=block)
+            got = _same_as_the_array_loop(blowup, spec, 1.0, 200)
+            assert got[0] is error
+
+
 class TestSystemMap:
     def test_dimension_validation(self):
         from fixsettle import SystemMap
