@@ -8,6 +8,8 @@ per k.  The constants below are numpy's.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
@@ -29,12 +31,16 @@ def _words(n: int) -> list:
     return out
 
 
+@lru_cache(maxsize=None)
 def _hash_consts(initial: int, multiplier: int, count: int) -> np.ndarray:
-    """The running hash constant before each of ``count`` calls, and after the last."""
+    """The running hash constant before each of ``count`` calls, and after
+    the last, as a read-only column (it is cached)."""
     out = [initial]
     for _ in range(count):
         out.append(out[-1] * multiplier & _MASK32)
-    return np.array(out, dtype=np.uint32)[:, None]
+    column = np.array(out, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
 
 
 def seed_states(seed: int, k0: int, count: int) -> list:

@@ -185,14 +185,17 @@ class PerturbationSpec:
     seeded generator closes over its own seed.  Every generated vector must
     have the state's shape and a ``norm`` strictly below ``delta0`` (exact
     zero is always admissible, it reduces the perturbed map to the nominal
-    one).
+    one).  For a state of shape (1,) a scalar draw, such as a Python float,
+    counts as the 1-vector.
 
     A generator that does not read the state may also supply
     ``block(k0, count)``: the ``(count, n)`` array of the draws for steps
     k0 .. k0 + count - 1, each row equal to ``generator(k, state)``.  The
     simulators then take their draws a block at a time and check the block's
-    shape and norm bound once; without ``block`` they call ``sample`` every
-    step.  The simulators never write to a block.
+    shape and norm bound once; without ``block`` they draw every step, a 1-D
+    orbit as one float and any other single state through ``sample``, and
+    a stack of states needs ``block``.  The simulators never write to a
+    block.
     """
 
     delta0: float
@@ -209,17 +212,40 @@ class PerturbationSpec:
     def sample(self, k: int, state: np.ndarray) -> np.ndarray:
         """Generate the step-``k`` perturbation and enforce its shape and norm bound.
 
-        A NaN draw fails the bound; a scalar draw counts as a 1-vector.
+        A NaN draw fails the bound; a scalar draw counts as a 1-vector.  A
+        stack of states gets a stack of draws, each row checked; the first
+        row that breaks the bound is the error.
         """
-        g = np.asarray(self.generator(k, state), dtype=float)
-        if g.shape != state.shape:
+        g = self._shaped(k, self.generator(k, state), state.shape)
+        sizes = row_norms(g.reshape(-1, g.shape[-1]))  # a state as a stack of one
+        bad = self._first_bad(sizes)
+        if bad is not None:
+            self._check_norm(k, float(sizes[bad]))
+        return g
+
+    def _sample_float(self, k: int, state: np.ndarray) -> float:
+        """``sample`` for the one-state array of a 1-D orbit, as a float.
+
+        A draw that is already a Python float skips the array conversion;
+        any other draw is shaped as ``sample`` shapes it.  ``abs`` of the
+        float is the norm ``sample`` checks, bit for bit.
+        """
+        g = self.generator(k, state)
+        if type(g) is not float:
+            g = self._shaped(k, g, state.shape).item()
+        self._check_norm(k, abs(g))
+        return g
+
+    def _shaped(self, k: int, g, shape) -> np.ndarray:
+        """Draw ``g`` as a float array of ``shape``; a scalar may stand for a 1-vector."""
+        g = np.asarray(g, dtype=float)
+        if g.shape != shape:
             g = np.atleast_1d(g)
-            if g.shape != state.shape:
+            if g.shape != shape:
                 raise ParameterDomainError(
                     f"perturbation '{self.name}' at step {k} has shape {g.shape}, "
-                    f"expected {state.shape}"
+                    f"expected {shape}"
                 )
-        self._check_norm(k, norm(g))
         return g
 
     def _checked_block(self, k0: int, count: int, n: int):
@@ -232,8 +258,13 @@ class PerturbationSpec:
                 f"expected {(count, n)}"
             )
         sizes = row_norms(draws)
+        bad = self._first_bad(sizes)
+        return draws, sizes, (None if bad is None else k0 + bad)
+
+    def _first_bad(self, sizes: np.ndarray) -> Optional[int]:
+        """Index of the first norm in ``sizes`` that breaks the bound, or None."""
         bad = np.flatnonzero((sizes != 0.0) & ~(sizes < self.delta0))
-        return draws, sizes, (k0 + int(bad[0]) if len(bad) else None)
+        return int(bad[0]) if len(bad) else None
 
     def _check_norm(self, k: int, size: float) -> None:
         if size != 0.0 and not size < self.delta0:
@@ -291,17 +322,20 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
         states = []
         while len(states) < count:  # seed_states stops where k's low word wraps
             states += seed_states(seed, k0 + len(states), count - len(states))
-        normals = np.empty((count, dimension))
-        u = np.empty(count)
-        for j, (pcg_state, inc) in enumerate(states):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": pcg_state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            rng.standard_normal(out=normals[j])
-            u[j] = rng.random()
+        # One dict sets the generator to every step's state: the loop target
+        # writes each (state, inc) pair into its inner dict.  A 1-D draw is
+        # one Python float, cheaper than a 1-vector.
+        inner = {}
+        setting = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+        normal, random = rng.standard_normal, rng.random
+        size = None if dimension == 1 else dimension
+        normals, u = [], []
+        for inner["state"], inner["inc"] in states:
+            bitgen.state = setting
+            normals.append(normal(size))
+            u.append(random())
+        normals = np.array(normals).reshape(count, dimension)
+        u = np.array(u)
         sizes = row_norms(normals)
         zero = sizes == 0.0
         if zero.any():
@@ -328,7 +362,11 @@ def radial_perturbation(
 
     The magnitude is ``fraction * delta0`` (fraction < 1 keeps the bound
     strict).  At the origin, where "away" is undefined, the first axis is
-    used.
+    used.  The generator works row-wise on an (m, n) stack, each row as
+    that state alone gives, and gives the draw for a one-state array of
+    shape (1,) as the float ``x / |x| * magnitude``: ±magnitude,
+    +magnitude at ±0, and NaN for a NaN or infinite state, as the state
+    divided by its ``norm`` gives.
     """
     if dimension < 1:
         raise ParameterDomainError("dimension must be a positive integer")
@@ -336,16 +374,19 @@ def radial_perturbation(
         raise ParameterDomainError("fraction must lie in [0, 1) to keep the bound strict")
     magnitude = fraction * delta0
 
-    def gen(k: int, state: np.ndarray) -> np.ndarray:
+    def gen(k: int, state: np.ndarray):
         if delta0 == 0.0:
-            return np.zeros(dimension)
-        size = norm(state)
-        if size == 0.0:
-            direction = np.zeros(dimension)
-            direction[0] = 1.0
-        else:
-            direction = state / size
-        return direction * magnitude
+            return 0.0 if state.shape == (1,) else np.zeros(state.shape)
+        if state.shape == (1,):
+            x = state.item()
+            return x / abs(x) * magnitude if x != 0.0 else magnitude
+        rows = state.reshape(-1, state.shape[-1])  # a state as a stack of one
+        sizes = row_norms(rows)
+        zero = sizes == 0.0
+        direction = rows / np.where(zero, 1.0, sizes)[:, None]
+        direction[zero] = 0.0
+        direction[zero, 0] = 1.0
+        return (direction * magnitude).reshape(state.shape)
 
     return PerturbationSpec(delta0=delta0, generator=gen, name="radial")
 
@@ -365,14 +406,20 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
     ``_SEED_BLOCK`` steps per call and never a step past ``k_max``, with
     the block's shape and norm bound checked once per block; a stack adds
     each row to all its states, and a float its row's one component, read
-    once per block as a list of floats.  The bound error is raised only when the orbit reaches
-    the first step whose draw breaks it, so an earlier divergence is the
-    error raised.  A spec without ``block`` reads the state, and each step
-    calls ``pert.sample(k - 1, x)``, on the one-state array for a float.  A
-    state has diverged when its norm is not <= ``DIVERGENCE_LIMIT``.  Rows
-    run as if each ran alone, in row order: after the first divergence
-    nothing is yielded, only the rows before the diverged one keep
-    stepping, and the first diverged row is raised with its initial state.
+    once per block as a list of floats.  The bound error is raised only
+    when the orbit reaches the first step whose draw breaks it, so an
+    earlier divergence is the error raised.  A spec without ``block``
+    reads the state, and each step draws for step k - 1: an array state
+    through ``pert.sample(k - 1, x)``, a float through
+    ``generator(k - 1, state)`` on the one-state array, its draw taken as
+    one float with ``sample``'s shape check and messages and ``abs`` as
+    its norm.  A stack with such a spec raises ``ParameterDomainError``:
+    its per-step draws would raise a later row's bound error before an
+    earlier row's divergence.  A state has diverged when its norm is not <=
+    ``DIVERGENCE_LIMIT``.  Rows run as if each ran alone, in row order:
+    after the first divergence nothing is yielded, only the rows before
+    the diverged one keep stepping, and the first diverged row is raised
+    with its initial state.
     Callers hold ``np.errstate`` around their loop; none is held across a
     ``yield``.
     """
@@ -381,9 +428,13 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
     by_block = pert is not None and pert.block is not None
     k0, draws, bad = 0, (), None  # the block of steps k0.. and its first bad step
     diverged = None  # (row, last finite index) of the first diverged row
+    if x.ndim == 2 and pert is not None and not by_block:
+        raise ParameterDomainError(
+            f"perturbation '{pert.name}' has no block, which a stack of states needs"
+        )
     if x.shape == (1,):
         y = x.item()
-        # The one-state array ``body`` and ``sample`` get, refilled every
+        # The one-state array ``body`` and the generator get, refilled every
         # step; what they return is read before the next refill, so an
         # output that is this array itself is safe.
         state = np.empty(1)
@@ -402,7 +453,7 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
                     pert._check_norm(k, float(sizes[k - k0]))
                 y = y + draws[k - k0]
             elif pert is not None:
-                y = y + pert.sample(k, state).item()
+                y = y + pert._sample_float(k, state)
             size = abs(y)
             if not size <= DIVERGENCE_LIMIT:
                 diverged = (0, k)
@@ -573,8 +624,11 @@ def affine_system(matrix, offset=None, name: str = "affine") -> SystemMap:
     b = np.zeros(n) if offset is None else as_state(offset, n)
 
     def body(states: np.ndarray) -> np.ndarray:
-        # Stacked matrix-vector products equal ``a @ x`` row by row, bit for
-        # bit; the plain product ``states @ a.T`` differs in the last bit.
+        # A single state takes ``a @ x + b``.  Stacked matrix-vector products
+        # equal it row by row, bit for bit; the plain product ``states @ a.T``
+        # differs in the last bit.
+        if states.ndim == 1:
+            return a @ states + b
         return np.matmul(a, states[..., None])[..., 0] + b
 
     return SystemMap(name=name, dimension=n, body=body)

@@ -725,6 +725,56 @@ class TestEstimateLipschitz:
         with pytest.raises(EmptyDomainError):
             estimate_lipschitz(lambda x: x, [1.0])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(1, 3),
+        k=st.integers(1, 2),
+        data=st.data(),
+        # Chunks of one row up to the whole grid in one chunk.
+        chunk=st.integers(1, 200) | st.just(lyapunov._PAIR_CHUNK),
+    )
+    def test_matches_pairwise_definition_across_chunk_edges(self, n, k, data, chunk):
+        """Duplicate points, NaN and infinite images, and chunks that end
+        anywhere in the grid: the estimate is the all-pairs definition, bit
+        for bit."""
+        value = st.integers(-10**6, 10**6).map(lambda i: i / 997)
+        m = data.draw(st.integers(2, 24))
+        pts = [tuple(data.draw(value) for _ in range(n)) for _ in range(m)]
+        for _ in range(data.draw(st.integers(0, 3))):  # duplicates
+            pts[data.draw(st.integers(0, m - 1))] = pts[data.draw(st.integers(0, m - 1))]
+        image = value | st.sampled_from([math.nan, math.inf, -math.inf])
+        table = {p: [data.draw(image) for _ in range(k)] for p in pts}
+
+        def f(states):
+            return np.array([table[tuple(row)] for row in states.tolist()])
+
+        grid = np.array(pts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lyapunov, "_PAIR_CHUNK", chunk)
+            if len(set(pts)) == 1:
+                with pytest.raises(DegenerateDomainError):
+                    estimate_lipschitz(f, grid)
+            else:
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    want = self._pairwise(f, grid)
+                assert estimate_lipschitz(f, grid) == want
+
+    def test_memory_stays_bounded_per_chunk(self):
+        """All 2 * 10^8 pairs of a 20 001-point grid, where one array of
+        every pair would take gigabytes."""
+        import tracemalloc
+
+        grid = np.linspace(-1.0, 1.0, 20_001)
+        tracemalloc.start()
+        try:
+            est = estimate_lipschitz(lambda s: np.sin(s[:, 0]), grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+        # The steepest pair is the adjacent one across 0: sin(h) / h, h = 1e-4.
+        assert est == pytest.approx(math.sin(1e-4) / 1e-4, rel=1e-12)
+
 
 class TestTwoDimensionalSystems:
     """The stack is dimension-generic; exercise it on a planar contraction."""

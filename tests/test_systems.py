@@ -32,6 +32,7 @@ from fixsettle.systems import (
     DIVERGENCE_LIMIT,
     PerturbationSpec,
     _SEED_BLOCK,
+    _steps,
     norm,
     row_dots,
     row_norms,
@@ -341,6 +342,32 @@ class TestSimulatePerturbed:
         with pytest.raises(ParameterDomainError, match=r"step 0 has shape \(2,\), expected \(1,\)"):
             simulate_perturbed(identity_system, per_step, 1.0, 3)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_radial_works_row_wise_on_a_stack(self, n):
+        """Each row of a stack's radial draw is that state's own draw, bit for
+        bit: zero rows along the first axis, NaN rows NaN."""
+        rng = np.random.default_rng(41)
+        rows = rng.standard_normal((40, n)) * 10.0 ** rng.uniform(-200, 200, (40, 1))
+        rows[0], rows[1], rows[2] = 0.0, -0.0, 5e-324
+        rows[3, 0], rows[4, -1], rows[5] = math.nan, math.inf, -1e-170
+        for delta0 in (0.1, 0.0):
+            pert = radial_perturbation(delta0, n)
+            with np.errstate(over="ignore", invalid="ignore"):  # squares past range, inf / inf
+                got = pert.generator(0, rows)
+                singles = [np.atleast_1d(pert.generator(0, row)) for row in rows]
+                # Each state over its own ``norm``, the first axis at the origin.
+                want = [(row / norm(row) if norm(row) != 0.0 else np.eye(n)[0]) * (0.999 * delta0)
+                        for row in rows] if delta0 else np.zeros(rows.shape)
+            assert got.shape == rows.shape
+            assert got.tobytes() == np.array(singles, dtype=float).tobytes()
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
+        stack = np.array([[1.0, 1.0], [0.0, 0.0], [-3.0, 4.0]])
+        pert = radial_perturbation(0.1, 2)
+        want = [pert.sample(0, row) for row in stack]
+        assert pert.sample(0, stack).tobytes() == np.array(want).tobytes()
+        with pytest.raises(PerturbationBoundError, match="at step 3 has norm nan"):
+            pert.sample(3, np.array([[1.0, 1.0], [math.nan, 0.0]]))
+
     def test_scalar_draw_counts_as_a_vector_in_one_dimension(self, identity_system):
         pert = PerturbationSpec(delta0=0.05, generator=lambda k, x: 0.01)
         traj = simulate_perturbed(identity_system, pert, 0.0, 2)
@@ -372,13 +399,29 @@ class TestPerturbationBlocks:
         def draw(k):
             return 0.06 if k == bad_step else 0.01
 
-        per_block = self._raised(identity_system, _block_spec(draw), 0.0, 200)
-        per_step = self._raised(identity_system, _block_spec(draw, block=False), 0.0, 200)
+        # Past the second block edge, so every bad step is reached.
+        k_max = _SEED_BLOCK + 72
+        per_block = self._raised(identity_system, _block_spec(draw), 0.0, k_max)
+        per_step = self._raised(identity_system, _block_spec(draw, block=False), 0.0, k_max)
         assert isinstance(per_block, PerturbationBoundError)
         assert str(per_block) == str(per_step) == (
             f"perturbation at step {bad_step} has norm 0.06, "
             "which is not strictly below delta0=0.05"
         )
+
+    def test_stack_needs_a_block(self):
+        """Per-step draws for a stack would raise row 1's bound error at step
+        2 before row 0's divergence at step 11, so a stack without a block
+        is refused; with one, row 0 diverges first."""
+        tenfold = affine_system([[10.0]])
+        stack = np.array([[1e290], [1.0]])
+        with np.errstate(over="ignore"):
+            with pytest.raises(ParameterDomainError, match="perturbation 'rows' has no block"):
+                next(_steps(tenfold, stack, 20, _block_spec(lambda k: 0.01, block=False)))
+            with pytest.raises(SimulationDivergedError) as err:
+                list(_steps(tenfold, stack, 20, _block_spec(lambda k: 0.01)))
+        assert err.value.last_finite_index == 10
+        assert err.value.x0.tolist() == [1e290]
 
     def test_bad_row_after_the_orbit_stops_is_never_reached(self, identity_system):
         spec = _block_spec(lambda k: 0.06 if k == 60 else 0.03125)
@@ -450,14 +493,15 @@ class TestPerturbationBlocks:
             asked.append((k0, count))
             return spec.block(k0, count)
 
-        traj = simulate_perturbed(case1_system, replace(spec, block=spy), 1500.0, 200)
-        assert asked == [(0, _SEED_BLOCK), (_SEED_BLOCK, 200 - _SEED_BLOCK)]
-        assert len(traj) == 201
+        k_max = _SEED_BLOCK + 72
+        traj = simulate_perturbed(case1_system, replace(spec, block=spy), 1500.0, k_max)
+        assert asked == [(0, _SEED_BLOCK), (_SEED_BLOCK, 72)]
+        assert len(traj) == k_max + 1
         # The same orbit as the per-step generator gives.
         per_step = replace(spec, block=None)
         monkeypatch.undo()
         assert traj.states.tobytes() == simulate_perturbed(
-            case1_system, per_step, 1500.0, 200).states.tobytes()
+            case1_system, per_step, 1500.0, k_max).states.tobytes()
 
     def test_stopped_orbit_draws_no_more_than_whole_blocks(self):
         # |x| shrinks by 0.95 a step from 1000, so the orbit stops past step 128.
@@ -476,18 +520,29 @@ class TestPerturbationBlocks:
         assert sum(count for _, count in asked) <= _SEED_BLOCK * math.ceil(s / _SEED_BLOCK)
 
     def test_state_reading_generators_are_sampled_every_step(self, case1_system, monkeypatch):
-        calls = []
-        sample = PerturbationSpec.sample
-
-        def counted(self, k, state):
-            calls.append(k)
-            return sample(self, k, state)
-
-        monkeypatch.setattr(PerturbationSpec, "sample", counted)
+        # A 1-D orbit calls the generator once a step and takes its draw as
+        # a float; other orbits call ``sample`` once a step.
         pert = radial_perturbation(0.05, 1)
         assert pert.block is None
-        simulate_perturbed(case1_system, pert, 1500.0, 200)
-        assert calls == list(range(200))
+        drawn = []
+
+        def counted_generator(k, state):
+            drawn.append(k)
+            return pert.generator(k, state)
+
+        simulate_perturbed(case1_system, replace(pert, generator=counted_generator), 1500.0, 200)
+        assert drawn == list(range(200))
+        sampled = []
+        sample = PerturbationSpec.sample
+
+        def counted_sample(self, k, state):
+            sampled.append(k)
+            return sample(self, k, state)
+
+        monkeypatch.setattr(PerturbationSpec, "sample", counted_sample)
+        plane = affine_system([[0.5, 0.1], [0.0, 0.4]])
+        simulate_perturbed(plane, radial_perturbation(0.05, 2), [3.0, 4.0], 200)
+        assert sampled == list(range(200))
 
 
 def _reference_ball(delta0, n, seed, k):
@@ -808,6 +863,61 @@ class TestFloatLane:
             got = _same_as_the_array_loop(blowup, spec, 1.0, 200)
             assert got[0] is error
 
+    @pytest.mark.parametrize("x0", [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324])
+    @pytest.mark.parametrize("system", [affine_system([[1.0]]), affine_system([[0.0]]),
+                                        TABLE1_CASES[0].system()], ids=["identity", "zero", "case1"])
+    @pytest.mark.parametrize("delta0", [0.05, 0.0])
+    def test_radial_from_zeros_nan_inf_and_subnormals(self, system, x0, delta0):
+        _same_as_the_array_loop(system, radial_perturbation(delta0, 1), x0, 5)
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                                   -1e-170, 1e200, 2.5, -1.0])
+    @pytest.mark.parametrize("delta0", [0.05, 0.0])
+    def test_radial_float_draw_is_the_state_over_its_norm(self, x, delta0):
+        """The 1-D draw is the float ``x / |x| * magnitude``, bit for bit the
+        state array divided by its ``norm`` (the first axis at the origin)
+        and scaled."""
+        state = np.array([x])
+        with np.errstate(over="ignore", invalid="ignore"):  # 1e200 squared, inf / inf
+            got = radial_perturbation(delta0, 1).generator(0, state)
+            size = norm(state)
+            want = (state / size if size != 0.0 else np.array([1.0])) * (0.999 * delta0)
+        if delta0 == 0.0:
+            want = np.zeros(1)
+        assert type(got) is float
+        assert np.array([got]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["float", "0-d", "list", "int"])
+    def test_state_reading_draws_of_every_scalar_kind(self, kind):
+        def gen(k, state):
+            g = 0.01 * math.sin(0.7 * k + state[0])
+            return {"float": g, "0-d": np.array(g), "list": [g], "int": 0}[kind]
+
+        pert = PerturbationSpec(delta0=0.05, generator=gen, name="kinds")
+        for system in (TABLE1_CASES[1].system(), affine_system([[0.9]], [0.1])):
+            got = _same_as_the_array_loop(system, pert, 3.0, 2 * _SEED_BLOCK + 5)
+            assert got[1] == (2 * _SEED_BLOCK + 6, 1)
+
+    def test_state_reading_draw_of_the_wrong_shape(self):
+        pert = PerturbationSpec(delta0=0.05, name="wide",
+                                generator=lambda k, x: np.zeros(2) if k == 7 else 0.0)
+        error = _same_as_the_array_loop(affine_system([[0.5]]), pert, 1.0, 20)
+        assert error[:2] == (ParameterDomainError,
+                             "perturbation 'wide' at step 7 has shape (2,), expected (1,)")
+
+    @pytest.mark.parametrize("bad, shown", [(math.nan, "nan"), (0.05, "0.05"), (-0.05, "0.05")])
+    @pytest.mark.parametrize("as_array", [False, True])
+    def test_state_reading_draw_that_breaks_the_bound(self, bad, shown, as_array):
+        def gen(k, state):
+            g = bad if k == 9 else 0.01
+            return np.array([g]) if as_array else g
+
+        pert = PerturbationSpec(delta0=0.05, generator=gen)
+        error = _same_as_the_array_loop(affine_system([[0.5]]), pert, 1.0, 20)
+        assert error[:2] == (PerturbationBoundError,
+                             f"perturbation at step 9 has norm {shown}, "
+                             "which is not strictly below delta0=0.05")
+
 
 class TestSystemMap:
     def test_dimension_validation(self):
@@ -997,6 +1107,24 @@ class TestAffineBody:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(n=st.integers(1, 8), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           row=st.integers(0, 11))
+    def test_single_state_equals_its_row_of_the_stack(self, n, m, seed, row):
+        """A state of shape (n,) takes ``a @ x + b``, a stack the stacked
+        products; the state's image is its row of the stack's, bit for bit.
+        Every entry has its own scale in 1e-3..1e3."""
+        rng = np.random.default_rng(seed)
+
+        def draw(*shape):
+            return rng.standard_normal(shape) * 10.0 ** rng.uniform(-3.0, 3.0, shape)
+
+        a, b, states = draw(n, n), draw(n), draw(m, n)
+        body = affine_system(a, b).body
+        x = states[row % m]
+        assert body(x).tobytes() == body(states)[row % m].tobytes()
+        assert body(x).tobytes() == (a @ x + b).tobytes()
 
 
 class TestSeedValidation:
