@@ -48,7 +48,7 @@ from .perturbation import (
     perturbed_settling_bound,
     remark_tradeoff_table,
 )
-from .settling import example_bound, phase1_bound, phase2_bound, settling_bound
+from .settling import analyze_settling, example_bound, settling_bound
 from .systems import as_state_grid, simulate, simulate_perturbed
 
 
@@ -264,9 +264,10 @@ def cmd_bound(args):
     cfg = _require_cfg(args)
     out = {}
     if cfg.gains is not None:
-        out["K1_bound"] = phase1_bound(cfg.gains.beta, cfg.gains.r2)
-        out["K2_gap"] = phase2_bound(cfg.gains.alpha, cfg.gains.r1)
-        out["K_star"] = out["K1_bound"] + out["K2_gap"]  # = settling_bound(gains)
+        bounds = analyze_settling(cfg.gains)
+        out["K1_bound"] = bounds.bound_K1
+        out["K2_gap"] = bounds.bound_K2_gap
+        out["K_star"] = bounds.bound_K_star
     if cfg.example_params is not None:
         out["example_K_star"] = example_bound(*cfg.example_params)
     if cfg.perturbation is not None and cfg.gains is not None:

@@ -15,6 +15,7 @@ harness for candidate certificates.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -29,7 +30,7 @@ from .errors import (
     OriginError,
     ParameterDomainError,
 )
-from .record import Record, conforms, decode, encode
+from .record import Record, encode
 from .systems import SystemMap, Trajectory, as_state, as_state_grid, row_dots, row_norms
 
 DEFAULT_TOLERANCE = 1e-12
@@ -183,7 +184,9 @@ class ConditionReport(Record):
     array of step indices or a (k, n) array of states; ``residual``, a (k,)
     float array; and ``check``, the kind of each.  ``violations`` builds
     the ``Violation`` records from them on demand, and ``to_dict`` lists
-    them under ``"violations"``.  Equality compares the ``to_dict`` forms.
+    them under ``"violations"``.  Two reports are equal exactly when they
+    write the same JSON: a NaN residual equals NaN, and ``-0.0`` differs
+    from ``0.0``.
 
     A check evaluates places, nonzero grid points or the step indices of
     nonzero orbit states, never the origin; ``checked_points`` counts them.
@@ -238,7 +241,8 @@ class ConditionReport(Record):
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self.to_dict() == other.to_dict()
+        mine, theirs = (json.dumps(r.to_dict(), sort_keys=True) for r in (self, other))
+        return mine == theirs
 
     @property
     def violations(self) -> Tuple[Violation, ...]:
@@ -256,20 +260,6 @@ class ConditionReport(Record):
                 for w, r, c in zip(self.where.tolist(), self.residual.tolist(), self.check)
             ]
         return out
-
-    @classmethod
-    def from_dict(cls, d: dict):
-        """Rebuild from ``to_dict`` output; the constructor types the columns."""
-        try:
-            columns = {k: tuple(decode(r[k]) for r in d["violations"]) for k in _COLUMNS}
-        except (KeyError, TypeError) as err:  # no list of violations, or a key missing
-            raise ParameterDomainError(f"malformed condition report: {err!r}") from None
-        for k, hint in (("residual", float), ("check", str)):  # the constructor checks where
-            if not conforms(columns[k], Tuple[hint, ...]):
-                raise ParameterDomainError(
-                    f"malformed condition report: a violation {k} is not a {hint.__name__}"
-                )
-        return super().from_dict(d, **columns)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:

@@ -16,17 +16,19 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import fixsettle
 from fixsettle import cli
 from fixsettle.cli import main
+from fixsettle.config import load_config
 from fixsettle.lyapunov import (
     ConditionId,
     ConditionReport,
     FixedTimeGains,
     abs_candidate,
     scan_conditions,
+    scan_trajectory,
     square_candidate,
 )
-from fixsettle.systems import affine_system
-from fixsettle.oracle import SweepResult, Table1Row
-from fixsettle.perturbation import AttractivenessReport
+from fixsettle.systems import affine_system, example_system, simulate, simulate_perturbed
+from fixsettle.oracle import example_bound, sweep_settling, table1_reproduce
+from fixsettle.perturbation import BRANCH_HIGH, AttractivenessConfig, analyze_attractiveness
 from conftest import CASE1, mp_example_orbit
 
 
@@ -42,6 +44,27 @@ def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> st
 def read_csv(path: Path) -> list:
     """The rows of a CSV file, read with the file closed again."""
     return list(csv.reader(path.read_text().splitlines()))
+
+
+def check_report(cfg_path: str) -> ConditionReport:
+    """The report of ``check`` on an unperturbed grid or orbit scenario, built by the library."""
+    cfg = load_config(cfg_path)
+    if cfg.analysis.grid is not None:
+        scan, domain = scan_conditions, cfg.analysis.grid.materialize()
+    else:
+        scan, domain = scan_trajectory, simulate(cfg.system, cfg.analysis.x0, cfg.analysis.k_max)
+    return scan(cfg.system, cfg.lyapunov, cfg.gains, domain, v_rhs=cfg.lyapunov_rhs)
+
+
+def attract_report(cfg_path: str):
+    """The report of ``attract`` on a scenario with V(x0) > 1, built by the library."""
+    cfg = load_config(cfg_path)
+    acfg = AttractivenessConfig(
+        gains=cfg.gains, lipschitz_lv=cfg.lyapunov.lipschitz_LV,
+        delta0=cfg.perturbation.delta0, m=cfg.m1, branch=BRANCH_HIGH,
+    )
+    traj = simulate_perturbed(cfg.system, cfg.perturbation, cfg.analysis.x0, cfg.analysis.k_max)
+    return analyze_attractiveness(acfg, traj, cfg.lyapunov)
 
 
 def case1_config(**overrides):
@@ -505,8 +528,7 @@ class TestBoundCommand:
                 calls.append(_name)
                 return _fn(*args)
 
-            monkeypatch.setattr(settling, name, counted)
-            monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(settling, name, counted)  # cli calls analyze_settling
         payload = case1_config(gains={"alpha": 0.25, "beta": 0.25, "r1": 0.5, "r2": 2.0})
         cfg = write_config(tmp_path, payload)
         assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -569,13 +591,12 @@ class TestCheckCommand:
         )
         cfg = write_config(tmp_path, payload)
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        report = ConditionReport.from_dict(
-            json.loads((tmp_path / "check.json").read_text())
-        )
-        assert report.condition_id.value == "FT_MIXED"
+        data = json.loads((tmp_path / "check.json").read_text())
+        assert data == check_report(cfg).to_dict()
+        assert data["condition_id"] == "FT_MIXED"
         inner = CASE1[0] ** (1.0 / (1.0 - CASE1[2]))
         outer = CASE1[1] ** (1.0 / (1.0 - CASE1[3]))
-        low_iv, high_iv = report.violation_intervals
+        low_iv, high_iv = data["violation_intervals"]
         assert low_iv[1] <= inner <= high_iv[0]
         assert low_iv[1] == pytest.approx(inner, rel=0.01)
         assert high_iv[0] == pytest.approx(outer, rel=0.01)
@@ -601,11 +622,10 @@ class TestCheckCommand:
         )
         cfg = write_config(tmp_path, payload)
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        report = ConditionReport.from_dict(
-            json.loads((tmp_path / "check.json").read_text())
-        )
-        assert report.checked_points == 10
-        assert all(isinstance(v.where, int) for v in report.violations)
+        data = json.loads((tmp_path / "check.json").read_text())
+        assert data == check_report(cfg).to_dict()
+        assert data["checked_points"] == 10
+        assert all(type(v["where"]) is int for v in data["violations"])
 
     def test_json_roundtrip_field_equality(self, tmp_path):
         payload = case1_config(
@@ -615,11 +635,6 @@ class TestCheckCommand:
         )
         cfg = write_config(tmp_path, payload)
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        from fixsettle.lyapunov import scan_conditions, square_candidate, abs_candidate
-        from fixsettle.lyapunov import FixedTimeGains
-        from fixsettle.systems import example_system
-        import numpy as np
-
         direct = scan_conditions(
             example_system(*CASE1),
             square_candidate(),
@@ -627,8 +642,8 @@ class TestCheckCommand:
             np.logspace(np.log10(0.01), np.log10(100.0), 101),
             v_rhs=abs_candidate(),
         )
-        parsed = ConditionReport.from_dict(json.loads((tmp_path / "check.json").read_text()))
-        assert parsed == direct
+        expected = json.dumps(direct.to_dict(), indent=2, sort_keys=True) + "\n"
+        assert (tmp_path / "check.json").read_bytes() == expected.encode()
 
 
     @pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan])
@@ -658,11 +673,10 @@ class TestAttractCommand:
         payload["analysis"]["k_max"] = 60
         cfg = write_config(tmp_path, payload)
         assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 0
-        report = AttractivenessReport.from_dict(
-            json.loads((tmp_path / "attract.json").read_text())
-        )
-        assert report.B == 0.0
-        assert report.empirical_entry is None  # orbit never reaches exact zero
+        data = json.loads((tmp_path / "attract.json").read_text())
+        assert data == attract_report(cfg).to_dict()
+        assert data["B"] == 0.0
+        assert data["empirical_entry"] is None  # orbit never reaches exact zero
 
     def test_overflowing_level_is_a_domain_error(self, tmp_path, capsys):
         # B = (2 * 1 * 0.1 / 0.01)^(1/0.001) = 20^1000 on the low branch.
@@ -684,12 +698,11 @@ class TestAttractCommand:
         payload["analysis"].update({"k_max": 80, "m_values": [1.5, 2.0, 4.0]})
         cfg = write_config(tmp_path, payload)
         assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 0
-        report = AttractivenessReport.from_dict(
-            json.loads((tmp_path / "attract.json").read_text())
-        )
-        assert report.branch == "V0_GT_1"
-        assert report.empirical_entry is not None
-        assert report.remained_inside
+        data = json.loads((tmp_path / "attract.json").read_text())
+        assert data == attract_report(cfg).to_dict()
+        assert data["branch"] == "V0_GT_1"
+        assert data["empirical_entry"] is not None
+        assert data["remained_inside"] is True
         rows = json.loads((tmp_path / "tradeoff.json").read_text())
         assert [r["m"] for r in rows] == [1.5, 2.0, 4.0]
         ks = [r["K_star"] for r in rows]
@@ -706,10 +719,15 @@ class TestSweepCommand:
         )
         cfg = write_config(tmp_path, payload)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-        result = SweepResult.from_dict(json.loads((tmp_path / "sweep.json").read_text()))
-        assert result.bound == 19
-        assert result.all_within_bound
-        assert result.worst_settling <= 19
+        data = json.loads((tmp_path / "sweep.json").read_text())
+        direct = sweep_settling(
+            example_system(*CASE1), np.logspace(np.log10(2.0), np.log10(1e5), 25),
+            example_bound(*CASE1), epsilon=1.0, case_id="example",
+        )
+        assert data == direct.to_dict()
+        assert data["bound"] == 19
+        assert data["all_within_bound"] is True
+        assert data["worst_settling"] <= 19
 
 
     @pytest.mark.parametrize("case_id", [[1, 2], 3, None, True])
@@ -784,12 +802,10 @@ class TestSweepCommand:
 class TestTable1Command:
     def test_writes_csv_and_json(self, tmp_path):
         assert main(["table1", "--out", str(tmp_path)]) == 0
-        rows = [
-            Table1Row.from_dict(d)
-            for d in json.loads((tmp_path / "table1.json").read_text())
-        ]
-        assert [r.k_star_recomputed for r in rows] == [19, 258, 1359, 7815]
-        assert [r.discrepancy for r in rows] == [False, False, False, True]
+        rows = json.loads((tmp_path / "table1.json").read_text())
+        assert rows == [r.to_dict() for r in table1_reproduce()]
+        assert [r["k_star_recomputed"] for r in rows] == [19, 258, 1359, 7815]
+        assert [r["discrepancy"] for r in rows] == [False, False, False, True]
         csv_rows = read_csv(tmp_path / "table1.csv")
         assert csv_rows[0][0] == "case_id"
         assert len(csv_rows) == 1 + 4 * 5  # four cases, five epsilons each
@@ -1348,9 +1364,10 @@ class TestMoreConfigSurfaces:
         )
         cfg = write_config(tmp_path, payload)
         assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
-        report = ConditionReport.from_dict(json.loads((tmp_path / "check.json").read_text()))
-        assert report.checked_points == 102
-        wheres = [v.where[0] for v in report.violations]
+        data = json.loads((tmp_path / "check.json").read_text())
+        assert data == check_report(cfg).to_dict()
+        assert data["checked_points"] == 102
+        wheres = [v["where"][0] for v in data["violations"]]
         assert any(w < 0 for w in wheres) and any(w > 0 for w in wheres)
         negs = sorted(-w for w in wheres if w < 0)
         poss = sorted(w for w in wheres if w > 0)

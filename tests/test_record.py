@@ -1,16 +1,18 @@
-"""Every report record survives a JSON round trip through ``to_dict``/``from_dict``."""
+"""Every report record's ``to_dict`` is plain JSON data.
+
+``json.dumps`` then ``json.loads`` gives back the same dict, and every value
+in it, at any depth, is a dict, list, str, int, float, bool or None: no
+tuple, enum or array survives ``to_dict``.  Fields a record derives from its
+others are ``field(init=False)``, so no caller can pass a contradicting one.
+"""
 
 import dataclasses
 import json
-from typing import Optional, Tuple, Union
 
-import numpy as np
 import pytest
 
 from fixsettle import affine_system
-from fixsettle.errors import ParameterDomainError
 from fixsettle.lyapunov import (
-    ConditionId,
     ConditionReport,
     FixedTimeGains,
     LyapunovCandidate,
@@ -35,7 +37,7 @@ from fixsettle.perturbation import (
     AttractivenessReport,
     analyze_attractiveness,
 )
-from fixsettle.record import Record, conforms
+from fixsettle.record import Record
 from fixsettle.settling import (
     SettlingReport,
     analyze_settling,
@@ -99,15 +101,26 @@ RECORDS = {
 }
 
 
+JSON_TYPES = (dict, list, str, int, float, bool, type(None))
+
+
+def _plain(value) -> bool:
+    """Whether ``value`` is built only of JSON types, exactly (not subclasses)."""
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_plain, value))
+    return type(value) in JSON_TYPES
+
+
 @pytest.mark.parametrize("cls, make", RECORDS.values(), ids=RECORDS.keys())
 def test_json_round_trip(cls, make):
     record = make()
     assert type(record) is cls
-    # Plain dataclass equality tells a tuple from a list, so lists must come back
-    # as tuples at every depth.
-    decoded = cls.from_dict(json.loads(json.dumps(record.to_dict())))
-    assert decoded == record
-    assert decoded.to_dict() == record.to_dict()
+    d = record.to_dict()
+    # A str enum equals its value, so the equality alone would let one through.
+    assert _plain(d)
+    assert json.loads(json.dumps(d)) == d
 
 
 def test_every_record_class_is_covered():
@@ -133,77 +146,3 @@ def test_derived_fields_are_not_constructor_arguments():
         if not f.init
     }
     assert derived == {(RECORDS[kind][0], name) for kind, name in DERIVED}
-
-
-@pytest.mark.parametrize("kind, name", DERIVED, ids=[name for _, name in DERIVED])
-def test_stored_derived_value_must_match_the_other_fields(kind, name):
-    cls, make = RECORDS[kind]
-    record = make()
-    d = json.loads(json.dumps(record.to_dict()))
-    assert cls.from_dict(d) == record
-    value = d[name]
-    d[name] = value + 1 if type(value) is int else not value
-    with pytest.raises(ParameterDomainError, match=f"stored {name}="):
-        cls.from_dict(d)
-
-
-def _sweep_json(settles: bool):
-    """A ``sweep.json`` as the CLI writes it, whose worst orbit settles or,
-    cut after two steps, does not."""
-    case = TABLE1_CASES[0]
-    bound = example_bound(*case.params())
-    result = sweep_settling(case.system(), [10.0, 1500.0], bound, k_max=None if settles else 2)
-    assert (result.worst_settling is not None) == settles
-    return json.loads(json.dumps(result.to_dict()))
-
-
-@pytest.mark.parametrize("settles", [True, False], ids=["settles", "unsettled"])
-@pytest.mark.parametrize("edit, message", [
-    (lambda d: d.update(bound="19"), "malformed SweepResult: bound='19' has the wrong type"),
-    (lambda d: d.update(bound=19.0), "malformed SweepResult: bound=19.0 has the wrong type"),
-    (lambda d: d.update(epsilon="1"), "malformed SweepResult: epsilon='1' has the wrong type"),
-    (lambda d: d.update(worst_x0=True), "malformed SweepResult: worst_x0=True has the wrong"),
-    (lambda d: d["settling_vs_epsilon"][0].append(3),
-     "malformed SweepResult: settling_vs_epsilon=.* has the wrong type"),
-    (lambda d: d.pop("epsilon"), "malformed SweepResult: .*missing 1 required .*'epsilon'"),
-    (lambda d: d.update(all_within_bound=1), "stored all_within_bound=1 contradicts"),
-], ids=["string-bound", "float-bound", "string-epsilon", "bool-x0", "long-curve-entry",
-        "missing-epsilon", "int-for-bool"])
-def test_malformed_file_is_a_domain_error(edit, message, settles):
-    # The unsettled sweep never compares bound in __post_init__, so only
-    # the decoder's own type check can catch a string there.
-    d = _sweep_json(settles)
-    SweepResult.from_dict(d)
-    edit(d)
-    with pytest.raises(ParameterDomainError, match=message):
-        SweepResult.from_dict(d)
-
-
-@pytest.mark.parametrize("d", [[], "sweep", None], ids=["list", "string", "null"])
-def test_file_that_is_not_an_object_is_a_domain_error(d):
-    with pytest.raises(ParameterDomainError, match="malformed SweepResult: .* is not an object"):
-        SweepResult.from_dict(d)
-
-
-@pytest.mark.parametrize("value, hint, ok", [
-    (1, float, True), (1.5, float, True), (True, float, False), ("1", float, False),
-    (1, int, True), (1.0, int, False), (False, int, False), (np.int64(3), int, True),
-    (True, bool, True), (1, bool, False), ("a", str, True), (None, str, False),
-    (None, Optional[int], True), (2, Optional[int], True), ("2", Optional[int], False),
-    ((1.0, 2.0), Tuple[float, ...], True), ((1.0, "x"), Tuple[float, ...], False),
-    ([1.0], Tuple[float, ...], False), ((1.0, None), Tuple[float, Optional[int]], True),
-    ((1.0,), Tuple[float, Optional[int]], False),
-    (3, Union[int, Tuple[float, ...]], True), ((0.5,), Union[int, Tuple[float, ...]], True),
-    (0.5, Union[int, Tuple[float, ...]], False), ("NOPE", ConditionId, True),
-])
-def test_conforms(value, hint, ok):
-    assert conforms(value, hint) is ok
-
-
-def test_report_columns_are_typed_by_the_constructor():
-    # from_dict passes the raw JSON lists; ConditionReport sets the dtypes.
-    for make, kind in ((orbit, "i"), (grid_2d, "f")):
-        decoded = ConditionReport.from_dict(json.loads(json.dumps(make().to_dict())))
-        assert decoded.where.dtype.kind == kind
-        assert decoded.residual.dtype == np.float64
-        assert type(decoded.check) is tuple
