@@ -331,7 +331,6 @@ class TestReportCodec:
         [
             ([0, 1], [1.0], ("decrement",)),        # columns of different lengths
             ([0.5, 1.5], [1.0, 2.0], ("decrement",) * 2),  # float step indices
-            (["0"], [1.0], ("decrement",)),          # a place that is not a number
             (np.zeros((1, 1, 1)), [1.0], ("decrement",)),
         ],
     )
@@ -341,6 +340,66 @@ class TestReportCodec:
                 ConditionId.FT_DECREMENT, 2, where, residual, check,
                 max_residual=2.0, tolerance=0.0,
             )
+
+    @pytest.mark.parametrize("where", ["0", [True], [["0.5"]], [[0.5, "x"]], [[True]]])
+    def test_non_numeric_place_is_rejected(self, where):
+        # Neither a string nor a bool is cast to a step index or a coordinate.
+        with pytest.raises(ParameterDomainError, match="violation places must be"):
+            ConditionReport(ConditionId.FT_DECREMENT, 1, where, [1.0], ("decrement",), 1.0, 0.0)
+
+    def test_float_step_index_is_rejected(self):
+        # A flat float column is not read as step indices: 0.5 never becomes 0.
+        with pytest.raises(ParameterDomainError, match="got a float64 array of shape \\(1,\\)"):
+            ConditionReport(ConditionId.FT_DECREMENT, 2, [0.5], [1.0], ("decrement",), 1.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "where, residual, dtype, shape",
+        [
+            ([0, 3], [1, 2], np.int64, (2,)),       # step indices stay integers
+            ([[1, 2]], [1], np.float64, (1, 2)),    # integer states become floats
+            ([[0.5], [-1.5]], [1.0, 2.0], np.float64, (2, 1)),
+            ([], [], np.int64, (0,)),               # no violations at all
+        ],
+        ids=["steps", "int-states", "float-states", "empty"],
+    )
+    def test_constructor_types_plain_columns(self, where, residual, dtype, shape):
+        check = ["decrement"] * len(residual)
+        report = ConditionReport(ConditionId.FT_DECREMENT, 2, where, residual, check, 2.0, 0.0)
+        assert report.where.dtype == dtype and report.where.shape == shape
+        assert report.residual.dtype == np.float64
+        assert report.residual.tolist() == [float(r) for r in residual]
+        assert report.check == tuple(check)
+        assert report.holds_everywhere is (not residual)
+
+    @pytest.mark.parametrize("kind", ["grid-1d", "grid-2d", "orbit", "overflow"])
+    def test_written_violations_are_typed_objects(self, kind, doubling_system):
+        gains = FixedTimeGains(0.5, 0.5, 0.5, 2.0)
+        if kind == "grid-1d":
+            report = scan_conditions(doubling_system, square_candidate(), gains, [-2.0, 1.0])
+        elif kind == "grid-2d":
+            system = affine_system([[2.0, 0.0], [0.0, 0.5]])
+            report = scan_conditions(system, abs_candidate(2), gains, [[1.0, 0.0], [-1.5, 2.5]])
+        elif kind == "orbit":
+            traj = simulate(doubling_system, 1.0, 3)
+            report = scan_trajectory(doubling_system, square_candidate(), gains, traj)
+        else:
+            report = scan_conditions(
+                TABLE1_CASES[0].system(), square_candidate(),
+                FixedTimeGains(0.64, 0.25, 0.8, 2.2), np.logspace(150, 200, 5),
+            )
+        written = self.written(report)["violations"]
+        assert len(written) == len(report.check) > 0
+        for entry, place, residual, check in zip(
+            written, report.where.tolist(), report.residual.tolist(), report.check
+        ):
+            assert list(entry) == ["where", "residual", "check"]
+            assert type(entry["residual"]) is float and type(entry["check"]) is str
+            if kind == "orbit":
+                assert type(entry["where"]) is int
+            else:
+                assert [type(c) for c in entry["where"]] == [float] * report.where.shape[1]
+            assert entry["where"] == place and entry["check"] == check
+            assert entry["residual"] == residual or math.isnan(residual)
 
     @pytest.mark.parametrize(
         "condition_id, where, residual",

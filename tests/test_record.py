@@ -2,17 +2,23 @@
 
 ``json.dumps`` then ``json.loads`` gives back the same dict, and every value
 in it, at any depth, is a dict, list, str, int, float, bool or None: no
-tuple, enum or array survives ``to_dict``.  Fields a record derives from its
-others are ``field(init=False)``, so no caller can pass a contradicting one.
+tuple, enum or array survives ``to_dict``.  Every field is written, derived
+ones included.  Fields a record derives from its others are
+``field(init=False)``, so no caller can pass a contradicting one, and they
+follow the other fields.  ``encode`` is checked value by value, and
+``sweep.json``'s fields by their JSON types.
 """
 
 import dataclasses
 import json
+import math
+from enum import Enum, IntEnum
 
 import pytest
 
 from fixsettle import affine_system
 from fixsettle.lyapunov import (
+    ConditionId,
     ConditionReport,
     FixedTimeGains,
     LyapunovCandidate,
@@ -37,7 +43,7 @@ from fixsettle.perturbation import (
     AttractivenessReport,
     analyze_attractiveness,
 )
-from fixsettle.record import Record
+from fixsettle.record import Record, encode
 from fixsettle.settling import (
     SettlingReport,
     analyze_settling,
@@ -146,3 +152,129 @@ def test_derived_fields_are_not_constructor_arguments():
         if not f.init
     }
     assert derived == {(RECORDS[kind][0], name) for kind, name in DERIVED}
+
+
+@pytest.mark.parametrize("cls, make", RECORDS.values(), ids=RECORDS.keys())
+def test_every_field_is_written(cls, make):
+    names = [f.name for f in dataclasses.fields(cls)]
+    if cls is ConditionReport:
+        # The three violation columns are written as one list of objects.
+        names = [n for n in names if n not in ("where", "residual", "check")] + ["violations"]
+    assert sorted(make().to_dict()) == sorted(names)
+
+
+# For each derived field: the other fields' values it follows, and an edit
+# of them with the value it then takes.
+FOLLOWS = {
+    "holds_everywhere": (
+        lambda r: not r.check, dict(where=[], residual=[], check=()), True,
+    ),
+    "all_within_bound": (
+        lambda r: r.worst_settling is not None and r.worst_settling <= r.bound,
+        dict(worst_settling=19), True,
+    ),
+    "discrepancy": (
+        lambda r: r.k_star_recomputed != r.k_star_published,
+        dict(k_star_published=21, k_star_recomputed=21), False,
+    ),
+    "bound_K_star": (
+        lambda r: r.bound_K1 + r.bound_K2_gap, dict(bound_K1=7, bound_K2_gap=5), 12,
+    ),
+    "satisfied": (
+        lambda r: r.empirical_settling is not None and r.empirical_settling <= r.bound_K_star,
+        dict(empirical_settling=None), False,
+    ),
+    "passed": (lambda r: not r.failures, dict(failures=((3, "q out of bounds"),)), False),
+}
+
+
+@pytest.mark.parametrize("kind, name", DERIVED, ids=[name for _, name in DERIVED])
+def test_derived_value_follows_the_other_fields(kind, name):
+    rule, edit, edited = FOLLOWS[name]
+    record = RECORDS[kind][1]()
+    assert getattr(record, name) == rule(record)
+    changed = dataclasses.replace(record, **edit)
+    assert getattr(changed, name) == rule(changed) == edited != getattr(record, name)
+    assert changed.to_dict()[name] == edited
+
+
+class Colour(Enum):
+    RED = "red"
+
+
+class Level(IntEnum):
+    HIGH = 2
+
+
+@pytest.mark.parametrize("value, expected", [
+    ((), []),
+    ([], []),
+    ((1.5, 2), [1.5, 2]),
+    ([(1.0,), (2.0, 3.0)], [[1.0], [2.0, 3.0]]),
+    (((1.0, None, 3),), [[1.0, None, 3]]),
+    ((((0,),),), [[[0]]]),
+    (ConditionId.FT_MIXED, "FT_MIXED"),
+    (Colour.RED, "red"),
+    (Level.HIGH, 2),
+    ((ConditionId.LYAP_BASIC, Colour.RED), ["LYAP_BASIC", "red"]),
+    ((3, "q out of bounds"), [3, "q out of bounds"]),
+    (None, None),
+    ("FT_MIXED", "FT_MIXED"),
+    (0, 0),
+    (-0.0, -0.0),
+    (True, True),
+    (math.inf, math.inf),
+], ids=[
+    "empty-tuple", "empty-list", "tuple", "list-of-tuples", "nested-with-none", "deep",
+    "str-enum", "enum", "int-enum", "tuple-of-enums", "failure-pair", "none", "str", "int",
+    "negative-zero", "bool", "inf",
+])
+def test_encode(value, expected):
+    out = encode(value)
+    assert out == expected
+    assert _plain(out)
+    assert json.dumps(out) == json.dumps(expected)
+
+
+def test_encode_keeps_nan_and_passes_dicts_through():
+    assert math.isnan(encode(math.nan))
+    d = {"k": (1, 2)}
+    assert encode(d) is d  # records hold no dict, so none is rebuilt
+
+
+def _sweep_json(settles: bool):
+    """A ``sweep.json`` as the CLI writes it, whose worst orbit settles or,
+    cut after two steps, does not."""
+    case = TABLE1_CASES[0]
+    bound = example_bound(*case.params())
+    result = sweep_settling(case.system(), [10.0, 1500.0], bound, k_max=None if settles else 2)
+    assert (result.worst_settling is not None) == settles
+    return json.loads(json.dumps(result.to_dict()))
+
+
+def _curve_entry(entry) -> bool:
+    level, last_outside, first_inside = entry
+    return type(level) is float and all(
+        type(k) is int or k is None for k in (last_outside, first_inside)
+    )
+
+
+# sweep.json's fields and the JSON types of their values, as settled / unsettled.
+SWEEP_TYPES = {
+    "case_id": (lambda v: type(v) is str,) * 2,
+    "grid_description": (lambda v: type(v) is str,) * 2,
+    "epsilon": (lambda v: type(v) is float,) * 2,
+    "bound": (lambda v: type(v) is int,) * 2,
+    "worst_settling": (lambda v: type(v) is int, lambda v: v is None),
+    "worst_x0": (lambda v: type(v) is float,) * 2,
+    "all_within_bound": (lambda v: v is True, lambda v: v is False),
+    "settling_vs_epsilon": (lambda v: type(v) is list and all(map(_curve_entry, v)),) * 2,
+}
+
+
+@pytest.mark.parametrize("settles", [True, False], ids=["settles", "unsettled"])
+@pytest.mark.parametrize("name", SWEEP_TYPES)
+def test_sweep_json_field_types(name, settles):
+    d = _sweep_json(settles)
+    assert sorted(d) == sorted(SWEEP_TYPES)
+    assert SWEEP_TYPES[name][0 if settles else 1](d[name])
