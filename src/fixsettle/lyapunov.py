@@ -299,13 +299,14 @@ def _residuals(
     and the direct form is the actual pointwise condition.  It picks the
     low branch unless the high one is larger, as Python's ``max`` does, and
     ``np.float_power`` matches ``**`` bit for bit, so a batch of one gives
-    the scalar residual.  A negative level raises.  Overflow yields inf and
-    NaN, not warnings.
+    the scalar residual.  A negative V, or a negative V_rhs in the mixed
+    form, raises: V > 0 away from the origin is part of every certificate.
+    Overflow yields inf and NaN, not warnings.
     """
     vx, difference = _step_values(system, V, states)
     with np.errstate(over="ignore", invalid="ignore"):
         v_max = vx if V_rhs is None else V_rhs.values(states)
-        if (v_max < 0.0).any():
+        if (vx < 0.0).any() or (V_rhs is not None and (v_max < 0.0).any()):
             raise ParameterDomainError("candidate values must be nonnegative")
         low = gains.alpha * np.float_power(v_max, gains.r1)
         high = gains.beta * np.float_power(v_max, gains.r2)

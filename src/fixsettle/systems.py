@@ -286,7 +286,7 @@ def constant_perturbation(vector, delta0: float, name: str = "constant") -> Pert
 
 
 # The most steps whose draws the simulators ask a ``block`` for at once.
-_SEED_BLOCK = 128
+_SEED_BLOCK = 256
 
 
 def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> PerturbationSpec:
@@ -295,47 +295,19 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
     Step k (k >= 0) draws ``standard_normal(dimension)`` and then
     ``random()`` from ``np.random.default_rng((seed, k))``, so the draw
     depends on ``(seed, k)`` alone and the sequence is reproducible.  The
-    ``block`` gets there cheaply: it computes the PCG64 states of its steps
-    in one pass, makes each step's draws with one reused PCG64 set to the
-    step's state, and scales the whole block at once.  The per-step
-    ``generator`` is a block of one.  A negative seed or k raises
-    ``ParameterDomainError``.
+    per-step ``generator`` does just that (``_pcg64.fresh_draws``).  The
+    ``block`` gets the same draws of all its steps in one pass, with no
+    generator per step (``_pcg64.normals_and_uniforms``), and scales the
+    whole block at once.
+    A negative seed or k raises ``ParameterDomainError``.
     """
     if dimension < 1:
         raise ParameterDomainError("dimension must be a positive integer")
     if seed < 0:
         raise ParameterDomainError("seed must be a nonnegative integer")
 
-    def block(k0: int, count: int) -> np.ndarray:
-        if delta0 == 0.0:
-            return np.zeros((count, dimension))
-        if k0 < 0:
-            raise ParameterDomainError(f"uniform_ball step must be nonnegative, got {k0}")
-        # numpy imports numpy.random on first use, and importing it or
-        # ._pcg64 is a large share of a CLI call's set-up; only a draw pays.
-        from numpy.random import PCG64, Generator
-
-        from ._pcg64 import seed_states
-
-        bitgen = PCG64(0)
-        rng = Generator(bitgen)
-        states = []
-        while len(states) < count:  # seed_states stops where k's low word wraps
-            states += seed_states(seed, k0 + len(states), count - len(states))
-        # One dict sets the generator to every step's state: the loop target
-        # writes each (state, inc) pair into its inner dict.  A 1-D draw is
-        # one Python float, cheaper than a 1-vector.
-        inner = {}
-        setting = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
-        normal, random = rng.standard_normal, rng.random
-        size = None if dimension == 1 else dimension
-        normals, u = [], []
-        for inner["state"], inner["inc"] in states:
-            bitgen.state = setting
-            normals.append(normal(size))
-            u.append(random())
-        normals = np.array(normals).reshape(count, dimension)
-        u = np.array(u)
+    def on_ball(normals: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Each row of ``normals`` scaled to length ``delta0 * u ** (1 / n)``."""
         sizes = row_norms(normals)
         zero = sizes == 0.0
         if zero.any():
@@ -347,9 +319,32 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
         radii = delta0 * np.float_power(u, 1.0 / dimension)
         return normals / sizes[:, None] * radii[:, None]
 
+    def check_step(k: int) -> None:
+        if k < 0:
+            raise ParameterDomainError(f"uniform_ball step must be nonnegative, got {k}")
+
+    def block(k0: int, count: int) -> np.ndarray:
+        if delta0 == 0.0:
+            return np.zeros((count, dimension))
+        check_step(k0)
+        # numpy imports numpy.random on first use, and importing it or
+        # ._pcg64 is a large share of a CLI call's set-up; only a draw pays.
+        from ._pcg64 import normals_and_uniforms
+
+        return on_ball(*normals_and_uniforms(seed, k0, count, dimension))
+
+    def generator(k: int, state) -> np.ndarray:
+        if delta0 == 0.0:
+            return np.zeros(dimension)
+        check_step(k)
+        from ._pcg64 import fresh_draws
+
+        normal, u = fresh_draws(seed, k, dimension)
+        return on_ball(normal[None, :], np.array([u]))[0]
+
     return PerturbationSpec(
         delta0=delta0,
-        generator=lambda k, state: block(k, 1)[0],
+        generator=generator,
         name="uniform_ball",
         block=block,
     )

@@ -645,6 +645,20 @@ class TestCheckCommand:
         expected = json.dumps(direct.to_dict(), indent=2, sort_keys=True) + "\n"
         assert (tmp_path / "check.json").read_bytes() == expected.encode()
 
+    def test_mixed_form_rejects_a_negative_candidate(self, tmp_path, capsys):
+        # V = 10|x|^2 - 30|x| is negative on the whole grid while the rhs |x|
+        # is not; the mixed form must refuse V as the plain form does.
+        payload = {
+            "schema": 1,
+            "system": {"affine": {"matrix": [[0.5]]}},
+            "lyapunov": {"form": "poly", "coefficients": [-30, 10], "rhs": {"form": "abs"}},
+            "gains": {"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            "analysis": {"grid": {"scale": "linear", "low": 2.5, "high": 2.95, "points": 10}},
+        }
+        cfg = write_config(tmp_path, payload)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == "error: candidate values must be nonnegative\n"
+        assert not (tmp_path / "check.json").exists()
 
     @pytest.mark.parametrize("tolerance", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("domain", [
@@ -944,10 +958,10 @@ class TestDeterminism:
             assert len(records) > 2 * cli._CHUNK
 
     # sha256 of CSV and attract outputs as written before the CSV writer
-    # took columns and uniform_ball drew a block of steps at a time: a 1-D
-    # uniform_ball orbit across two 128-step blocks, a radial orbit, a 2-D
-    # uniform_ball orbit across a block edge, table1.csv, and one attract
-    # run with its trade-off table.
+    # took columns and uniform_ball drew a block of steps at a time: a
+    # 300-step 1-D uniform_ball orbit, a radial orbit, a 150-step 2-D
+    # uniform_ball orbit, table1.csv, and one attract run with its
+    # trade-off table.
     PINNED_OUTPUT_DIGESTS = {
         "ball1d/simulate.csv": "f5220d37e4c135c1f5b86f3cc1bdd0b1bd55bbaee626d93098b509e6f2d21e06",
         "radial/simulate.csv": "63014c0406639f58cb5f177e32735948b1dd7906b555f39e002981d6897f4e2b",
@@ -1399,7 +1413,9 @@ def test_python_m_fixsettle_runs_the_cli(tmp_path):
 def test_numpy_random_not_imported_to_load_a_perturbed_scenario(tmp_path):
     # numpy imports numpy.random lazily, and that import is a large share of
     # a CLI call's set-up; building a uniform_ball source must not pay it,
-    # nor import the module that seeds its draws.
+    # nor import the module that makes its draws.  The first draw imports
+    # both (so the module name checked is the live one), and neither its
+    # table probe nor its uint64 arithmetic warns.
     cfg = write_config(
         tmp_path,
         case1_config(perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 7}),
@@ -1409,12 +1425,15 @@ def test_numpy_random_not_imported_to_load_a_perturbed_scenario(tmp_path):
     code = (
         "import sys, fixsettle.cli\n"
         "from fixsettle.config import load_config\n"
-        f"load_config({cfg!r})\n"
+        f"spec = load_config({cfg!r}).perturbation\n"
+        "print('numpy.random' in sys.modules, 'fixsettle._pcg64' in sys.modules)\n"
+        "spec.block(2**32 - 100, 300)\n"
         "print('numpy.random' in sys.modules, 'fixsettle._pcg64' in sys.modules)\n"
     )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False False\n"
+    assert out.stdout == "False False\nTrue True\n"
 
 
 # Floats a JSON writer must spell out: NaN, both infinities, both zeros,

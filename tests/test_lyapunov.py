@@ -875,7 +875,7 @@ def _reference_residual(system, V, gains, x, V_rhs, slack):
     vx = V(x)
     vfx = V(system.apply(x))
     v = vx if V_rhs is None else V_rhs(x)
-    if v < 0.0:
+    if vx < 0.0 or v < 0.0:  # V itself must be nonnegative in the mixed form too
         raise ParameterDomainError("candidate values must be nonnegative")
     dmax = max(gains.alpha * _pow(v, gains.r1), gains.beta * _pow(v, gains.r2))
     return ((vfx - vx) + dmax) - slack

@@ -27,7 +27,7 @@ from fixsettle import (
     simulate_perturbed,
     uniform_ball_perturbation,
 )
-from fixsettle._pcg64 import seed_states
+from fixsettle import _pcg64
 from fixsettle.systems import (
     DIVERGENCE_LIMIT,
     PerturbationSpec,
@@ -504,8 +504,9 @@ class TestPerturbationBlocks:
             case1_system, per_step, 1500.0, k_max).states.tobytes()
 
     def test_stopped_orbit_draws_no_more_than_whole_blocks(self):
-        # |x| shrinks by 0.95 a step from 1000, so the orbit stops past step 128.
-        shrink = affine_system([[0.95]])
+        # |x| shrinks by 0.975 a step from 1000, so the orbit stops near step
+        # 273, inside the second block.
+        shrink = affine_system([[0.975]])
         spec = uniform_ball_perturbation(1e-3, 1, 3)
         asked = []
 
@@ -588,14 +589,16 @@ class TestUniformBallStream:
              2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64, 3]
 
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_seed_states_equal_default_rng(self, seed):
+    def test_step_words_equal_default_rng(self, seed):
+        # Blocks from k across the wraps of k's low 32-bit word and of 2^64,
+        # where the seed hash runs in two parts.
         for k0 in (0, _SEED_BLOCK - 2, 2**32 - 3, 2**32, 2**64 - 1, 2**64):
-            states = seed_states(seed, k0, 5)
-            # A block stops where the low word of k would wrap.
-            assert len(states) == (3 if k0 == 2**32 - 3 else 1 if k0 == 2**64 - 1 else 5)
-            for j, (state, inc) in enumerate(states):
-                want = np.random.default_rng((seed, k0 + j)).bit_generator.state["state"]
-                assert want == {"state": state, "inc": inc}
+            for n in (1, 3):
+                words = _pcg64.raw_words(seed, k0, 5, n + 1)
+                assert words.shape == (5, n + 1) and words.dtype == np.uint64
+                for j, row in enumerate(words):
+                    want = np.random.default_rng((seed, k0 + j)).bit_generator.random_raw(n + 1)
+                    assert row.tobytes() == want.tobytes(), (k0, j)
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -652,6 +655,94 @@ class TestUniformBallStream:
             with pytest.raises(ValueError):
                 np.random.default_rng((3, k))
         assert gen(2**32 - 1, np.zeros(1)).tobytes() == _reference_ball(0.05, 1, 3, 2**32 - 1).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # Seeds of one, two and three 32-bit words; k0 near the wraps of k's
+        # low word and of 2^64, where k gains an entropy word mid-block.
+        seed=st.integers(0, 2**32 - 1) | st.integers(2**32, 2**64 - 1) | st.integers(2**64, 2**96 - 1),
+        k0=st.integers(0, 2**20) | st.integers(2**32 - 300, 2**32 + 5) | st.integers(2**64 - 300, 2**64 + 5),
+        count=st.integers(1, 300),
+        n=st.integers(1, 4),
+    )
+    def test_blocks_equal_fresh_generators(self, seed, k0, count, n):
+        normals, u = _pcg64.normals_and_uniforms(seed, k0, count, n)
+        block = uniform_ball_perturbation(0.05, n, seed).block(k0, count)
+        assert normals.shape == (count, n) and u.shape == (count,)
+        for j in range(count):
+            rng = np.random.default_rng((seed, k0 + j))
+            assert normals[j].tobytes() == rng.standard_normal(n).tobytes(), j
+            assert u[j:j + 1].tobytes() == np.float64(rng.random()).tobytes(), j
+            assert block[j].tobytes() == _reference_ball(0.05, n, seed, k0 + j).tobytes(), j
+
+    def test_steps_off_the_fast_path_equal_default_rng(self, monkeypatch):
+        # Steps whose normal words leave the certified fast path, found by
+        # scanning the words of one seed: a layer-0 word in numpy's tail, a
+        # layer-1 word (that layer has no fast region), a word of a higher
+        # layer with rabs past the layer's limit, and a 3-D step with only
+        # its second normal off the path.  Each takes the fallback.
+        seed = 12
+        fresh = []
+        fresh_draws = _pcg64.fresh_draws
+
+        def spy(seed, k, n):
+            fresh.append(k)
+            return fresh_draws(seed, k, n)
+
+        monkeypatch.setattr(_pcg64, "fresh_draws", spy)
+        _, limit = _pcg64._ziggurat()
+        words = _pcg64.raw_words(seed, 0, 40_000, 3)
+        layer = (words & np.uint64(0xFF)).astype(np.intp)
+        off = words >> np.uint64(9) & np.uint64(2**52 - 1) >= limit[layer]
+        cases = {
+            "layer-0 tail": (1, off[:, 0] & (layer[:, 0] == 0)),
+            "layer 1": (1, layer[:, 0] == 1),
+            "rabs past the limit": (1, off[:, 0] & (layer[:, 0] >= 2)),
+            "second of three": (3, ~off[:, 0] & off[:, 1] & ~off[:, 2]),
+        }
+        for name, (n, hits) in cases.items():
+            assert hits.any(), name
+            k = int(np.flatnonzero(hits)[0])
+            k0 = max(0, k - 2)
+            fresh.clear()
+            normals, u = _pcg64.normals_and_uniforms(seed, k0, 5, n)
+            assert k in fresh, name
+            block = uniform_ball_perturbation(0.05, n, seed).block(k0, 5)
+            gen = uniform_ball_perturbation(0.05, n, seed).generator
+            for j in range(5):
+                rng = np.random.default_rng((seed, k0 + j))
+                assert normals[j].tobytes() == rng.standard_normal(n).tobytes(), (name, j)
+                assert u[j] == rng.random(), (name, j)
+                want = _reference_ball(0.05, n, seed, k0 + j).tobytes()
+                assert block[j].tobytes() == want and gen(k0 + j, None).tobytes() == want, (name, j)
+
+    def test_failed_certification_draws_every_step_from_default_rng(self, monkeypatch):
+        k0, count = 2**32 - 40, 80
+        want = _pcg64.normals_and_uniforms(5, k0, count, 2)
+        want_block = uniform_ball_perturbation(0.05, 2, 5).block(k0, count)
+        seeded = []
+        default_rng = np.random.default_rng
+
+        def counted(seed):
+            seeded.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(_pcg64, "_ziggurat", lambda: None)
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        got = _pcg64.normals_and_uniforms(5, k0, count, 2)
+        assert seeded == [(5, k) for k in range(k0, k0 + count)]
+        assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+        block = uniform_ball_perturbation(0.05, 2, 5).block(k0, count)
+        assert block.tobytes() == want_block.tobytes()
+
+    def test_ziggurat_probe_leaves_only_layer_1_without_a_fast_region(self):
+        # numpy's layer 1, the top of its ziggurat, has no fast region; each
+        # other layer's width must be read and its limit certified, or that
+        # layer's normals would all take the slow fallback.
+        wi, limit = _pcg64._ziggurat()
+        assert np.flatnonzero(limit == 0).tolist() == [1]
+        assert (wi > 0.0).all() and limit.max() < 2**52
+        assert not wi.flags.writeable and not limit.flags.writeable  # shared by every draw
 
     @settings(max_examples=80, deadline=None)
     @given(
