@@ -188,15 +188,35 @@ def _normal_word(layer, sign, rabs) -> np.ndarray:
             | np.asarray(layer, dtype=np.uint64))
 
 
+def fed_normals(bitgen, words, draws: int) -> Tuple[np.ndarray, int]:
+    """numpy's first ``draws`` standard normals of the chosen uint64
+    ``words`` (at most 312), and how many words they took.
+
+    ``bitgen`` is an MT19937, set to a key that holds the words'
+    untempered halves, high half first.  The key is padded with the word
+    2^63, a uniform of 1/2 and a fast normal 0.0, so that a draw off the
+    fast path ends: an all-zero key would keep the tail of layer 0
+    rejecting forever.
+    """
+    from numpy.random import Generator
+
+    halves = np.tile(np.array([1 << 31, 0], dtype=np.uint32), 312)
+    words = np.asarray(words, dtype=np.uint64)
+    halves[0:2 * len(words):2] = words >> np.uint64(32)
+    halves[1:2 * len(words):2] = words & np.uint64(_MASK32)
+    bitgen.state = {"bit_generator": "MT19937", "state": {"key": _untemper(halves), "pos": 0}}
+    out = Generator(bitgen).standard_normal(draws)
+    return out, bitgen.state["state"]["pos"] // 2
+
+
 @lru_cache(maxsize=None)
 def _ziggurat() -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """``(wi, limit)``: numpy's ziggurat layer widths, and for each layer
     the ``rabs`` below which a normal word is certified to take the fast
     path (0 where none is); None when ``standard_normal`` fails the probe.
 
-    Chosen words reach ``standard_normal`` through an MT19937 whose key
-    holds their untempered halves, high half first, and whose position
-    tells how many words the draws took.  ``rabs = 1`` gives ``wi``.
+    Chosen words reach ``standard_normal`` through ``fed_normals``, which
+    also tells how many words the draws took.  ``rabs = 1`` gives ``wi``.
     Layer i's fast region ends within a unit of ``2**52 * wi[i - 1] /
     wi[i]`` (layer 0's of ``2**52 * wi[255] / wi[0]``).  The ``rabs``
     ``_MARGIN`` under that bound is certified when its word takes one word
@@ -207,32 +227,16 @@ def _ziggurat() -> Optional[Tuple[np.ndarray, np.ndarray]]:
     slow path, which takes a uniform word more; it is probed on its own,
     after the rest.
     """
-    from numpy.random import MT19937, Generator
+    from numpy.random import MT19937
 
     bitgen = MT19937(0)
-    normal = Generator(bitgen).standard_normal
-
-    def feed(words, draws):
-        """``draws`` normals of ``words``, and how many words they took.
-
-        The key is padded with the word 2^63, a uniform of 1/2 and a fast
-        normal 0.0, so that a draw off the fast path ends: an all-zero key
-        would keep the tail of layer 0 rejecting forever."""
-        halves = np.tile(np.array([1 << 31, 0], dtype=np.uint32), 312)
-        words = np.asarray(words, dtype=np.uint64)
-        halves[0:2 * len(words):2] = words >> np.uint64(32)
-        halves[1:2 * len(words):2] = words & np.uint64(_MASK32)
-        bitgen.state = {"bit_generator": "MT19937", "state": {"key": _untemper(halves), "pos": 0}}
-        out = normal(draws)
-        return out, bitgen.state["state"]["pos"] // 2
-
     layers = np.arange(_LAYERS)
     others = layers[layers != 1]
     wi = np.zeros(_LAYERS)
-    wi[others], took = feed(_normal_word(others, 0, 1), len(others))
+    wi[others], took = fed_normals(bitgen, _normal_word(others, 0, 1), len(others))
     if took != len(others):
         return None
-    (wi[1],), took = feed([_normal_word(1, 0, 1), 0], 1)  # the uniform 0 accepts
+    (wi[1],), took = fed_normals(bitgen, [_normal_word(1, 0, 1), 0], 1)  # the uniform 0 accepts
     if took not in (1, 2) or not (wi > 0.0).all():
         return None
     bound = 2.0 ** _RABS_BITS * np.roll(wi, 1) / wi  # wi[i - 1] / wi[i]
@@ -241,7 +245,7 @@ def _ziggurat() -> Optional[Tuple[np.ndarray, np.ndarray]]:
     tried = np.flatnonzero((candidate >= 1.0) & (candidate < 2.0 ** _RABS_BITS))
     rabs = candidate[tried]
     negative = tried % 2  # the sign bit set on odd layers
-    out, took = feed(_normal_word(tried, negative, rabs), len(tried))
+    out, took = fed_normals(bitgen, _normal_word(tried, negative, rabs), len(tried))
     want = rabs * wi[tried]
     want[negative == 1] *= -1.0
     if took != len(tried) or out.tobytes() != want.tobytes():

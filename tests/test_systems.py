@@ -716,6 +716,31 @@ class TestUniformBallStream:
                 want = _reference_ball(0.05, n, seed, k0 + j).tobytes()
                 assert block[j].tobytes() == want and gen(k0 + j, None).tobytes() == want, (name, j)
 
+    def test_fast_path_ends_where_numpys_does_or_before(self, monkeypatch):
+        # Each layer's largest rabs treated as fast (the sign bit set on odd
+        # layers) gives numpy's own normal for that word, one word each; the
+        # next rabs up goes to the fallback.  Such words are too rare for
+        # PCG64 output to reach, so chosen words stand in for a block's.
+        _, limit = _pcg64._ziggurat()
+        layers = np.flatnonzero(limit)
+        top = _pcg64._normal_word(layers, layers % 2, limit[layers] - np.uint64(1))
+        past = _pcg64._normal_word(layers, 0, limit[layers])
+        words = np.stack([np.concatenate([top, past]), np.full(2 * len(layers), 2**63, np.uint64)], 1)
+        monkeypatch.setattr(_pcg64, "raw_words", lambda seed, k0, count, per_step: words)
+        fresh = []
+
+        def fallback(seed, k, n):
+            fresh.append(k)
+            return np.array([np.nan]), 0.5
+
+        monkeypatch.setattr(_pcg64, "fresh_draws", fallback)
+        normals, u = _pcg64.normals_and_uniforms(0, 0, len(words), 1)
+        assert fresh == list(range(len(layers), 2 * len(layers)))
+        want, took = _pcg64.fed_normals(np.random.MT19937(0), top, len(top))
+        assert took == len(top)
+        assert normals[:len(layers), 0].tobytes() == want.tobytes()
+        assert (u[:len(layers)] == 0.5).all()
+
     def test_failed_certification_draws_every_step_from_default_rng(self, monkeypatch):
         k0, count = 2**32 - 40, 80
         want = _pcg64.normals_and_uniforms(5, k0, count, 2)
