@@ -21,7 +21,8 @@ numpy does not export its ziggurat tables, so ``_ziggurat`` reads them
 once per process from ``standard_normal`` itself, and certifies each
 layer's threshold by feeding chosen words through an MT19937.  A step
 with a normal word past its layer's certified threshold, or every step
-when the certification fails, draws from ``default_rng((seed, k))``.
+when the certification fails, draws from ``default_rng((seed, k))``
+itself (``fresh_draws``).
 """
 
 from __future__ import annotations
