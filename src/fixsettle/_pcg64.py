@@ -142,7 +142,8 @@ def raw_words(seed: int, k0: int, count: int, per_step: int) -> np.ndarray:
     """
     blocks = []
     done = 0
-    while done < count:  # _seed_words stops where k's low word wraps
+    # _seed_words stops where k's low word wraps; an empty block is one pass.
+    while done < count or not blocks:
         s0, s1, i0, i1 = _seed_words(seed, k0 + done, count - done)
         m = len(s0)
         mask = _slot_mask(m)

@@ -625,6 +625,11 @@ class TestUniformBallStream:
         want = [_reference_ball(0.05, n, 9, k) for k in range(k0, k0 + 8)]
         assert block(k0, 8).tobytes() == np.array(want).tobytes()
 
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_empty_block(self, n):
+        block = uniform_ball_perturbation(0.05, n, 7).block(2**32 - 1, 0)
+        assert block.shape == (0, n) and block.dtype == np.float64
+
     def test_returned_draw_is_the_callers(self):
         gen = uniform_ball_perturbation(0.05, 2, 4).generator
         first = gen(5, np.zeros(2))
