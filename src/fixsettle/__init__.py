@@ -18,7 +18,6 @@ from .lyapunov import (
     LyapunovCandidate,
     Violation,
     abs_candidate,
-    check_basic_lyapunov,
     decrement_residual,
     estimate_lipschitz,
     polynomial_candidate,

@@ -109,7 +109,7 @@ def _write_json(path: Path, obj):
         text = json.dumps(
             {**obj.to_dict(violations=False), "violations": []}, indent=2, sort_keys=True
         )
-        if not len(obj.check):
+        if not len(obj.residual):
             fh.write(text + "\n")
             return
         fh.write(text[: -len("]\n}")] + "\n")
@@ -153,12 +153,11 @@ def _violation_chunks(report: ConditionReport):
         n = where.shape[1]
         place = "[\n        " + ",\n        ".join(["%s"] * n) + "\n      ]"
         states = _json_floats(where.ravel())
-    record = '    {\n      "check": %s,\n      "residual": %s,\n      "where": ' + place + "\n    }"
-    kinds = {c: json.dumps(c) for c in set(report.check)}
+    record = '    {\n      "check": "decrement",\n      "residual": %s,\n      "where": ' + place + "\n    }"
     residuals = _json_floats(report.residual)
     for start in range(0, len(where), _CHUNK):
         rows = slice(start, start + _CHUNK)
-        columns = [map(kinds.__getitem__, report.check[rows]), residuals(rows)]
+        columns = [residuals(rows)]
         if where.ndim == 1:
             columns.append(map(int.__repr__, where[rows].tolist()))
         else:
@@ -255,7 +254,7 @@ def cmd_check(args):
     )
     note = (
         f" ({report.condition_id.value}: "
-        f"{len(report.check)} violations over {report.checked_points} points)"
+        f"{len(report.residual)} violations over {report.checked_points} points)"
     )
     return [(cfg.output_name or "check.json", report, note)], ()
 

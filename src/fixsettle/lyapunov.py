@@ -155,7 +155,6 @@ def polynomial_candidate(
 
 
 class ConditionId(str, Enum):
-    LYAP_BASIC = "LYAP_BASIC"
     FT_DECREMENT = "FT_DECREMENT"
     FT_MIXED = "FT_MIXED"
     PERTURBED_DECREMENT = "PERTURBED_DECREMENT"
@@ -170,42 +169,40 @@ Where = Union[int, Tuple[float, ...]]
 class Violation(Record):
     where: Where
     residual: float
-    check: str = "decrement"
 
 
-_COLUMNS = ("where", "residual", "check")  # ConditionReport fields kept as arrays
+_COLUMNS = ("where", "residual")  # ConditionReport fields kept as arrays
 
 
 @dataclass(frozen=True, eq=False)
 class ConditionReport(Record):
     """Outcome of a pointwise condition check over a grid or trajectory.
 
-    The violations are kept as three columns, in order: ``where``, a (k,)
-    array of step indices or a (k, n) array of states; ``residual``, a (k,)
-    float array; and ``check``, the kind of each.  ``violations`` builds
-    the ``Violation`` records from them on demand, and ``to_dict`` lists
-    them under ``"violations"``.  Two reports are equal exactly when they
-    write the same JSON: a NaN residual equals NaN, and ``-0.0`` differs
-    from ``0.0``.
+    The violations are kept as two columns: ``where``, a (k,) array of
+    step indices or a (k, n) array of states, and ``residual``, a (k,)
+    float array.  ``violations`` builds the ``Violation`` records from them
+    on demand, and ``to_dict`` lists them under ``"violations"``, each
+    record with ``"check": "decrement"``.  Two reports are equal exactly
+    when they write the same JSON: a NaN residual equals NaN, and ``-0.0``
+    differs from ``0.0``.
 
     A check evaluates places, nonzero grid points or the step indices of
     nonzero orbit states, never the origin; ``checked_points`` counts them.
-    Violations come in place order, then check-kind order, each with a
-    residual above the tolerance, or NaN where it cannot be evaluated
-    (inf - inf once V overflows, say).  ``max_residual`` is the first
-    largest residual: NaN if any is NaN, -inf if nothing was checked.
-    ``value_zero_points`` lists the places where V = 0, which breaks strict
-    positivity though the residual arithmetic stays well-defined.
-    ``holds_everywhere`` is true exactly when there are no violations.  For
-    1-D grid scans, ``violation_intervals`` groups contiguous violating grid
-    points.  Malformed input raises ``ParameterDomainError``.
+    Violations come in place order, each with a residual above the
+    tolerance, or NaN where it cannot be evaluated (inf - inf once V
+    overflows, say).  ``max_residual`` is the first largest residual: NaN
+    if any is NaN, -inf if nothing was checked.  ``value_zero_points``
+    lists the places where V = 0, which breaks strict positivity though the
+    residual arithmetic stays well-defined.  ``holds_everywhere`` is true
+    exactly when there are no residuals.  For 1-D grid scans,
+    ``violation_intervals`` groups contiguous violating grid points.
+    Malformed input raises ``ParameterDomainError``.
     """
 
     condition_id: ConditionId
     checked_points: int
     where: np.ndarray
     residual: np.ndarray
-    check: Tuple[str, ...]
     max_residual: float
     holds_everywhere: bool = field(init=False)
     tolerance: float
@@ -219,7 +216,6 @@ class ConditionReport(Record):
             if where.ndim == 2 and where.dtype.kind in "iuf":  # states, not strings
                 where = where.astype(float, copy=False)
             residual = np.asarray(self.residual, dtype=float)
-            check = tuple(self.check)
         except (TypeError, ValueError) as err:
             raise ParameterDomainError(f"malformed condition report: {err}") from None
         if where.ndim == 1 and (where.dtype.kind in "iu" or len(where) == 0):
@@ -230,13 +226,12 @@ class ConditionReport(Record):
                 f"or a (k, n) array of states, got a {where.dtype} array of "
                 f"shape {where.shape}"
             )
-        if not len(where) == len(residual) == len(check):
+        if len(where) != len(residual):
             raise ParameterDomainError("violation columns differ in length")
         object.__setattr__(self, "condition_id", condition_id)
         object.__setattr__(self, "where", _read_only(where))
         object.__setattr__(self, "residual", _read_only(residual))
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "holds_everywhere", not check)
+        object.__setattr__(self, "holds_everywhere", not len(residual))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -249,15 +244,15 @@ class ConditionReport(Record):
         where = self.where.tolist()
         if self.where.ndim == 2:
             where = map(tuple, where)
-        return tuple(map(Violation, where, self.residual.tolist(), self.check))
+        return tuple(map(Violation, where, self.residual.tolist()))
 
     def to_dict(self, violations: bool = True) -> dict:
         """The JSON form; ``violations=False`` leaves that list out."""
         out = {k: encode(v) for k, v in self.__dict__.items() if k not in _COLUMNS}
         if violations:
             out["violations"] = [
-                {"where": w, "residual": r, "check": c}
-                for w, r, c in zip(self.where.tolist(), self.residual.tolist(), self.check)
+                {"where": w, "residual": r, "check": "decrement"}
+                for w, r in zip(self.where.tolist(), self.residual.tolist())
             ]
         return out
 
@@ -269,18 +264,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 _AT_ORIGIN = "the decrement condition excludes the origin"
-
-
-def _step_values(
-    system: SystemMap, V: LyapunovCandidate, states: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """V(x) and the one-step difference V(F(x)) - V(x) of every row.
-
-    Overflow yields inf and NaN, not warnings.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        vx = V.values(states)
-        return vx, V.values(system.apply_batch(states)) - vx
 
 
 def _residuals(
@@ -303,8 +286,9 @@ def _residuals(
     form, raises: V > 0 away from the origin is part of every certificate.
     Overflow yields inf and NaN, not warnings.
     """
-    vx, difference = _step_values(system, V, states)
     with np.errstate(over="ignore", invalid="ignore"):
+        vx = V.values(states)
+        difference = V.values(system.apply_batch(states)) - vx
         v_max = vx if V_rhs is None else V_rhs.values(states)
         if (vx < 0.0).any() or (V_rhs is not None and (v_max < 0.0).any()):
             raise ParameterDomainError("candidate values must be nonnegative")
@@ -318,37 +302,28 @@ def _report(
     places: np.ndarray,
     values: np.ndarray,
     residuals: np.ndarray,
-    kinds: Tuple[str, ...],
     tolerance: float,
     intervals: bool = False,
 ) -> ConditionReport:
     """The report of a check that evaluated ``places`` in order.
 
-    ``places`` holds step indices (m,) or nonzero states (m, n), ``values``
-    V at each, and ``residuals`` one column per check kind in ``kinds``.  A
-    residual above the tolerance is a violation, and so is a NaN one,
-    which cannot be shown to hold.  ``intervals`` adds the violating runs
-    of a 1-D grid.
+    ``places`` holds step indices (m,) or nonzero states (m, n), and
+    ``values`` and ``residuals`` V and the residual at each.  A residual
+    above the tolerance is a violation, and so is a NaN one, which cannot
+    be shown to hold.  ``intervals`` adds the violating runs of a 1-D grid.
     """
     if not math.isfinite(tolerance):  # NaN would flag every point, inf none
         raise ParameterDomainError(f"tolerance must be a finite number, got {tolerance!r}")
     violating = ~(residuals <= tolerance)
-    flat = residuals.ravel()  # place-major; argmax takes the first largest, or first NaN
-    hits = np.flatnonzero(violating)  # place i, kind j is hit i * len(kinds) + j
-    check = (kinds * len(hits) if len(kinds) == 1  # far cheaper than gathering kinds
-             else np.array(kinds, dtype=object)[hits % len(kinds)])
     zeros = places[values == 0.0].tolist()
     return ConditionReport(
         condition_id=condition_id,
         checked_points=len(places),
-        where=places[hits // len(kinds)],
-        residual=flat[hits],
-        check=check,
-        max_residual=float(flat[np.argmax(flat)]) if len(flat) else -math.inf,
+        where=places[violating],
+        residual=residuals[violating],
+        max_residual=float(residuals[np.argmax(residuals)]) if len(residuals) else -math.inf,
         tolerance=tolerance,
-        violation_intervals=(
-            _violation_intervals(places, violating.any(axis=1)) if intervals else None
-        ),
+        violation_intervals=_violation_intervals(places, violating) if intervals else None,
         value_zero_points=tuple(map(tuple, zeros) if places.ndim == 2 else zeros),
     )
 
@@ -373,30 +348,6 @@ def decrement_residual(
     if _at_origin(state)[0]:
         raise OriginError(_AT_ORIGIN)
     return float(_residuals(system, V, gains, state, V_rhs, slack)[1][0])
-
-
-def check_basic_lyapunov(
-    system: SystemMap,
-    V: LyapunovCandidate,
-    domain_grid,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> ConditionReport:
-    """Plain Lyapunov stability conditions on a grid.
-
-    Checks V > 0 and the nonstrict decrement V(F(x)) - V(x) <= 0 at each
-    nonzero grid point (``LyapunovCandidate`` checks V(0) = 0), listing a
-    point's positivity violation before its decrement one.  Origin points
-    are skipped: they are neither counted nor checked.
-    """
-    grid = as_state_grid(domain_grid, system.dimension)
-    if len(grid) == 0:
-        raise EmptyDomainError("domain grid is empty")
-    points = grid[~_at_origin(grid)]
-    vx, difference = _step_values(system, V, points)
-    residuals = np.stack([-vx, difference], axis=1)
-    return _report(
-        ConditionId.LYAP_BASIC, points, vx, residuals, ("positivity", "decrement"), tolerance
-    )
 
 
 def _condition(
@@ -442,9 +393,11 @@ def scan_conditions(
     """Evaluate a decrement residual over a grid and report every violation.
 
     Pass ``v_rhs`` for the mixed form, or ``g_norm`` for the perturbed one.
-    The grid must be nonempty and exclude the origin.  Violations are listed
-    in grid order; for 1-D systems the report also carries the contiguous
-    violation intervals on the value axis.
+    The mixed form fixes no scale: V -> cV scales the difference but not
+    the ``v_rhs`` side, so any V that strictly decreases along F passes
+    once c is large enough.  The grid must be nonempty and exclude the
+    origin.  Violations are listed in grid order; for 1-D systems the
+    report also carries the contiguous violation intervals.
     """
     pts = as_state_grid(grid, system.dimension)
     if len(pts) == 0:
@@ -456,10 +409,7 @@ def scan_conditions(
         _residuals(system, V, gains, pts[: origin[0]], v_rhs, slack)
         raise OriginError(_AT_ORIGIN)
     vx, residuals = _residuals(system, V, gains, pts, v_rhs, slack)
-    return _report(
-        condition_id, pts, vx, residuals[:, None], ("decrement",), tolerance,
-        intervals=system.dimension == 1,
-    )
+    return _report(condition_id, pts, vx, residuals, tolerance, intervals=system.dimension == 1)
 
 
 def scan_trajectory(
@@ -483,7 +433,7 @@ def scan_trajectory(
     states = traj.states[:-1]
     steps = np.flatnonzero(~_at_origin(states))
     vx, residuals = _residuals(system, V, gains, states[steps], v_rhs, slack)
-    return _report(condition_id, steps, vx, residuals[:, None], ("decrement",), tolerance)
+    return _report(condition_id, steps, vx, residuals, tolerance)
 
 
 # ``estimate_lipschitz`` takes its pairs in chunks of about this many

@@ -31,8 +31,8 @@ DIVERGENCE_LIMIT = 1e300
 
 
 def as_state(x, dimension: int) -> np.ndarray:
-    """Coerce a scalar or sequence into a float64 state vector of length ``dimension``."""
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    """Coerce a scalar or sequence into a contiguous float64 state vector of length ``dimension``."""
+    arr = np.atleast_1d(np.ascontiguousarray(x, dtype=float))
     if arr.ndim != 1 or arr.shape[0] != dimension:
         raise ParameterDomainError(
             f"state has shape {np.asarray(x).shape}, expected a vector of length {dimension}"
@@ -107,8 +107,10 @@ def row_dots(rows: np.ndarray) -> np.ndarray:
     Each row goes through the vector dot product that ``np.dot`` and
     ``np.linalg.norm`` use for a single vector, so the result equals
     ``np.dot(row, row)`` bit for bit; a plain sum of squares differs in the
-    last bit on some rows of two or more components.
+    last bit on some rows of two or more components.  Strided rows are
+    made contiguous first: matmul sums them in another order.
     """
+    rows = np.ascontiguousarray(rows)
     return np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0]
 
 

@@ -1468,8 +1468,6 @@ def _reports(draw):
         checked_points=draw(st.integers(0, 10 ** 6)),
         where=where,
         residual=draw(st.lists(floats, min_size=k, max_size=k)),
-        check=draw(st.lists(st.sampled_from(["positivity", "decrement"]),
-                            min_size=k, max_size=k)),
         max_residual=draw(_FLOATS),
         tolerance=draw(_FLOATS),
         violation_intervals=draw(st.none() | st.lists(st.tuples(_FLOATS, _FLOATS), max_size=2)
@@ -1487,7 +1485,7 @@ def _mirrored_report():
     return ConditionReport(
         condition_id=ConditionId.FT_MIXED, checked_points=k,
         where=np.stack([values, values[::-1]], axis=1), residual=values[::-1],
-        check=("decrement",) * k, max_residual=math.nan, tolerance=1e-12,
+        max_residual=math.nan, tolerance=1e-12,
     )
 
 
@@ -1510,7 +1508,7 @@ class TestReportWriter:
         report = ConditionReport(
             condition_id=ConditionId.FT_MIXED, checked_points=k,
             where=rng.standard_normal((k, 2)) * 10.0 ** rng.integers(-300, 300, (k, 1)),
-            residual=rng.standard_normal(k), check=("decrement",) * k,
+            residual=rng.standard_normal(k),
             max_residual=1.0, tolerance=1e-12,
         )
         cli._write_json(tmp_path / "check.json", report)

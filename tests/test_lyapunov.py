@@ -24,7 +24,6 @@ from fixsettle import (
     Violation,
     abs_candidate,
     affine_system,
-    check_basic_lyapunov,
     decrement_residual,
     estimate_lipschitz,
     polynomial_candidate,
@@ -278,33 +277,36 @@ class TestReportCodec:
         assert d["value_zero_points"] == []
 
     def test_violation_records_built_from_columns(self, doubling_system):
-        report = check_basic_lyapunov(doubling_system, square_candidate(), [-1.0, 2.0])
-        assert report.violations == (Violation((-1.0,), 3.0), Violation((2.0,), 12.0))
+        gains = FixedTimeGains(0.5, 0.5, 0.5, 2.0)
+        # x = -1: 4 - 1 + max(0.5, 0.5); x = 2: 16 - 4 + max(0.5 * 2, 0.5 * 16).
+        report = scan_conditions(doubling_system, square_candidate(), gains, [-1.0, 2.0])
+        assert report.violations == (Violation((-1.0,), 3.5), Violation((2.0,), 20.0))
         assert [type(v.where[0]) for v in report.violations] == [float, float]
         traj = simulate(doubling_system, 1.0, 2)
-        orbit = scan_trajectory(
-            doubling_system, square_candidate(), FixedTimeGains(0.5, 0.5, 0.5, 2.0), traj
-        )
+        orbit = scan_trajectory(doubling_system, square_candidate(), gains, traj)
         assert [type(v.where) for v in orbit.violations] == [int, int]
 
     def test_columns_are_read_only(self, doubling_system):
-        report = check_basic_lyapunov(doubling_system, square_candidate(), [-1.0, 2.0])
+        report = scan_conditions(
+            doubling_system, square_candidate(), FixedTimeGains(0.5, 0.5, 0.5, 2.0), [-1.0, 2.0]
+        )
         for column in (report.where, report.residual):
             with pytest.raises(ValueError):
                 column[0] = 0.0
 
     def test_equality_ignores_the_shape_of_empty_columns(self, halving_system):
-        report = check_basic_lyapunov(halving_system, square_candidate(), [1.0])
+        gains = FixedTimeGains(0.05, 0.005, 0.5, 2.0)
+        report = scan_conditions(halving_system, square_candidate(), gains, [1.0])
         assert report.where.shape == (0, 1)
         assert self.written(report)["violations"] == []
         flat = ConditionReport(
-            report.condition_id, report.checked_points, [], [], (),
+            report.condition_id, report.checked_points, [], [],
             report.max_residual, report.tolerance, report.violation_intervals,
             report.value_zero_points,
         )
         assert flat.where.shape == (0,)
         assert flat == report
-        assert report != check_basic_lyapunov(halving_system, square_candidate(), [1.0, 2.0])
+        assert report != scan_conditions(halving_system, square_candidate(), gains, [1.0, 2.0])
 
     def test_equality_holds_with_nan_residuals(self):
         # V overflows on this grid: residuals [inf, nan, nan, nan, nan].
@@ -327,30 +329,30 @@ class TestReportCodec:
         )
 
     @pytest.mark.parametrize(
-        "where, residual, check",
+        "where, residual",
         [
-            ([0, 1], [1.0], ("decrement",)),        # columns of different lengths
-            ([0.5, 1.5], [1.0, 2.0], ("decrement",) * 2),  # float step indices
-            (np.zeros((1, 1, 1)), [1.0], ("decrement",)),
+            ([0, 1], [1.0]),                # columns of different lengths
+            ([0.5, 1.5], [1.0, 2.0]),       # float step indices
+            (np.zeros((1, 1, 1)), [1.0]),
         ],
+        ids=["unequal-lengths", "float-step-indices", "three-axes"],
     )
-    def test_malformed_columns_rejected(self, where, residual, check):
+    def test_malformed_columns_rejected(self, where, residual):
         with pytest.raises(ParameterDomainError):
             ConditionReport(
-                ConditionId.FT_DECREMENT, 2, where, residual, check,
-                max_residual=2.0, tolerance=0.0,
+                ConditionId.FT_DECREMENT, 2, where, residual, max_residual=2.0, tolerance=0.0
             )
 
     @pytest.mark.parametrize("where", ["0", [True], [["0.5"]], [[0.5, "x"]], [[True]]])
     def test_non_numeric_place_is_rejected(self, where):
         # Neither a string nor a bool is cast to a step index or a coordinate.
         with pytest.raises(ParameterDomainError, match="violation places must be"):
-            ConditionReport(ConditionId.FT_DECREMENT, 1, where, [1.0], ("decrement",), 1.0, 0.0)
+            ConditionReport(ConditionId.FT_DECREMENT, 1, where, [1.0], 1.0, 0.0)
 
     def test_float_step_index_is_rejected(self):
         # A flat float column is not read as step indices: 0.5 never becomes 0.
         with pytest.raises(ParameterDomainError, match="got a float64 array of shape \\(1,\\)"):
-            ConditionReport(ConditionId.FT_DECREMENT, 2, [0.5], [1.0], ("decrement",), 1.0, 0.0)
+            ConditionReport(ConditionId.FT_DECREMENT, 2, [0.5], [1.0], 1.0, 0.0)
 
     @pytest.mark.parametrize(
         "where, residual, dtype, shape",
@@ -363,12 +365,11 @@ class TestReportCodec:
         ids=["steps", "int-states", "float-states", "empty"],
     )
     def test_constructor_types_plain_columns(self, where, residual, dtype, shape):
-        check = ["decrement"] * len(residual)
-        report = ConditionReport(ConditionId.FT_DECREMENT, 2, where, residual, check, 2.0, 0.0)
+        report = ConditionReport(ConditionId.FT_DECREMENT, 2, where, residual, 2.0, 0.0)
         assert report.where.dtype == dtype and report.where.shape == shape
         assert report.residual.dtype == np.float64
         assert report.residual.tolist() == [float(r) for r in residual]
-        assert report.check == tuple(check)
+        assert [v["check"] for v in report.to_dict()["violations"]] == ["decrement"] * len(residual)
         assert report.holds_everywhere is (not residual)
 
     @pytest.mark.parametrize("kind", ["grid-1d", "grid-2d", "orbit", "overflow"])
@@ -388,17 +389,15 @@ class TestReportCodec:
                 FixedTimeGains(0.64, 0.25, 0.8, 2.2), np.logspace(150, 200, 5),
             )
         written = self.written(report)["violations"]
-        assert len(written) == len(report.check) > 0
-        for entry, place, residual, check in zip(
-            written, report.where.tolist(), report.residual.tolist(), report.check
-        ):
+        assert len(written) == len(report.residual) > 0
+        for entry, place, residual in zip(written, report.where.tolist(), report.residual.tolist()):
             assert list(entry) == ["where", "residual", "check"]
-            assert type(entry["residual"]) is float and type(entry["check"]) is str
+            assert type(entry["residual"]) is float and entry["check"] == "decrement"
             if kind == "orbit":
                 assert type(entry["where"]) is int
             else:
                 assert [type(c) for c in entry["where"]] == [float] * report.where.shape[1]
-            assert entry["where"] == place and entry["check"] == check
+            assert entry["where"] == place
             assert entry["residual"] == residual or math.isnan(residual)
 
     @pytest.mark.parametrize(
@@ -411,13 +410,12 @@ class TestReportCodec:
     )
     def test_malformed_input_is_a_domain_error(self, condition_id, where, residual):
         # Each of these used to escape as a bare ValueError.
-        check = ("decrement",) * len(where)
         with pytest.raises(ParameterDomainError, match="malformed condition report"):
-            ConditionReport(condition_id, 1, where, residual, check, 1.0, 0.0)
+            ConditionReport(condition_id, 1, where, residual, 1.0, 0.0)
 
     def test_string_condition_id_becomes_the_enum(self):
         # A str condition_id used to build, and then to_dict raised AttributeError.
-        report = ConditionReport("FT_MIXED", 1, [], [], (), max_residual=0.0, tolerance=0.0)
+        report = ConditionReport("FT_MIXED", 1, [], [], max_residual=0.0, tolerance=0.0)
         assert report.condition_id is ConditionId.FT_MIXED
         assert report.to_dict()["condition_id"] == "FT_MIXED"
 
@@ -441,51 +439,18 @@ def test_one_routine_builds_every_condition_report():
         assert not hasattr(lyapunov, name)
 
 
-class TestBasicLyapunov:
-    GRID = [-10.0, -1.0, -0.1, 0.1, 1.0, 10.0]
-
-    def test_contraction_holds(self, halving_system):
-        report = check_basic_lyapunov(halving_system, square_candidate(), self.GRID)
-        assert report.condition_id is ConditionId.LYAP_BASIC
-        assert report.holds_everywhere
-        assert report.checked_points == 6
-
-    def test_expansion_fails_everywhere(self, doubling_system):
-        report = check_basic_lyapunov(doubling_system, square_candidate(), self.GRID)
-        decrement_violations = [v for v in report.violations if v.check == "decrement"]
-        assert len(decrement_violations) == 6
-        assert not report.holds_everywhere
-
-    def test_origin_condition(self, halving_system):
-        report = check_basic_lyapunov(halving_system, square_candidate(), [1.0])
-        assert all(v.check != "origin" for v in report.violations)
-
-    def test_origin_is_neither_flagged_nor_the_maximum(self, halving_system):
-        # The origin row used to report max_residual 0.0 and, at a negative
-        # tolerance every point meets, a lone "origin" violation.
-        report = check_basic_lyapunov(halving_system, square_candidate(), [0.0, 1.0, 2.0], -0.1)
-        assert report.max_residual == -0.75
-        assert report.holds_everywhere and report.checked_points == 2
-
-    def test_candidate_zero_at_nonzero_point_is_listed(self, halving_system):
-        report = check_basic_lyapunov(halving_system, _DIP, [0.5, 1.0, 2.0])
-        assert report.value_zero_points == ((1.0,),)
-        assert report.value_zero_points == scan_conditions(
-            halving_system, _DIP, FixedTimeGains(0.05, 0.005, 0.5, 2.0), [0.5, 1.0, 2.0]
-        ).value_zero_points
-
-    def test_empty_grid(self, halving_system):
-        with pytest.raises(EmptyDomainError):
-            check_basic_lyapunov(halving_system, square_candidate(), [])
-
-    def test_non_finite_tolerance(self, doubling_system):
-        # NaN would flag every positivity and decrement residual.
-        for tol in (math.inf, -math.inf, math.nan):
-            with pytest.raises(ParameterDomainError, match="tolerance must be a finite number"):
-                check_basic_lyapunov(doubling_system, square_candidate(), self.GRID, tolerance=tol)
-
-
 class TestScanConditions:
+    def test_fortran_ordered_grid_gives_the_same_report(self):
+        # Before the squared norm took contiguous rows, 139 of these 500
+        # residuals differed in the last bit between the two layouts.
+        grid = np.random.default_rng(59).standard_normal((500, 4))
+        system = affine_system(1.1 * np.eye(4))
+        gains = FixedTimeGains(*MAPPED_GAINS)
+        report = scan_conditions(system, square_candidate(4), gains, grid)
+        assert not report.holds_everywhere
+        fortran = scan_conditions(system, square_candidate(4), gains, np.asfortranarray(grid))
+        assert fortran == report
+
     def test_halving_map_small_gains_clean(self, halving_system):
         # alpha V^r1 <= 0.75 V on [0.01, 100] needs alpha <= 0.075 at the low
         # end and beta <= 0.0075 at the top; (0.05, 0.005) clears both.
@@ -807,12 +772,6 @@ class TestTwoDimensionalSystems:
     def _system(self):
         return affine_system([[0.5, 0.1], [0.0, 0.4]], name="planar")
 
-    def test_basic_conditions_hold_on_grid(self):
-        system = self._system()
-        grid = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-2.0, 3.0], [0.5, -0.5]]
-        report = check_basic_lyapunov(system, square_candidate(dimension=2), grid)
-        assert report.holds_everywhere
-
     def test_scan_has_no_intervals_in_higher_dimensions(self):
         system = self._system()
         gains = FixedTimeGains(0.05, 0.005, 0.5, 2.0)
@@ -913,7 +872,6 @@ def _columns(violations):
     return {
         "where": np.array([v.where for v in violations]),
         "residual": np.array([v.residual for v in violations], dtype=float),
-        "check": tuple(v.check for v in violations),
     }
 
 
@@ -954,29 +912,6 @@ def _reference_orbit_scan(system, V, gains, states, V_rhs, slack, tolerance, con
             violations.append(Violation(k, r))
     return ConditionReport(
         condition_id=condition_id,
-        checked_points=checked,
-        **_columns(violations),
-        max_residual=best,
-        tolerance=tolerance,
-        value_zero_points=tuple(zeros),
-    )
-
-
-def _reference_basic(system, V, grid, tolerance):
-    violations, zeros, best, checked = [], [], -math.inf, 0
-    for p in grid:
-        if not np.any(p):
-            continue
-        checked += 1
-        vx = V(p)
-        if vx == 0.0:
-            zeros.append(tuple(p))
-        for check, r in (("positivity", -vx), ("decrement", V(system.apply(p)) - vx)):
-            best = _keep_max(best, r)
-            if _is_violation(r, tolerance):
-                violations.append(Violation(tuple(p), r, check))
-    return ConditionReport(
-        condition_id=ConditionId.LYAP_BASIC,
         checked_points=checked,
         **_columns(violations),
         max_residual=best,
@@ -1142,15 +1077,6 @@ class TestBatchedScansMatchPerPointLoop:
         for p in pts:
             got = _outcome(lambda: decrement_residual(system, V, gains, p, rhs, slack))
             want = _outcome(lambda: _reference_residual(system, V_ref, gains, p, rhs_ref, slack))
-            assert got == want
-
-    @PROPERTY_SETTINGS
-    @given(_scan_case())
-    def test_basic_lyapunov(self, case):
-        system, (V, V_ref), _, _, tolerance, pts = case
-        for tol in (tolerance, _EVERY):
-            got = _outcome(lambda: check_basic_lyapunov(system, V, pts, tolerance=tol))
-            want = _outcome(lambda: _reference_basic(system, V_ref, pts, tol))
             assert got == want
 
     def test_states_whose_squares_underflow_are_not_the_origin(self, case1_system):

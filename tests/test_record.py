@@ -158,8 +158,8 @@ def test_derived_fields_are_not_constructor_arguments():
 def test_every_field_is_written(cls, make):
     names = [f.name for f in dataclasses.fields(cls)]
     if cls is ConditionReport:
-        # The three violation columns are written as one list of objects.
-        names = [n for n in names if n not in ("where", "residual", "check")] + ["violations"]
+        # The two violation columns are written as one list of objects.
+        names = [n for n in names if n not in ("where", "residual")] + ["violations"]
     assert sorted(make().to_dict()) == sorted(names)
 
 
@@ -167,7 +167,7 @@ def test_every_field_is_written(cls, make):
 # of them with the value it then takes.
 FOLLOWS = {
     "holds_everywhere": (
-        lambda r: not r.check, dict(where=[], residual=[], check=()), True,
+        lambda r: not len(r.residual), dict(where=[], residual=[]), True,
     ),
     "all_within_bound": (
         lambda r: r.worst_settling is not None and r.worst_settling <= r.bound,
@@ -216,7 +216,7 @@ class Level(IntEnum):
     (ConditionId.FT_MIXED, "FT_MIXED"),
     (Colour.RED, "red"),
     (Level.HIGH, 2),
-    ((ConditionId.LYAP_BASIC, Colour.RED), ["LYAP_BASIC", "red"]),
+    ((ConditionId.FT_MIXED, Colour.RED), ["FT_MIXED", "red"]),
     ((3, "q out of bounds"), [3, "q out of bounds"]),
     (None, None),
     ("FT_MIXED", "FT_MIXED"),

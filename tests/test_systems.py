@@ -1345,6 +1345,27 @@ class TestStateNorm:
             rows = rng.standard_normal((300, n))
             assert row_dots(rows).tobytes() == np.array([np.dot(r, r) for r in rows]).tobytes()
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_row_dots_do_not_depend_on_layout(self, n):
+        # Strided rows once took matmul's other summation order: a
+        # Fortran-ordered stack of four or more components differed from
+        # np.dot in the last bit on about a third of its rows.
+        rng = np.random.default_rng(53)
+        rows = rng.standard_normal((2000, n)) * 10.0 ** rng.uniform(-3, 3, (2000, 1))
+        want = np.array([np.dot(r, r) for r in rows]).tobytes()
+        wide = np.hstack([rows, rows])
+        for stack in (np.asfortranarray(rows), wide[:, n:], np.asfortranarray(wide)[:, :n]):
+            assert row_dots(stack).tobytes() == want
+            assert row_norms(stack).tobytes() == row_norms(rows).tobytes()
+
+    def test_strided_start_state_has_the_contiguous_norm(self):
+        # The stop test at k = 0 reads the start state's norm as given.
+        rng = np.random.default_rng(57)
+        rows = rng.standard_normal((200, 4)) * 10.0 ** rng.uniform(-3, 3, (200, 1))
+        system = affine_system(0.5 * np.eye(4))
+        for row, strided in zip(rows, np.asfortranarray(rows)):
+            assert len(simulate(system, strided, 3, stop_epsilon=norm(row))) == 1
+
     def test_stop_test_and_settling_index_agree(self):
         # The stop test and the settling measurements read the same norm:
         # a plain sum of squares put ||x_5|| just above this epsilon.
