@@ -24,6 +24,8 @@ import csv
 import dataclasses
 import functools
 import json
+import os
+import stat
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -67,10 +69,25 @@ def _fmt(x) -> str:
 @contextmanager
 def _writing(path: Path, newline=None):
     """``path`` opened for writing; an ``OSError`` becomes a ``FixsettleError``
-    that names the path."""
+    that names the path.
+
+    An existing regular file is written over in place, not first cut to zero
+    (which on ext4 forces a write-back at close), and once the writes end or
+    fail it is cut to what was written if it was longer.  Anything else,
+    such as ``/dev/null`` or a FIFO, is written as ``open`` would write it.
+    """
     try:
-        with open(path, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
+        with open(
+            path, "w", newline=newline, encoding="utf-8",
+            opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666),
+        ) as fh:
+            try:
+                yield fh
+            finally:
+                fh.flush()
+                st = os.fstat(fh.fileno())
+                if stat.S_ISREG(st.st_mode) and st.st_size > fh.tell():
+                    fh.truncate()
     except OSError as err:
         raise FixsettleError(f"cannot write {path}: {err.strerror or err}") from err
 

@@ -76,8 +76,9 @@ class LyapunovCandidate:
     ``body`` maps an (m, dimension) array of states to the m values of V in
     one call; ``V(x)`` is a batch of one through it.  V must vanish at the
     origin (checked at construction, which also checks the body's output
-    shape).  ``lipschitz_LV`` is required only by the perturbed decrement
-    check.
+    shape; the builtin bodies ``row_norms`` and ``row_dots`` vanish there
+    by construction and skip it).  ``lipschitz_LV`` is required only by the
+    perturbed decrement check.
     """
 
     name: str
@@ -88,6 +89,10 @@ class LyapunovCandidate:
     def __post_init__(self):
         if self.lipschitz_LV is not None and not self.lipschitz_LV > 0.0:
             raise ParameterDomainError("lipschitz_LV must be positive when given")
+        if self.dimension < 1:
+            raise ParameterDomainError("candidate dimension must be a positive integer")
+        if self.body in (row_norms, row_dots):
+            return  # ||0|| and 0 . 0 are 0.0, in rows of any length
         v0 = self(np.zeros(self.dimension))
         if v0 != 0.0:
             raise ParameterDomainError(

@@ -1757,6 +1757,100 @@ class TestCsvWriter:
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
+def _large_report(k: int) -> ConditionReport:
+    rng = np.random.default_rng(5)
+    return ConditionReport(
+        condition_id=ConditionId.FT_MIXED, checked_points=k,
+        where=rng.standard_normal((k, 2)), residual=rng.standard_normal(k),
+        max_residual=1.0, tolerance=1e-12,
+    )
+
+
+_OLD = b"#" * 1_000_000  # longer than every payload below; '#' is in none of them
+
+
+class TestInPlaceWrites:
+    """An existing output file is written over in place, then cut to the new
+    payload's length; what is left equals a write into a new file."""
+
+    @pytest.mark.parametrize("writer, payload", [
+        ("csv", (["k", "x"], [range(3), np.array([0.5, -1.0, 2.0])])),
+        ("json", {"K_star": 7, "bounds": [1.5, 2.5]}),
+        ("json", _large_report(2 * cli._CHUNK + 3)),
+        ("json", _large_report(0)),
+    ], ids=["csv", "json", "report", "empty-report"])
+    def test_shorter_payload_over_a_longer_file(self, tmp_path, writer, payload):
+        write = (lambda p: cli._write_csv(p, *payload)) if writer == "csv" else (
+            lambda p: cli._write_json(p, payload))
+        write(tmp_path / "fresh")
+        fresh = (tmp_path / "fresh").read_bytes()
+        assert 0 < len(fresh) < len(_OLD)
+        (tmp_path / "out").write_bytes(_OLD)
+        write(tmp_path / "out")
+        assert (tmp_path / "out").read_bytes() == fresh
+
+    def test_longer_payload_over_a_shorter_file(self, tmp_path):
+        report = _large_report(cli._CHUNK + 1)
+        cli._write_json(tmp_path / "fresh", report)
+        (tmp_path / "out").write_bytes(b"#" * 10)
+        cli._write_json(tmp_path / "out", report)
+        assert (tmp_path / "out").read_bytes() == (tmp_path / "fresh").read_bytes()
+
+    def test_failed_write_is_cut_where_it_failed(self, tmp_path, monkeypatch):
+        report = _large_report(3 * cli._CHUNK)
+        chunks = list(cli._violation_chunks(report))
+
+        def one_chunk_then_fail(_report):
+            yield chunks[0]
+            raise RuntimeError("stopped part-way")
+
+        cli._write_json(tmp_path / "fresh", report)
+        fresh = (tmp_path / "fresh").read_bytes()
+        (tmp_path / "out").write_bytes(_OLD)
+        monkeypatch.setattr(cli, "_violation_chunks", one_chunk_then_fail)
+        with pytest.raises(RuntimeError, match="stopped part-way"):
+            cli._write_json(tmp_path / "out", report)
+        left = (tmp_path / "out").read_bytes()
+        assert left.endswith(chunks[0].encode())
+        assert left == fresh[: len(left)]
+        assert b"#" not in left
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_gets_the_mode_open_would_give(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            cli._write_json(tmp_path / "new.json", {"a": 1})
+            with open(tmp_path / "opened.json", "w"):
+                pass
+        finally:
+            os.umask(old)
+        mode = (tmp_path / "new.json").stat().st_mode & 0o777
+        assert mode == 0o666 & ~umask == (tmp_path / "opened.json").stat().st_mode & 0o777
+
+    def test_rerun_over_a_longer_scenario_matches_a_fresh_run(self, tmp_path):
+        long_cfg = write_config(tmp_path, case1_config(analysis={"x0": 1500.0, "k_max": 60}),
+                                "long.json")
+        short_cfg = write_config(tmp_path, case1_config(analysis={"x0": 3.0, "k_max": 4}),
+                                 "short.json")
+        rerun, fresh = tmp_path / "rerun" / "simulate.csv", tmp_path / "fresh" / "simulate.csv"
+        assert main(["simulate", "--config", long_cfg, "--out", str(rerun.parent)]) == 0
+        longer = rerun.stat().st_size
+        for out in (rerun.parent, fresh.parent):
+            assert main(["simulate", "--config", short_cfg, "--out", str(out)]) == 0
+        assert rerun.read_bytes() == fresh.read_bytes()
+        assert rerun.stat().st_size < longer
+
+    @pytest.mark.skipif(not os.path.exists(os.devnull), reason="no null device")
+    def test_output_linked_to_the_null_device(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, case1_config())
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "simulate.csv").symlink_to(os.devnull)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "simulate.csv").is_symlink()
+        assert os.path.getsize(os.devnull) == 0
+
+
 def _small_simulate(tmp_path: Path) -> str:
     return write_config(tmp_path, case1_config(
         perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 11},

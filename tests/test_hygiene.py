@@ -47,3 +47,89 @@ def test_unused_imports_are_found():
         "    return os.path.join(x)\n"
     )
     assert _unused_imports(source) == [(2, "json"), (4, "Tuple"), (5, "Empty")]
+
+
+# Calls that open a file whatever their arguments, and the builtin or method
+# ``open``, which writes when its mode is not a literal read-only one.
+_ALWAYS_OPEN = {"write_text", "write_bytes", "fdopen", "mkstemp", "NamedTemporaryFile"}
+
+
+def _opens_for_writing(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    if name in _ALWAYS_OPEN:
+        return True
+    if name != "open":
+        return False
+    if isinstance(func, ast.Attribute) and getattr(func.value, "id", None) == "os":
+        return True  # os.open takes flags, not a mode
+    # Builtin ``open(file, mode)`` and ``Path.open(mode)``; the default is "r".
+    mode_at = 1 if isinstance(func, ast.Name) else 0
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] or call.args[mode_at:mode_at + 1]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                and set(mode.value) <= set("rbt"))
+
+
+def _writers(source: str):
+    """The names of the outermost functions whose bodies open a file for
+    writing ("<module>" outside any function), with the line of each call."""
+    tree = ast.parse(source)
+    # ``ast.walk`` is breadth-first, so an enclosing function comes before
+    # the functions nested in it, and the module comes last.
+    scopes = [node for node in ast.walk(tree)
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))] + [tree]
+    outermost = {}
+    for scope in scopes:
+        for node in ast.walk(scope):
+            if isinstance(node, ast.Call) and _opens_for_writing(node):
+                outermost.setdefault(node, (getattr(scope, "name", "<module>"), node.lineno))
+    return sorted(outermost.values())
+
+
+def test_cli_writing_is_the_one_write_path():
+    writers = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+               for name, _ in _writers(path.read_text())}
+    assert writers == {("cli.py", "_writing")}
+
+
+def test_writing_never_truncates_to_zero():
+    # Mode "w" asks for O_TRUNC; ``_writing``'s opener must clear it, and
+    # nothing in ``_writing`` may ask for it otherwise.
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    writing = next(node for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_writing")
+    cleared = {id(node.operand) for node in ast.walk(writing)
+               if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Invert)}
+    truncs = [node for node in ast.walk(writing)
+              if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC"
+              or isinstance(node, ast.Name) and node.id == "O_TRUNC"]
+    assert truncs and all(id(node) in cleared for node in truncs)
+    opens = [node for node in ast.walk(writing)
+             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"]
+    assert opens and all(any(kw.arg == "opener" for kw in node.keywords) for node in opens)
+
+
+def test_writers_are_found():
+    source = (
+        "import os\n"
+        "from pathlib import Path\n"
+        "def read(p):\n"
+        "    with open(p) as a, open(p, 'rb') as b, Path(p).open(mode='r') as c:\n"
+        "        return a.read() + b.read() + c.read()\n"
+        "def append(p, mode):\n"
+        "    open(p, 'a').close()\n"
+        "    open(p, mode=mode).close()\n"
+        "def outer(p):\n"
+        "    def inner():\n"
+        "        return os.open(p, os.O_WRONLY)\n"
+        "    Path(p).write_text('x')\n"
+        "    return Path(p).open('r+')\n"
+        "LOG = open('log', 'w')\n"
+    )
+    assert _writers(source) == [
+        ("<module>", 14), ("append", 7), ("append", 8), ("outer", 11), ("outer", 12),
+        ("outer", 13),
+    ]

@@ -96,6 +96,39 @@ class TestCandidates:
         with pytest.raises(ParameterDomainError):
             LyapunovCandidate("offset", lambda s: s[:, 0] + 1.0)
 
+    @pytest.mark.parametrize("dimension", [1, 3])
+    def test_custom_body_nonzero_at_the_origin_keeps_its_message(self, dimension):
+        # Only the builtin bodies skip the check; a custom body, even one
+        # that wraps a builtin, is still evaluated at the origin.
+        with pytest.raises(ParameterDomainError) as err:
+            LyapunovCandidate("shifted", lambda s: row_norms(s) + 0.5, dimension=dimension)
+        assert str(err.value) == (
+            "candidate 'shifted' has value 0.5 at the origin; "
+            "a Lyapunov candidate must vanish there"
+        )
+
+    @pytest.mark.parametrize("make", [
+        abs_candidate,
+        square_candidate,
+        lambda d: LyapunovCandidate("custom", lambda s: row_norms(s), dimension=d),
+    ])
+    @pytest.mark.parametrize("dimension", [0, -1])
+    def test_dimension_must_be_positive(self, make, dimension):
+        # Checked before the origin value, which builtin bodies skip.
+        with pytest.raises(ParameterDomainError, match="dimension must be a positive integer"):
+            make(dimension)
+
+    @pytest.mark.parametrize("make", [abs_candidate, square_candidate])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_builtin_bodies_skip_the_origin_evaluation(self, monkeypatch, make, dimension):
+        calls = []
+        monkeypatch.setattr(
+            LyapunovCandidate, "values", lambda self, s: calls.append(s) or self.body(s)
+        )
+        V = make(dimension)
+        assert calls == []
+        assert V(np.zeros(dimension)) == 0.0
+
     def test_lipschitz_positive(self):
         with pytest.raises(ParameterDomainError):
             abs_candidate(lipschitz=0.0)
