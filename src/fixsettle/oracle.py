@@ -175,7 +175,8 @@ _CHUNK = 64
 def _settling_curves(system: SystemMap, x: np.ndarray, steps: int, levels: np.ndarray):
     """``settling.entry_curves`` of every orbit of the (m, n) stack ``x``:
     the ``fold_entries`` of its ``row_norms`` at k = 0..steps, stepped
-    through ``systems._steps``, whose divergence error passes through.
+    through ``systems._steps``, whose divergence error passes through.  A
+    one-row run steps as its one state, on ``_steps``' single-state lane.
 
     States and norms are buffered ``_CHUNK`` steps at a time and folded
     per chunk.  At the end of each full chunk, every orbit's last state K
@@ -195,7 +196,8 @@ def _settling_curves(system: SystemMap, x: np.ndarray, steps: int, levels: np.nd
     norms = np.empty((_CHUNK, len(x)))
     bits = states.view(np.int64)
     slots = np.arange(_CHUNK)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"), closing(_steps(system, x, steps)) as orbit:
+    orbit = _steps(system, x[0] if len(x) == 1 else x, steps)
+    with np.errstate(over="ignore", invalid="ignore"), closing(orbit):
         for k, state, size in orbit:
             i = (k - 1) % _CHUNK
             states[i], norms[i] = state, size

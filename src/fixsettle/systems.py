@@ -85,8 +85,17 @@ class SystemMap:
         return _checked(self, self.body(states), states.shape)
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 def _checked(system: SystemMap, out, shape) -> np.ndarray:
-    """``out`` as a float array, which must have the input's shape."""
+    """``out`` as a float array, which must have the input's shape.
+
+    A plain native float64 array of that shape is taken as it is, which is
+    what ``np.asarray(out, dtype=float)`` gives for it.
+    """
+    if type(out) is np.ndarray and out.dtype is _FLOAT64 and out.shape == shape:
+        return out
     out = np.asarray(out, dtype=float)
     if out.shape != shape:
         raise ParameterDomainError(
@@ -437,10 +446,7 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
         state = np.empty(1)
         for k in range(k_max):
             state[0] = y
-            nxt = np.asarray(body(state), dtype=float)
-            if nxt.shape != (1,):
-                _checked(system, nxt, (1,))
-            y = nxt.item()
+            y = _checked(system, body(state), (1,)).item()
             if by_block:
                 if k - k0 == len(draws):
                     k0 = k
@@ -459,9 +465,7 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
     else:
         stack = x.ndim == 2
         for k in range(k_max):
-            nxt = np.asarray(body(x), dtype=float)
-            if nxt.shape != x.shape:
-                _checked(system, nxt, x.shape)
+            nxt = _checked(system, body(x), x.shape)
             if by_block:
                 if k - k0 == len(draws):
                     k0 = k
@@ -473,8 +477,10 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
                 nxt = nxt + pert.sample(k, x)
             if stack:
                 size = row_norms(nxt)
-                guarded = size <= DIVERGENCE_LIMIT
-                row = None if guarded.all() else int(np.argmin(guarded))
+                # max propagates NaN: one comparison clears a whole stack.
+                row = None
+                if not size.max() <= DIVERGENCE_LIMIT:
+                    row = int(np.argmin(size <= DIVERGENCE_LIMIT))
             else:
                 size = norm(nxt)
                 row = None if size <= DIVERGENCE_LIMIT else 0
@@ -578,16 +584,29 @@ def _example_step_raw(x: float, aprime: float, bprime: float, r1prime: float, r2
     return x - math.copysign(m, x)
 
 
+def _example_step_float(x: float, aprime: float, bprime: float, r1prime: float, r2prime: float) -> float:
+    """``_example_step_raw`` on the Python float ``x``.
+
+    Python's ``**`` raises ``OverflowError`` where numpy's gives inf; such a
+    step is taken again in numpy scalars.  Otherwise both call libm ``pow``
+    and round every other operation alike, so the two agree bit for bit.
+    """
+    try:
+        return _example_step_raw(x, aprime, bprime, r1prime, r2prime)
+    except OverflowError:
+        return float(_example_step_raw(np.float64(x), aprime, bprime, r1prime, r2prime))
+
+
 def example_step(x: float, aprime: float, bprime: float, r1prime: float, r2prime: float) -> float:
     """One step of the scalar benchmark map.
 
     sign(0) is taken as 0, making the origin an exact fixed point.  The
-    step is taken in numpy scalars, as ``example_system`` takes it, so a
-    power that overflows gives inf rather than raising.
+    step is ``example_system``'s single-state step, so a power that
+    overflows gives inf rather than raising.
     """
     validate_example_params(aprime, bprime, r1prime, r2prime)
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(_example_step_raw(np.float64(x), aprime, bprime, r1prime, r2prime))
+        return _example_step_float(float(x), aprime, bprime, r1prime, r2prime)
 
 
 def example_system(
@@ -598,16 +617,21 @@ def example_system(
 
     def body(states: np.ndarray) -> np.ndarray:
         # Parameters were validated at construction; skip the per-step check.
-        # A single state takes the scalar step, far cheaper per call than the
-        # array path; np.float_power calls libm pow like Python's **, so a
-        # stack's rows match it bit for bit, where np.power does not.
+        # A single state takes the scalar step on a Python float, far cheaper
+        # per call than the array path; np.float_power calls libm pow like
+        # Python's **, so a stack's rows match it bit for bit, where np.power
+        # does not.  The stack path writes into its own temporaries: a *= b
+        # rounds as b * a does.
         if states.ndim == 1:
-            return np.array([_example_step_raw(states[0], aprime, bprime, r1prime, r2prime)])
+            return np.array([_example_step_float(states.item(), aprime, bprime, r1prime, r2prime)])
         mag = np.abs(states)
-        low = aprime * np.float_power(mag, r1prime)
-        high = bprime * np.float_power(mag, r2prime)
-        m = np.copysign(np.maximum(low, high), states)
-        return states - m
+        low = np.float_power(mag, r1prime)
+        low *= aprime
+        high = np.float_power(mag, r2prime)
+        high *= bprime
+        np.maximum(low, high, out=low)
+        np.copysign(low, states, out=low)
+        return np.subtract(states, low, out=low)
 
     return SystemMap(name=name, dimension=1, body=body)
 

@@ -471,6 +471,53 @@ class TestCycleExit:
         assert {"_settling_curves", "fold_entries", "entry_curves"} <= called
 
 
+_ONE_ROW_SYSTEMS = [case.system() for case in TABLE1_CASES] + [
+    affine_system([[0.5]], name="halving"),
+    affine_system([[-1.0]], [1.0], name="flip"),
+    SystemMap("zeros_apart", 1, _zeros_apart),
+]
+
+
+class TestOneRowRuns:
+    """A one-row settling run steps its one state on the single-state lane
+    of ``systems._steps``: the curves of its lane in a stack, from as many
+    ``body`` calls as the stack makes, each on a state of shape (1,)."""
+
+    LEVELS = (10.0, 1.0, 0.5, 0.25, 0.1, 1e-3, 0.0)
+
+    @pytest.mark.parametrize("system", _ONE_ROW_SYSTEMS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("steps", [1, 63, 64, 65, 300])
+    def test_equals_its_lane_of_a_stack(self, system, steps):
+        levels = np.array(self.LEVELS)
+        for x0 in (1500.0, -3.0, 1.0, 0.0, -0.0, 5e-324):
+            one, one_calls = _counted(system)
+            curves = _settling_curves(one, np.array([[x0]]), steps, levels)
+            # Twin lanes close their cycles when the one lane does.
+            twin, twin_calls = _counted(system)
+            twins = _settling_curves(twin, np.array([[x0], [x0]]), steps, levels)
+            mixed = _settling_curves(system, np.array([[x0], [0.75]]), steps, levels)
+            assert curves == twins[:1] == mixed[:1], x0
+            assert set(one_calls) == {(1,)} and set(twin_calls) == {(2, 1)}
+            assert len(one_calls) == len(twin_calls), x0
+
+    @pytest.mark.parametrize("x0", [1e7, -3e6, math.inf, -math.inf, math.nan])
+    def test_diverging_single_x0_sweep_keeps_its_message(self, x0):
+        # Case 1 diverges above 4^10.
+        system = TABLE1_CASES[0].system()
+        bound = example_bound(*TABLE1_CASES[0].params())
+        with pytest.raises(SimulationDivergedError) as one:
+            sweep_settling(system, [x0], bound)
+        with pytest.raises(SimulationDivergedError) as twins:
+            sweep_settling(system, [x0, x0], bound)
+        with pytest.raises(SimulationDivergedError) as orbit, \
+                np.errstate(over="ignore", invalid="ignore"):
+            simulate(system, x0, bound + 50)
+        assert str(one.value) == str(twins.value) == f"sweep orbit from x0={x0!r} diverged: {orbit.value}"
+        assert one.value.last_finite_index == twins.value.last_finite_index \
+            == orbit.value.last_finite_index
+        assert repr(one.value.x0) == repr(twins.value.x0) == repr(x0)
+
+
 class TestTable1:
     def test_recomputed_bounds(self):
         rows = table1_reproduce()

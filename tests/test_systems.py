@@ -1184,6 +1184,164 @@ class TestBatchedStep:
         assert simulate(case1_system, 2.0, 3).states[:, 0].tolist() == [2.0, 1.0, 0.5, 0.25]
 
 
+def _whole_range_inputs(count=100_000):
+    """Inputs over the whole float range, of both signs: log-uniform
+    magnitudes from the smallest subnormal to 1.78e308, subnormals, values
+    near 1, and 1e280 up to the largest float, where the powers overflow;
+    plus zeros, the largest float, infinities and NaN."""
+    rng = np.random.default_rng(41)
+    huge = np.finfo(float).max
+    special = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+               1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+               huge, -huge, np.inf, -np.inf, np.nan, -np.nan]
+    n = (count - len(special)) // 4
+    log10 = np.concatenate([
+        rng.uniform(-323.3, 308.25, n),
+        rng.uniform(-323.3, -307.7, n),
+        np.zeros(n),
+        rng.uniform(280.0, 308.25, n),
+    ])
+    magnitudes = 10.0 ** log10
+    magnitudes[2 * n:3 * n] += rng.uniform(-1e-6, 1e-6, n)
+    return np.concatenate([special, magnitudes * rng.choice([-1.0, 1.0], 4 * n)])
+
+
+class TestScalarStep:
+    """The example body steps a single state on a Python float, and takes
+    a step whose power ``**`` cannot hold in numpy scalars.  Over the whole
+    float range it equals the step in numpy scalars and the stack's row,
+    bit for bit."""
+
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
+    def test_equals_numpy_scalars_and_the_stack(self, case):
+        from fixsettle.systems import _example_step_raw
+
+        system, params = case.system(), case.params()
+        xs = _whole_range_inputs()
+        with np.errstate(over="ignore", invalid="ignore"):
+            one = _one_state_at_a_time(system, xs)
+            scalars = np.array([_example_step_raw(np.float64(x), *params) for x in xs])
+            stack = system.apply_batch(xs[:, None])[:, 0]
+        assert np.array_equal(one.view(np.int64), scalars.view(np.int64))
+        assert np.array_equal(one.view(np.int64), stack.view(np.int64))
+        assert np.isnan(one[np.isnan(xs)]).all()
+
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_power_gives_inf(self, case):
+        from fixsettle.systems import _example_step_raw
+
+        system, params = case.system(), case.params()
+        for x in (1e290, -1e300, 1.7e308, -np.finfo(float).max):
+            with pytest.raises(OverflowError):
+                _example_step_raw(float(x), *params)  # Python's ** raises
+            with np.errstate(over="ignore"):
+                got = system.body(np.array([x]))
+            assert got.tolist() == [-math.copysign(math.inf, x)]
+            assert example_step(x, *params) == got[0]
+
+
+class _Tagged(np.ndarray):
+    """An ndarray subclass, which the orbit loop turns into a plain array."""
+
+
+# What a body may return, from the float64 array it computed.
+_OUTPUT_KINDS = {
+    "list": lambda y: y.tolist(),
+    "int": lambda y: y.astype(np.int64),
+    "float32": lambda y: y.astype(np.float32),
+    "swapped": lambda y: y.astype(y.dtype.newbyteorder()),
+    "0-d": lambda y: np.array(y.flat[0]),
+    "subclass": lambda y: y.view(_Tagged),
+}
+
+
+def _converting_loop(system, x, k_max):
+    """The orbit loop that converts every ``body`` output with
+    ``np.asarray(..., dtype=float)`` and then checks its shape: its states,
+    or the shape error's message."""
+    states = [x]
+    for _ in range(k_max):
+        out = np.asarray(system.body(x), dtype=float)
+        if out.shape != x.shape:
+            return f"map '{system.name}' returned shape {out.shape}, expected {x.shape}"
+        states.append(out)
+        x = out
+    return np.array(states)
+
+
+def _stepped_loop(system, x, k_max):
+    """``_steps``' states, each as an array of ``x``'s shape, or its error's
+    message.  Every state comes out a float or a plain native float64 array."""
+    try:
+        states = [s for _, s, _ in _steps(system, x, k_max)]
+    except ParameterDomainError as err:
+        return str(err)
+    for s in states:
+        assert type(s) is float or (type(s) is np.ndarray and s.dtype == np.dtype(float)), s
+    return np.array([x, *(np.reshape(s, x.shape) for s in states)])
+
+
+class TestBodyOutputs:
+    """Both lanes of the orbit loop take a plain float64 output of the right
+    shape as it is, and convert any other as ``np.asarray(..., dtype=float)``
+    does: the same orbit, or the same shape error."""
+
+    @pytest.mark.parametrize("kind", _OUTPUT_KINDS)
+    @pytest.mark.parametrize("x", [[7.75], [-3.5, 12.25], [[7.75], [-3.5], [0.0]],
+                                   [[7.75, 1.0], [-3.5, 0.0], [0.0, -2.25]]],
+                             ids=["float-lane", "single", "stack-1", "stack-2"])
+    def test_orbit_or_error_of_every_output_kind(self, kind, x):
+        from fixsettle import SystemMap
+
+        x = np.array(x)
+        convert = _OUTPUT_KINDS[kind]
+        system = SystemMap(kind, x.shape[-1], lambda s: convert(0.5 * s + 1.0))
+        want = _converting_loop(system, x, 5)
+        got = _stepped_loop(system, x, 5)
+        if kind == "0-d":
+            assert got == want == f"map '0-d' returned shape (), expected {x.shape}"
+        else:
+            assert got.dtype == want.dtype == float
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("nan_step, far_step", [
+        (2, 3), (3, 2), (2, 2), (3, None), (None, 3), (None, None)])
+    def test_first_diverged_row_in_row_order(self, nan_step, far_step):
+        """Row 1 turns NaN at ``nan_step`` and row 2 passes 1e300 at
+        ``far_step`` (None: never within the run).  The stack yields up to
+        the first divergence and raises the first row in row order that
+        diverges at all, as that row's own orbit raises it."""
+        from fixsettle import SystemMap
+
+        # Positive states double; a negative one counts up to -1, then NaN.
+        system = SystemMap("split", 1, lambda s: np.where(
+            s > 0.0, 2.0 * s, np.where(s < -1.0, s + 1.0, np.nan)))
+        k_max = 6
+        x = np.array([[1.0], [-float(nan_step or 100)], [2.0 ** (997 - (far_step or 100))], [0.75]])
+        alone = []
+        for row in x:
+            try:
+                with np.errstate(invalid="ignore"):
+                    simulate(system, row, k_max)
+                alone.append(None)
+            except SimulationDivergedError as err:
+                alone.append(err)
+        assert (alone[1] is not None, alone[2] is not None) == (bool(nan_step), bool(far_step))
+        yielded = []
+        orbit = _steps(system, x, k_max)
+        if not nan_step and not far_step:
+            assert [k for k, _, _ in orbit] == list(range(1, k_max + 1))
+            return
+        with pytest.raises(SimulationDivergedError) as err:
+            for k, _, _ in orbit:
+                yielded.append(k)
+        want = next(e for e in alone if e is not None)
+        assert (str(err.value), err.value.last_finite_index) == (str(want), want.last_finite_index)
+        assert err.value.x0.tolist() == want.x0.tolist()
+        assert yielded == list(range(1, min(nan_step or k_max, far_step or k_max)))
+
+
 # Checks the affine body against ``a @ x + b`` row by row, bit for bit, and
 # prints the (n, batch size, start) of every block that differs.
 _AFFINE_GATE = """
