@@ -1,9 +1,9 @@
 """The draws of ``numpy.random.default_rng((seed, k))`` for many k at a time.
 
 Step k of ``uniform_ball`` draws ``standard_normal(n)`` and then
-``random()`` from a fresh ``default_rng((seed, k))``.  ``normals_and_uniforms``
-makes a block of consecutive steps' draws in one pass, the same bit for
-bit, with no generator per step:
+``random()`` from a fresh ``default_rng((seed, k))``.  ``normals_and_uniforms``,
+the one source of those draws, makes a block of consecutive steps' draws
+in one pass, the same bit for bit, with no generator per step:
 
 - ``_seed_words`` rebuilds numpy's ``SeedSequence((seed, k))`` hashing
   (numpy/random/bit_generator.pyx) in one uint32 pass over the block;
@@ -22,7 +22,7 @@ once per process from ``standard_normal`` itself, and certifies each
 layer's threshold by feeding chosen words through an MT19937.  A step
 with a normal word past its layer's certified threshold, or every step
 when the certification fails, draws from ``default_rng((seed, k))``
-itself (``fresh_draws``).
+itself (``fresh_draws``, which serves that fallback alone).
 """
 
 from __future__ import annotations
@@ -260,7 +260,8 @@ def _ziggurat() -> Optional[Tuple[np.ndarray, np.ndarray]]:
 
 def fresh_draws(seed: int, k: int, n: int) -> Tuple[np.ndarray, float]:
     """``standard_normal(n)`` and then ``random()`` of a fresh
-    ``default_rng((seed, k))``: step k's draws as the contract states them."""
+    ``default_rng((seed, k))``: step k's draws as the contract states them,
+    for the steps ``normals_and_uniforms`` does not make itself."""
     from numpy.random import default_rng
 
     rng = default_rng((seed, k))

@@ -80,8 +80,14 @@ class SystemMap:
         state = as_state(x, self.dimension)
         return _checked(self, self.body(state), state.shape)
 
-    def apply_batch(self, states: np.ndarray) -> np.ndarray:
-        """One application of the map to every row of an (m, dimension) array."""
+    def apply_batch(self, states) -> np.ndarray:
+        """One application of the map to every row of an (m, dimension)
+        array, taken as float64 as ``apply`` takes its state."""
+        states = np.asarray(states, dtype=float)
+        if states.ndim != 2 or states.shape[1] != self.dimension:
+            raise ParameterDomainError(
+                f"states have shape {states.shape}, expected (m, {self.dimension})"
+            )
         return _checked(self, self.body(states), states.shape)
 
 
@@ -202,10 +208,11 @@ class PerturbationSpec:
     A generator that does not read the state may also supply
     ``block(k0, count)``: the ``(count, n)`` array of the draws for steps
     k0 .. k0 + count - 1, each row equal to ``generator(k, state)``.  The
-    simulators then take their draws a block at a time and check the block's
-    shape and norm bound once; without ``block`` they draw every step, a 1-D
-    orbit as one float and any other single state through ``sample``, and
-    a stack of states needs ``block``.  The simulators never write to a
+    simulators then take their draws a block at a time: they check each
+    block's shape once, and raise a draw's bound error when the orbit
+    reaches its step.  Without ``block`` they draw every step, a 1-D orbit
+    as one float and any other single state through ``sample``, and a
+    stack of states needs ``block``.  The simulators never write to a
     block.
     """
 
@@ -259,9 +266,14 @@ class PerturbationSpec:
                 )
         return g
 
-    def _checked_block(self, k0: int, count: int, n: int):
-        """``block(k0, count)`` with its shape checked, its rows' norms, and
-        the first step whose draw breaks the bound (None when none does)."""
+    def _checked_block(self, k0: int, count: int, n: int) -> np.ndarray:
+        """``block(k0, count)`` with its shape checked, cut before its first
+        draw that breaks the bound.
+
+        When that draw is the block's first, its bound error is raised: an
+        orbit that reaches the cut asks for a block from that step, so the
+        error comes at the step of the draw and no earlier.
+        """
         draws = np.asarray(self.block(k0, count), dtype=float)
         if draws.shape != (count, n):
             raise ParameterDomainError(
@@ -270,7 +282,9 @@ class PerturbationSpec:
             )
         sizes = row_norms(draws)
         bad = self._first_bad(sizes)
-        return draws, sizes, (None if bad is None else k0 + bad)
+        if bad == 0:
+            self._check_norm(k0, float(sizes[0]))
+        return draws if bad is None else draws[:bad]
 
     def _first_bad(self, sizes: np.ndarray) -> Optional[int]:
         """Index of the first norm in ``sizes`` that breaks the bound, or None."""
@@ -305,11 +319,10 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
 
     Step k (k >= 0) draws ``standard_normal(dimension)`` and then
     ``random()`` from ``np.random.default_rng((seed, k))``, so the draw
-    depends on ``(seed, k)`` alone and the sequence is reproducible.  The
-    per-step ``generator`` does just that (``_pcg64.fresh_draws``).  The
-    ``block`` gets the same draws of all its steps in one pass, with no
+    depends on ``(seed, k)`` alone and the sequence is reproducible.
+    ``block`` makes the draws of all its steps in one pass, with no
     generator per step (``_pcg64.normals_and_uniforms``), and scales the
-    whole block at once.
+    whole block at once; ``generator`` is a block of one step.
     A negative seed or k raises ``ParameterDomainError``.
     """
     if dimension < 1:
@@ -317,8 +330,17 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
     if seed < 0:
         raise ParameterDomainError("seed must be a nonnegative integer")
 
-    def on_ball(normals: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Each row of ``normals`` scaled to length ``delta0 * u ** (1 / n)``."""
+    def block(k0: int, count: int) -> np.ndarray:
+        if delta0 == 0.0:
+            return np.zeros((count, dimension))
+        if k0 < 0:
+            raise ParameterDomainError(f"uniform_ball step must be nonnegative, got {k0}")
+        # numpy imports numpy.random on first use, and importing it or
+        # ._pcg64 is a large share of a CLI call's set-up; only a draw pays.
+        from ._pcg64 import normals_and_uniforms
+
+        normals, u = normals_and_uniforms(seed, k0, count, dimension)
+        # Each row of ``normals`` scaled to length ``delta0 * u ** (1 / n)``.
         sizes = row_norms(normals)
         zero = sizes == 0.0
         if zero.any():
@@ -330,32 +352,9 @@ def uniform_ball_perturbation(delta0: float, dimension: int, seed: int) -> Pertu
         radii = delta0 * np.float_power(u, 1.0 / dimension)
         return normals / sizes[:, None] * radii[:, None]
 
-    def check_step(k: int) -> None:
-        if k < 0:
-            raise ParameterDomainError(f"uniform_ball step must be nonnegative, got {k}")
-
-    def block(k0: int, count: int) -> np.ndarray:
-        if delta0 == 0.0:
-            return np.zeros((count, dimension))
-        check_step(k0)
-        # numpy imports numpy.random on first use, and importing it or
-        # ._pcg64 is a large share of a CLI call's set-up; only a draw pays.
-        from ._pcg64 import normals_and_uniforms
-
-        return on_ball(*normals_and_uniforms(seed, k0, count, dimension))
-
-    def generator(k: int, state) -> np.ndarray:
-        if delta0 == 0.0:
-            return np.zeros(dimension)
-        check_step(k)
-        from ._pcg64 import fresh_draws
-
-        normal, u = fresh_draws(seed, k, dimension)
-        return on_ball(normal[None, :], np.array([u]))[0]
-
     return PerturbationSpec(
         delta0=delta0,
-        generator=generator,
+        generator=lambda k, state: block(k, 1)[0],
         name="uniform_ball",
         block=block,
     )
@@ -408,12 +407,12 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
     once, on a one-state array for such a float, and checks the output's
     shape; when ``pert`` is given it adds the step-(k - 1) perturbation.
     Stacks and single states of dimension 2 or more step as arrays.  A
-    spec with a ``block`` gives its draws a block at a time: at most
-    ``_SEED_BLOCK`` steps per call and never a step past ``k_max``, with
-    the block's shape and norm bound checked once per block; a stack adds
-    each row to all its states, and a float its row's one component, read
-    once per block as a list of floats.  The bound error is raised only
-    when the orbit reaches the first step whose draw breaks it, so an
+    spec with a ``block`` gives its draws a block at a time through
+    ``_checked_block``: at most ``_SEED_BLOCK`` steps per call and never a
+    step past ``k_max``; a stack adds each row to all its states, and a
+    float its row's one component, read once per block as a list of
+    floats.  A block ends before its first draw that breaks the bound, and
+    the block asked for from that step raises the bound error, so an
     earlier divergence is the error raised.  A spec without ``block``
     reads the state, and each step draws for step k - 1: an array state
     through ``pert.sample(k - 1, x)``, a float through
@@ -432,7 +431,7 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
     body = system.body
     start = x
     by_block = pert is not None and pert.block is not None
-    k0, draws, bad = 0, (), None  # the block of steps k0.. and its first bad step
+    k0, draws = 0, ()  # the draws of steps k0..
     diverged = None  # (row, last finite index) of the first diverged row
     if x.ndim == 2 and pert is not None and not by_block:
         raise ParameterDomainError(
@@ -450,10 +449,7 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
             if by_block:
                 if k - k0 == len(draws):
                     k0 = k
-                    draws, sizes, bad = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), 1)
-                    draws = draws[:, 0].tolist()
-                if k == bad:
-                    pert._check_norm(k, float(sizes[k - k0]))
+                    draws = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), 1)[:, 0].tolist()
                 y = y + draws[k - k0]
             elif pert is not None:
                 y = y + pert._sample_float(k, state)
@@ -469,9 +465,7 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
             if by_block:
                 if k - k0 == len(draws):
                     k0 = k
-                    draws, sizes, bad = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), x.shape[-1])
-                if k == bad:
-                    pert._check_norm(k, float(sizes[k - k0]))
+                    draws = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), x.shape[-1])
                 nxt = nxt + draws[k - k0]
             elif pert is not None:
                 nxt = nxt + pert.sample(k, x)

@@ -54,9 +54,15 @@ def test_unused_imports_are_found():
 _ALWAYS_OPEN = {"write_text", "write_bytes", "fdopen", "mkstemp", "NamedTemporaryFile"}
 
 
+def _called_name(call: ast.Call):
+    """The name a call is made by: ``f`` of ``f(...)`` and of ``a.f(...)``."""
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def _opens_for_writing(call: ast.Call) -> bool:
     func = call.func
-    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    name = _called_name(call)
     if name in _ALWAYS_OPEN:
         return True
     if name != "open":
@@ -73,9 +79,10 @@ def _opens_for_writing(call: ast.Call) -> bool:
                 and set(mode.value) <= set("rbt"))
 
 
-def _writers(source: str):
-    """The names of the outermost functions whose bodies open a file for
-    writing ("<module>" outside any function), with the line of each call."""
+def _callers(source: str, wanted):
+    """The names of the outermost functions whose bodies make a call that
+    ``wanted`` picks ("<module>" outside any function), with the line of
+    each call."""
     tree = ast.parse(source)
     # ``ast.walk`` is breadth-first, so an enclosing function comes before
     # the functions nested in it, and the module comes last.
@@ -84,9 +91,20 @@ def _writers(source: str):
     outermost = {}
     for scope in scopes:
         for node in ast.walk(scope):
-            if isinstance(node, ast.Call) and _opens_for_writing(node):
+            if isinstance(node, ast.Call) and wanted(node):
                 outermost.setdefault(node, (getattr(scope, "name", "<module>"), node.lineno))
     return sorted(outermost.values())
+
+
+def _writers(source: str):
+    """Where a file is opened for writing, as ``_callers`` gives it."""
+    return _callers(source, _opens_for_writing)
+
+
+def _rng_makers(source: str):
+    """Where ``default_rng`` is called, as a name or an attribute, as
+    ``_callers`` gives it."""
+    return _callers(source, lambda call: _called_name(call) == "default_rng")
 
 
 def test_cli_writing_is_the_one_write_path():
@@ -133,3 +151,31 @@ def test_writers_are_found():
         ("<module>", 14), ("append", 7), ("append", 8), ("outer", 11), ("outer", 12),
         ("outer", 13),
     ]
+
+
+def test_default_rng_is_called_in_two_places():
+    # ``uniform_ball`` draws through ``_pcg64.normals_and_uniforms``, whose
+    # fallback is ``fresh_draws``; the Lemma 1 trial seeds its own stream.
+    makers = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+              for name, _ in _rng_makers(path.read_text())}
+    assert makers == {("_pcg64.py", "fresh_draws"), ("oracle.py", "lemma1_randomized_trial")}
+    fallbacks = {(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+                 for name, _ in _callers(path.read_text(),
+                                         lambda call: _called_name(call) == "fresh_draws")}
+    assert fallbacks == {("_pcg64.py", "normals_and_uniforms")}
+
+
+def test_rng_makers_are_found():
+    source = (
+        "import numpy as np\n"
+        "from numpy.random import default_rng\n"
+        "def draws(seed, k):\n"
+        "    return default_rng((seed, k)).random()\n"
+        "def outer(seed):\n"
+        "    def inner():\n"
+        "        return np.random.default_rng(seed)\n"
+        "    return np.random.Generator(np.random.PCG64(seed)), inner\n"
+        "RNG = np.random.default_rng(0)\n"
+        "maker = default_rng\n"
+    )
+    assert _rng_makers(source) == [("<module>", 9), ("draws", 4), ("outer", 7)]

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -408,6 +409,86 @@ class TestPerturbationBlocks:
             f"perturbation at step {bad_step} has norm 0.06, "
             "which is not strictly below delta0=0.05"
         )
+
+    # The first bad draw at the start of the first or the second block, or
+    # inside either.
+    FIRST_BAD = (st.sampled_from([0, _SEED_BLOCK]) | st.integers(1, _SEED_BLOCK - 1)
+                 | st.integers(_SEED_BLOCK + 1, 2 * _SEED_BLOCK + 40))
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        bad_step=FIRST_BAD,
+        after=st.integers(1, 300),
+        lane=st.sampled_from(["float", "array", "stack"]),
+        n=st.integers(1, 3),
+        bad=st.sampled_from([(math.nan, "nan"), (0.05, "0.05"), (-0.06, "0.06")]),
+        more_bad=st.booleans(),
+    )
+    @example(bad_step=_SEED_BLOCK, after=1, lane="float", n=1, bad=(0.05, "0.05"), more_bad=True)
+    @example(bad_step=_SEED_BLOCK - 1, after=1, lane="stack", n=2, bad=(math.nan, "nan"),
+             more_bad=False)
+    def test_block_ends_at_its_first_bad_draw(self, bad_step, after, lane, n, bad, more_bad):
+        """The orbit raises at the first bad draw's step with the per-step
+        message, asks for every step before it once, for that step at most
+        once more, and never for a step past ``k_max``."""
+        value, shown = bad
+        # A single 1-D state takes the float lane, so the array lane's has n >= 2.
+        n = 1 if lane == "float" else n + (lane == "array")
+
+        def draw(k):
+            hit = k == bad_step or more_bad and k > bad_step and k % 3 == 0
+            return [value if hit else 0.01] + [0.0] * (n - 1)
+
+        spec = _block_spec(draw, n=n)
+        asked = []
+
+        def spy(k0, count):
+            asked.append((k0, count))
+            return spec.block(k0, count)
+
+        k_max = bad_step + after
+        plane = affine_system(np.eye(n))
+        x0 = np.zeros((2, n)) if lane == "stack" else np.zeros(n)
+        with pytest.raises(PerturbationBoundError) as err:
+            list(_steps(plane, x0, k_max, replace(spec, block=spy)))
+        assert str(err.value) == (f"perturbation at step {bad_step} has norm {shown}, "
+                                  "which is not strictly below delta0=0.05")
+        covered = Counter(k for k0, count in asked for k in range(k0, k0 + count))
+        assert [covered[k] for k in range(bad_step)] == [1] * bad_step
+        assert 1 <= covered[bad_step] <= 2 and asked[-1][0] == bad_step
+        assert max(covered) < k_max
+        if lane != "stack":
+            per_step = self._raised(plane, _block_spec(draw, n=n, block=False), x0, k_max)
+            assert str(per_step) == str(err.value)
+
+    @settings(max_examples=120, deadline=None)
+    @given(bad_step=FIRST_BAD, end=st.integers(1, 2 * _SEED_BLOCK + 40),
+           how=st.sampled_from(["stop", "diverge"]), n=st.integers(1, 2))
+    @example(bad_step=_SEED_BLOCK, end=_SEED_BLOCK, how="diverge", n=1)
+    @example(bad_step=_SEED_BLOCK, end=_SEED_BLOCK + 1, how="stop", n=1)
+    def test_earlier_stop_or_divergence_wins_over_the_cut(self, bad_step, end, how, n):
+        """State ``end`` stops the orbit (halving from 1, ``stop_epsilon``
+        2^-end) or diverges it (doubling to 1.5e300); either comes first
+        when it is computed before the bad step's state, bad_step + 1."""
+        spec = _block_spec(lambda k: [0.06 if k == bad_step else 0.0] + [0.0] * (n - 1), n=n)
+        k_max = max(end, bad_step) + 5
+        x0 = [1.0] + [0.0] * (n - 1)
+        if how == "stop":
+            run = lambda: simulate_perturbed(affine_system(0.5 * np.eye(n)), spec, x0, k_max,
+                                             stop_epsilon=2.0 ** -end)
+        else:
+            x0[0] = 1.5e300 / 2.0 ** end
+            run = lambda: simulate_perturbed(affine_system(2.0 * np.eye(n)), spec, x0, k_max)
+        if end > bad_step:
+            with pytest.raises(PerturbationBoundError, match=f"at step {bad_step} has norm 0.06"):
+                run()
+        elif how == "stop":
+            traj = run()
+            assert len(traj) == end + 1 and not traj.truncated
+        else:
+            with pytest.raises(SimulationDivergedError) as err:
+                run()
+            assert err.value.last_finite_index == end - 1
 
     def test_stack_needs_a_block(self):
         """Per-step draws for a stack would raise row 1's bound error at step
@@ -815,7 +896,9 @@ class TestUniformBallStream:
 
 def _array_orbit(system, pert, x0, k_max, stop_epsilon=None):
     """The orbit stepped as a state array: ``apply``, then ``+ sample(k, x)``
-    or the block row, then the ``norm`` guard; returns (states, truncated)."""
+    or the row of ``pert.block``, then the ``norm`` guard; returns (states,
+    truncated).  A block's shape and each row's bound are checked here, with
+    the program's messages, the row's when the orbit reaches its step."""
     x = np.atleast_1d(np.asarray(x0, dtype=float))
     start = x.copy()
     states = [x]
@@ -827,9 +910,17 @@ def _array_orbit(system, pert, x0, k_max, stop_epsilon=None):
             if pert is not None and pert.block is not None:
                 j = k % _SEED_BLOCK
                 if j == 0:
-                    draws, sizes, bad = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), 1)
-                if k == bad:
-                    pert._check_norm(k, float(sizes[j]))
+                    count = min(_SEED_BLOCK, k_max - k)
+                    draws = np.asarray(pert.block(k, count), dtype=float)
+                    if draws.shape != (count, 1):
+                        raise ParameterDomainError(
+                            f"perturbation '{pert.name}' block at step {k} has shape "
+                            f"{draws.shape}, expected {(count, 1)}")
+                size = norm(draws[j])
+                if size != 0.0 and not size < pert.delta0:
+                    raise PerturbationBoundError(
+                        f"perturbation at step {k} has norm {size:.6g}, "
+                        f"which is not strictly below delta0={pert.delta0:.6g}")
                 nxt = nxt + draws[j]
             elif pert is not None:
                 nxt = nxt + pert.sample(k, x)
@@ -1050,6 +1141,25 @@ class TestSystemMap:
     def test_apply_checks_shapes(self, case1_system):
         with pytest.raises(ParameterDomainError):
             case1_system.apply([1.0, 2.0])
+
+    def test_apply_batch_takes_its_states_as_float64(self, case1_system):
+        # np.abs of the int64 -2**63 wraps to a negative, whose power is NaN.
+        states = np.array([[-2**63], [3]])
+        got = case1_system.apply_batch(states)
+        assert got.dtype == np.float64
+        want = [case1_system.apply([-2**63]), case1_system.apply([3])]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert got[0, 0] == pytest.approx(3.54e20, rel=1e-3)
+        assert case1_system.apply_batch([[2.0]]).tobytes() == case1_system.apply([2.0]).tobytes()
+
+    @pytest.mark.parametrize("states, shape", [
+        (np.ones(3), "(3,)"), (np.ones((3, 2)), "(3, 2)"), (np.ones((2, 3, 1)), "(2, 3, 1)"),
+        (1.0, "()"),
+    ])
+    def test_apply_batch_needs_an_m_by_dimension_array(self, case1_system, states, shape):
+        with pytest.raises(ParameterDomainError,
+                           match=re.escape(f"states have shape {shape}, expected (m, 1)")):
+            case1_system.apply_batch(states)
 
     def test_affine_requires_square_matrix(self):
         with pytest.raises(ParameterDomainError):
