@@ -41,7 +41,7 @@ from .lyapunov import (
     scan_conditions,
     scan_trajectory,
 )
-from .oracle import Table1Row, sweep_settling, table1_reproduce
+from .oracle import MAX_STEPS, Table1Row, sweep_settling, table1_reproduce
 from .perturbation import (
     BRANCH_HIGH,
     AttractivenessConfig,
@@ -353,12 +353,18 @@ def cmd_sweep(args):
         bound = settling_bound(cfg.gains)
     else:
         raise FixsettleError("sweep requires gains or an example system")
+    k_max = bound + 50 if cfg.analysis.k_max is None else cfg.analysis.k_max
+    if k_max > MAX_STEPS:
+        raise ConfigurationError(
+            f"sweep of {k_max} steps (analysis.k_max, or the bound + 50 when unset) "
+            f"is past {MAX_STEPS}, the last index a sweep records"
+        )
     result = sweep_settling(
         cfg.system,
         cfg.analysis.grid.materialize(),
         bound,
         epsilon=cfg.analysis.epsilon,
-        k_max=cfg.analysis.k_max,
+        k_max=k_max,
         epsilons=cfg.analysis.epsilon_list,
         case_id=cfg.analysis.case_id or cfg.system.name,
     )

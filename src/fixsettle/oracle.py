@@ -20,7 +20,7 @@ import numpy as np
 from .errors import EmptyDomainError, ParameterDomainError, SimulationDivergedError
 from .record import Record
 from .settling import check_levels, entry_curves, example_bound, fold_entries, q_sequence
-from .systems import SystemMap, _steps, as_state, as_state_grid, example_system, row_norms
+from .systems import _CHUNK, SystemMap, _steps, as_state, as_state_grid, example_system, row_norms
 
 DEFAULT_EPSILONS = (10.0, 1.0, 0.5, 0.25, 0.1)
 
@@ -118,13 +118,14 @@ def sweep_settling(
 ) -> SweepResult:
     """Simulate every initial condition and compare settling to ``bound``.
 
-    ``k_max`` defaults to ``bound + 50`` steps.  All initial conditions
-    advance as one stack through ``simulate``'s orbit loop and divergence
-    rule, and each keeps only its last-outside and first-inside index for
-    ``epsilon`` and every entry of ``epsilons``; stepping stops early once
-    every orbit has closed an exact cycle (see ``_settling_curves``).  The
-    settling-vs-epsilon curve is reported for the worst-settling orbit
-    (ties broken by grid order).  The first diverged orbit in grid order is
+    ``k_max`` defaults to ``bound + 50`` steps and may be at most
+    ``MAX_STEPS``.  All initial conditions advance as one stack through
+    ``simulate``'s orbit loop and divergence rule, and each keeps only its
+    last-outside and first-inside index for ``epsilon`` and every entry of
+    ``epsilons``; stepping stops early once every orbit has closed an exact
+    cycle (see ``_settling_curves``).  The settling-vs-epsilon curve is
+    reported for the worst-settling orbit (ties broken by grid order).  The
+    first orbit in grid order that diverges within ``k_max`` steps is
     raised with its initial condition attached.  Initial conditions are
     scalars, so the system must be one-dimensional.
     """
@@ -167,45 +168,63 @@ def sweep_settling(
     )
 
 
-# Steps a settling run buffers before it folds them into its indices and
-# looks for closed cycles.
-_CHUNK = 64
+# The last index a settling run can record: fold indices are int64.
+MAX_STEPS = 2**63 - 1
+
+
+def _in_chunks(orbit, steps: int):
+    """A single state's ``systems._steps`` orbit of ``steps`` steps in a
+    stack's chunks: for each ``_CHUNK`` steps (fewer at the end),
+    ``(k, states, norms, None)`` with the (c, 1, n) states at indices
+    k..k + c - 1 and their (c, 1) norms; no divergence is pending while a
+    single state steps.  Closing it closes ``orbit``."""
+    with closing(orbit):
+        ys, sizes = [], []
+        for k, y, size in orbit:
+            ys.append(y)
+            sizes.append(size)
+            if len(ys) == _CHUNK or k == steps:
+                states = np.array(ys).reshape(len(ys), 1, -1)
+                yield k - len(ys) + 1, states, np.array(sizes)[:, None], None
+                ys, sizes = [], []
 
 
 def _settling_curves(system: SystemMap, x: np.ndarray, steps: int, levels: np.ndarray):
     """``settling.entry_curves`` of every orbit of the (m, n) stack ``x``:
     the ``fold_entries`` of its ``row_norms`` at k = 0..steps, stepped
     through ``systems._steps``, whose divergence error passes through.  A
-    one-row run steps as its one state, on ``_steps``' single-state lane.
+    one-row run steps as its one state, on ``_steps``' single-state lane,
+    and its states are gathered into chunks as a stack's come.
 
-    States and norms are buffered ``_CHUNK`` steps at a time and folded
-    per chunk.  At the end of each full chunk, every orbit's last state K
-    is compared bit for bit with its earlier states in the chunk (bits,
-    since ``==`` equates -0.0 and +0.0, which a map may send apart).
-    ``body`` is pure and row-wise, so a match at K - lam proves that the
-    orbit repeats with period lam from K - lam on.  Once every orbit has
-    matched, the norm at every later index is that of a slot of the chunk,
-    so the last ``_CHUNK`` indices up to ``steps`` are read off the chunk
-    and folded, and stepping stops.  A cycling orbit cannot diverge, so
-    stopping never hides a divergence.
+    Each chunk of states and norms is folded as it comes.  At the end of
+    each full chunk, every orbit's last state K is compared bit for bit
+    with its earlier states in the chunk (bits, since ``==`` equates -0.0
+    and +0.0, which a map may send apart).  ``body`` is pure and row-wise,
+    so a match at K - lam proves that the orbit repeats with period lam
+    from K - lam on.  Once every orbit has matched, the norm at every later
+    index is that of a slot of the chunk, so the last ``_CHUNK`` indices up
+    to ``steps`` are read off the chunk and folded, and stepping stops.  A
+    cycling orbit cannot diverge, so stopping never hides a divergence.
+    After a row of a stack diverges, chunks hold only the rows before it;
+    once they all cycle, stepping stops and the diverged row's error, which
+    the chunk carries, is raised.
     """
     if steps < 1:
         raise ParameterDomainError("k_max must be at least 1")
+    if steps > MAX_STEPS:
+        raise ParameterDomainError(f"k_max={steps} is past {MAX_STEPS}, the last index a run records")
     indices = fold_entries(row_norms(x)[None, :], levels)
-    states = np.empty((_CHUNK, *x.shape))
-    norms = np.empty((_CHUNK, len(x)))
-    bits = states.view(np.int64)
     slots = np.arange(_CHUNK)[:, None]
-    orbit = _steps(system, x[0] if len(x) == 1 else x, steps)
-    with np.errstate(over="ignore", invalid="ignore"), closing(orbit):
-        for k, state, size in orbit:
-            i = (k - 1) % _CHUNK
-            states[i], norms[i] = state, size
-            if i < _CHUNK - 1:
+    chunks = _in_chunks(_steps(system, x[0], steps), steps) if len(x) == 1 else _steps(system, x, steps)
+    with np.errstate(over="ignore", invalid="ignore"), closing(chunks):
+        for first, states, norms, error in chunks:  # ``first``: the index in slot 0
+            # The indices of the rows that come: those before any diverged row.
+            live = tuple(index[:norms.shape[1]] for index in indices)
+            fold_entries(norms, levels, first, live)
+            if len(states) < _CHUNK:
                 continue
-            first = k - _CHUNK + 1  # the index in slot 0
-            fold_entries(norms, levels, first, indices)
-            # same[j, r]: orbit r's state in slot j equals its state at k.
+            # same[j, r]: orbit r's state in slot j equals its state at K.
+            bits = states.view(np.int64)
             same = (bits[:-1] == bits[-1]).all(axis=2)
             if not same.any(axis=0).all():
                 continue
@@ -217,11 +236,10 @@ def _settling_curves(system: SystemMap, x: np.ndarray, steps: int, levels: np.nd
             # earlier one, already folded, only repeats one of them.
             start = _CHUNK - period
             slot = start + (steps - _CHUNK + 1 - first + slots - start) % period
-            fold_entries(np.take_along_axis(norms, slot, axis=0), levels, steps - _CHUNK + 1, indices)
+            fold_entries(np.take_along_axis(norms, slot, axis=0), levels, steps - _CHUNK + 1, live)
+            if error is not None:
+                raise error
             break
-        else:
-            rest = steps % _CHUNK
-            fold_entries(norms[:rest], levels, steps - rest + 1, indices)
     return entry_curves(levels, *indices, steps)
 
 

@@ -65,6 +65,10 @@ class SystemMap:
     states to an (m, dimension) stack, each row bit for bit what the row
     alone gives.  Sweeps rely on that purity: once every orbit of a stack
     repeats a state bit for bit, they finish the run in closed form.
+    Stacks step a chunk of steps at a time and test for divergence at the
+    chunk's end, so ``body`` may be given rows that diverged earlier in the
+    chunk.  Their outputs are discarded, and ``body`` must not raise on
+    inf or NaN rows.
     """
 
     name: str
@@ -396,43 +400,61 @@ def radial_perturbation(
     return PerturbationSpec(delta0=delta0, generator=gen, name="radial")
 
 
+# The most steps a stack takes between two divergence checks; each chunk's
+# states come out as one array.
+_CHUNK = 64
+
+
 def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[PerturbationSpec] = None):
     """Step one state of shape (n,) or an (m, n) stack ``k_max`` times.
 
-    Yields ``(k, states, norms)`` for k = 1..k_max: the state or stack at
-    index k and its ``norm`` or ``row_norms``.  A single state of shape
-    (1,) is kept as a Python float between steps and yielded as one, with
-    ``abs`` of it as its norm, which equals ``norm`` of the 1-vector bit
-    for bit (both zeros, NaN and inf included).  Each step calls ``body``
-    once, on a one-state array for such a float, and checks the output's
-    shape; when ``pert`` is given it adds the step-(k - 1) perturbation.
-    Stacks and single states of dimension 2 or more step as arrays.  A
-    spec with a ``block`` gives its draws a block at a time through
-    ``_checked_block``: at most ``_SEED_BLOCK`` steps per call and never a
-    step past ``k_max``; a stack adds each row to all its states, and a
-    float its row's one component, read once per block as a list of
-    floats.  A block ends before its first draw that breaks the bound, and
+    A single state yields ``(k, state, norm)`` for k = 1..k_max: the state
+    at index k and its ``norm``.  A single state of shape (1,) is kept as a
+    Python float between steps and yielded as one, with ``abs`` of it as
+    its norm, which equals ``norm`` of the 1-vector bit for bit (both
+    zeros, NaN and inf included); one of dimension 2 or more steps as an
+    array.  A stack steps a chunk at a time and checks for divergence once
+    per chunk: it yields ``(k, states, norms, error)``, the freshly
+    allocated (c, m, n) array of its states at indices k..k + c - 1, their
+    (c, m) ``row_norms`` and the divergence error pending so far (below),
+    for chunks of c = ``_CHUNK`` steps, fewer at the end and never past
+    ``k_max``.  Each step calls ``body`` once, on a one-state array for
+    such a float, and checks the output's shape; when ``pert`` is given it
+    adds the step-(k - 1) perturbation.  A spec with a ``block`` gives its
+    draws a block at a time through ``_checked_block``: at most
+    ``_SEED_BLOCK`` steps per call and never a step past ``k_max``; a stack
+    adds each row to all its states, and a float its row's one component,
+    read once per block as a list of floats.  A block ends before its first
+    draw that breaks the bound, a stack's chunk ends with its block, and
     the block asked for from that step raises the bound error, so an
-    earlier divergence is the error raised.  A spec without ``block``
-    reads the state, and each step draws for step k - 1: an array state
-    through ``pert.sample(k - 1, x)``, a float through
-    ``generator(k - 1, state)`` on the one-state array, its draw taken as
-    one float with ``sample``'s shape check and messages and ``abs`` as
-    its norm.  A stack with such a spec raises ``ParameterDomainError``:
-    its per-step draws would raise a later row's bound error before an
-    earlier row's divergence.  A state has diverged when its norm is not <=
-    ``DIVERGENCE_LIMIT``.  Rows run as if each ran alone, in row order:
-    after the first divergence nothing is yielded, only the rows before
-    the diverged one keep stepping, and the first diverged row is raised
-    with its initial state.
-    Callers hold ``np.errstate`` around their loop; none is held across a
-    ``yield``.
+    earlier divergence is the error raised.  A spec without ``block`` reads
+    the state, and each step draws for step k - 1: an array state through
+    ``pert.sample(k - 1, x)``, a float through ``generator(k - 1, state)``
+    on the one-state array, its draw taken as one float with ``sample``'s
+    shape check and messages and ``abs`` as its norm.  A stack with such a
+    spec raises ``ParameterDomainError``: its per-step draws would raise a
+    later row's bound error before an earlier row's divergence.
+
+    A state has diverged when its norm is not <= ``DIVERGENCE_LIMIT``.
+    Rows run as if each ran alone, in row order, and the first row that
+    diverges within ``k_max`` steps is raised with its initial state and
+    its own last finite index.  A single state stops at its divergence.  A
+    stack steps every row to the end of the chunk, so ``body`` may be
+    given rows that diverged earlier in it, whose outputs are discarded.
+    The chunk is then cut before its first diverged row in row order, and
+    from there on the stack is its rows before that one: each later chunk
+    holds only them, none once no row is left, and a later divergence among
+    them is the error instead.  Each chunk carries the error pending so
+    far, or None, which the run raises at its end; a caller that stops
+    stepping the rows still there, having seen that they never diverge,
+    raises it itself.  Callers hold ``np.errstate`` around their loop; none
+    is held across a ``yield``.
     """
     body = system.body
     start = x
     by_block = pert is not None and pert.block is not None
     k0, draws = 0, ()  # the draws of steps k0..
-    diverged = None  # (row, last finite index) of the first diverged row
+    error = None  # the divergence of the first diverged row
     if x.ndim == 2 and pert is not None and not by_block:
         raise ParameterDomainError(
             f"perturbation '{pert.name}' has no block, which a stack of states needs"
@@ -455,11 +477,10 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
                 y = y + pert._sample_float(k, state)
             size = abs(y)
             if not size <= DIVERGENCE_LIMIT:
-                diverged = (0, k)
+                error = _diverged(system, start, 0, k)
                 break
             yield k + 1, y, size
-    else:
-        stack = x.ndim == 2
+    elif x.ndim == 1:
         for k in range(k_max):
             nxt = _checked(system, body(x), x.shape)
             if by_block:
@@ -469,30 +490,52 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
                 nxt = nxt + draws[k - k0]
             elif pert is not None:
                 nxt = nxt + pert.sample(k, x)
-            if stack:
-                size = row_norms(nxt)
-                # max propagates NaN: one comparison clears a whole stack.
-                row = None
-                if not size.max() <= DIVERGENCE_LIMIT:
-                    row = int(np.argmin(size <= DIVERGENCE_LIMIT))
-            else:
-                size = norm(nxt)
-                row = None if size <= DIVERGENCE_LIMIT else 0
-            if row is not None:
-                diverged = (row, k)
-                nxt = nxt[:row]
-                if not len(nxt):
-                    break
-            elif diverged is None:
-                yield k + 1, nxt, size
             x = nxt
-    if diverged is not None:
-        row, k = diverged
-        raise SimulationDivergedError(
-            f"state diverged at step {k + 1} of '{system.name}' (last finite index {k})",
-            last_finite_index=k,
-            x0=np.array(np.atleast_2d(start)[row]),
-        )
+            size = norm(x)
+            if not size <= DIVERGENCE_LIMIT:
+                error = _diverged(system, start, 0, k)
+                break
+            yield k + 1, x, size
+    else:
+        n = x.shape[1]
+        k = 0
+        while k < k_max:
+            c = min(_CHUNK, k_max - k)
+            if by_block:
+                if k - k0 == len(draws):
+                    k0 = k
+                    draws = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), n)
+                c = min(c, k0 + len(draws) - k)
+            chunk = np.empty((c, *x.shape))
+            for j in range(c):
+                x = _checked(system, body(x), x.shape)
+                if by_block:
+                    x = x + draws[k + j - k0]
+                chunk[j] = x
+            sizes = row_norms(chunk.reshape(-1, n)).reshape(c, -1)
+            # max propagates NaN: one comparison clears a whole chunk.
+            if not sizes.max() <= DIVERGENCE_LIMIT:
+                within = sizes <= DIVERGENCE_LIMIT
+                row = int(np.argmin(within.all(axis=0)))
+                error = _diverged(system, start, row, k + int(np.argmin(within[:, row])))
+                if not row:
+                    break
+                chunk, sizes = chunk[:, :row], sizes[:, :row]
+                x = chunk[-1]
+            yield k + 1, chunk, sizes, error
+            k += c
+    if error is not None:
+        raise error
+
+
+def _diverged(system: SystemMap, start: np.ndarray, row: int, k: int) -> SimulationDivergedError:
+    """The error of row ``row`` of the states ``start``, whose orbit diverged
+    at index k + 1."""
+    return SimulationDivergedError(
+        f"state diverged at step {k + 1} of '{system.name}' (last finite index {k})",
+        last_finite_index=k,
+        x0=np.array(np.atleast_2d(start)[row]),
+    )
 
 
 def _run(

@@ -786,6 +786,45 @@ class TestSweepCommand:
         )
         assert not (tmp_path / "sweep.json").exists()
 
+    @staticmethod
+    def _example_sweep(params, grid, k_max=None):
+        names = ("aprime", "bprime", "r1prime", "r2prime")
+        analysis = {"grid": grid}
+        if k_max is not None:
+            analysis["k_max"] = k_max
+        return {"schema": 1, "analysis": analysis,
+                "system": {"builtin": "example", "params": dict(zip(names, params))}}
+
+    @pytest.mark.parametrize("k_max", [None, 2**63])
+    def test_horizon_past_int64_is_a_config_error(self, tmp_path, capsys, k_max):
+        # example_bound is 1 097 705 922 965 119 032 960 for these
+        # parameters, so the default horizon bound + 50 is past 2**63 - 1.
+        params = (0.20794440807962306, 0.7360140857012556, 0.4675837928034527,
+                  2.4892468569400563)
+        grid = {"scale": "log", "low": 0.05, "high": 1.0, "points": 11}
+        cfg = write_config(tmp_path, self._example_sweep(params, grid, k_max))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        steps = 1097705922965119033010 if k_max is None else k_max
+        assert capsys.readouterr().err == (
+            f"error: sweep of {steps} steps (analysis.k_max, or the bound + 50 when unset) "
+            "is past 9223372036854775807, the last index a sweep records\n"
+        )
+        assert not (tmp_path / "sweep.json").exists()
+
+    def test_early_divergence_ends_a_long_sweep(self, tmp_path, capsys):
+        # The second x0 diverges at step 8, and the first closes its cycle
+        # in the first chunk: 200 000 steps end there.
+        params = (0.07367726110506391, 0.8564687962188683, 0.36565946166914326,
+                  2.1897617861095044)
+        grid = {"scale": "linear", "low": 0.357, "high": 1876, "points": 143}
+        cfg = write_config(tmp_path, self._example_sweep(params, grid, 200_000))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 3
+        assert capsys.readouterr().err == (
+            "error: sweep orbit from x0=13.56575352112676 diverged: state diverged "
+            "at step 8 of 'example' (last finite index 7)\n"
+        )
+        assert not (tmp_path / "sweep.json").exists()
+
     def test_nan_epsilon_is_a_domain_error(self, tmp_path, capsys):
         # JSON's NaN used to pass as a level and print worst=0, all_within=True.
         payload = case1_config(

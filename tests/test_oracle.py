@@ -17,6 +17,7 @@ from fixsettle import (
     TABLE1_CASES,
     divergence_threshold,
     example_bound,
+    example_system,
     lemma1_randomized_trial,
     settling_vs_epsilon,
     simulate,
@@ -28,6 +29,7 @@ import fixsettle.oracle
 from fixsettle.oracle import (
     _CHUNK,
     DEFAULT_EPSILONS,
+    MAX_STEPS,
     _settling_curves,
     generate_level_run,
 )
@@ -305,6 +307,26 @@ class TestLockstepSweep:
         want = _expected(_lane_rows(halving_system, x0s, 40), x0s, result.bound)
         assert _got(result, want) == want
 
+    @pytest.mark.parametrize("steps", [1, 63, 65, 129])
+    @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
+    def test_every_lane_matches_simulate_at_chunk_edges(self, case, steps):
+        # A run of 1 or 63 steps ends inside the first chunk, 65 one step
+        # into the second, 129 one step into the third.
+        grid = sweep_grid(case, points=21)
+        _body_calls_for_lanes(case.system(), grid, steps, SWEEP_EPSILONS)
+
+    @pytest.mark.parametrize("steps", [1, 63, 65, 129])
+    def test_two_component_lanes_whose_squares_leave_range(self, steps):
+        # Rows near 1e200 and 1e-200 take row_norms' rescaled norm at every
+        # index, and cross the levels near them.
+        system = affine_system([[0.5, 0.0], [0.3, 0.5]])
+        x = np.array([[1e200, 1e-200], [1e-200, -3e-200], [-1e-200, 1e200], [0.0, 0.0],
+                      [1.0, 2.0]])
+        levels = (1e199, 1e180, 1.0, 1e-201, 1e-230, 0.0)
+        curves = _settling_curves(system, x, steps, np.array(levels))
+        for row, curve in zip(x, curves):
+            assert curve == settling_vs_epsilon(simulate(system, row, steps), levels), row
+
     def test_orbit_that_never_settles_is_worst(self, identity_system):
         result = sweep_settling(identity_system, [0.5, 2.0, 3.0], 19, k_max=10, epsilons=(1.0,))
         assert result.worst_settling is None
@@ -446,6 +468,52 @@ class TestCycleExit:
         rows = _lane_rows(case.system(), grid, bound + 50, epsilons=DEFAULT_EPSILONS)
         want = _expected(rows, grid, bound)
         assert _got(result, want) == want
+
+    @pytest.mark.parametrize("steps, x0, calls", [
+        (80, 1e9, 80), (200, 1.05e6, 2 * _CHUNK), (10**6, 1.05e6, 2 * _CHUNK)])
+    def test_rows_before_a_divergence_still_stop_at_their_cycle(self, steps, x0, calls):
+        """Case 1 diverges from 1.05e6 after 90 steps and from 1e9 after 41;
+        2.0 closes its cycle in the first chunk.  The first x0 in grid order
+        that diverges within ``steps`` is raised, once the rows before it
+        have closed their cycles or reached ``steps``."""
+        system = TABLE1_CASES[0].system()
+        counted, made = _counted(system)
+        with pytest.raises(SimulationDivergedError) as err:
+            sweep_settling(counted, [2.0, 1.05e6, 1e9], 19, k_max=steps)
+        with pytest.raises(SimulationDivergedError) as alone, \
+                np.errstate(over="ignore", invalid="ignore"):
+            simulate(system, x0, steps)
+        assert str(err.value) == f"sweep orbit from x0={x0!r} diverged: {alone.value}"
+        assert err.value.last_finite_index == alone.value.last_finite_index
+        assert len(made) == calls
+
+    def test_early_divergence_of_a_long_run_stops_within_a_chunk(self):
+        """The second of 143 x0 diverges at step 8 and the first closes its
+        cycle in the first chunk, so a run of 200 000 steps stops there."""
+        params = (0.07367726110506391, 0.8564687962188683, 0.36565946166914326,
+                  2.1897617861095044)
+        system = example_system(*params)
+        counted, calls = _counted(system)
+        grid = np.linspace(0.357, 1876.0, 143)
+        with pytest.raises(SimulationDivergedError) as err:
+            sweep_settling(counted, grid, example_bound(*params), k_max=200_000)
+        with pytest.raises(SimulationDivergedError) as alone, \
+                np.errstate(over="ignore", invalid="ignore"):
+            simulate(system, grid[1], 200_000)
+        assert str(err.value) == f"sweep orbit from x0={float(grid[1])!r} diverged: {alone.value}"
+        assert err.value.last_finite_index == 7
+        assert len(calls) == _CHUNK
+
+    def test_runs_up_to_the_last_int64_index(self):
+        # Fold indices are int64: a run may end at index 2**63 - 1, no later.
+        system = TABLE1_CASES[0].system()
+        grid = np.geomspace(2.0, 1000.0, 9)
+        assert MAX_STEPS == 2**63 - 1
+        result = sweep_settling(system, grid, 19, k_max=MAX_STEPS, epsilons=SWEEP_EPSILONS)
+        want = _expected(_lane_rows(system, grid, 200), grid, 19)
+        assert _got(result, want) == want
+        with pytest.raises(ParameterDomainError, match=f"k_max={MAX_STEPS + 1} is past {MAX_STEPS}"):
+            sweep_settling(system, grid, 19, k_max=MAX_STEPS + 1)
 
     @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
     def test_default_k_max_sweep_matches_simulate(self, case):

@@ -32,6 +32,7 @@ from fixsettle import _pcg64
 from fixsettle.systems import (
     DIVERGENCE_LIMIT,
     PerturbationSpec,
+    _CHUNK,
     _SEED_BLOCK,
     _steps,
     norm,
@@ -1382,14 +1383,77 @@ def _converting_loop(system, x, k_max):
 
 def _stepped_loop(system, x, k_max):
     """``_steps``' states, each as an array of ``x``'s shape, or its error's
-    message.  Every state comes out a float or a plain native float64 array."""
+    message.  Every state, or a stack's chunk of states, comes out a float
+    or a plain native float64 array, and a stack's chunks follow on."""
     try:
-        states = [s for _, s, _ in _steps(system, x, k_max)]
+        yielded = list(_steps(system, x, k_max))
     except ParameterDomainError as err:
         return str(err)
+    states = [out[1] for out in yielded]
     for s in states:
         assert type(s) is float or (type(s) is np.ndarray and s.dtype == np.dtype(float)), s
+    if x.ndim == 2:
+        assert [(k, error) for k, _, _, error in yielded] == \
+            [(k, None) for k in range(1, k_max + 1, _CHUNK)]
+        states = [s for chunk in states for s in chunk]
     return np.array([x, *(np.reshape(s, x.shape) for s in states)])
+
+
+def _alone(system, row, k_max):
+    """``row``'s own orbit x(1..), up to its last finite state when it
+    diverges within ``k_max`` steps, and its error or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            return simulate(system, row, k_max), None
+        except SimulationDivergedError as err:
+            if err.last_finite_index == 0:
+                return Trajectory(np.array([row]), truncated=True), err
+            return simulate(system, row, err.last_finite_index), err
+
+
+def _error_key(err):
+    """What a divergence error says: message, last finite index, x0 bits."""
+    return err and (str(err), err.last_finite_index, err.x0.tobytes())
+
+
+def _check_chunked_lanes(system, x, k_max):
+    """Step the stack ``x`` through ``_steps`` and check every chunk against
+    the rows' own ``simulate`` orbits, bit for bit: consecutive chunks of
+    ``_CHUNK`` steps from index 1 (the last one shorter) that hold every
+    row before the first one in row order that has diverged by the chunk's
+    end, with their ``norm`` as sizes and that row's error as pending, and
+    the error of the first row that diverges at all.  Returns how many rows
+    each chunk held."""
+    alone = [_alone(system, row, k_max) for row in x]
+    ends = [len(traj) - 1 if err else math.inf for traj, err in alone]
+    chunks = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        orbit = _steps(system, x, k_max)
+        first_error = next((err for _, err in alone if err), None)
+        if first_error is None:
+            chunks = list(orbit)
+        else:
+            with pytest.raises(SimulationDivergedError) as raised:
+                for chunk in orbit:
+                    chunks.append(chunk)
+            assert _error_key(raised.value) == _error_key(first_error)
+    rows = []
+    for number, (k, states, sizes, pending) in enumerate(chunks):
+        end = min(k + _CHUNK - 1, k_max)
+        assert k == 1 + number * _CHUNK and len(states) == len(sizes) == end - k + 1
+        kept = next((i for i, last in enumerate(ends) if last < end), len(x))
+        assert states.shape[1:] == (kept, x.shape[1]) and sizes.shape[1] == kept
+        # The pending error is that of the row after the kept ones.
+        assert _error_key(pending) == _error_key(alone[kept][1] if kept < len(x) else None)
+        for i in range(kept):
+            traj = alone[i][0]
+            assert states[:, i].tobytes() == traj.states[k:end + 1].tobytes(), (k, i)
+            assert sizes[:, i].tobytes() == traj.norms()[k:end + 1].tobytes(), (k, i)
+        rows.append(kept)
+    # The stack stops early only once row 0 has diverged in the next chunk.
+    done = min(k_max, len(chunks) * _CHUNK)
+    assert done == k_max or ends[0] < min(done + _CHUNK, k_max)
+    return rows
 
 
 class TestBodyOutputs:
@@ -1419,9 +1483,9 @@ class TestBodyOutputs:
         (2, 3), (3, 2), (2, 2), (3, None), (None, 3), (None, None)])
     def test_first_diverged_row_in_row_order(self, nan_step, far_step):
         """Row 1 turns NaN at ``nan_step`` and row 2 passes 1e300 at
-        ``far_step`` (None: never within the run).  The stack yields up to
-        the first divergence and raises the first row in row order that
-        diverges at all, as that row's own orbit raises it."""
+        ``far_step`` (None: never within the run).  The stack yields its
+        rows before the first row in row order that diverges at all, each
+        as its own orbit, and raises that row as its own orbit raises it."""
         from fixsettle import SystemMap
 
         # Positive states double; a negative one counts up to -1, then NaN.
@@ -1429,11 +1493,11 @@ class TestBodyOutputs:
             s > 0.0, 2.0 * s, np.where(s < -1.0, s + 1.0, np.nan)))
         k_max = 6
         x = np.array([[1.0], [-float(nan_step or 100)], [2.0 ** (997 - (far_step or 100))], [0.75]])
-        alone = []
+        alone, orbits = [], []
         for row in x:
             try:
                 with np.errstate(invalid="ignore"):
-                    simulate(system, row, k_max)
+                    orbits.append(simulate(system, row, k_max).states[1:])
                 alone.append(None)
             except SimulationDivergedError as err:
                 alone.append(err)
@@ -1441,16 +1505,70 @@ class TestBodyOutputs:
         yielded = []
         orbit = _steps(system, x, k_max)
         if not nan_step and not far_step:
-            assert [k for k, _, _ in orbit] == list(range(1, k_max + 1))
-            return
-        with pytest.raises(SimulationDivergedError) as err:
-            for k, _, _ in orbit:
-                yielded.append(k)
-        want = next(e for e in alone if e is not None)
-        assert (str(err.value), err.value.last_finite_index) == (str(want), want.last_finite_index)
-        assert err.value.x0.tolist() == want.x0.tolist()
-        assert yielded == list(range(1, min(nan_step or k_max, far_step or k_max)))
+            yielded = list(orbit)
+        else:
+            with pytest.raises(SimulationDivergedError) as err:
+                for chunk in orbit:
+                    yielded.append(chunk)
+            want = next(e for e in alone if e is not None)
+            assert (str(err.value), err.value.last_finite_index) == (str(want), want.last_finite_index)
+            assert err.value.x0.tolist() == want.x0.tolist()
+        # One chunk of every step, holding the rows before the first diverged one.
+        kept = alone.index(want) if nan_step or far_step else len(x)
+        [(k, states, sizes, pending)] = yielded
+        assert k == 1 and states.shape == (k_max, kept, 1) and sizes.shape == (k_max, kept)
+        assert pending is (err.value if nan_step or far_step else None)
+        assert states.tobytes() == np.stack(orbits[:kept], axis=1).tobytes()
+        assert sizes.tobytes() == np.abs(states[:, :, 0]).tobytes()
 
+    # Case 1 diverges above 4^10: from 1.05e6 after 90 steps, 1.2e6 after
+    # 64, 3e6 after 53, 1e9 after 41 and -1e12 after 36; the later rows
+    # leave first.
+    ROWS_1D = [2.0, 1.05e6, 7.5, 1e9, 3e6, 0.0, 1.2e6, -1e12]
+
+    @pytest.mark.parametrize("k_max", [1, 63, 64, 65, 129])
+    def test_chunks_of_a_stack_whose_rows_diverge_out_of_row_order(self, k_max):
+        rows = _check_chunked_lanes(TABLE1_CASES[0].system(), np.array(self.ROWS_1D)[:, None], k_max)
+        assert rows == {1: [8], 63: [3], 64: [3], 65: [3, 3], 129: [3, 1, 1]}[k_max]
+
+    @pytest.mark.parametrize("k_max", [1, 63, 65, 129])
+    def test_rows_that_turn_nan_mid_chunk(self, k_max):
+        """Positive states halve; a negative one counts up to -1, then turns
+        NaN: -40 at step 40, -10 at step 10 and -100 in the second chunk."""
+        from fixsettle import SystemMap
+
+        system = SystemMap("count_to_nan", 1, lambda s: np.where(
+            s > 0.0, 0.5 * s, np.where(s < -1.0, s + 1.0, np.nan)))
+        x = np.array([1.0, -100.0, 0.5, -40.0, 3.0, -10.0])[:, None]
+        rows = _check_chunked_lanes(system, x, k_max)
+        assert rows == {1: [6], 63: [3], 65: [3, 3], 129: [3, 1, 1]}[k_max]
+        # Row 2 turns NaN at step 10, and once row 0 does, at step 70, no
+        # row is left to step.
+        calls = []
+
+        def counted(states):
+            if states.ndim == 2:
+                calls.append(len(states))
+            return system.body(states)
+
+        x = np.array([-70.0, 1.0, -10.0])[:, None]
+        rows = _check_chunked_lanes(SystemMap("count_to_nan", 1, counted), x, k_max)
+        assert rows == {1: [3], 63: [2], 65: [2, 2], 129: [2]}[k_max]
+        assert calls == [3] * min(k_max, _CHUNK) + [2] * min(k_max - _CHUNK, _CHUNK)
+
+    @pytest.mark.parametrize("k_max", [1, 63, 65, 129])
+    def test_two_component_rows_whose_squares_leave_range(self, k_max):
+        """Rows near 1e200 and 1e-200 take ``row_norms``' rescaled norm in
+        every chunk; (5e299, 0) diverges at step 2 and, before it in row
+        order, (1e298, 0) at step 12."""
+        system = affine_system([[1.5, 0.0], [0.3, 0.5]])
+        x = np.array([[1e200, 1e-200], [1e-200, -3e-200], [-1e-200, 1e200], [1e298, 0.0],
+                      [0.0, 0.0], [5e299, 0.0], [1.0, 2.0]])
+        with np.errstate(over="ignore"):
+            squares = row_dots(x)
+        assert not ((squares >= 2.0 ** -1022) & (squares < math.inf))[:3].any()
+        rows = _check_chunked_lanes(system, x, k_max)
+        assert rows == {1: [7], 63: [3], 65: [3, 3], 129: [3, 3, 3]}[k_max]
 
 # Checks the affine body against ``a @ x + b`` row by row, bit for bit, and
 # prints the (n, batch size, start) of every block that differs.
