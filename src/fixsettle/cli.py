@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import os
 import stat
@@ -92,23 +93,74 @@ def _writing(path: Path, newline=None):
         raise FixsettleError(f"cannot write {path}: {err.strerror or err}") from err
 
 
-def _csv_column(col) -> list:
-    """Every value of ``col`` as ``_fmt`` writes it; a float array or a
-    ``range`` in one pass."""
+_CHUNK = 1024  # violation records or CSV rows per write
+
+
+def _interleave(template: list, columns) -> str:
+    """``template`` repeated once per value of ``columns``, the ``None`` slots
+    filled with the texts of the columns, as one string.
+
+    Column ``j`` fills the ``j``-th slot of every repeat with one strided slice
+    assignment, so a chunk of records or rows costs one list repeat, one
+    assignment per column and one join, not one format call per record.
+    """
+    period = len(template)
+    parts = template * len(columns[0])
+    slots = [i for i, text in enumerate(template) if text is None]
+    for slot, texts in zip(slots, columns):
+        parts[slot::period] = texts
+    return "".join(parts)
+
+
+# Cells whose ``_fmt`` text never needs CSV quoting.
+_PLAIN = (bool, np.bool_, int, np.integer, float, np.floating)
+
+
+def _csv_field(text: str, alone: bool) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of one field (``alone``)
+    or of several."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow((text,) if alone else (text, ""))
+    return buf.getvalue()[: -1 if alone else -2]
+
+
+def _csv_column(col, alone: bool) -> list:
+    """Every value of ``col`` as ``csv.writer`` writes its ``_fmt`` text in a
+    row of one field (``alone``) or of several; a float array or a ``range``
+    in one pass."""
     if isinstance(col, range):
         return list(map(str, col))
-    if isinstance(col, np.ndarray) and col.dtype.kind == "f":
-        return list(map("{:.17g}".format, col.tolist()))
-    return list(map(_fmt, col))
+    if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
+        if col.dtype.kind == "f":
+            return list(map("{:.17g}".format, col.tolist()))
+        return list(map(_fmt, col))
+    # An empty field alone in its row is the one ``csv.writer`` quotes.
+    return [
+        _fmt(x) if isinstance(x, _PLAIN) or (x is None and not alone) else _csv_field(_fmt(x), alone)
+        for x in col
+    ]
 
 
 def _write_csv(path: Path, header, columns):
-    """Write ``header`` and the rows that ``columns`` make side by side."""
-    cols = [_csv_column(col) for col in columns]
+    """Write ``header`` and the rows that ``columns`` make side by side.
+
+    The rows are written a chunk of ``_CHUNK`` at a time, each chunk one
+    ``_interleave`` of its cells with commas and newlines.  Numbers, bools and
+    ``None`` are written as ``_fmt`` gives them; any other cell is quoted by
+    ``csv.writer`` itself.  Columns of different lengths raise ``ValueError``
+    before anything is written.
+    """
+    lengths = {len(col) for col in columns}
+    if len(lengths) > 1:
+        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+    count = lengths.pop() if lengths else 0
+    alone = len(columns) == 1
+    template = [None, ","] * (len(columns) - 1) + [None, "\n"]
     with _writing(path, newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(zip(*cols))
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        for start in range(0, count, _CHUNK):
+            rows = slice(start, start + _CHUNK)
+            fh.write(_interleave(template, [_csv_column(col[rows], alone) for col in columns]))
 
 
 def _write_json(path: Path, obj):
@@ -132,9 +184,6 @@ def _write_json(path: Path, obj):
         fh.write(text[: -len("]\n}")] + "\n")
         fh.writelines(_violation_chunks(obj))
         fh.write("\n  ]\n}\n")
-
-
-_CHUNK = 1024  # violation records per write
 
 
 def _json_floats(values: np.ndarray):
@@ -162,25 +211,34 @@ def _json_floats(values: np.ndarray):
 
 def _violation_chunks(report: ConditionReport):
     """The violation records of ``report`` as ``json.dumps`` lays them out at
-    indent 2 inside the top-level object, joined by commas, in chunks."""
+    indent 2 inside the top-level object, joined by commas, in chunks.
+
+    Each chunk of ``_CHUNK`` records is one ``_interleave`` of the record
+    layout with the residual and coordinate texts, so formatting the floats
+    is most of the cost.
+    """
     where = report.where
+    n = 1 if where.ndim == 1 else where.shape[1]
+    # Every record starts with the comma that follows the one before it; the
+    # first chunk drops it.
+    template = [',\n    {\n      "check": "decrement",\n      "residual": ', None]
     if where.ndim == 1:
-        place = "%s"
+        template += [',\n      "where": ', None, "\n    }"]
     else:
-        n = where.shape[1]
-        place = "[\n        " + ",\n        ".join(["%s"] * n) + "\n      ]"
         states = _json_floats(where.ravel())
-    record = '    {\n      "check": "decrement",\n      "residual": %s,\n      "where": ' + place + "\n    }"
+        template += [',\n      "where": [\n        ', None]
+        template += [",\n        ", None] * (n - 1) + ["\n      ]\n    }"]
     residuals = _json_floats(report.residual)
     for start in range(0, len(where), _CHUNK):
         rows = slice(start, start + _CHUNK)
         columns = [residuals(rows)]
         if where.ndim == 1:
-            columns.append(map(int.__repr__, where[rows].tolist()))
+            columns.append(list(map(int.__repr__, where[rows].tolist())))
         else:
             flat = states(slice(start * n, (start + _CHUNK) * n))
             columns += [flat[j::n] for j in range(n)]
-        yield (",\n" if start else "") + ",\n".join(map(record.__mod__, zip(*columns)))
+        text = _interleave(template, columns)
+        yield text if start else text[len(",\n"):]
 
 
 def _out_dir(args) -> Path:

@@ -1789,11 +1789,45 @@ class TestCsvWriter:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(table=_csv_columns())
+    # A lone empty field is written "" by csv.writer, whether it came from
+    # None or from an empty text.
+    @example(table=(["only"], [[None, "", "a", 1.5]]))
+    # A lone carriage return, alone in its row and beside other cells.
+    @example(table=(["text"], [["\r"]]))
+    @example(table=(["text", "x"], [["\r", "a\rb"], np.array([0.5, -1.0])]))
+    # Delimiter, quote and newline in text cells.
+    @example(table=(["text", "k"], [[",", '"', "\n", 'a,"b"\nc'], range(4)]))
+    # A cell that is not a str but whose str holds a comma.
+    @example(table=(["pair", "x"], [[(1, 2), None], np.array([1.0, 2.0])]))
     def test_columns_write_the_bytes_of_the_rowwise_writer(self, tmp_path, table):
         header, columns = table
         cli._write_csv(tmp_path / "columns.csv", header, columns)
         _rowwise_csv(tmp_path / "rows.csv", header, zip(*columns))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(table=_csv_columns(), chunk=st.integers(1, 5))
+    def test_chunks_write_the_bytes_of_the_rowwise_writer(self, tmp_path, monkeypatch, table,
+                                                          chunk):
+        # Small chunks put chunk boundaries inside the drawn tables.
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        header, columns = table
+        cli._write_csv(tmp_path / "columns.csv", header, columns)
+        _rowwise_csv(tmp_path / "rows.csv", header, zip(*columns))
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("columns", [
+        [range(3), np.array([0.5, 1.5])],
+        [np.array([0.5]), ["a", "b"], range(2)],
+        [[], [None]],
+    ])
+    def test_columns_of_different_lengths_are_refused(self, tmp_path, columns):
+        # zip would stop at the shortest column and drop the other rows.
+        path = tmp_path / "table.csv"
+        with pytest.raises(ValueError, match="differ in length"):
+            cli._write_csv(path, [f"c{i}" for i in range(len(columns))], columns)
+        assert not path.exists()
 
 
 def _large_report(k: int) -> ConditionReport:
@@ -1852,6 +1886,29 @@ class TestInPlaceWrites:
         left = (tmp_path / "out").read_bytes()
         assert left.endswith(chunks[0].encode())
         assert left == fresh[: len(left)]
+        assert b"#" not in left
+
+        # A CSV of several chunks that fails after its first chunk of rows.
+        k = 3 * cli._CHUNK
+        table = (["k", "x"], [range(k), np.random.default_rng(5).standard_normal(k)])
+        cli._write_csv(tmp_path / "fresh.csv", *table)
+        fresh = (tmp_path / "fresh.csv").read_bytes()
+        (tmp_path / "out.csv").write_bytes(_OLD)
+        interleave, rows = cli._interleave, []
+
+        def one_chunk_then_fail(template, columns):
+            if rows:
+                raise RuntimeError("stopped part-way")
+            rows.append(interleave(template, columns))
+            return rows[0]
+
+        monkeypatch.setattr(cli, "_interleave", one_chunk_then_fail)
+        with pytest.raises(RuntimeError, match="stopped part-way"):
+            cli._write_csv(tmp_path / "out.csv", *table)
+        left = (tmp_path / "out.csv").read_bytes()
+        assert left.endswith(rows[0].encode())
+        assert left == fresh[: len(left)] == b"k,x\n" + rows[0].encode()
+        assert len(left) < len(fresh)
         assert b"#" not in left
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
