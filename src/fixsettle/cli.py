@@ -34,7 +34,12 @@ from pathlib import Path
 import numpy as np
 
 from .config import ScenarioConfig, load_config
-from .errors import ConfigurationError, FixsettleError, SimulationDivergedError
+from .errors import (
+    ConfigurationError,
+    FixsettleError,
+    ParameterDomainError,
+    SimulationDivergedError,
+)
 from .lyapunov import (
     ConditionReport,
     abs_candidate,
@@ -47,8 +52,8 @@ from .perturbation import (
     BRANCH_HIGH,
     AttractivenessConfig,
     analyze_attractiveness,
+    branch_settling_bound,
     choose_branch,
-    perturbed_settling_bound,
     remark_tradeoff_table,
 )
 from .settling import analyze_settling, example_bound, settling_bound
@@ -101,8 +106,8 @@ def _interleave(template: list, columns) -> str:
     filled with the texts of the columns, as one string.
 
     Column ``j`` fills the ``j``-th slot of every repeat with one strided slice
-    assignment, so a chunk of records or rows costs one list repeat, one
-    assignment per column and one join, not one format call per record.
+    assignment, so a chunk of records costs one list repeat, one assignment
+    per column and one join, not one format call per record.
     """
     period = len(template)
     parts = template * len(columns[0])
@@ -126,13 +131,11 @@ def _csv_field(text: str, alone: bool) -> str:
 
 def _csv_column(col, alone: bool) -> list:
     """Every value of ``col`` as ``csv.writer`` writes its ``_fmt`` text in a
-    row of one field (``alone``) or of several; a float array or a ``range``
-    in one pass."""
+    row of one field (``alone``) or of several; an int or bool array or a
+    ``range`` in one pass."""
     if isinstance(col, range):
         return list(map(str, col))
-    if isinstance(col, np.ndarray) and col.dtype.kind in "biuf":
-        if col.dtype.kind == "f":
-            return list(map("{:.17g}".format, col.tolist()))
+    if isinstance(col, np.ndarray) and col.dtype.kind in "biu":
         return list(map(_fmt, col))
     # An empty field alone in its row is the one ``csv.writer`` quotes.
     return [
@@ -141,26 +144,41 @@ def _csv_column(col, alone: bool) -> list:
     ]
 
 
+def _csv_chunks(columns, count: int):
+    """The ``count`` rows that ``columns`` make side by side, as CSV text, a
+    chunk of ``_CHUNK`` rows at a time.
+
+    Each chunk is one ``%`` of the row format repeated once per row.  A float
+    array fills ``%.17g`` slots, which is ``_fmt``'s text, with its values;
+    any other column fills ``%s`` slots with its ``_csv_column`` texts.
+    """
+    width, alone = len(columns), len(columns) == 1
+    floats = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
+    row = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    for start in range(0, count, _CHUNK):
+        rows = slice(start, start + _CHUNK)
+        n = min(count - start, _CHUNK)
+        cells = [None] * (n * width)
+        for j, (col, f) in enumerate(zip(columns, floats)):
+            cells[j::width] = col[rows].tolist() if f else _csv_column(col[rows], alone)
+        yield row * n % tuple(cells)
+
+
 def _write_csv(path: Path, header, columns):
     """Write ``header`` and the rows that ``columns`` make side by side.
 
-    The rows are written a chunk of ``_CHUNK`` at a time, each chunk one
-    ``_interleave`` of its cells with commas and newlines.  Numbers, bools and
-    ``None`` are written as ``_fmt`` gives them; any other cell is quoted by
-    ``csv.writer`` itself.  Columns of different lengths raise ``ValueError``
-    before anything is written.
+    The header is written by ``csv.writer``, the rows by ``_csv_chunks``.
+    Numbers, bools and ``None`` are written as ``_fmt`` gives them; any other
+    cell is quoted by ``csv.writer`` itself.  Columns of different lengths
+    raise ``ValueError`` before anything is written.
     """
     lengths = {len(col) for col in columns}
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
     count = lengths.pop() if lengths else 0
-    alone = len(columns) == 1
-    template = [None, ","] * (len(columns) - 1) + [None, "\n"]
     with _writing(path, newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        for start in range(0, count, _CHUNK):
-            rows = slice(start, start + _CHUNK)
-            fh.write(_interleave(template, [_csv_column(col[rows], alone) for col in columns]))
+        fh.writelines(_csv_chunks(columns, count))
 
 
 def _write_json(path: Path, obj):
@@ -246,7 +264,8 @@ def _out_dir(args) -> Path:
     ``FixsettleError`` that names it."""
     out_dir = Path(args.out)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        if not out_dir.is_dir():  # mkdir would raise and catch FileExistsError
+            out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as err:
         raise FixsettleError(
             f"cannot use {out_dir} as the output directory: {err.strerror or err}"
@@ -260,10 +279,8 @@ def _require_cfg(args) -> ScenarioConfig:
     return load_config(args.config, seed_override=args.seed)
 
 
-def _attractiveness_config(
-    cfg: ScenarioConfig, lv: float, lv_source: str = "user"
-) -> AttractivenessConfig:
-    """The scenario's attractiveness inputs, ``branch: auto`` resolved from V(x0)."""
+def _branch(cfg: ScenarioConfig) -> str:
+    """The scenario's branch, ``branch: auto`` resolved from V(x0)."""
     branch = cfg.analysis.branch
     if branch == "auto":
         if cfg.analysis.x0 is None:
@@ -272,11 +289,24 @@ def _attractiveness_config(
                 "explicit analysis.branch"
             )
         branch = choose_branch(cfg.lyapunov(cfg.analysis.x0))
+    return branch
+
+
+def _slack(cfg: ScenarioConfig, branch: str) -> float:
+    """The slack constant m of ``branch``."""
+    return cfg.m1 if branch == BRANCH_HIGH else cfg.m2
+
+
+def _attractiveness_config(
+    cfg: ScenarioConfig, lv: float, lv_source: str = "user"
+) -> AttractivenessConfig:
+    """The scenario's attractiveness inputs, ``branch: auto`` resolved from V(x0)."""
+    branch = _branch(cfg)
     return AttractivenessConfig(
         gains=cfg.gains,
         lipschitz_lv=lv,
         delta0=cfg.perturbation.delta0,
-        m=cfg.m1 if branch == BRANCH_HIGH else cfg.m2,
+        m=_slack(cfg, branch),
         branch=branch,
         lv_source=lv_source,
     )
@@ -345,11 +375,23 @@ def cmd_bound(args):
     if cfg.example_params is not None:
         out["example_K_star"] = example_bound(*cfg.example_params)
     if cfg.perturbation is not None and cfg.gains is not None:
+        # K* reads the gains, m and the branch, never L_V: it is written
+        # whenever the branch resolves, as attract would report it.
         lv = cfg.lyapunov.lipschitz_LV if cfg.lyapunov is not None else None
-        if lv is not None:
-            out["perturbed_K_star"] = perturbed_settling_bound(
-                _attractiveness_config(cfg, lv)
-            )
+        resolves = cfg.analysis.branch != "auto" or (
+            cfg.lyapunov is not None and cfg.analysis.x0 is not None
+        )
+        if lv is not None or resolves:
+            branch = _branch(cfg)
+            try:
+                out["perturbed_K_star"] = branch_settling_bound(
+                    cfg.gains, _slack(cfg, branch), branch
+                )
+            except ParameterDomainError:
+                # A K* past float64 fails a scenario with an L_V, as it
+                # fails attract; one without an L_V leaves the key out.
+                if lv is not None:
+                    raise
     if not out:
         raise FixsettleError(
             "bound requires gains, an example system, or a perturbed setup"

@@ -28,7 +28,7 @@ from typing import Optional, Sequence, Tuple
 from .errors import EmptyDomainError, ParameterDomainError
 from .lyapunov import FixedTimeGains, LyapunovCandidate
 from .record import Record
-from .settling import entry_curve, phase1_bound, phase2_bound, shortest_decimal
+from .settling import decimal_ratio, entry_curve, phase1_floor, phase2_floor
 from .systems import Trajectory
 
 BRANCH_HIGH = "V0_GT_1"
@@ -74,11 +74,11 @@ def choose_branch(v0: float) -> str:
     return BRANCH_HIGH if v0 > 1.0 else BRANCH_LOW
 
 
-def _branch(cfg: AttractivenessConfig):
-    """The active branch's gain, exponent r and phase-bound kernel."""
-    if cfg.branch == BRANCH_HIGH:
-        return cfg.gains.beta, cfg.gains.r2, phase1_bound
-    return cfg.gains.alpha, cfg.gains.r1, phase2_bound
+def _branch(gains: FixedTimeGains, branch: str):
+    """The gain, exponent r and phase-floor kernel of ``branch``."""
+    if branch == BRANCH_HIGH:
+        return gains.beta, gains.r2, phase1_floor
+    return gains.alpha, gains.r1, phase2_floor
 
 
 def attractive_level(cfg: AttractivenessConfig) -> float:
@@ -86,7 +86,7 @@ def attractive_level(cfg: AttractivenessConfig) -> float:
 
     Collapses to 0 in the unperturbed limit delta0 = 0.
     """
-    gain, r, _ = _branch(cfg)
+    gain, r, _ = _branch(cfg.gains, cfg.branch)
     lv_delta = cfg.lipschitz_lv * cfg.delta0
     try:
         return (cfg.m * lv_delta / gain) ** (1.0 / r)
@@ -105,7 +105,7 @@ def feasibility_residual(cfg: AttractivenessConfig, b_target: float) -> float:
     """
     if not b_target > 0.0:
         raise ParameterDomainError("b_target must be positive")
-    gain, r, _ = _branch(cfg)
+    gain, r, _ = _branch(cfg.gains, cfg.branch)
     lv_delta = cfg.lipschitz_lv * cfg.delta0
     try:
         return gain * b_target ** r - cfg.m * lv_delta
@@ -117,26 +117,38 @@ def feasibility_residual(cfg: AttractivenessConfig, b_target: float) -> float:
 
 def slackened_gain(cfg: AttractivenessConfig) -> float:
     """beta_d or alpha_d, the decrement gain left after perturbation slack."""
-    return (1.0 - 1.0 / cfg.m) * _branch(cfg)[0]
+    return (1.0 - 1.0 / cfg.m) * _branch(cfg.gains, cfg.branch)[0]
 
 
 def perturbed_settling_bound(cfg: AttractivenessConfig) -> int:
     """Fixed step bound for reaching the attractive set under perturbation.
 
-    Reuses the phase-bound kernels with the slackened gain of the active
-    branch, evaluated exactly from the decimals of m and the gain: m = 1.5
-    and beta = 0.25 give exactly 1/12, where float64 gives a value above it.
-    The slackened gain lies in (0, 1) whenever m > 1 and the gains are
-    admissible, so the kernels' own domain checks cannot fire.
+    ``branch_settling_bound`` of the config's gains, slack and branch.
     """
-    gain_d = slackened_gain(cfg)
+    return branch_settling_bound(cfg.gains, cfg.m, cfg.branch)
+
+
+def branch_settling_bound(gains: FixedTimeGains, m: float, branch: str) -> int:
+    """K*, the fixed step bound of ``branch`` with slack constant ``m``.
+
+    Reuses the phase-bound kernels with the slackened gain of the branch,
+    evaluated exactly from the decimals of m and the gain: m = 1.5 and
+    beta = 0.25 give exactly 1/12, where float64 gives a value above it.
+    The slackened gain lies in (0, 1) whenever m > 1 and the gains are
+    admissible, so the kernels need no domain checks.  K* reads neither
+    L_V nor delta0.
+    """
+    if not m > 1.0:
+        raise ParameterDomainError(f"m={m!r} must exceed 1")
+    gain, r, phase_floor = _branch(gains, branch)
+    gain_d = (1.0 - 1.0 / m) * gain
     if not 0.0 < gain_d < 1.0:
         raise ParameterDomainError(
             f"slackened gain {gain_d!r} left (0, 1); check m and the gains"
         )
-    gain, r, phase_bound = _branch(cfg)
-    exact = (1 - 1 / shortest_decimal(cfg.m)) * shortest_decimal(gain)
-    return phase_bound(exact, r)
+    (mn, md), (gn, gd) = decimal_ratio(m), decimal_ratio(gain)
+    # (1 - md/mn) gn/gd, with mn > md > 0.
+    return phase_floor(((mn - md) * gn, mn * gd), r)
 
 
 def verify_attractiveness(

@@ -13,7 +13,9 @@ floor is decided exactly.  A float parameter stands for its shortest
 round-trip decimal, ``Fraction(repr(x))``, which is the literal a config
 gave: 0.25^(1/(0.5-1)) is exactly 16 and floors to 16 although float64
 may land just below it, and an argument truly below an integer floors
-below it however close it lies.  The module also provides the normalized
+below it however close it lies.  Exact inputs travel as (numerator,
+denominator) pairs of ints; ``Fraction`` and ``Decimal`` appear only when a
+float bracket cannot decide a floor.  The module also provides the normalized
 q-sequence and the extinction S-sequence those proofs rest on,
 implemented as independently checkable constructs, plus the one
 entry-and-stay fold that every settling measurement reads.
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,26 +38,42 @@ from .systems import Trajectory, validate_example_params
 if TYPE_CHECKING:
     from fractions import Fraction
 
+# An exact input of a floor: a (numerator, denominator) pair of ints, the
+# denominator positive and the pair not necessarily in lowest terms, a
+# rational (Fraction, int), or a float that stands for its shortest
+# decimal.  The decimal is parsed only when the float bracket of
+# ``_power_floor`` cannot decide the floor.
+Exact = Union[Tuple[int, int], numbers.Rational, float]
+
 # Unit roundoff of float64: a correctly rounded operation is within this
 # relative distance of its exact result.
 _U = 2.0 ** -53
 
 
-def shortest_decimal(x) -> Fraction:
-    """The shortest round-trip decimal of ``x``, as an exact rational.
+def decimal_ratio(x) -> Tuple[int, int]:
+    """The shortest round-trip decimal of ``x``, as a (numerator,
+    denominator) pair of ints: ``2.5e-05`` gives ``(25, 10**6)``.
 
     ``float()`` comes first because numpy 2 writes ``repr(np.float64(0.25))``
     as ``'np.float64(0.25)'``.
     """
-    # fractions and decimal load with the first bound: importing them takes
-    # about 4 ms, 3-5 % of a CLI start, which simulate and check never need.
-    from decimal import Decimal
-    from fractions import Fraction
-
     x = float(x)
     if not math.isfinite(x):
         raise ParameterDomainError(f"bound parameter must be finite, got {x!r}")
-    return Fraction(Decimal(repr(x)))  # exact, and parsed faster than by Fraction
+    digits, _, exponent = repr(x).partition("e")
+    whole, _, fraction = digits.partition(".")
+    scale = (int(exponent) if exponent else 0) - len(fraction)
+    n = int(whole + fraction)
+    return (n * 10 ** scale, 1) if scale >= 0 else (n, 10 ** -scale)
+
+
+def _fraction(x: Exact) -> Fraction:
+    """The exact value of ``x`` as a Fraction."""
+    from fractions import Fraction
+
+    if type(x) is tuple:
+        return Fraction(*x)
+    return Fraction(x) if isinstance(x, numbers.Rational) else Fraction(*decimal_ratio(x))
 
 
 def _int_root(n: int, q: int) -> Optional[int]:
@@ -125,14 +143,17 @@ def _exact_floor(b: Fraction, e: Fraction, c0: Fraction, c1: Fraction, near: int
         prec *= 2
 
 
-def _power_floor(b, k: int, r, c0=0, c1=1) -> int:
+def _power_floor(b: Exact, k: int, r: Exact, c0: Exact = (0, 1), c1: Exact = (1, 1)) -> int:
     """floor((b^e - c0) / c1) with e = k / (1 - r), decided exactly.
 
     Needs b > 0, r != 1, c1 > 0 and b^e >= 1, as every bound here has.
-    ``b``, ``r``, ``c0`` and ``c1`` are rationals (Fraction, int) or floats,
-    and a float stands for its shortest decimal.
     """
-    bf, rf, c0f, c1f = float(b), float(r), float(c0), float(c1)
+    # Each float is correctly rounded: int / int true division is, and so
+    # is ``float(Fraction)``.
+    bf = b[0] / b[1] if type(b) is tuple else float(b)
+    rf = r[0] / r[1] if type(r) is tuple else float(r)
+    c0f = c0[0] / c0[1] if type(c0) is tuple else float(c0)
+    c1f = c1[0] / c1[1] if type(c1) is tuple else float(c1)
     ef = k / (1.0 - rf)
     try:
         power = bf ** ef
@@ -158,10 +179,20 @@ def _power_floor(b, k: int, r, c0=0, c1=1) -> int:
     hi = y + margin
     if hi < math.inf and math.floor(y - margin) == math.floor(hi):
         return math.floor(hi)
-    b, r, c0, c1 = (
-        x if isinstance(x, numbers.Rational) else shortest_decimal(x) for x in (b, r, c0, c1)
-    )
+    # fractions and decimal load here, with the first floor the bracket
+    # cannot decide: importing them takes about 2 ms of a fresh process.
+    b, r, c0, c1 = map(_fraction, (b, r, c0, c1))
     return _exact_floor(b, k / (1 - r), c0, c1, round(y))
+
+
+def phase1_floor(beta: Exact, r2: Exact) -> int:
+    """``phase1_bound`` of exact inputs, their domain unchecked."""
+    return _power_floor(beta, 1, r2, (1, 1), beta) + 1
+
+
+def phase2_floor(alpha: Exact, r1: Exact) -> int:
+    """``phase2_bound`` of exact inputs, their domain unchecked."""
+    return _power_floor(alpha, -1, r1) + 1
 
 
 def phase1_bound(beta: float | Fraction, r2: float) -> int:
@@ -174,7 +205,7 @@ def phase1_bound(beta: float | Fraction, r2: float) -> int:
         raise ParameterDomainError(f"beta={beta!r} must lie in (0, 1)")
     if not r2 > 1.0:
         raise ParameterDomainError(f"r2={r2!r} must exceed 1")
-    return _power_floor(beta, 1, r2, 1, beta) + 1
+    return phase1_floor(beta, r2)
 
 
 def phase2_bound(alpha: float | Fraction, r1: float) -> int:
@@ -187,7 +218,7 @@ def phase2_bound(alpha: float | Fraction, r1: float) -> int:
         raise ParameterDomainError(f"alpha={alpha!r} must lie in (0, 1)")
     if not 0.0 < r1 < 1.0:
         raise ParameterDomainError(f"r1={r1!r} must lie in (0, 1)")
-    return _power_floor(alpha, -1, r1) + 1
+    return phase2_floor(alpha, r1)
 
 
 def settling_bound(gains: FixedTimeGains) -> int:
@@ -207,9 +238,10 @@ def gains_from_example(
     0.8 gives 0.64, where the float product 0.8 * 0.8 is 0.6400000000000001.
     """
     validate_example_params(aprime, bprime, r1prime, r2prime)
+    (an, ad), (bn, bd) = decimal_ratio(aprime), decimal_ratio(bprime)
     return FixedTimeGains(
-        alpha=float(shortest_decimal(aprime) ** 2),
-        beta=float(shortest_decimal(bprime) ** 2),
+        alpha=an * an / (ad * ad),
+        beta=bn * bn / (bd * bd),
         r1=2.0 * r1prime,
         r2=2.0 * r2prime,
     )
@@ -222,8 +254,9 @@ def example_bound(aprime: float, bprime: float, r1prime: float, r2prime: float) 
     as an independent evaluation route so the identity is a real check.
     """
     validate_example_params(aprime, bprime, r1prime, r2prime)
-    a, b, r1, r2 = (shortest_decimal(p) for p in (aprime, bprime, r1prime, r2prime))
-    return _power_floor(a, -2, 2 * r1) + _power_floor(b, 2, 2 * r2, 1, b * b) + 2
+    a, b, (r1n, r1d), (r2n, r2d) = map(decimal_ratio, (aprime, bprime, r1prime, r2prime))
+    b2 = (b[0] * b[0], b[1] * b[1])
+    return _power_floor(a, -2, (2 * r1n, r1d)) + _power_floor(b, 2, (2 * r2n, r2d), (1, 1), b2) + 2
 
 
 def check_level(level: float) -> float:

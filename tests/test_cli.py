@@ -563,6 +563,68 @@ class TestBoundCommand:
         assert attract["branch"] == "V0_LE_1"
         assert bound["perturbed_K_star"] == attract["K_star"] == 299
 
+    def test_square_candidate_with_a_grid_agrees_with_attract(self, tmp_path):
+        # No lyapunov.lipschitz: attract estimates L_V on the grid, and K*,
+        # which never reads L_V, is the same in both commands.
+        payload = case1_config(
+            lyapunov={"form": "square"},
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "uniform_ball", "seed": 7},
+            analysis={"x0": 30.0, "k_max": 50, "branch": "auto",
+                      "grid": {"scale": "log", "low": 0.01, "high": 90.0, "points": 40}},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 0
+        bound = json.loads((tmp_path / "bound.json").read_text())
+        attract = json.loads((tmp_path / "attract.json").read_text())
+        assert attract["lv_source"] == "estimated" and attract["branch"] == "V0_GT_1"
+        assert bound["perturbed_K_star"] == attract["K_star"] == 38
+
+    @pytest.mark.parametrize("lyapunov, analysis, expected", [
+        # An explicit branch resolves with no candidate at all.
+        (None, {"branch": "V0_LE_1"}, 299),
+        ({"form": "poly", "coefficients": [0.0, 0.0, 1.0]}, {"x0": 3.0, "branch": "auto"}, 38),
+        # auto without x0, or without a candidate to read V(x0) from, does not.
+        ({"form": "square"}, {"branch": "auto"}, None),
+        (None, {"x0": 3.0, "branch": "auto"}, None),
+    ], ids=["explicit-no-candidate", "auto-poly", "auto-no-x0", "auto-no-candidate"])
+    def test_perturbed_key_written_whenever_the_branch_resolves(
+        self, tmp_path, lyapunov, analysis, expected
+    ):
+        payload = case1_config(
+            gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 2.2},
+            perturbation={"delta0": 0.05, "generator": "radial"},
+            analysis=analysis,
+        )
+        if lyapunov is None:
+            del payload["lyapunov"]
+        else:
+            payload["lyapunov"] = lyapunov
+        cfg = write_config(tmp_path, payload)
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert json.loads((tmp_path / "bound.json").read_text()).get("perturbed_K_star") == expected
+
+    def test_overflowing_perturbed_bound_without_lipschitz_is_left_out(self, tmp_path, capsys):
+        # (1 - 1/1.0001) 0.25 = 0.0000249975 raised to 1/(1 - 1.01) = -100
+        # overflows float64, where the nominal 0.25^-100 does not.  Without
+        # an L_V the command exited 0 with no K* before, and still does.
+        gains = {"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 1.01}
+        payload = case1_config(
+            lyapunov={"form": "square"}, gains=gains, m1=1.0001,
+            perturbation={"delta0": 0.05, "generator": "radial"},
+            analysis={"x0": 3.0, "branch": "auto"},
+        )
+        cfg = write_config(tmp_path, payload)
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert "perturbed_K_star" not in json.loads((tmp_path / "bound.json").read_text())
+        # With one, the same K* exits 2, as it did.
+        payload["lyapunov"] = {"form": "square", "lipschitz": 6.0}
+        cfg = write_config(tmp_path, payload)
+        capsys.readouterr()
+        assert main(["bound", "--config", cfg, "--out", str(tmp_path)]) == 2
+        assert "overflows" in capsys.readouterr().err
+
     def test_overflowing_bound_is_a_domain_error(self, tmp_path, capsys):
         # beta^(1/(1-r2)) = 0.25^(-1e7) overflows float64.
         payload = case1_config(gains={"alpha": 0.64, "beta": 0.25, "r1": 0.8, "r2": 1.0000001})
@@ -1475,6 +1537,56 @@ def test_numpy_random_not_imported_to_load_a_perturbed_scenario(tmp_path):
     assert out.stdout == "False False\nTrue True\n"
 
 
+def test_bounds_of_the_config_samples_import_no_exact_arithmetic(tmp_path):
+    # Every floor of the configs/ samples is decided by its float bracket,
+    # so bound, attract and sweep never import fractions or decimal (about
+    # 2 ms of a fresh process).  table1's case 4 floor needs the fallback.
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    configs = [str(p) for p in sorted(CONFIGS.glob("*.json"))]
+    code = (
+        "import contextlib, io, sys\n"
+        "from fixsettle.cli import main\n"
+        "def loaded():\n"
+        "    return ('fractions' in sys.modules, 'decimal' in sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main([c, '--config', p, '--out', {str(tmp_path)!r}])\n"
+        f"             for c in ('bound', 'attract', 'sweep') for p in {configs!r}]\n"
+        "    before = loaded()\n"
+        f"    main(['table1', '--out', {str(tmp_path)!r}])\n"
+        "print(codes.count(0), before, loaded())\n"
+    )
+    out = subprocess.run([sys.executable, "-W", "error", "-c", code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    # bound on all four samples, attract on one, sweep on the two with a grid.
+    assert out.stdout == "7 (False, False) (True, True)\n"
+
+
+def test_exact_fallback_is_entered_only_where_the_bracket_holds_an_integer(
+    tmp_path, monkeypatch
+):
+    from fixsettle import settling
+
+    calls = []
+    exact_floor = settling._exact_floor
+
+    def counted(*args):
+        calls.append(args)
+        return exact_floor(*args)
+
+    monkeypatch.setattr(settling, "_exact_floor", counted)
+    for command in ("bound", "attract"):
+        assert main([command, "--config", str(CONFIGS / "case1_attract.json"),
+                     "--out", str(tmp_path)]) == 0
+    assert calls == []
+    # (1 - 1/3) 0.25 = 1/6 makes the argument (6 - 1) 6 = 30 exactly.
+    cfg = AttractivenessConfig(gains=FixedTimeGains(0.64, 0.25, 0.8, 2.0), lipschitz_lv=1.0,
+                               delta0=0.1, m=3.0, branch=BRANCH_HIGH)
+    assert analyze_attractiveness(cfg).K_star == 31
+    assert len(calls) == 1
+
+
 # Floats a JSON writer must spell out: NaN, both infinities, both zeros,
 # subnormals and the extremes, plus whatever else Hypothesis draws.
 _FLOATS = st.one_of(
@@ -1894,15 +2006,16 @@ class TestInPlaceWrites:
         cli._write_csv(tmp_path / "fresh.csv", *table)
         fresh = (tmp_path / "fresh.csv").read_bytes()
         (tmp_path / "out.csv").write_bytes(_OLD)
-        interleave, rows = cli._interleave, []
+        csv_chunks, rows = cli._csv_chunks, []
 
-        def one_chunk_then_fail(template, columns):
-            if rows:
-                raise RuntimeError("stopped part-way")
-            rows.append(interleave(template, columns))
-            return rows[0]
+        def one_chunk_then_fail(columns, count):
+            for chunk in csv_chunks(columns, count):
+                if rows:
+                    raise RuntimeError("stopped part-way")
+                rows.append(chunk)
+                yield chunk
 
-        monkeypatch.setattr(cli, "_interleave", one_chunk_then_fail)
+        monkeypatch.setattr(cli, "_csv_chunks", one_chunk_then_fail)
         with pytest.raises(RuntimeError, match="stopped part-way"):
             cli._write_csv(tmp_path / "out.csv", *table)
         left = (tmp_path / "out.csv").read_bytes()

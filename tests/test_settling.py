@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from fixsettle import (
     FixedTimeGains,
@@ -134,8 +134,71 @@ class TestExactFloor:
         with pytest.raises(ParameterDomainError, match="overflows"):
             phase2_bound(0.01, 0.9999999)
 
+    def test_rational_exponents_reach_the_fallback(self):
+        # 0.25^(1/(1-2)) = 4 and (4 - 1) / 0.25 = 12 exactly, so the exact
+        # fallback decides, with an int or Fraction exponent as with a float.
+        assert phase1_bound(0.25, 2) == phase1_bound(Fraction(1, 4), Fraction(2)) == 13
+        assert phase1_bound(0.25, 2.0) == 13
+        assert phase2_bound(0.25, Fraction(1, 2)) == phase2_bound(0.25, 0.5) == 17
+
     def test_numpy_scalars_read_as_their_decimal(self):
         assert phase2_bound(np.float64(0.0001), np.float64(0.5)) == 100000001
+
+
+def _short_decimal(low: int, high: int, digits: int):
+    """Decimal strings k / 10^digits for k in [low, high]: "0.25", "1.1"."""
+    return st.integers(low, high).map(
+        lambda k: f"{k // 10 ** digits}.{k % 10 ** digits:0{digits}d}"
+    )
+
+
+def _fallback(b: Fraction, k: int, r: Fraction, c0=0, c1=1) -> int:
+    """floor((b^(k/(1-r)) - c0) / c1) from the exact fallback alone."""
+    return settling._exact_floor(b, k / (1 - r), Fraction(c0), Fraction(c1), 0)
+
+
+class TestFloorsMatchTheExactFallback:
+    """Every floor, whether the float bracket or the fallback decides it,
+    is the fallback's floor of the shortest decimals of the inputs."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=_short_decimal(1, 99, 2),
+        beta=_short_decimal(1, 99, 2),
+        r1=_short_decimal(10, 900, 3),
+        r2=_short_decimal(1100, 4000, 3),
+        m=_short_decimal(101, 1000, 2),
+    )
+    # (1 - 1/3) 0.25 = 1/6: the argument is exactly 30, so 31, where the
+    # float gain 0.16666666666666669 gives 30.
+    @example(alpha="0.64", beta="0.25", r1="0.8", r2="2.0", m="3.0")
+    # (1 - 1/1.5) 0.25 = 1/12 exactly: (12 - 1) 12 = 132, so 133.
+    @example(alpha="0.64", beta="0.25", r1="0.8", r2="2.0", m="1.5")
+    def test_gains_and_slack(self, alpha, beta, r1, r2, m):
+        from fixsettle import AttractivenessConfig, perturbed_settling_bound
+
+        a, b, s1, s2, mq = map(Fraction, (alpha, beta, r1, r2, m))
+        gains = FixedTimeGains(*map(float, (alpha, beta, r1, r2)))
+        assert phase1_bound(gains.beta, gains.r2) == _fallback(b, 1, s2, 1, b) + 1
+        assert phase2_bound(gains.alpha, gains.r1) == _fallback(a, -1, s1) + 1
+        for branch, gain, k, r, c0 in (("V0_GT_1", b, 1, s2, 1), ("V0_LE_1", a, -1, s1, 0)):
+            cfg = AttractivenessConfig(gains, 1.0, 0.1, m=float(m), branch=branch)
+            gain_d = (1 - 1 / mq) * gain
+            exact = _fallback(gain_d, k, r, c0, gain_d if c0 else 1) + 1
+            assert perturbed_settling_bound(cfg) == exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        aprime=_short_decimal(1, 99, 2),
+        bprime=_short_decimal(1, 99, 2),
+        r1prime=_short_decimal(10, 450, 3),
+        r2prime=_short_decimal(105, 250, 2),
+    )
+    @example(aprime="0.2", bprime="0.05", r1prime="0.2", r2prime="1.5")  # 7600 + 214 + 1
+    def test_example_parameters(self, aprime, bprime, r1prime, r2prime):
+        a, b, s1, s2 = map(Fraction, (aprime, bprime, r1prime, r2prime))
+        exact = _fallback(a, -2, 2 * s1) + _fallback(b, 2, 2 * s2, 1, b * b) + 2
+        assert example_bound(*map(float, (aprime, bprime, r1prime, r2prime))) == exact
 
 
 class TestPhaseBounds:
