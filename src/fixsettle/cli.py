@@ -131,12 +131,9 @@ def _csv_field(text: str, alone: bool) -> str:
 
 def _csv_column(col, alone: bool) -> list:
     """Every value of ``col`` as ``csv.writer`` writes its ``_fmt`` text in a
-    row of one field (``alone``) or of several; an int or bool array or a
-    ``range`` in one pass."""
+    row of one field (``alone``) or of several; a ``range`` in one pass."""
     if isinstance(col, range):
         return list(map(str, col))
-    if isinstance(col, np.ndarray) and col.dtype.kind in "biu":
-        return list(map(_fmt, col))
     # An empty field alone in its row is the one ``csv.writer`` quotes.
     return [
         _fmt(x) if isinstance(x, _PLAIN) or (x is None and not alone) else _csv_field(_fmt(x), alone)

@@ -172,29 +172,11 @@ def sweep_settling(
 MAX_STEPS = 2**63 - 1
 
 
-def _in_chunks(orbit, steps: int):
-    """A single state's ``systems._steps`` orbit of ``steps`` steps in a
-    stack's chunks: for each ``_CHUNK`` steps (fewer at the end),
-    ``(k, states, norms, None)`` with the (c, 1, n) states at indices
-    k..k + c - 1 and their (c, 1) norms; no divergence is pending while a
-    single state steps.  Closing it closes ``orbit``."""
-    with closing(orbit):
-        ys, sizes = [], []
-        for k, y, size in orbit:
-            ys.append(y)
-            sizes.append(size)
-            if len(ys) == _CHUNK or k == steps:
-                states = np.array(ys).reshape(len(ys), 1, -1)
-                yield k - len(ys) + 1, states, np.array(sizes)[:, None], None
-                ys, sizes = [], []
-
-
 def _settling_curves(system: SystemMap, x: np.ndarray, steps: int, levels: np.ndarray):
     """``settling.entry_curves`` of every orbit of the (m, n) stack ``x``:
     the ``fold_entries`` of its ``row_norms`` at k = 0..steps, stepped
-    through ``systems._steps``, whose divergence error passes through.  A
-    one-row run steps as its one state, on ``_steps``' single-state lane,
-    and its states are gathered into chunks as a stack's come.
+    through ``systems._steps``' stack lane, one-row runs included, whose
+    divergence error passes through.
 
     Each chunk of states and norms is folded as it comes.  At the end of
     each full chunk, every orbit's last state K is compared bit for bit
@@ -215,8 +197,7 @@ def _settling_curves(system: SystemMap, x: np.ndarray, steps: int, levels: np.nd
         raise ParameterDomainError(f"k_max={steps} is past {MAX_STEPS}, the last index a run records")
     indices = fold_entries(row_norms(x)[None, :], levels)
     slots = np.arange(_CHUNK)[:, None]
-    chunks = _in_chunks(_steps(system, x[0], steps), steps) if len(x) == 1 else _steps(system, x, steps)
-    with np.errstate(over="ignore", invalid="ignore"), closing(chunks):
+    with np.errstate(over="ignore", invalid="ignore"), closing(_steps(system, x, steps)) as chunks:
         for first, states, norms, error in chunks:  # ``first``: the index in slot 0
             # The indices of the rows that come: those before any diverged row.
             live = tuple(index[:norms.shape[1]] for index in indices)

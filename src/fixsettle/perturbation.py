@@ -148,7 +148,7 @@ def branch_settling_bound(gains: FixedTimeGains, m: float, branch: str) -> int:
         )
     (mn, md), (gn, gd) = decimal_ratio(m), decimal_ratio(gain)
     # (1 - md/mn) gn/gd, with mn > md > 0.
-    return phase_floor(((mn - md) * gn, mn * gd), r)
+    return phase_floor(((mn - md) * gn, mn * gd), decimal_ratio(r))
 
 
 def verify_attractiveness(

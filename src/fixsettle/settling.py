@@ -13,12 +13,13 @@ floor is decided exactly.  A float parameter stands for its shortest
 round-trip decimal, ``Fraction(repr(x))``, which is the literal a config
 gave: 0.25^(1/(0.5-1)) is exactly 16 and floors to 16 although float64
 may land just below it, and an argument truly below an integer floors
-below it however close it lies.  Exact inputs travel as (numerator,
-denominator) pairs of ints; ``Fraction`` and ``Decimal`` appear only when a
-float bracket cannot decide a floor.  The module also provides the normalized
-q-sequence and the extinction S-sequence those proofs rest on,
-implemented as independently checkable constructs, plus the one
-entry-and-stay fold that every settling measurement reads.
+below it however close it lies.  Each input is taken once, on entry, as
+a (numerator, denominator) pair of ints, and travels as one; ``Fraction``
+and ``Decimal`` appear only when a float bracket cannot decide a floor.
+The module also provides the normalized q-sequence and the extinction
+S-sequence those proofs rest on, implemented as independently checkable
+constructs, plus the one entry-and-stay fold that every settling
+measurement reads.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,13 +38,6 @@ from .systems import Trajectory, validate_example_params
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-# An exact input of a floor: a (numerator, denominator) pair of ints, the
-# denominator positive and the pair not necessarily in lowest terms, a
-# rational (Fraction, int), or a float that stands for its shortest
-# decimal.  The decimal is parsed only when the float bracket of
-# ``_power_floor`` cannot decide the floor.
-Exact = Union[Tuple[int, int], numbers.Rational, float]
 
 # Unit roundoff of float64: a correctly rounded operation is within this
 # relative distance of its exact result.
@@ -67,13 +61,12 @@ def decimal_ratio(x) -> Tuple[int, int]:
     return (n * 10 ** scale, 1) if scale >= 0 else (n, 10 ** -scale)
 
 
-def _fraction(x: Exact) -> Fraction:
-    """The exact value of ``x`` as a Fraction."""
-    from fractions import Fraction
-
-    if type(x) is tuple:
-        return Fraction(*x)
-    return Fraction(x) if isinstance(x, numbers.Rational) else Fraction(*decimal_ratio(x))
+def _ratio(x) -> Tuple[int, int]:
+    """A bound parameter as a (numerator, denominator) pair of ints: a
+    rational's own terms, a float's ``decimal_ratio``."""
+    if isinstance(x, numbers.Rational):
+        return int(x.numerator), int(x.denominator)
+    return decimal_ratio(x)
 
 
 def _int_root(n: int, q: int) -> Optional[int]:
@@ -143,17 +136,16 @@ def _exact_floor(b: Fraction, e: Fraction, c0: Fraction, c1: Fraction, near: int
         prec *= 2
 
 
-def _power_floor(b: Exact, k: int, r: Exact, c0: Exact = (0, 1), c1: Exact = (1, 1)) -> int:
-    """floor((b^e - c0) / c1) with e = k / (1 - r), decided exactly.
+def _power_floor(b: Tuple[int, int], k: int, r: Tuple[int, int],
+                 c0: Tuple[int, int] = (0, 1), c1: Tuple[int, int] = (1, 1)) -> int:
+    """floor((b^e - c0) / c1) with e = k / (1 - r), decided exactly; each
+    of b, r, c0 and c1 is a (numerator, denominator) pair of ints, the
+    denominator positive and the pair not necessarily in lowest terms.
 
     Needs b > 0, r != 1, c1 > 0 and b^e >= 1, as every bound here has.
     """
-    # Each float is correctly rounded: int / int true division is, and so
-    # is ``float(Fraction)``.
-    bf = b[0] / b[1] if type(b) is tuple else float(b)
-    rf = r[0] / r[1] if type(r) is tuple else float(r)
-    c0f = c0[0] / c0[1] if type(c0) is tuple else float(c0)
-    c1f = c1[0] / c1[1] if type(c1) is tuple else float(c1)
+    # Each float is correctly rounded: int / int true division is.
+    bf, rf, c0f, c1f = b[0] / b[1], r[0] / r[1], c0[0] / c0[1], c1[0] / c1[1]
     ef = k / (1.0 - rf)
     try:
         power = bf ** ef
@@ -181,44 +173,48 @@ def _power_floor(b: Exact, k: int, r: Exact, c0: Exact = (0, 1), c1: Exact = (1,
         return math.floor(hi)
     # fractions and decimal load here, with the first floor the bracket
     # cannot decide: importing them takes about 2 ms of a fresh process.
-    b, r, c0, c1 = map(_fraction, (b, r, c0, c1))
+    from fractions import Fraction
+
+    b, r, c0, c1 = (Fraction(*x) for x in (b, r, c0, c1))
     return _exact_floor(b, k / (1 - r), c0, c1, round(y))
 
 
-def phase1_floor(beta: Exact, r2: Exact) -> int:
-    """``phase1_bound`` of exact inputs, their domain unchecked."""
+def phase1_floor(beta: Tuple[int, int], r2: Tuple[int, int]) -> int:
+    """``phase1_bound`` of (numerator, denominator) pairs, their domain
+    unchecked."""
     return _power_floor(beta, 1, r2, (1, 1), beta) + 1
 
 
-def phase2_floor(alpha: Exact, r1: Exact) -> int:
-    """``phase2_bound`` of exact inputs, their domain unchecked."""
+def phase2_floor(alpha: Tuple[int, int], r1: Tuple[int, int]) -> int:
+    """``phase2_bound`` of (numerator, denominator) pairs, their domain
+    unchecked."""
     return _power_floor(alpha, -1, r1) + 1
 
 
-def phase1_bound(beta: float | Fraction, r2: float) -> int:
+def phase1_bound(beta: float | Fraction, r2: float | Fraction) -> int:
     """Step bound for driving the candidate level from above 1 down to 1.
 
-    ``beta`` is a float, standing for its shortest decimal, or an exact
-    Fraction.
+    Each input is a float, standing for its shortest decimal, or an exact
+    rational such as a Fraction or an int.
     """
     if not 0.0 < beta < 1.0:
         raise ParameterDomainError(f"beta={beta!r} must lie in (0, 1)")
     if not r2 > 1.0:
         raise ParameterDomainError(f"r2={r2!r} must exceed 1")
-    return phase1_floor(beta, r2)
+    return phase1_floor(_ratio(beta), _ratio(r2))
 
 
-def phase2_bound(alpha: float | Fraction, r1: float) -> int:
+def phase2_bound(alpha: float | Fraction, r1: float | Fraction) -> int:
     """Step bound for extinguishing a candidate level of at most 1.
 
-    ``alpha`` is a float, standing for its shortest decimal, or an exact
-    Fraction.
+    Each input is a float, standing for its shortest decimal, or an exact
+    rational such as a Fraction or an int.
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterDomainError(f"alpha={alpha!r} must lie in (0, 1)")
     if not 0.0 < r1 < 1.0:
         raise ParameterDomainError(f"r1={r1!r} must lie in (0, 1)")
-    return phase2_floor(alpha, r1)
+    return phase2_floor(_ratio(alpha), _ratio(r1))
 
 
 def settling_bound(gains: FixedTimeGains) -> int:

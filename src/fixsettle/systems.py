@@ -60,11 +60,12 @@ def as_state_grid(grid, dimension: int) -> np.ndarray:
 class SystemMap:
     """A deterministic discrete-time autonomous map.
 
-    ``body`` must be a pure function that maps one state vector of length
-    ``dimension`` to a vector of that shape, and an (m, dimension) stack of
-    states to an (m, dimension) stack, each row bit for bit what the row
-    alone gives.  Sweeps rely on that purity: once every orbit of a stack
-    repeats a state bit for bit, they finish the run in closed form.
+    ``body`` must be a pure function that maps an (m, dimension) stack of
+    states to an (m, dimension) stack, each row bit for bit what that row
+    gives as a one-row stack.  It is handed nothing but stacks: a single
+    orbit hands it a one-row stack per step, and ``apply`` is a batch of
+    one.  Sweeps rely on that purity: once every orbit of a stack repeats a
+    state bit for bit, they finish the run in closed form.
     Stacks step a chunk of steps at a time and test for divergence at the
     chunk's end, so ``body`` may be given rows that diverged earlier in the
     chunk.  Their outputs are discarded, and ``body`` must not raise on
@@ -80,9 +81,9 @@ class SystemMap:
             raise ParameterDomainError("system dimension must be a positive integer")
 
     def apply(self, x) -> np.ndarray:
-        """One application of the map, with dimension checking."""
-        state = as_state(x, self.dimension)
-        return _checked(self, self.body(state), state.shape)
+        """One application of the map to one state, with dimension checking:
+        ``apply_batch`` of a batch of one."""
+        return self.apply_batch(as_state(x, self.dimension)[None, :])[0]
 
     def apply_batch(self, states) -> np.ndarray:
         """One application of the map to every row of an (m, dimension)
@@ -408,32 +409,35 @@ _CHUNK = 64
 def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[PerturbationSpec] = None):
     """Step one state of shape (n,) or an (m, n) stack ``k_max`` times.
 
-    A single state yields ``(k, state, norm)`` for k = 1..k_max: the state
-    at index k and its ``norm``.  A single state of shape (1,) is kept as a
-    Python float between steps and yielded as one, with ``abs`` of it as
-    its norm, which equals ``norm`` of the 1-vector bit for bit (both
-    zeros, NaN and inf included); one of dimension 2 or more steps as an
-    array.  A stack steps a chunk at a time and checks for divergence once
-    per chunk: it yields ``(k, states, norms, error)``, the freshly
-    allocated (c, m, n) array of its states at indices k..k + c - 1, their
-    (c, m) ``row_norms`` and the divergence error pending so far (below),
-    for chunks of c = ``_CHUNK`` steps, fewer at the end and never past
-    ``k_max``.  Each step calls ``body`` once, on a one-state array for
-    such a float, and checks the output's shape; when ``pert`` is given it
-    adds the step-(k - 1) perturbation.  A spec with a ``block`` gives its
-    draws a block at a time through ``_checked_block``: at most
-    ``_SEED_BLOCK`` steps per call and never a step past ``k_max``; a stack
-    adds each row to all its states, and a float its row's one component,
-    read once per block as a list of floats.  A block ends before its first
-    draw that breaks the bound, a stack's chunk ends with its block, and
-    the block asked for from that step raises the bound error, so an
-    earlier divergence is the error raised.  A spec without ``block`` reads
-    the state, and each step draws for step k - 1: an array state through
-    ``pert.sample(k - 1, x)``, a float through ``generator(k - 1, state)``
-    on the one-state array, its draw taken as one float with ``sample``'s
-    shape check and messages and ``abs`` as its norm.  A stack with such a
-    spec raises ``ParameterDomainError``: its per-step draws would raise a
-    later row's bound error before an earlier row's divergence.
+    ``body`` is handed stacks only: a single state steps as a one-row
+    stack.  A single state yields ``(k, state, norm)`` for k = 1..k_max:
+    the state at index k and its ``norm``.  A single state of shape (1,)
+    is kept as a Python float between steps and yielded as one, with
+    ``abs`` of it as its norm, which equals ``norm`` of the 1-vector bit
+    for bit (both zeros, NaN and inf included); every step refills one
+    (1, 1) stack with it for ``body``.  One of dimension 2 or more is kept
+    as the (1, n) stack ``body`` returns and yielded as its (n,) row.  A
+    stack steps a chunk at a time and checks for divergence once per
+    chunk: it yields ``(k, states, norms, error)``, the freshly allocated
+    (c, m, n) array of its states at indices k..k + c - 1, their (c, m)
+    ``row_norms`` and the divergence error pending so far (below), for
+    chunks of c = ``_CHUNK`` steps, fewer at the end and never past
+    ``k_max``.  Each step calls ``body`` once and checks the output's
+    shape; when ``pert`` is given it adds the step-(k - 1) perturbation.
+    A spec with a ``block`` gives its draws a block at a time through
+    ``_checked_block``: at most ``_SEED_BLOCK`` steps per call and never a
+    step past ``k_max``; a stack adds each row to all its states, and a
+    float its row's one component, read once per block as a list of
+    floats.  A block ends before its first draw that breaks the bound, a
+    stack's chunk ends with its block, and the block asked for from that
+    step raises the bound error, so an earlier divergence is the error
+    raised.  A spec without ``block`` reads the state, and each step draws
+    for step k - 1 from the state's (n,) row: an array state through
+    ``pert.sample(k - 1, row)``, a float through ``generator(k - 1, row)``,
+    its draw taken as one float with ``sample``'s shape check and messages
+    and ``abs`` as its norm.  A stack with such a spec raises
+    ``ParameterDomainError``: its per-step draws would raise a later row's
+    bound error before an earlier row's divergence.
 
     A state has diverged when its norm is not <= ``DIVERGENCE_LIMIT``.
     Rows run as if each ran alone, in row order, and the first row that
@@ -461,41 +465,45 @@ def _steps(system: SystemMap, x: np.ndarray, k_max: int, pert: Optional[Perturba
         )
     if x.shape == (1,):
         y = x.item()
-        # The one-state array ``body`` and the generator get, refilled every
-        # step; what they return is read before the next refill, so an
-        # output that is this array itself is safe.
-        state = np.empty(1)
+        # The (1, 1) stack ``body`` gets and its row, which the generator
+        # gets, refilled every step; what they return is read before the
+        # next refill, so an output that is this array itself is safe.
+        state = np.empty((1, 1))
+        row = state[0]
         for k in range(k_max):
-            state[0] = y
-            y = _checked(system, body(state), (1,)).item()
+            state[0, 0] = y
+            y = _checked(system, body(state), (1, 1)).item()
             if by_block:
                 if k - k0 == len(draws):
                     k0 = k
                     draws = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), 1)[:, 0].tolist()
                 y = y + draws[k - k0]
             elif pert is not None:
-                y = y + pert._sample_float(k, state)
+                y = y + pert._sample_float(k, row)
             size = abs(y)
             if not size <= DIVERGENCE_LIMIT:
                 error = _diverged(system, start, 0, k)
                 break
             yield k + 1, y, size
     elif x.ndim == 1:
+        row, x = x, x[None, :]
         for k in range(k_max):
             nxt = _checked(system, body(x), x.shape)
             if by_block:
                 if k - k0 == len(draws):
                     k0 = k
-                    draws = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), x.shape[-1])
+                    # Rows of shape (1, n), which add to the state unbroadcast.
+                    draws = pert._checked_block(k, min(_SEED_BLOCK, k_max - k), x.shape[1])[:, None]
                 nxt = nxt + draws[k - k0]
             elif pert is not None:
-                nxt = nxt + pert.sample(k, x)
+                nxt = nxt + pert.sample(k, row)
             x = nxt
-            size = norm(x)
+            row = x[0]
+            size = norm(row)
             if not size <= DIVERGENCE_LIMIT:
                 error = _diverged(system, start, 0, k)
                 break
-            yield k + 1, x, size
+            yield k + 1, row, size
     else:
         n = x.shape[1]
         k = 0
@@ -654,13 +662,15 @@ def example_system(
 
     def body(states: np.ndarray) -> np.ndarray:
         # Parameters were validated at construction; skip the per-step check.
-        # A single state takes the scalar step on a Python float, far cheaper
+        # A one-row stack takes the scalar step on a Python float, far cheaper
         # per call than the array path; np.float_power calls libm pow like
         # Python's **, so a stack's rows match it bit for bit, where np.power
         # does not.  The stack path writes into its own temporaries: a *= b
         # rounds as b * a does.
-        if states.ndim == 1:
-            return np.array([_example_step_float(states.item(), aprime, bprime, r1prime, r2prime)])
+        if len(states) == 1:
+            out = np.empty((1, 1))
+            out[0, 0] = _example_step_float(states.item(), aprime, bprime, r1prime, r2prime)
+            return out
         mag = np.abs(states)
         low = np.float_power(mag, r1prime)
         low *= aprime
@@ -682,11 +692,12 @@ def affine_system(matrix, offset=None, name: str = "affine") -> SystemMap:
     b = np.zeros(n) if offset is None else as_state(offset, n)
 
     def body(states: np.ndarray) -> np.ndarray:
-        # A single state takes ``a @ x + b``.  Stacked matrix-vector products
-        # equal it row by row, bit for bit; the plain product ``states @ a.T``
-        # differs in the last bit.
-        if states.ndim == 1:
-            return a @ states + b
+        # A one-row stack, a single orbit's state, takes ``a @ x + b`` of its
+        # row, a cheaper call than the stacked products.  These equal it row
+        # by row, bit for bit; the plain product ``states @ a.T`` differs in
+        # the last bit.
+        if len(states) == 1:
+            return (a @ states[0] + b)[None, :]
         return np.matmul(a, states[..., None])[..., 0] + b
 
     return SystemMap(name=name, dimension=n, body=body)

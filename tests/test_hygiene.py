@@ -179,3 +179,84 @@ def test_rng_makers_are_found():
         "maker = default_rng\n"
     )
     assert _rng_makers(source) == [("<module>", 9), ("draws", 4), ("outer", 7)]
+
+
+def _private_definitions(tree: ast.Module):
+    """The module-level functions, classes and constants of ``tree`` whose
+    name starts with one underscore, each with the statement defining it."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        found += [(name, node) for name in names if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def _read_names(tree: ast.Module):
+    """Every identifier ``tree`` reads, with its node: a name, an
+    attribute, or a name imported from another module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.name, node
+
+
+def _dead_private_names(sources):
+    """The (module, name) of every module-level private name of ``sources``
+    (module name -> source) that no module reads outside the statement that
+    defines it."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = {}  # identifier -> (module, node id) of every read of it
+    for module, tree in trees.items():
+        for name, node in _read_names(tree):
+            reads.setdefault(name, []).append((module, id(node)))
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if all(other == module and node in inside for other, node in reads.get(name, ())):
+                dead.append((module, name))
+    return sorted(dead)
+
+
+def test_no_dead_private_names():
+    sources = {path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_private_names(sources) == []
+
+
+def test_dead_private_names_are_found():
+    sources = {
+        "a.py": (
+            "_LIMIT = 3\n"
+            "_UNUSED: int = 4\n"
+            "__version__ = '1'\n"
+            "def _helper(x):\n"
+            "    return x + _LIMIT\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "class _Node:\n"
+            "    pass\n"
+            "def _by_attribute():\n"
+            "    pass\n"
+            "def public():\n"
+            "    def _nested():\n"
+            "        pass\n"
+            "    return _helper(1)\n"
+        ),
+        "b.py": (
+            "from .a import _Node\n"
+            "from . import a\n"
+            "a._by_attribute()\n"
+        ),
+    }
+    assert _dead_private_names(sources) == [("a.py", "_UNUSED"), ("a.py", "_recursive")]

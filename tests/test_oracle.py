@@ -547,9 +547,9 @@ _ONE_ROW_SYSTEMS = [case.system() for case in TABLE1_CASES] + [
 
 
 class TestOneRowRuns:
-    """A one-row settling run steps its one state on the single-state lane
-    of ``systems._steps``: the curves of its lane in a stack, from as many
-    ``body`` calls as the stack makes, each on a state of shape (1,)."""
+    """A one-row settling run steps as a stack of one on the stack lane of
+    ``systems._steps``: the curves of its lane in a stack, from as many
+    ``body`` calls as the stack makes, each on a stack of shape (1, 1)."""
 
     LEVELS = (10.0, 1.0, 0.5, 0.25, 0.1, 1e-3, 0.0)
 
@@ -565,7 +565,7 @@ class TestOneRowRuns:
             twins = _settling_curves(twin, np.array([[x0], [x0]]), steps, levels)
             mixed = _settling_curves(system, np.array([[x0], [0.75]]), steps, levels)
             assert curves == twins[:1] == mixed[:1], x0
-            assert set(one_calls) == {(1,)} and set(twin_calls) == {(2, 1)}
+            assert set(one_calls) == {(1, 1)} and set(twin_calls) == {(2, 1)}
             assert len(one_calls) == len(twin_calls), x0
 
     @pytest.mark.parametrize("x0", [1e7, -3e6, math.inf, -math.inf, math.nan])

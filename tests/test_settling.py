@@ -37,6 +37,36 @@ def _exact_decimal(x: float, value: Fraction) -> float:
     return x
 
 
+def _finite_float_bits():
+    """Finite floats drawn as uniform 64-bit patterns, so every binade and
+    the subnormals are as likely as ``st.floats``' favoured values."""
+    return st.integers(0, 2 ** 64 - 1).map(
+        lambda bits: np.array(bits, dtype=np.uint64).view(np.float64).item()
+    ).filter(math.isfinite)
+
+
+class TestDecimalRatio:
+    """A float's pair divides back to the float: its shortest decimal rounds
+    to it and int / int true division is correctly rounded, so the float
+    bracket of a floor sees every float input as it was given."""
+
+    @settings(max_examples=3000, deadline=None)
+    @given(x=st.floats(allow_nan=False, allow_infinity=False) | _finite_float_bits())
+    @example(x=5e-324)
+    @example(x=-1.7976931348623157e308)
+    @example(x=-0.0)
+    def test_pair_divides_back_to_the_float(self, x):
+        n, d = settling.decimal_ratio(x)
+        assert type(n) is int and type(d) is int and d > 0
+        assert n / d == x
+        assert Fraction(n, d) == Fraction(repr(x))
+
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_non_finite_is_a_domain_error(self, x):
+        with pytest.raises(ParameterDomainError, match="must be finite"):
+            settling.decimal_ratio(x)
+
+
 class TestExactFloor:
     def test_large_exact_integer_is_not_lost(self):
         # 0.0001^-2 = 1e8 exactly, but float64 gives 99999999.99999999.

@@ -85,8 +85,8 @@ class TestExampleStep:
         # |1e300|^1.1 overflows: the step is -inf, with no error or warning.
         system = example_system(*CASE1)
         with np.errstate(over="ignore"):
-            want = system.body(np.array([1e300]))[0]
-            assert system.body(np.array([[1e300]]))[0, 0] == want
+            want = system.body(np.array([[1e300]]))[0, 0]
+            assert system.body(np.array([[1e300], [1e300]]))[0, 0] == want
         assert want == -np.inf
         assert example_step(1e300, *CASE1) == want
         assert example_step(-1e300, *CASE1) == np.inf
@@ -1041,8 +1041,8 @@ class TestFloatLane:
                              ids=["none", "constant", "uniform_ball", "radial", "custom"])
     @pytest.mark.parametrize("body", [
         lambda s: s,                                  # the input array itself
-        lambda s: np.array([int(s[0]) // 2]),         # an integer array
-        lambda s: [0.5 * s[0]],                       # a list
+        lambda s: np.array([[int(s[0, 0]) // 2]]),    # an integer array
+        lambda s: [[0.5 * s[0, 0]]],                  # a list
     ], ids=["input", "int", "list"])
     def test_bodies_returning_their_input_an_int_array_or_a_list(self, body, pert):
         from fixsettle import SystemMap
@@ -1057,10 +1057,10 @@ class TestFloatLane:
     def test_scalar_body_output_rejected(self, pert):
         from fixsettle import SystemMap
 
-        scalar = SystemMap("scalar", 1, lambda s: 0.5 * s[0])
+        scalar = SystemMap("scalar", 1, lambda s: 0.5 * s[0, 0])
         error = _same_as_the_array_loop(scalar, pert, 1.0, 3)
         assert error[:2] == (ParameterDomainError,
-                             "map 'scalar' returned shape (), expected (1,)")
+                             "map 'scalar' returned shape (), expected (1, 1)")
 
     @pytest.mark.parametrize("bad_step, error", [
         (2, PerturbationBoundError),    # before the divergence
@@ -1167,8 +1167,8 @@ class TestSystemMap:
             affine_system([[1.0, 2.0]])
 
     def test_one_body_and_no_second_map_callable(self):
-        """A map is one ``body`` for a state and for a stack of states; no
-        second callable for stacks comes back into the package."""
+        """A map is one ``body``, on stacks of states; no second callable
+        for stacks comes back into the package."""
         from dataclasses import fields
 
         from fixsettle import SystemMap
@@ -1180,6 +1180,77 @@ class TestSystemMap:
                  for number, line in enumerate(path.read_text().splitlines(), start=1)
                  if "step_batch" in line]
         assert stray == []
+
+
+def _stepping_calls():
+    """Every entry point that steps a map, each building its builtin maps
+    (the table 1 case 1 map and a 3-D affine map) when called."""
+    from fixsettle import (FixedTimeGains, abs_candidate, scan_conditions, scan_trajectory,
+                           sweep_settling, table1_reproduce)
+
+    def case1():
+        return TABLE1_CASES[0].system()
+
+    def rotation():
+        return affine_system([[0.0, -0.9, 0.0], [0.9, 0.0, 0.0], [0.0, 0.0, 0.5]], [0.01, 0.0, 0.0])
+
+    perts = {
+        "uniform_ball": lambda n: uniform_ball_perturbation(0.05, n, 3),
+        "radial": lambda n: radial_perturbation(0.05, n),
+        "constant": lambda n: constant_perturbation([0.01] * n, 0.05),
+    }
+    calls = {"simulate-1d": lambda: simulate(case1(), 1500.0, 300),
+             "simulate-3d": lambda: simulate(rotation(), [3.0, -1.0, 2.0], 300)}
+    for name, pert in perts.items():
+        calls[f"perturbed-1d-{name}"] = lambda pert=pert: simulate_perturbed(
+            case1(), pert(1), 1500.0, 300)
+        calls[f"perturbed-3d-{name}"] = lambda pert=pert: simulate_perturbed(
+            rotation(), pert(3), [3.0, -1.0, 2.0], 300)
+    gains = FixedTimeGains(0.64, 0.25, 0.8, 2.2)
+    V = abs_candidate(1)
+    calls.update({
+        "sweep-one-x0": lambda: sweep_settling(case1(), [1500.0], 19),
+        "sweep-many-x0": lambda: sweep_settling(case1(), np.linspace(2.0, 3000.0, 101), 19),
+        "table1": lambda: table1_reproduce(),
+        "scan-one-point": lambda: scan_conditions(case1(), V, gains, [2.5]),
+        "scan-grid": lambda: scan_conditions(case1(), V, gains, np.linspace(0.1, 50.0, 31)),
+        "scan-trajectory": lambda: scan_trajectory(case1(), V, gains, simulate(case1(), 40.0, 50)),
+        "apply": lambda: (case1().apply(2.5), rotation().apply([1.0, 2.0, 3.0])),
+        "apply-batch": lambda: (case1().apply_batch([[2.5], [-7.0]]),
+                                rotation().apply_batch(np.ones((4, 3)))),
+    })
+    return calls
+
+
+_STEPPING_CALLS = _stepping_calls()
+
+
+class TestBodyContract:
+    """The builtin bodies are handed (m, n) stacks and nothing else, by
+    every entry point that steps a map: single orbits, perturbed or not, in
+    one and three dimensions, sweeps of one x0 and of many, table 1, grid
+    and orbit scans and ``apply``."""
+
+    @pytest.mark.parametrize("call", _STEPPING_CALLS.values(), ids=_STEPPING_CALLS.keys())
+    def test_every_body_call_gets_a_stack(self, call, monkeypatch):
+        import fixsettle.systems
+        from fixsettle import SystemMap
+
+        shapes = []
+
+        def guarded(name, dimension, body):
+            def checked(states):
+                assert states.ndim == 2, states.shape
+                shapes.append(states.shape)
+                return body(states)
+
+            return SystemMap(name, dimension, checked)
+
+        # ``example_system`` and ``affine_system`` build their maps through
+        # the module's ``SystemMap``.
+        monkeypatch.setattr(fixsettle.systems, "SystemMap", guarded)
+        call()
+        assert shapes
 
 
 def _batch_inputs(case, count=100_000):
@@ -1199,13 +1270,13 @@ def _batch_inputs(case, count=100_000):
 
 
 def _one_state_at_a_time(system, xs):
-    """The example body's rank-1 branch, one state per call."""
-    return np.array([system.body(np.array([x]))[0] for x in xs])
+    """The example body's one-row branch, one (1, 1) stack per call."""
+    return np.array([system.body(np.array([[x]]))[0, 0] for x in xs])
 
 
 class TestBatchedStep:
-    """The example body's two branches, a single state and a stack of
-    states, agree bit for bit."""
+    """The example body's two branches, a one-row stack and a stack of
+    several states, agree bit for bit."""
 
     @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
     def test_matches_example_step_bit_for_bit(self, case):
@@ -1264,7 +1335,8 @@ class TestBatchedStep:
         states = np.array([[4.0], [-1.0], [0.0]])
         assert np.array_equal(system.apply_batch(states), [[2.0], [-0.5], [0.0]])
         assert np.array_equal(system.apply([4.0]), [2.0])
-        assert calls == [(3, 1), (1,)]
+        # ``apply`` is a batch of one.
+        assert calls == [(3, 1), (1, 1)]
 
     def test_batch_shape_checked(self):
         from fixsettle import SystemMap
@@ -1276,14 +1348,18 @@ class TestBatchedStep:
     def test_single_state_shape_checked(self):
         from fixsettle import SystemMap
 
-        widening = SystemMap("widening", 1, lambda s: np.array([s[0], s[0]]))
-        with pytest.raises(ParameterDomainError, match=r"returned shape \(2,\), expected \(1,\)"):
+        widening = SystemMap("widening", 1, lambda s: np.hstack([s, s]))
+        with pytest.raises(ParameterDomainError, match=r"returned shape \(1, 2\), expected \(1, 1\)"):
             widening.apply([1.0])
-        # A scalar is not a state: the body must keep the input's shape.
-        scalar = SystemMap("scalar", 1, lambda s: 0.5 * s[0])
-        for run in (lambda: scalar.apply([1.0]), lambda: simulate(scalar, 1.0, 3)):
-            with pytest.raises(ParameterDomainError, match=r"returned shape \(\), expected \(1,\)"):
-                run()
+        # A scalar is not a stack: the body must keep the input's shape.
+        scalar = SystemMap("scalar", 1, lambda s: 0.5 * s[0, 0])
+        # A body of the old single-state form, which gives an (n,) state.
+        flat = SystemMap("flat", 1, lambda s: 0.5 * s[0])
+        for system, shape in ((scalar, r"\(\)"), (flat, r"\(1,\)")):
+            for run in (lambda: system.apply([1.0]), lambda: simulate(system, 1.0, 3)):
+                with pytest.raises(ParameterDomainError,
+                                   match=rf"returned shape {shape}, expected \(1, 1\)"):
+                    run()
 
     def test_single_orbits_take_the_module_scalar_step(self, monkeypatch, case1_system):
         """``simulate`` steps the example map through ``systems._example_step_raw``,
@@ -1318,10 +1394,10 @@ def _whole_range_inputs(count=100_000):
 
 
 class TestScalarStep:
-    """The example body steps a single state on a Python float, and takes
+    """The example body steps a one-row stack on a Python float, and takes
     a step whose power ``**`` cannot hold in numpy scalars.  Over the whole
-    float range it equals the step in numpy scalars and the stack's row,
-    bit for bit."""
+    float range it equals the step in numpy scalars and the row of the
+    whole stack, bit for bit."""
 
     @pytest.mark.parametrize("case", TABLE1_CASES, ids=lambda c: c.case_id)
     def test_equals_numpy_scalars_and_the_stack(self, case):
@@ -1347,9 +1423,9 @@ class TestScalarStep:
             with pytest.raises(OverflowError):
                 _example_step_raw(float(x), *params)  # Python's ** raises
             with np.errstate(over="ignore"):
-                got = system.body(np.array([x]))
-            assert got.tolist() == [-math.copysign(math.inf, x)]
-            assert example_step(x, *params) == got[0]
+                got = system.body(np.array([[x]]))
+            assert got.tolist() == [[-math.copysign(math.inf, x)]]
+            assert example_step(x, *params) == got[0, 0]
 
 
 class _Tagged(np.ndarray):
@@ -1370,15 +1446,17 @@ _OUTPUT_KINDS = {
 def _converting_loop(system, x, k_max):
     """The orbit loop that converts every ``body`` output with
     ``np.asarray(..., dtype=float)`` and then checks its shape: its states,
-    or the shape error's message."""
-    states = [x]
+    each of ``x``'s shape, or the shape error's message.  A single state
+    steps as a one-row stack."""
+    stack = np.atleast_2d(x)
+    states = [stack]
     for _ in range(k_max):
-        out = np.asarray(system.body(x), dtype=float)
-        if out.shape != x.shape:
-            return f"map '{system.name}' returned shape {out.shape}, expected {x.shape}"
+        out = np.asarray(system.body(stack), dtype=float)
+        if out.shape != stack.shape:
+            return f"map '{system.name}' returned shape {out.shape}, expected {stack.shape}"
         states.append(out)
-        x = out
-    return np.array(states)
+        stack = out
+    return np.array(states).reshape(k_max + 1, *x.shape)
 
 
 def _stepped_loop(system, x, k_max):
@@ -1474,7 +1552,8 @@ class TestBodyOutputs:
         want = _converting_loop(system, x, 5)
         got = _stepped_loop(system, x, 5)
         if kind == "0-d":
-            assert got == want == f"map '0-d' returned shape (), expected {x.shape}"
+            shape = np.atleast_2d(x).shape
+            assert got == want == f"map '0-d' returned shape (), expected {shape}"
         else:
             assert got.dtype == want.dtype == float
             assert got.tobytes() == want.tobytes()
@@ -1547,7 +1626,8 @@ class TestBodyOutputs:
         calls = []
 
         def counted(states):
-            if states.ndim == 2:
+            # One-row stacks are the rows' own ``simulate`` orbits.
+            if len(states) > 1:
                 calls.append(len(states))
             return system.body(states)
 
@@ -1582,7 +1662,8 @@ with np.errstate(all="ignore"):
     for n in (1, 2, 3, 4, 5, 6, 7, 8, 16, 64):
         a = rng.standard_normal((n, n)) * np.exp(rng.uniform(-30, 30, (n, n)))
         b = rng.standard_normal(n) * np.exp(rng.uniform(-30, 30, n))
-        body = affine_system(a, b).body
+        system = affine_system(a, b)
+        body = system.body
         rows = rng.standard_normal((101, n)) * np.exp(rng.uniform(-30, 30, (101, n)))
         rows[3, 0] = np.inf
         rows[5, -1] = np.nan
@@ -1590,7 +1671,7 @@ with np.errstate(all="ignore"):
         rows[9] = 0.0
         want = np.array([a @ x + b for x in rows])
         for i, x in enumerate(rows):
-            if body(x).tobytes() != want[i].tobytes():
+            if system.apply(x).tobytes() != want[i].tobytes():
                 bad.append((n, 0, i))
         for size in (1, 7, 101):
             for start in range(0, len(rows), size):
@@ -1603,8 +1684,8 @@ print(bad)
 class TestAffineBody:
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_equals_row_wise_product_bit_for_bit(self, threads):
-        """One state and stacks of 1, 7 and 101 rows, with inf, NaN and zero
-        rows, for n = 1..8, 16 and 64; the BLAS thread count may not change
+        """One state through ``apply`` and stacks of 1, 7 and 101 rows, with
+        inf, NaN and zero rows, for n = 1..8, 16 and 64; the BLAS thread count may not change
         a bit, so each count runs in a fresh interpreter."""
         import fixsettle
 
@@ -1619,9 +1700,9 @@ class TestAffineBody:
     @given(n=st.integers(1, 8), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            row=st.integers(0, 11))
     def test_single_state_equals_its_row_of_the_stack(self, n, m, seed, row):
-        """A state of shape (n,) takes ``a @ x + b``, a stack the stacked
-        products; the state's image is its row of the stack's, bit for bit.
-        Every entry has its own scale in 1e-3..1e3."""
+        """A state steps as a one-row stack; its image is its row of a stack
+        of m states and ``a @ x + b``, bit for bit.  Every entry has its own
+        scale in 1e-3..1e3."""
         rng = np.random.default_rng(seed)
 
         def draw(*shape):
@@ -1630,8 +1711,8 @@ class TestAffineBody:
         a, b, states = draw(n, n), draw(n), draw(m, n)
         body = affine_system(a, b).body
         x = states[row % m]
-        assert body(x).tobytes() == body(states)[row % m].tobytes()
-        assert body(x).tobytes() == (a @ x + b).tobytes()
+        assert body(x[None, :])[0].tobytes() == body(states)[row % m].tobytes()
+        assert body(x[None, :])[0].tobytes() == (a @ x + b).tobytes()
 
 
 class TestSeedValidation:
