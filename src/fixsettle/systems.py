@@ -692,12 +692,8 @@ def affine_system(matrix, offset=None, name: str = "affine") -> SystemMap:
     b = np.zeros(n) if offset is None else as_state(offset, n)
 
     def body(states: np.ndarray) -> np.ndarray:
-        # A one-row stack, a single orbit's state, takes ``a @ x + b`` of its
-        # row, a cheaper call than the stacked products.  These equal it row
-        # by row, bit for bit; the plain product ``states @ a.T`` differs in
-        # the last bit.
-        if len(states) == 1:
-            return (a @ states[0] + b)[None, :]
+        # Stacked matrix-vector products equal ``a @ x + b`` row by row, bit
+        # for bit; the plain product ``states @ a.T`` differs in the last bit.
         return np.matmul(a, states[..., None])[..., 0] + b
 
     return SystemMap(name=name, dimension=n, body=body)
