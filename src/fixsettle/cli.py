@@ -5,8 +5,9 @@ Subcommands: simulate | check | bound | attract | sweep | table1, each with
 check, attract: the ones that draw perturbations) overrides the perturbation
 seed; ``--format csv|json`` picks one of table1's outputs.  ``branch: auto``
 resolves from V(x0) in both bound and attract.
-Outputs are CSV (17 significant digits, '.' decimal) and JSON (sorted
-keys), both byte-stable across runs for a fixed config and seed.  Exit
+Outputs are CSV (17 significant digits, '.' decimal) and strict JSON
+(sorted keys, NaN and infinities as strings), both byte-stable across
+runs for a fixed config and seed.  Exit
 codes: 0 success, 2 config or parameter error, 3 numerical divergence.
 
 Each ``cmd_<name>(args)`` only computes: it returns ``(outputs, lines)``,
@@ -23,7 +24,6 @@ import argparse
 import csv
 import dataclasses
 import functools
-import io
 import json
 import os
 import stat
@@ -56,6 +56,7 @@ from .perturbation import (
     choose_branch,
     remark_tradeoff_table,
 )
+from .record import encode
 from .settling import analyze_settling, example_bound, settling_bound
 from .systems import as_state_grid, simulate, simulate_perturbed
 
@@ -117,69 +118,56 @@ def _interleave(template: list, columns) -> str:
     return "".join(parts)
 
 
-# Cells whose ``_fmt`` text never needs CSV quoting.
-_PLAIN = (bool, np.bool_, int, np.integer, float, np.floating)
-
-
-def _csv_field(text: str, alone: bool) -> str:
-    """``text`` as ``csv.writer`` writes it in a row of one field (``alone``)
-    or of several."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow((text,) if alone else (text, ""))
-    return buf.getvalue()[: -1 if alone else -2]
-
-
-def _csv_column(col, alone: bool) -> list:
-    """Every value of ``col`` as ``csv.writer`` writes its ``_fmt`` text in a
-    row of one field (``alone``) or of several; a ``range`` in one pass."""
-    if isinstance(col, range):
-        return list(map(str, col))
-    # An empty field alone in its row is the one ``csv.writer`` quotes.
-    return [
-        _fmt(x) if isinstance(x, _PLAIN) or (x is None and not alone) else _csv_field(_fmt(x), alone)
-        for x in col
-    ]
-
-
 def _csv_chunks(columns, count: int):
-    """The ``count`` rows that ``columns`` make side by side, as CSV text, a
-    chunk of ``_CHUNK`` rows at a time.
+    """The ``count`` rows that the float arrays and ``range`` columns of
+    ``columns`` make side by side, as CSV text, a chunk of ``_CHUNK`` rows
+    at a time.
 
-    Each chunk is one ``%`` of the row format repeated once per row.  A float
-    array fills ``%.17g`` slots, which is ``_fmt``'s text, with its values;
-    any other column fills ``%s`` slots with its ``_csv_column`` texts.
+    Each chunk is one ``%`` of the row format repeated once per row: a float
+    array fills ``%.17g`` slots, which is ``_fmt``'s text, and a ``range``
+    fills ``%d`` slots.  No such cell needs CSV quoting.
     """
-    width, alone = len(columns), len(columns) == 1
-    floats = [isinstance(col, np.ndarray) and col.dtype.kind == "f" for col in columns]
-    row = ",".join("%.17g" if f else "%s" for f in floats) + "\n"
+    width = len(columns)
+    row = ",".join("%d" if isinstance(col, range) else "%.17g" for col in columns) + "\n"
     for start in range(0, count, _CHUNK):
         rows = slice(start, start + _CHUNK)
         n = min(count - start, _CHUNK)
         cells = [None] * (n * width)
-        for j, (col, f) in enumerate(zip(columns, floats)):
-            cells[j::width] = col[rows].tolist() if f else _csv_column(col[rows], alone)
+        for j, col in enumerate(columns):
+            cells[j::width] = col[rows] if isinstance(col, range) else col[rows].tolist()
         yield row * n % tuple(cells)
 
 
 def _write_csv(path: Path, header, columns):
     """Write ``header`` and the rows that ``columns`` make side by side.
 
-    The header is written by ``csv.writer``, the rows by ``_csv_chunks``.
-    Numbers, bools and ``None`` are written as ``_fmt`` gives them; any other
-    cell is quoted by ``csv.writer`` itself.  Columns of different lengths
-    raise ``ValueError`` before anything is written.
+    A table of float arrays and ``range`` columns only, such as an orbit,
+    is written by ``_csv_chunks``; any other goes through ``csv.writer``
+    with every cell as ``_fmt`` gives it, so ``csv.writer`` alone decides
+    the quoting.  Columns of different lengths raise ``ValueError`` before
+    anything is written.
     """
     lengths = {len(col) for col in columns}
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
     count = lengths.pop() if lengths else 0
+    numbers = all(
+        isinstance(col, range) or isinstance(col, np.ndarray) and col.dtype.kind == "f"
+        for col in columns
+    )
     with _writing(path, newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.writelines(_csv_chunks(columns, count))
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if numbers:
+            fh.writelines(_csv_chunks(columns, count))
+        else:
+            writer.writerows([_fmt(x) for x in row] for row in zip(*columns))
 
 
 def _write_json(path: Path, obj):
-    """Write ``obj`` as ``json.dumps(obj, indent=2, sort_keys=True)`` and a newline.
+    """Write ``encode(obj)`` as ``json.dumps(..., indent=2, sort_keys=True)``
+    and a newline; a float that is NaN or infinite is written as the string
+    ``encode`` gives it, and one that slips through raises ``ValueError``.
 
     A ``ConditionReport`` is written as its ``to_dict()`` would be, byte for
     byte, but from its columns: the rest of the report goes through
@@ -188,10 +176,11 @@ def _write_json(path: Path, obj):
     """
     with _writing(path) as fh:
         if not isinstance(obj, ConditionReport):
-            fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+            fh.write(json.dumps(encode(obj), indent=2, sort_keys=True, allow_nan=False) + "\n")
             return
         text = json.dumps(
-            {**obj.to_dict(violations=False), "violations": []}, indent=2, sort_keys=True
+            {**obj.to_dict(violations=False), "violations": []},
+            indent=2, sort_keys=True, allow_nan=False,
         )
         if not len(obj.residual):
             fh.write(text + "\n")
@@ -202,23 +191,28 @@ def _write_json(path: Path, obj):
 
 
 def _json_floats(values: np.ndarray):
-    """The text ``json`` writes for each float of ``values``, a slice at a time.
+    """The JSON text of each float of ``values``, a slice at a time.
 
-    Each distinct magnitude is formatted once, as its repr or as NaN or
-    Infinity, and only one text per magnitude is kept.  The returned
-    function gives the texts of ``values[rows]`` as a list: the magnitude's
-    text with a "-" in front where the sign bit is set, except on NaN,
-    which ``json`` writes without a sign.
+    Each distinct magnitude is formatted once, as its repr or, if NaN or
+    infinite, as the quoted string ``encode`` gives it, and only one text
+    per magnitude is kept.  The returned function gives the texts of
+    ``values[rows]`` as a list: the magnitude's text with a "-" in front
+    where the sign bit is set, inside the quotes for ``"-Infinity"``,
+    except on NaN, which has no sign.
     """
     magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
     texts = np.array(list(map(float.__repr__, magnitudes.tolist())), dtype=object)
-    for i in np.flatnonzero(~np.isfinite(magnitudes)).tolist():
-        texts[i] = json.dumps(magnitudes[i].item())
+    non_finite = np.flatnonzero(~np.isfinite(magnitudes)).tolist()
+    for i in non_finite:
+        texts[i] = json.dumps(encode(magnitudes[i].item()), allow_nan=False)
+    minus_inf = json.dumps(encode(-np.inf), allow_nan=False)
 
     def rows_text(rows: slice) -> list:
         text, part = texts[inverse[rows]], values[rows]
         negative = np.flatnonzero(np.signbit(part) & ~np.isnan(part))
         text[negative] = "-" + text[negative]
+        if non_finite:
+            text[part == -np.inf] = minus_inf
         return text.tolist()
 
     return rows_text

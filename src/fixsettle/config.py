@@ -407,4 +407,8 @@ def load_config(path, seed_override: Optional[int] = None) -> ScenarioConfig:
         raise ConfigurationError(f"cannot read config {path}: {err}") from err
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"config {path} is not valid JSON: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigurationError(f"config {path} is not UTF-8 text: {err}") from err
+    except RecursionError:
+        raise ConfigurationError(f"config {path} nests too deeply to parse") from None
     return parse_config(raw, seed_override)

@@ -257,7 +257,7 @@ class ConditionReport(Record):
         if violations:
             out["violations"] = [
                 {"where": w, "residual": r, "check": "decrement"}
-                for w, r in zip(self.where.tolist(), self.residual.tolist())
+                for w, r in zip(encode(self.where.tolist()), encode(self.residual.tolist()))
             ]
         return out
 

@@ -1,12 +1,15 @@
 import argparse
 import ast
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +47,16 @@ def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> st
 def read_csv(path: Path) -> list:
     """The rows of a CSV file, read with the file closed again."""
     return list(csv.reader(path.read_text().splitlines()))
+
+
+def _refuse(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def load_strict(path: Path):
+    """The JSON in ``path``, read by a parser that refuses the NaN and
+    Infinity tokens strict JSON lacks."""
+    return json.loads(path.read_text(), parse_constant=_refuse)
 
 
 def check_report(cfg_path: str) -> ConditionReport:
@@ -674,7 +687,29 @@ class TestCheckCommand:
         data = json.loads((tmp_path / "check.json").read_text())
         assert data["holds_everywhere"] is False
         assert len(data["violations"]) == 4
-        assert math.isnan(data["max_residual"])
+        assert data["max_residual"] == "NaN"
+
+    @pytest.mark.parametrize("payload, max_residual, residuals", [
+        # An orbit that starts at the origin checks nothing: max -inf.
+        ({"schema": 1, "system": {"affine": {"matrix": [[0.0]]}},
+          "lyapunov": {"form": "square"}, "gains": _GAINS, "analysis": {"x0": 0.0, "k_max": 5}},
+         "-Infinity", []),
+        # x^2 overflows: V(f(x)) - V(x) is inf - inf past the first point.
+        (case1_config(lyapunov={"form": "square"}, gains=_GAINS, analysis={
+            "grid": {"scale": "log", "low": 1e150, "high": 1e200, "points": 7}}),
+         "NaN", ["Infinity"] + ["NaN"] * 6),
+    ], ids=["nothing-checked", "overflow"])
+    def test_non_finite_values_are_strict_json_strings(
+        self, tmp_path, payload, max_residual, residuals
+    ):
+        cfg = write_config(tmp_path, payload)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 0
+        data = load_strict(tmp_path / "check.json")
+        assert data == check_report(cfg).to_dict()
+        assert data["max_residual"] == max_residual
+        assert [v["residual"] for v in data["violations"]] == residuals
+        with pytest.raises(ValueError, match="is not a JSON number"):
+            load_strict(Path(write_config(tmp_path, {"x": -math.inf}, "bad.json")))
 
     def test_trajectory_mode(self, tmp_path):
         payload = case1_config(
@@ -971,7 +1006,9 @@ class TestDeterminism:
 
     # sha256 of check.json: mixed and perturbed as written before the grid
     # scans were batched, signed_mixed as written before the writer
-    # formatted each distinct magnitude once, the others as written before
+    # formatted each distinct magnitude once, overflow as written once
+    # non-finite floats became strings (the earlier bytes with each "NaN",
+    # "Infinity" and "-Infinity" unquoted), the others as written before
     # reports kept their violations as columns.  Run-to-run comparisons
     # cannot see a last-bit change that every run makes alike; a pinned
     # digest can.
@@ -979,7 +1016,7 @@ class TestDeterminism:
         "grid2d": "9e38d9f24df9717e6ef6d22c44301c8d3c629ab426048b75fa7d22c753a1af8a",
         "mixed": "2ff6ec68f1b26a0e9ace5b421d9096abdeb88d473477596cd69c69c1ff4ca618",
         "orbit": "5282077bae9cb70768f857da40c643ac701f8841096a0da002ea26870ba47384",
-        "overflow": "e70f0c492c6711e336c5ddcb28c871cc14354065cf6cfd0ef2e39747c881453d",
+        "overflow": "2ccc3e022b85f6fd6aca904b6db1626396c6444205c4ac4df5376b7193753db7",
         "perturbed": "542aff69a84054f3564ca9f545fe8a5b9445bf98f8eb03132096f4f0b2ae1267",
         "signed_mixed": "b88460b97056f733f791d57ab4bdb35621ff1abb19051b9d9caa08a1e24907d4",
     }
@@ -1696,6 +1733,23 @@ class TestUnusableInputsAndOutputs:
         assert main(["attract", "--config", cfg, "--out", str(tmp_path)]) == 0
         assert "branch" in json.loads((tmp_path / "tradeoff.json").read_text())
 
+    @pytest.mark.parametrize("content, message", [
+        (b'{"schema": 1, "x": "\xff"}', "is not UTF-8 text: "),
+        (b"[" * 200_000, "nests too deeply to parse"),
+    ], ids=["not-utf8", "nested-too-deep"])
+    def test_unreadable_config(self, tmp_path, capsys, content, message):
+        # Both ended in a traceback and exit 1: UnicodeDecodeError while
+        # reading, RecursionError while parsing.
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(content)
+        out = tmp_path / "out"
+        assert main(["bound", "--config", str(cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: config {cfg} {message}")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["simulate", "table1"])
     def test_out_naming_an_existing_file(self, tmp_path, capsys, command):
         cfg = write_config(tmp_path, case1_config())
@@ -1928,6 +1982,23 @@ class TestCsvWriter:
         cli._write_csv(tmp_path / "columns.csv", header, columns)
         _rowwise_csv(tmp_path / "rows.csv", header, zip(*columns))
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+    @pytest.mark.parametrize("argv, numbers", [
+        (["simulate", "--config", str(CONFIGS / "case1_simulate.json")], True),
+        (["table1", "--format", "csv"], False),
+    ], ids=["simulate", "table1"])
+    def test_each_table_gets_its_writer(self, tmp_path, monkeypatch, argv, numbers):
+        # An orbit is floats and a step range, written by the row format;
+        # table1 holds text cells, so csv.writer writes it.
+        csv_chunks, calls = cli._csv_chunks, []
+
+        def spy(columns, count):
+            calls.append(count)
+            return csv_chunks(columns, count)
+
+        monkeypatch.setattr(cli, "_csv_chunks", spy)
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert bool(calls) is numbers
 
     @pytest.mark.parametrize("columns", [
         [range(3), np.array([0.5, 1.5])],
@@ -2247,3 +2318,148 @@ def test_fresh_processes_match_in_process_calls(tmp_path, capsys):
             code = err.code
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err, outputs(out)) == fresh, argv
+
+
+_UNIT = st.floats(0.01, 0.99)
+
+
+@st.composite
+def _scenarios(draw):
+    """Schema-1 scenarios: an example case, random admissible example
+    parameters or an affine map with n = 1-3; an optional ``abs``,
+    ``square`` or ``poly`` candidate with or without ``rhs``; optional
+    gains, slack constants and a perturbation from any generator; and
+    analysis keys.  Grids hold at most 50 states and ``k_max`` is at most
+    60, so the whole property runs in a few seconds: these bounds keep
+    tier-1 fast.  Values outside them reach known crashes (ROADMAP item
+    18): ``grid.points`` 1e300 or 1e11 ends in numpy's size and memory
+    errors, and a sweep with ``k_max`` unset steps to its bound + 50."""
+    kind = draw(st.sampled_from(["case", "params", "affine"]))
+    n = 1 if kind != "affine" else draw(st.integers(1, 3))
+    if kind == "case":
+        system = {"builtin": "example", "case": draw(st.integers(1, 4))}
+    elif kind == "params":
+        system = {"builtin": "example", "params": {
+            "aprime": draw(_UNIT), "bprime": draw(_UNIT),
+            "r1prime": draw(st.floats(0.01, 0.49)), "r2prime": draw(st.floats(1.01, 3.0)),
+        }}
+    else:
+        affine = {"matrix": draw(st.lists(st.lists(st.floats(-1.2, 1.2), min_size=n, max_size=n),
+                                          min_size=n, max_size=n))}
+        if draw(st.booleans()):
+            affine["offset"] = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+        system = {"affine": affine}
+    payload = {"schema": 1, "system": system}
+
+    # Half the scenarios hold every section a command reads, so that most
+    # reach the commands' work; in the rest each section is drawn alone.
+    full = draw(st.booleans())
+
+    def often():
+        return full or draw(st.integers(0, 4)) > 0
+
+    candidates = st.sampled_from(["abs", "square"]).map(lambda form: {"form": form}) | st.builds(
+        lambda c: {"form": "poly", "coefficients": c},
+        st.lists(st.floats(-1.0, 2.0), min_size=1, max_size=3),
+    )
+    if often():
+        payload["lyapunov"] = draw(candidates)
+        if payload["lyapunov"]["form"] != "abs" and draw(st.booleans()):
+            payload["lyapunov"]["lipschitz"] = draw(st.floats(0.1, 10.0))
+        if draw(st.booleans()):
+            payload["lyapunov"]["rhs"] = draw(candidates)
+    if often():
+        payload["gains"] = {"alpha": draw(_UNIT), "beta": draw(_UNIT),
+                            "r1": draw(st.floats(0.05, 0.95)), "r2": draw(st.floats(1.05, 3.0))}
+    for m in ("m1", "m2"):
+        if draw(st.booleans()):
+            payload[m] = draw(st.floats(1.1, 8.0))
+    if often():
+        delta0 = draw(st.floats(0.001, 0.5))
+        generator = draw(st.sampled_from(["uniform_ball", "radial", "constant"]))
+        payload["perturbation"] = {"delta0": delta0, "generator": generator,
+                                   "seed": draw(st.integers(0, 2 ** 32))}
+        if generator == "constant":
+            # Each entry at most delta0 / (2n), so the norm is below delta0.
+            payload["perturbation"]["vector"] = [
+                delta0 / (2 * n) * u for u in draw(st.lists(st.floats(-1.0, 1.0),
+                                                            min_size=n, max_size=n))
+            ]
+    analysis = {}
+    if often():
+        analysis["x0"] = draw(st.lists(st.floats(-2000.0, 2000.0), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        analysis["k_max"] = draw(st.integers(1, 60))
+    if often():
+        signed = draw(st.booleans())
+        if draw(st.booleans()):
+            low = draw(st.floats(1e-3, 10.0))
+            grid = {"scale": "log", "low": low, "high": low * draw(st.floats(1.5, 1e3))}
+        else:
+            low = draw(st.floats(-100.0, 100.0))
+            grid = {"scale": "linear", "low": low, "high": low + draw(st.floats(0.1, 100.0))}
+        grid.update(points=draw(st.integers(1, 25 if signed else 50)), signed=signed)
+        analysis["grid"] = grid
+    if draw(st.booleans()):
+        analysis["branch"] = draw(st.sampled_from(["auto", "V0_GT_1", "V0_LE_1"]))
+    if draw(st.booleans()):
+        analysis["m_values"] = draw(st.lists(st.floats(1.1, 8.0), max_size=3))
+    if draw(st.booleans()):
+        analysis["epsilon"] = draw(st.floats(0.0, 2.0))
+    if draw(st.booleans()):
+        analysis["stop_epsilon"] = draw(st.floats(0.0, 1.0))
+    payload["analysis"] = analysis
+    # sweep's default k_max is the bound + 50, which may be any size.
+    return payload, draw(st.integers(1, 60))
+
+
+def _in_process(argv):
+    """Exit code, stdout and stderr of ``main(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestScenarioFuzzer:
+    """Random scenarios through every config command: each exits 0, 2 or
+    3, a failure says why in one ``error:`` line and writes nothing, every
+    JSON file is strict JSON, and commands that report the same K* agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scenario=_scenarios())
+    # check wrote "max_residual": -Infinity for an orbit with no nonzero state.
+    @example(scenario=({
+        "schema": 1, "system": {"affine": {"matrix": [[0.0]]}}, "lyapunov": {"form": "square"},
+        "gains": _GAINS, "analysis": {"x0": [0.0]},
+    }, 5))
+    def test_every_command_finishes_or_says_why(self, scenario):
+        payload, sweep_k_max = scenario
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            cfg = write_config(tmp, payload)
+            sweep_cfg = write_config(tmp, {**payload, "analysis": {
+                "k_max": sweep_k_max, **payload["analysis"]}}, "sweep.json")
+            written = {}
+            for command in ("simulate", "check", "bound", "attract", "sweep"):
+                out = tmp / command
+                code, stdout, stderr = _in_process([
+                    command, "--config", sweep_cfg if command == "sweep" else cfg,
+                    "--out", str(out),
+                ])
+                assert code in (0, 2, 3), (command, stderr)
+                if code:
+                    assert stdout == "" and not out.exists()
+                    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+                    continue
+                assert stderr == ""
+                written.update({f"{command}/{f.name}": load_strict(f)
+                                for f in out.glob("*.json")})
+        bound = written.get("bound/bound.json")
+        attract = written.get("attract/attract.json")
+        if bound is not None and attract is not None:
+            assert bound["perturbed_K_star"] == attract["K_star"]
+        sweep = written.get("sweep/sweep.json")
+        if bound is not None and sweep is not None:
+            key = "example_K_star" if "builtin" in payload["system"] else "K_star"
+            assert sweep["bound"] == bound[key]

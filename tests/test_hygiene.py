@@ -181,6 +181,40 @@ def test_rng_makers_are_found():
     assert _rng_makers(source) == [("<module>", 9), ("draws", 4), ("outer", 7)]
 
 
+def _lenient_dumps(source: str):
+    """The lines of the ``dump`` and ``dumps`` calls that do not pass the
+    literal ``allow_nan=False``, so would write NaN or Infinity, which
+    strict JSON readers refuse."""
+    return sorted(
+        node.lineno for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and _called_name(node) in ("dump", "dumps")
+        and not any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False for kw in node.keywords)
+    )
+
+
+def test_cli_json_refuses_non_finite_floats():
+    source = (PACKAGE / "cli.py").read_text()
+    assert _callers(source, lambda call: _called_name(call) == "dumps")
+    assert _lenient_dumps(source) == []
+
+
+def test_lenient_dumps_are_found():
+    source = (
+        "import json\n"
+        "from json import dumps\n"
+        "def f(x, fh):\n"
+        "    a = json.dumps(x, allow_nan=False, indent=2)\n"
+        "    b = json.dumps(x)\n"
+        "    c = dumps(x, allow_nan=True)\n"
+        "    d = json.dumps(x, **{'allow_nan': False})\n"
+        "    e = json.dumps(x, allow_nan=0)\n"
+        "    json.dump(x, fh)\n"
+        "    return json.loads(a)\n"
+    )
+    assert _lenient_dumps(source) == [5, 6, 7, 8, 9]
+
+
 def _private_definitions(tree: ast.Module):
     """The module-level functions, classes and constants of ``tree`` whose
     name starts with one underscore, each with the statement defining it."""

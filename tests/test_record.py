@@ -14,6 +14,7 @@ import json
 import math
 from enum import Enum, IntEnum
 
+import numpy as np
 import pytest
 
 from fixsettle import affine_system
@@ -223,23 +224,25 @@ class Level(IntEnum):
     (0, 0),
     (-0.0, -0.0),
     (True, True),
-    (math.inf, math.inf),
+    (math.inf, "Infinity"),
+    (-math.inf, "-Infinity"),
+    (math.nan, "NaN"),
+    (-math.nan, "NaN"),
+    (np.float64(-math.inf), "-Infinity"),
+    ({"k": (1, -math.inf), "e": {"c": Colour.RED}}, {"k": [1, "-Infinity"], "e": {"c": "red"}}),
 ], ids=[
     "empty-tuple", "empty-list", "tuple", "list-of-tuples", "nested-with-none", "deep",
     "str-enum", "enum", "int-enum", "tuple-of-enums", "failure-pair", "none", "str", "int",
-    "negative-zero", "bool", "inf",
+    "negative-zero", "bool", "inf", "minus-inf", "nan", "signed-nan", "numpy-minus-inf", "dict",
 ])
 def test_encode(value, expected):
     out = encode(value)
     assert out == expected
     assert _plain(out)
-    assert json.dumps(out) == json.dumps(expected)
-
-
-def test_encode_keeps_nan_and_passes_dicts_through():
-    assert math.isnan(encode(math.nan))
-    d = {"k": (1, 2)}
-    assert encode(d) is d  # records hold no dict, so none is rebuilt
+    assert json.dumps(out, allow_nan=False) == json.dumps(expected)
+    if isinstance(value, float) and not math.isfinite(value):
+        # Strict JSON has no such number: the string, which float() reads back.
+        assert float(out) == value or math.isnan(value) and math.isnan(float(out))
 
 
 def _sweep_json(settles: bool):
